@@ -17,8 +17,10 @@ from .errors import (
     EndpointMismatch,
     InadmissibleRegularity,
     InsufficientProbes,
+    InsufficientSamples,
     ModelDomainError,
     NonConvergence,
+    NonFiniteValue,
     NotARefinement,
     SewkitError,
     WrongMode,

@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import InsufficientSamples
 from .flows import ApproxFlowModel
 from .metric import Point, compose_chain, map_distance_value
 
@@ -82,11 +83,11 @@ def _regress(report_kind: str, rows: list[FitSample], degree_offset: float) -> F
 def _check_sample_spread(products: Sequence[float], what: str) -> None:
     pos = [p for p in products if p > 0.0]
     if len(pos) < 20:
-        raise ValueError(f"{what} needs at least 20 samples with positive gaps")
+        raise InsufficientSamples(f"{what} needs at least 20 samples with positive gaps")
     lo, hi = min(pos), max(pos)
     # two decades of gap sizes = four decades of the pairwise product
     if hi / lo < 1e4:
-        raise ValueError(
+        raise InsufficientSamples(
             f"{what} needs a geometric range of gap sizes of at least two decades"
         )
 

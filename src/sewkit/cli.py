@@ -2,8 +2,9 @@
 
 Experiments: sew, holonomy, knit, certify.  Configs are JSON documents; all
 floats print with 17 significant digits so identical config + seed produces
-byte-identical CSV.  Exit codes: 0 all assertions pass, 1 config errors,
-2 bound violations or non-convergence.
+byte-identical CSV.  Exit codes: 0 all assertions pass, 1 config errors
+(including certification samples too few or too narrow), 2 bound
+violations, non-convergence or non-finite values.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import certify as certify_mod
-from .errors import BoundViolation, ConfigError, NonConvergence, SewkitError
+from .errors import BoundViolation, ConfigError, NonConvergence, NonFiniteValue, SewkitError
 from .flows import MODE_KNITTING, ApproxFlowModel
 from .knitting import build_net, holonomy, knit_compare, linear_pair_homotopy
 from .models import (
@@ -357,6 +358,9 @@ def run(config_path: str, seed: int | None = None, quiet: bool = False,
         return 1
     except (BoundViolation, NonConvergence) as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
+        return 2
+    except NonFiniteValue as exc:
+        print(f"non-finite value: {exc}", file=sys.stderr)
         return 2
     except SewkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

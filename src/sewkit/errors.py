@@ -57,5 +57,13 @@ class NonConvergence(SewkitError):
         self.certificate = certificate
 
 
+class NonFiniteValue(SewkitError):
+    """A probed value or distance is NaN or infinite, so no bound can hold."""
+
+
+class InsufficientSamples(SewkitError, ValueError):
+    """Certification samples are too few or span too narrow a range of gaps."""
+
+
 class ConfigError(SewkitError):
     """An experiment configuration is missing or malformed."""

@@ -14,9 +14,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .errors import BoundViolation, ModelDomainError, NonConvergence, NotARefinement
+from .errors import (
+    BoundViolation,
+    ModelDomainError,
+    NonConvergence,
+    NonFiniteValue,
+    NotARefinement,
+)
 from .flows import MODE_SEWING, ApproxFlowModel, HoelderData
 from .metric import Point, ProbedMap, compose_chain, identity_map, map_distance_value, p_axpy
 from .subdivision import Subdivision, dyadic_refine, mesh, refines, regular, reverse
@@ -32,29 +36,48 @@ def within_bound(lhs: float, rhs: float, slack: float = BOUND_SLACK) -> bool:
     return lhs <= rhs + slack * (1.0 + rhs)
 
 
+#: Euler-Maclaurin coefficients B_2k / (2k)! for k = 1..5 (B2..B10)
+_EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0, 1.0 / 47900160.0)
+
+#: |B12| / 12!, the coefficient of the first omitted term, which bounds the remainder
+_EM_REMAINDER = 691.0 / 1307674368000.0
+
+#: zeta(s) > 1 for s > 1, so no double resolves an error below the spacing at 1
+_ZETA_TOL_FLOOR = math.ulp(1.0)
+
+
 @lru_cache(maxsize=None)
 def zeta(s: float, tol: float = 1e-12) -> float:
-    """Riemann zeta via partial sums plus an integral tail correction.
+    """Riemann zeta by Euler-Maclaurin summation, at a cost independent of s.
 
-    N is chosen so the bracket between the upper and lower integral tail
-    bounds is below tol; the bracket midpoint is added, leaving an error
-    below tol/2.
+    zeta(s) = sum_{j<N} j**-s + N**(1-s)/(s-1) + N**-s/2
+    + sum_{k=1..5} B_2k/(2k)! * s(s+1)...(s+2k-2) * N**(1-s-2k) + R.
+    Since x**-s is completely monotone, |R| is below the first omitted (B12)
+    term; N starts at 20 and doubles until that term is below tol/2, leaving
+    a truncation error below tol/2.  Non-finite arguments and tolerances below
+    the double spacing at 1 raise ValueError.
     """
+    if not (math.isfinite(s) and math.isfinite(tol)):
+        raise ValueError(f"zeta needs finite s and tol, got s={s!r}, tol={tol!r}")
     if s <= 1.0:
-        raise ValueError("zeta partial sums diverge for s <= 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    n = max(8, int(math.ceil(tol ** (-1.0 / s))))
-    while (n ** (1.0 - s) - (n + 1.0) ** (1.0 - s)) / (s - 1.0) >= tol:
+        raise ValueError("zeta diverges for s <= 1")
+    if tol < _ZETA_TOL_FLOOR:
+        raise ValueError(f"tol must be at least {_ZETA_TOL_FLOOR!r}, the double spacing at 1")
+    n = 20
+    while True:
+        # f runs through s(s+1)...(s+2k-2) * n**(1-s-2k); multiplied left to
+        # right, a vanishing n**-s is never met by an overflowing factor
+        head = n**-s
+        f = head * (s / n)
+        corrections = []
+        for k, c in enumerate(_EM_COEFFS):
+            corrections.append(c * f)
+            f = f * ((s + 2 * k + 1) / n) * ((s + 2 * k + 2) / n)
+        if _EM_REMAINDER * f < tol / 2.0:
+            break
         n *= 2
-    total = 0.0
-    chunk = 1 << 20
-    for lo in range(1, n + 1, chunk):
-        hi = min(n, lo + chunk - 1)
-        block = np.arange(lo, hi + 1, dtype=np.float64)
-        total += float(np.sum(block ** (-s)))
-    tail = (n ** (1.0 - s) + (n + 1.0) ** (1.0 - s)) / (2.0 * (s - 1.0))
-    return total + tail
+    direct = [j**-s for j in range(1, n)]
+    return math.fsum(direct + [n ** (1.0 - s) / (s - 1.0), head / 2.0] + corrections)
 
 
 def constant_K(h: HoelderData, zeta_tol: float = 1e-12) -> float:
@@ -106,6 +129,15 @@ def _run_chain(evals: Sequence[Callable[[Point], Point]], p: Point) -> Point:
     for e in reversed(evals):
         p = e(p)
     return p
+
+
+def _sup_distance(metric, xs: Sequence[Point], ys: Sequence[Point], what: str) -> float:
+    """Largest probe-wise distance; any non-finite one raises NonFiniteValue
+    (a bare max would drop a NaN that is not first)."""
+    dists = [metric(a, b) for a, b in zip(xs, ys)]
+    if not all(map(math.isfinite, dists)):
+        raise NonFiniteValue(f"{what}: non-finite probe distance in {dists}")
+    return max(dists)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +217,8 @@ def sew(
     Returns the limit map (geometric-tail extrapolation of the finest two
     composites) and a :class:`SewCertificate`.  Raises
     :class:`NonConvergence` carrying the certificate when max_level is hit,
-    and :class:`BoundViolation` if a recorded distance exceeds its bound.
+    :class:`BoundViolation` if a recorded distance exceeds its bound, and
+    :class:`NonFiniteValue` if any probed distance is NaN or infinite.
     """
     h = model.hoelder
     h.require_mode(MODE_SEWING, "sew (pull knitting-mode models back along a path first)")
@@ -234,7 +267,7 @@ def sew(
         subdiv = dyadic_refine(prev_subdiv)
         evals = _chain_evals(model, subdiv)
         vals = tuple(_run_chain(evals, p) for p in probes)
-        d = max(metric(a, b) for a, b in zip(prev_vals, vals))
+        d = _sup_distance(metric, prev_vals, vals, f"level {level} of {model.name}")
 
         bound_prev = refinement_bound(h, span, mesh(prev_subdiv))
         if not within_bound(d, bound_prev, slack):
@@ -252,7 +285,9 @@ def sew(
             rho = None
         coef = rho / (1.0 - rho) if rho else 0.0
         accel = tuple(p_axpy(v, pv, coef) for v, pv in zip(vals, prev_vals))
-        d_accel = max(metric(a, b) for a, b in zip(prev_accel, accel))
+        d_accel = _sup_distance(
+            metric, prev_accel, accel, f"extrapolation at level {level} of {model.name}"
+        )
         tail = d * coef if rho is not None else math.inf
         final_chains = (tuple(prev_evals), tuple(evals))
         final_coef = coef
@@ -300,7 +335,9 @@ def sew(
     mu_ok: bool | None
     try:
         direct = model.mu(s, t)
-        mu_distance = max(metric(direct.eval(p), v) for p, v in zip(probes, final_vals))
+        mu_distance = _sup_distance(
+            metric, [direct.eval(p) for p in probes], final_vals, f"mu_st of {model.name}"
+        )
         mu_ok = within_bound(mu_distance + tail, claimed, slack) if done else None
     except ModelDomainError:
         mu_distance = None

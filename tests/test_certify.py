@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sewkit import (
+    InsufficientSamples,
+    SewkitError,
     annulus_four_point_samples,
     annulus_three_point_samples,
     arc_path,
@@ -101,3 +103,10 @@ def test_sample_validation_errors():
     narrow = [(0.0, 0.4 + i * 1e-6, 0.8) for i in range(25)]
     with pytest.raises(ValueError):
         fit_three_point(m, narrow)
+
+
+def test_sample_spread_error_is_typed_and_still_a_value_error():
+    narrow = [(0.0, 0.4 + i * 1e-6, 0.8) for i in range(25)]
+    with pytest.raises(InsufficientSamples) as err:
+        fit_three_point(make_additive_sin(), narrow)
+    assert isinstance(err.value, SewkitError) and isinstance(err.value, ValueError)

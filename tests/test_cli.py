@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from sewkit import cli
+from sewkit import cli, make_euler
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -46,6 +46,32 @@ def test_sew_nonconvergence_exits_two(tmp_path):
     assert cli.run(path, quiet=True) == 2
     rows = read_rows(tmp_path / "short.csv")
     assert rows[-1][0] == "limit"
+
+
+def test_sew_nan_probe_values_exit_two(tmp_path, monkeypatch, capsys):
+    nan_tail = make_euler(lambda x: math.nan if x > 0.5 else x, 1.0, field_bound=1.0)
+    monkeypatch.setattr(cli, "build_model", lambda spec, where="model": nan_tail)
+    path = euler_cfg(tmp_path, out="nan.csv")
+    assert cli.run(path, quiet=True) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "nan.csv").exists()
+
+
+def test_rough_young_sew_reaches_the_integral(tmp_path):
+    cfg = {
+        "experiment": "sew",
+        "model": {"name": "young", "driver": "sin", "integrand": "linear",
+                  "alpha": 0.6, "beta": 0.6},
+        "interval": [0.0, 1.0],
+        "tol": 1e-8,
+        "seed": 0,
+        "output": str(tmp_path / "rough.csv"),
+    }
+    assert cli.run(write_cfg(tmp_path, "rough.json", cfg), quiet=True) == 0
+    rows = read_rows(tmp_path / "rough.csv")
+    assert rows[-1][0] == "limit"
+    exact = math.sin(1.0) + math.cos(1.0) - 1.0
+    assert abs(float(rows[-1][4]) - exact) <= 1e-8
 
 
 def test_holonomy_experiment_reports_winding(tmp_path):
@@ -137,6 +163,20 @@ def test_config_errors_exit_one(tmp_path, capsys):
 
     mismatch = euler_cfg(tmp_path)
     assert cli.run(mismatch, quiet=True, experiment="knit") == 1
+
+
+def test_certify_with_too_narrow_sample_spread_exits_one(tmp_path, capsys):
+    # at sample seed 55 the annulus gap products span less than four decades
+    cfg = {
+        "experiment": "certify",
+        "model": {"name": "flat_connection", "variant": "midpoint"},
+        "mode": "strong_four_point",
+        "samples": 48,
+        "seed": 55,
+        "output": str(tmp_path / "four.csv"),
+    }
+    assert cli.run(write_cfg(tmp_path, "four.json", cfg), quiet=True) == 1
+    assert "geometric range of gap sizes" in capsys.readouterr().err
 
 
 def test_unknown_experiment_rejected(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from oracles import left_riemann
 from sewkit import (
     HoelderData,
     NonConvergence,
+    NonFiniteValue,
     Subdivision,
     WrongMode,
     compose_along,
@@ -18,6 +20,7 @@ from sewkit import (
     inverse_defect,
     inverse_defect_bound,
     make_additive_sin,
+    make_euler,
     make_euler_linear,
     make_euler_sin,
     make_young,
@@ -50,6 +53,40 @@ def test_zeta_rejects_divergent_arguments():
         zeta(0.5)
 
 
+@pytest.mark.parametrize("s", [1.001, 1.01, 1.2, 1.5, 2.0, 3.0, 30.0])
+def test_zeta_matches_mpmath(s):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = mpmath.zeta(s)
+        rel = abs((mpmath.mpf(zeta(s)) - ref) / ref)
+    assert rel <= 4e-16
+
+
+@pytest.mark.parametrize(
+    "s,tol",
+    [
+        (math.nan, 1e-12),
+        (math.inf, 1e-12),
+        (-math.inf, 1e-12),
+        (2.0, math.nan),
+        (2.0, math.inf),
+        (2.0, 0.0),
+        (2.0, -1e-12),
+        (2.0, 1e-17),  # below the double spacing at 1: no double can meet it
+    ],
+)
+def test_zeta_fails_closed_on_unusable_arguments(s, tol):
+    with pytest.raises(ValueError):
+        zeta(s, tol)
+
+
+def test_zeta_at_extreme_finite_arguments():
+    assert zeta(2.0, math.ulp(1.0)) == pytest.approx(math.pi**2 / 6.0, rel=4e-16)
+    assert zeta(1e300) == 1.0
+    # zeta(1 + h) = 1/h + Euler's gamma + O(h)
+    assert zeta(1.0 + 2.0**-30) == pytest.approx(2.0**30 + 0.5772156649, rel=1e-15)
+
+
 # --- constant K ---------------------------------------------------------------
 
 def test_constant_K_examples():
@@ -64,6 +101,15 @@ def test_constant_K_examples():
     expect = 2.0**1.5 * 5.0 * zeta(1.5, 1e-9)
     assert constant_K(h_half) == pytest.approx(expect, rel=1e-9)
     assert expect == pytest.approx(36.944, abs=2e-3)
+
+
+def test_constant_K_in_the_rough_regime_is_fast():
+    h = HoelderData(0.2, ((0.6, 0.6, 1.0),))
+    zeta.cache_clear()
+    t0 = time.perf_counter()
+    k = constant_K(h)
+    assert time.perf_counter() - t0 < 0.5
+    assert k == pytest.approx(2.0**1.2 * 5.5915824411777507, rel=1e-14)
 
 
 def test_constant_K_rejects_knitting_mode():
@@ -165,6 +211,13 @@ def test_sew_nonconvergence_carries_the_level_log():
         sew(m, 0.0, 1.0, 1e-13, max_level=3)
     cert = err.value.certificate
     assert cert is not None and len(cert.levels) == 4 and not cert.converged
+
+
+def test_sew_rejects_nan_probe_values():
+    # the NaN probes are not first, so a bare max over distances would drop them
+    m = make_euler(lambda x: math.nan if x > 0.5 else x, 1.0, field_bound=1.0)
+    with pytest.raises(NonFiniteValue):
+        sew(m, 0.0, 1.0, 1e-8)
 
 
 # --- flow law and inverse ------------------------------------------------------
