@@ -61,14 +61,24 @@ def _fmt(v: Any) -> str:
 _REQUIRED = object()
 
 
+def _finite(val: Any, where: str) -> float:
+    """A config number as a finite float; bools, strings, NaN and infinities
+    raise ConfigError."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {type(val).__name__}")
+    if not math.isfinite(val):
+        raise ConfigError(f"{where} must be finite, got {val!r}")
+    return float(val)
+
+
 def _cfg_get(cfg: dict, key: str, kind, where: str, default=_REQUIRED):
     if key not in cfg:
         if default is not _REQUIRED:
             return default
         raise ConfigError(f"missing field {where}.{key}")
     val = cfg[key]
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
+    if kind is float:
+        return _finite(val, f"field {where}.{key}")
     if kind is int and isinstance(val, int) and not isinstance(val, bool):
         return val
     if not isinstance(val, kind):
@@ -86,7 +96,10 @@ def build_model(spec: dict, where: str = "model") -> ApproxFlowModel:
     if name == "euler_sin":
         return make_euler_sin(probe_n=probes)
     if name == "euler_matrix":
-        return make_euler_matrix(_cfg_get(spec, "a", list, where))
+        a = _cfg_get(spec, "a", list, where)
+        if len(a) != 2 or not all(isinstance(r, list) and len(r) == 2 for r in a):
+            raise ConfigError(f"{where}.a must be a 2x2 matrix, got {a!r}")
+        return make_euler_matrix([[_finite(v, f"{where}.a entry") for v in r] for r in a])
     if name == "young":
         xk = _cfg_get(spec, "driver", str, where, "linear")
         yk = _cfg_get(spec, "integrand", str, where, "linear")
@@ -186,14 +199,17 @@ def _write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
 def _run_sew(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
     model = build_model(_cfg_get(cfg, "model", dict, "config"))
     interval = _cfg_get(cfg, "interval", list, "config", [0.0, 1.0])
+    if len(interval) != 2:
+        raise ConfigError(f"config.interval must hold two numbers, got {interval!r}")
+    s, t = (_finite(v, "config.interval entry") for v in interval)
     tol = _cfg_get(cfg, "tol", float, "config", 1e-8)
     max_level = _cfg_get(cfg, "max_level", int, "config", 20)
     status = 0
     try:
         _, cert = sew(
             model,
-            float(interval[0]),
-            float(interval[1]),
+            s,
+            t,
             tol,
             max_level=max_level,
             value_fn=model.summary,
@@ -253,15 +269,17 @@ def _run_knit(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list
         raise ConfigError("knit experiments need a knitting-mode model (flat_connection)")
     H, ell = build_homotopy(_cfg_get(cfg, "homotopy", dict, "config"))
     ks = _cfg_get(cfg, "ks", list, "config", [8, 16, 32, 64])
+    if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 2 for k in ks):
+        raise ConfigError(f"config.ks entries must be integers >= 2, got {ks!r}")
     status = 0
     rows: list[list[Any]] = []
     for k in ks:
-        net = build_net(H, int(k), ell)
+        net = build_net(H, k, ell)
         measured, bound = knit_compare(net, model)
         ok = within_bound(measured, bound)
         if not ok:
             status = 2
-        rows.append([int(k), 1.0 / int(k), measured, bound, "pass" if ok else "fail"])
+        rows.append([k, 1.0 / k, measured, bound, "pass" if ok else "fail"])
     if cfg.get("class_separation"):
         tol = _cfg_get(cfg, "tol", float, "config", 1e-8)
         upper = arc_path(1.0, 0.0, math.pi, 64)

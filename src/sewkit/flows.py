@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .errors import WrongMode
+from .errors import NonFiniteValue, WrongMode
 from .metric import MetricSpace, ProbedMap
 
 MODE_SEWING = "sewing"      # exponents satisfy a + b = 1 + epsilon
@@ -64,14 +64,22 @@ class HoelderData:
         return sum(c for _, _, c in self.terms)
 
     def g(self, delta: float) -> float:
-        """Growth bound for composite Lipschitz constants; g >= 1, non-decreasing."""
+        """Growth bound for composite Lipschitz constants; g >= 1, non-decreasing.
+
+        Raises :class:`NonFiniteValue` when exp(L*delta) overflows a double.
+        """
         if delta < 0.0:
             raise ValueError("growth argument must be >= 0")
         if self.growth is not None:
             return self.growth(delta)
         if self.lip_slope == 0.0:
             return 1.0
-        return math.exp(self.lip_slope * delta)
+        try:
+            return math.exp(self.lip_slope * delta)
+        except OverflowError:
+            raise NonFiniteValue(
+                f"growth bound exp({self.lip_slope!r} * {delta!r}) overflows"
+            ) from None
 
     def f(self, delta: float) -> float:
         """Single-step Lipschitz excess, f(delta) = L*delta."""
@@ -116,7 +124,11 @@ class ApproxFlowModel:
     difference on intervals).  ``max_param_step`` caps the parameter gap over
     which ``mu`` may be evaluated (models that are only locally defined);
     ``angle`` exposes a per-step rotation angle for holonomy summaries and
-    ``summary`` a scalar readout of a flow map for logs.
+    ``summary`` a scalar readout of a flow map for logs.  ``expansion_orders``
+    declares the powers p_1 < p_2 < ... of the step in an asymptotic error
+    expansion of the composites (1, 2, 3, ... for one-step Euler models of
+    smooth fields); ``sew`` uses them for Richardson columns.  Models without
+    such an expansion declare nothing.
     """
 
     name: str
@@ -127,3 +139,4 @@ class ApproxFlowModel:
     max_param_step: float | None = None
     summary: Callable[[ProbedMap], float] | None = None
     angle: Callable[[Param, Param], float] | None = None
+    expansion_orders: tuple[int, ...] = ()

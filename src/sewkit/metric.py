@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .errors import DomainMismatch, InsufficientProbes
+from .errors import DomainMismatch, InsufficientProbes, NonFiniteValue
 
 Point = Any  # a float, or a tuple of floats
 
@@ -193,7 +193,11 @@ def compose_chain(maps: Sequence[ProbedMap]) -> ProbedMap:
 # probed sup distance and Lipschitz estimate
 
 def map_distance(f: ProbedMap, g: ProbedMap) -> ExtDistance:
-    """Sup distance of two maps over the source probe set (lower bound)."""
+    """Sup distance of two maps over the source probe set (lower bound).
+
+    An infinite probe distance gives ``INFINITE``; a NaN one raises
+    :class:`NonFiniteValue`, since no comparison can order it.
+    """
     if f.source.name != g.source.name or f.target.name != g.target.name:
         raise DomainMismatch(
             f"maps live in different spaces: ({f.source.name}->{f.target.name}) "
@@ -206,6 +210,8 @@ def map_distance(f: ProbedMap, g: ProbedMap) -> ExtDistance:
         d = metric(fe(p), ge(p))
         if d == math.inf:
             return INFINITE
+        if math.isnan(d):
+            raise NonFiniteValue(f"NaN distance at probe {p!r} between {f.source.name}-maps")
         if d > worst:
             worst = d
     return ExtDistance(worst)

@@ -20,6 +20,11 @@ TAU = 2.0 * math.pi
 #: certified numerically on the working annulus (radius >= 0.7, chords <= r0)
 MIDPOINT_DEFECT_CONSTANT = 3.0
 
+#: error expansion of explicit Euler for smooth fields: integer powers of the
+#: step (Gragg 1965; Hairer-Norsett-Wanner, Thm II.8.1); ``sew`` gates each
+#: column on the observed ratios, so a longer tuple only allows more columns
+EULER_EXPANSION_ORDERS = (1, 2, 3, 4, 5, 6)
+
 
 # ---------------------------------------------------------------------------
 # translation models
@@ -95,7 +100,8 @@ def make_euler(
 
     The three-point defect constant is Lip(F) times a bound on |F| over the
     probe region (supplied via ``field_bound`` or probed at build time); the
-    slope is L = Lip(F), so g(delta) = exp(Lip(F)*delta).
+    slope is L = Lip(F), so g(delta) = exp(Lip(F)*delta).  The model declares
+    the integer expansion orders ``EULER_EXPANSION_ORDERS``.
     """
     if lipschitz < 0.0:
         raise ValueError("lipschitz must be >= 0")
@@ -117,7 +123,12 @@ def make_euler(
 
     summary = (lambda m: m.eval(1.0)) if dim == 1 else (lambda m: m.eval((1.0, 0.0))[0])
     return ApproxFlowModel(
-        name=name, space_at=lambda _t: space, mu=mu, hoelder=h, summary=summary
+        name=name,
+        space_at=lambda _t: space,
+        mu=mu,
+        hoelder=h,
+        summary=summary,
+        expansion_orders=EULER_EXPANSION_ORDERS,
     )
 
 

@@ -3,9 +3,10 @@ flow, explicit constants, and the flow-law / inverse / four-point checks.
 
 ``sew`` iterates dyadic refinement of a regular base subdivision.  Raw
 successive distances obey the refinement (mesh) bound and decay like
-mesh**epsilon; a geometric-tail extrapolation of the probe values supplies
-the returned limit map and its error estimate, and raw and extrapolated
-quantities are recorded separately in the certificate.
+mesh**epsilon; a Richardson table over the levels (declared error orders,
+else one observed-ratio geometric-tail column) supplies the returned limit
+map and its error estimate, and raw and extrapolated quantities are recorded
+separately in the certificate.
 """
 from __future__ import annotations
 
@@ -30,6 +31,10 @@ BOUND_SLACK = 1e-9
 
 #: ratios above this are treated as stalled (no extrapolation)
 MAX_CONTRACTION = 0.95
+
+#: a declared Richardson column is used only while the observed ratio of the
+#: column below it is within this relative band of 2**-order
+ORDER_RATIO_BAND = 0.25
 
 
 def within_bound(lhs: float, rhs: float, slack: float = BOUND_SLACK) -> bool:
@@ -159,9 +164,13 @@ class SewCertificate:
     """Record of one sewing run.
 
     ``claimed_bound`` is K*g(span)*span**(1+eps); ``mu_distance`` the probed
-    distance from mu(s,t) to the finest composite, with ``tail_estimate`` the
-    residual geometric tail beyond the finest level reported separately.
+    distance from mu(s,t) to the returned limit estimate, with
+    ``tail_estimate`` the residual tail beyond the finest level (the sum of
+    the extrapolation column corrections) reported separately.
     ``mu_distance`` is None when the model cannot evaluate mu(s,t) directly.
+    ``extrapolation_orders`` lists the Richardson columns behind the returned
+    limit: declared orders, or ``(0,)`` for the observed-ratio geometric
+    tail; it is empty when the raw finest composite is returned.
     All g-dependent bounds are conditional on the declared growth function.
     """
 
@@ -180,6 +189,7 @@ class SewCertificate:
     ratio_estimate: float | None
     limit_value: float | None
     g_conditional: bool = True
+    extrapolation_orders: tuple[int, ...] = ()
 
     @property
     def level_log(self) -> list[tuple[int, float, float]]:
@@ -193,6 +203,23 @@ def _auto_base_k(model: ApproxFlowModel, span: float, base_k: int) -> int:
         while span / k > step:
             k *= 2
     return k
+
+
+def _romberg_row(
+    prev_row: Sequence[tuple[Point, ...]], vals: tuple[Point, ...], coefs: Sequence[float]
+) -> list[tuple[Point, ...]]:
+    """Next row of a Richardson table: the raw values, then one step
+    T[i][j+1] = T[i][j] + coefs[j] * (T[i][j] - T[i-1][j]) per column the
+    previous row carries (coef = r/(1-r) removes an error term of ratio r)."""
+    row = [vals]
+    for j, cf in enumerate(coefs[: len(prev_row)]):
+        row.append(tuple(p_axpy(b, a, cf) for b, a in zip(row[j], prev_row[j])))
+    return row
+
+
+def _order_ratio_ok(diff: float, prev_diff: float, order: int) -> bool:
+    """Whether successive column differences shrink by 2**-order, within the band."""
+    return prev_diff > 0.0 and abs(diff / prev_diff * 2.0**order - 1.0) <= ORDER_RATIO_BAND
 
 
 def sew(
@@ -210,11 +237,19 @@ def sew(
     Starting from the regular subdivision with ``base_k`` intervals (grown
     automatically when the model caps its parameter step), composites over
     dyadic refinements are compared level to level.  Iteration stops when the
-    extrapolated successive distance drops below tol, or when the a-priori
-    refinement bound at the current mesh is already below tol.  With tol <= 0
-    the full ladder up to max_level is run unconditionally.
+    best limit estimate moves less than tol from the previous level's, or when
+    the a-priori refinement bound at the current mesh is already below tol.
+    With tol <= 0 the full ladder up to max_level is run unconditionally.
 
-    Returns the limit map (geometric-tail extrapolation of the finest two
+    The best estimate at each level comes from a Richardson table over the
+    levels.  Column j+1 removes the declared error order
+    ``model.expansion_orders[j]`` while the observed ratio of column-j
+    differences matches 2**-order within ``ORDER_RATIO_BAND``.  When the
+    first declared column does not pass, or the model declares no orders, a
+    single column with the observed ratio of raw differences (below
+    ``MAX_CONTRACTION``) is used: the geometric tail.
+
+    Returns the limit map (the same column steps applied to the finest
     composites) and a :class:`SewCertificate`.  Raises
     :class:`NonConvergence` carrying the certificate when max_level is hit,
     :class:`BoundViolation` if a recorded distance exceeds its bound, and
@@ -227,6 +262,8 @@ def sew(
     target = model.space_at(s)
     probes = source.probes
     metric = target.metric
+    orders = model.expansion_orders
+    declared_coefs = tuple(1.0 / (2.0**p - 1.0) for p in orders)
 
     k0 = _auto_base_k(model, span, base_k)
     subdiv = regular(s, t, k0)
@@ -240,21 +277,19 @@ def sew(
 
     levels = [SewLevel(0, subdiv.k, mesh(subdiv), None, None, refinement_bound(h, span, mesh(subdiv)), level_value(evals))]
 
-    prev_evals = evals
-    prev_vals = vals
-    prev_accel = vals
+    # the finest chains, enough for the deepest table column, back the limit map
+    chains = [evals]
+    keep = max(len(orders), 1) + 1
+    row = [vals]
+    prev_diffs: list[float] = []
+    best = vals
     prev_subdiv = subdiv
-    d_prev: float | None = None
     rho: float | None = None
-    coef = 0.0
+    coefs: tuple[float, ...] = ()
+    used: tuple[int, ...] = ()
     tail = math.inf
     converged = False
     reason = ""
-    # data backing the returned limit map: coarser chain, finest chain,
-    # extrapolation coefficient, and the extrapolated probe values
-    final_chains: tuple[tuple, tuple] | None = None
-    final_coef = 0.0
-    final_vals = vals
 
     if tol > 0.0 and refinement_bound(h, span, mesh(subdiv)) < tol:
         converged = True
@@ -266,8 +301,14 @@ def sew(
         level += 1
         subdiv = dyadic_refine(prev_subdiv)
         evals = _chain_evals(model, subdiv)
+        chains = (chains + [evals])[-keep:]
         vals = tuple(_run_chain(evals, p) for p in probes)
-        d = _sup_distance(metric, prev_vals, vals, f"level {level} of {model.name}")
+        prev_row, row = row, _romberg_row(row, vals, declared_coefs)
+        diffs = [
+            _sup_distance(metric, a, b, f"column {j}, level {level} of {model.name}")
+            for j, (a, b) in enumerate(zip(prev_row, row))
+        ]
+        d = diffs[0]
 
         bound_prev = refinement_bound(h, span, mesh(prev_subdiv))
         if not within_bound(d, bound_prev, slack):
@@ -278,25 +319,34 @@ def sew(
 
         if d == 0.0:
             rho = 0.0
-        elif d_prev is not None and d_prev > 0.0:
-            r = d / d_prev
+        elif prev_diffs and prev_diffs[0] > 0.0:
+            r = d / prev_diffs[0]
             rho = r if r < MAX_CONTRACTION else None
         else:
             rho = None
-        coef = rho / (1.0 - rho) if rho else 0.0
-        accel = tuple(p_axpy(v, pv, coef) for v, pv in zip(vals, prev_vals))
-        d_accel = _sup_distance(
-            metric, prev_accel, accel, f"extrapolation at level {level} of {model.name}"
+        depth = 0
+        while depth < min(len(orders), len(prev_diffs)) and _order_ratio_ok(
+            diffs[depth], prev_diffs[depth], orders[depth]
+        ):
+            depth += 1
+        if depth:
+            coefs, used = declared_coefs[:depth], orders[:depth]
+        elif rho:
+            coefs, used = (rho / (1.0 - rho),), (0,)
+        else:
+            coefs, used = (), ()
+        extrapolated = bool(used) or d == 0.0
+        prev_best = best
+        best = _romberg_row(prev_row, vals, coefs)[-1]
+        d_best = _sup_distance(
+            metric, prev_best, best, f"extrapolation at level {level} of {model.name}"
         )
-        tail = d * coef if rho is not None else math.inf
-        final_chains = (tuple(prev_evals), tuple(evals))
-        final_coef = coef
-        final_vals = accel
+        tail = math.fsum(c * x for c, x in zip(coefs, diffs)) if extrapolated else math.inf
 
-        levels.append(SewLevel(level, subdiv.k, mesh(subdiv), d, d_accel, bound_prev, level_value(evals)))
+        levels.append(SewLevel(level, subdiv.k, mesh(subdiv), d, d_best, bound_prev, level_value(evals)))
 
         if tol > 0.0:
-            if rho is not None and d_accel < tol:
+            if extrapolated and d_best < tol:
                 converged = True
                 reason = "extrapolated successive distance below tol"
             elif refinement_bound(h, span, mesh(subdiv)) < tol:
@@ -304,25 +354,19 @@ def sew(
                 reason = "a-priori refinement bound below tol"
                 tail = min(tail, refinement_bound(h, span, mesh(subdiv)))
 
-        if not converged:
-            prev_evals = evals
-            prev_vals = vals
-            prev_accel = accel
-            prev_subdiv = subdiv
-            d_prev = d
+        prev_diffs = diffs
+        prev_subdiv = subdiv
 
     final_subdiv = subdiv
-    if final_chains is not None and final_coef > 0.0:
-        chain_a, chain_b = final_chains
-        cf = final_coef
+    limit_chains = chains[len(chains) - len(coefs) - 1 :]
 
-        def limit_eval(p: Point) -> Point:
-            return p_axpy(_run_chain(chain_b, p), _run_chain(chain_a, p), cf)
+    def limit_eval(p: Point) -> Point:
+        table: list[tuple[Point, ...]] = []
+        for chain in limit_chains:
+            table = _romberg_row(table, (_run_chain(chain, p),), coefs)
+        return table[-1][0]
 
-        final_map = ProbedMap(source, target, limit_eval)
-    else:
-        chain_b = tuple(evals)
-        final_map = ProbedMap(source, target, lambda p: _run_chain(chain_b, p))
+    final_map = ProbedMap(source, target, limit_eval)
     if level == 0:
         tail = min(tail, refinement_bound(h, span, mesh(subdiv)))
 
@@ -336,7 +380,7 @@ def sew(
     try:
         direct = model.mu(s, t)
         mu_distance = _sup_distance(
-            metric, [direct.eval(p) for p in probes], final_vals, f"mu_st of {model.name}"
+            metric, [direct.eval(p) for p in probes], best, f"mu_st of {model.name}"
         )
         mu_ok = within_bound(mu_distance + tail, claimed, slack) if done else None
     except ModelDomainError:
@@ -358,6 +402,7 @@ def sew(
         base_k=k0,
         ratio_estimate=rho,
         limit_value=value_fn(final_map) if value_fn is not None else None,
+        extrapolation_orders=used,
     )
 
     if mu_ok is False:
