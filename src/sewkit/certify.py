@@ -124,9 +124,8 @@ def fit_strong_four_point(model: ApproxFlowModel, samples: Sequence[tuple]) -> F
         via_u = compose_chain([model.mu(x, u), model.mu(u, y)])
         via_v = compose_chain([model.mu(x, v), model.mu(v, y)])
         defect = map_distance_value(via_u, via_v)
-        d_yv, d_uv, d_xu = d_p(y, v), d_p(u, v), d_p(x, u)
-        declared = (1.0 + h.f(d_xu)) * sum(c * d_yv**a * d_uv**b for a, b, c in h.terms)
-        declared += sum(c * d_xu**b * d_uv**a for a, b, c in h.terms)
+        d_yv, d_uv = d_p(y, v), d_p(u, v)
+        declared = h.four_point_bound(d_p(x, u), d_yv, d_uv)
         rows.append(
             FitSample(f"x={x!r};u={u!r};v={v!r};y={y!r}", d_yv * d_uv, defect, declared)
         )

@@ -40,7 +40,7 @@ from .paths import (
     polyline,
     square_loop,
 )
-from .sewing import sew, within_bound
+from .sewing import SewCertificate, sew, within_bound
 
 EXPERIMENTS = ("sew", "knit", "holonomy", "certify")
 
@@ -71,7 +71,8 @@ def _finite(val: Any, where: str) -> float:
     return float(val)
 
 
-def _cfg_get(cfg: dict, key: str, kind, where: str, default=_REQUIRED):
+def _cfg_get(cfg: dict, key: str, kind, where: str, default=_REQUIRED, least: int | None = None):
+    """Field ``key`` of ``cfg`` as ``kind``; an int field below ``least`` raises ConfigError."""
     if key not in cfg:
         if default is not _REQUIRED:
             return default
@@ -79,16 +80,31 @@ def _cfg_get(cfg: dict, key: str, kind, where: str, default=_REQUIRED):
     val = cfg[key]
     if kind is float:
         return _finite(val, f"field {where}.{key}")
-    if kind is int and isinstance(val, int) and not isinstance(val, bool):
-        return val
-    if not isinstance(val, kind):
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise ConfigError(f"field {where}.{key} must be {kind.__name__}, got {type(val).__name__}")
+    if least is not None and val < least:
+        raise ConfigError(f"field {where}.{key} must be >= {least}, got {val}")
     return val
 
 
+def _point(val: Any, where: str) -> tuple[float, float]:
+    """A config point of the plane: a list of two finite numbers."""
+    if not (isinstance(val, list) and len(val) == 2):
+        raise ConfigError(f"{where} must be a point [x, y], got {val!r}")
+    return (_finite(val[0], where), _finite(val[1], where))
+
+
 def build_model(spec: dict, where: str = "model") -> ApproxFlowModel:
+    """The model a config names; constructor ValueErrors become ConfigErrors."""
+    try:
+        return _model(spec, where)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _model(spec: dict, where: str) -> ApproxFlowModel:
     name = _cfg_get(spec, "name", str, where)
-    probes = _cfg_get(spec, "probes", int, where, 5)
+    probes = _cfg_get(spec, "probes", int, where, 5, least=1)
     if name == "additive_sin":
         return make_additive_sin(probe_n=probes)
     if name == "euler_linear":
@@ -124,7 +140,7 @@ def build_model(spec: dict, where: str = "model") -> ApproxFlowModel:
         return make_flat_connection(
             variant=_cfg_get(spec, "variant", str, where, FlatConnection.EXACT),
             r0=_cfg_get(spec, "r0", float, where, 0.5),
-            fiber_probes=_cfg_get(spec, "probes", int, where, 8),
+            fiber_probes=_cfg_get(spec, "probes", int, where, 8, least=1),
         )
     raise ConfigError(
         f"unknown {where}.name {name!r}; expected one of additive_sin, euler_linear, "
@@ -133,8 +149,17 @@ def build_model(spec: dict, where: str = "model") -> ApproxFlowModel:
 
 
 def build_path(spec: dict, where: str = "path") -> LipPath:
+    """The PL path in the plane a config describes; constructor ValueErrors and
+    unreadable path files become ConfigErrors."""
+    try:
+        return _path(spec, where)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _path(spec: dict, where: str) -> LipPath:
     kind = _cfg_get(spec, "kind", str, where)
-    segs = _cfg_get(spec, "segments", int, where, 64)
+    segs = _cfg_get(spec, "segments", int, where, 64, least=1)
     if kind == "circle":
         return circle_path(
             _cfg_get(spec, "radius", float, where, 1.0),
@@ -157,16 +182,17 @@ def build_path(spec: dict, where: str = "path") -> LipPath:
             segs,
         )
     if kind == "square":
-        center = _cfg_get(spec, "center", list, where, [2.0, 0.0])
-        return square_loop((float(center[0]), float(center[1])),
-                           _cfg_get(spec, "half_side", float, where, 0.5))
+        center = _point(_cfg_get(spec, "center", list, where, [2.0, 0.0]), f"{where}.center")
+        return square_loop(center, _cfg_get(spec, "half_side", float, where, 0.5))
     if kind == "points":
-        pts = _cfg_get(spec, "points", list, where)
-        breaks = spec.get("breaks")
-        tupled = tuple(tuple(float(c) for c in p) if isinstance(p, list) else float(p) for p in pts)
-        return polyline(tupled, tuple(float(b) for b in breaks) if breaks else None)
+        pts = [_point(p, f"{where}.points entry") for p in _cfg_get(spec, "points", list, where)]
+        breaks = _cfg_get(spec, "breaks", list, where, None)
+        return polyline(pts, [_finite(b, f"{where}.breaks entry") for b in breaks] if breaks else None)
     if kind == "csv":
-        return path_from_csv(_cfg_get(spec, "file", str, where))
+        g = path_from_csv(_cfg_get(spec, "file", str, where))
+        if all(isinstance(p, tuple) and len(p) == 2 for p in g.points):
+            return g
+        raise ConfigError(f"{where}.file must hold a path in the plane")
     raise ConfigError(f"unknown {where}.kind {kind!r}")
 
 
@@ -179,7 +205,7 @@ def build_homotopy(spec: dict, where: str = "config.homotopy"):
         g1 = build_path(_cfg_get(spec, "path1", dict, where), f"{where}.path1")
         return linear_pair_homotopy(g0, g1)
     if kind == "semicircle_to_ellipse":
-        segs = _cfg_get(spec, "segments", int, where, 64)
+        segs = _cfg_get(spec, "segments", int, where, 64, least=1)
         g0 = arc_path(1.0, 0.0, math.pi, segs)
         g1 = ellipse_arc_path(1.0, _cfg_get(spec, "ry", float, where, 1.6), 0.0, math.pi, segs)
         return linear_pair_homotopy(g0, g1)
@@ -196,6 +222,29 @@ def _write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+_LEVEL_HEADER = ["level", "mesh", "successive_distance", "bound", "value"]
+
+
+def _level_rows(cert: SewCertificate) -> list[list[Any]]:
+    """One CSV row per sewing level and a final ``limit`` row; a missing value prints empty."""
+    rows: list[list[Any]] = [
+        [rec.level, rec.mesh, rec.successive if rec.successive is not None else 0.0,
+         rec.refine_bound, rec.value if rec.value is not None else ""]
+        for rec in cert.levels
+    ]
+    rows.append(["limit", 0.0, cert.tail_estimate, cert.claimed_bound,
+                 cert.limit_value if cert.limit_value is not None else ""])
+    return rows
+
+
+def _plane_model(cfg: dict, experiment: str) -> ApproxFlowModel:
+    """The config's model, which must live over the punctured plane."""
+    model = build_model(_cfg_get(cfg, "model", dict, "config"))
+    if model.hoelder.mode != MODE_KNITTING:
+        raise ConfigError(f"{experiment} experiments need a knitting-mode model (flat_connection)")
+    return model
+
+
 def _run_sew(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
     model = build_model(_cfg_get(cfg, "model", dict, "config"))
     interval = _cfg_get(cfg, "interval", list, "config", [0.0, 1.0])
@@ -203,70 +252,34 @@ def _run_sew(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[
         raise ConfigError(f"config.interval must hold two numbers, got {interval!r}")
     s, t = (_finite(v, "config.interval entry") for v in interval)
     tol = _cfg_get(cfg, "tol", float, "config", 1e-8)
-    max_level = _cfg_get(cfg, "max_level", int, "config", 20)
+    max_level = _cfg_get(cfg, "max_level", int, "config", 20, least=0)
     status = 0
     try:
-        _, cert = sew(
-            model,
-            s,
-            t,
-            tol,
-            max_level=max_level,
-            value_fn=model.summary,
-        )
-    except (BoundViolation, NonConvergence) as exc:
-        if isinstance(exc, NonConvergence) and exc.certificate is not None:
-            cert = exc.certificate
-            status = 2
-        else:
+        _, cert = sew(model, s, t, tol, max_level=max_level, value_fn=model.summary)
+    except NonConvergence as exc:
+        if exc.certificate is None:
             raise
-    rows: list[list[Any]] = []
-    for rec in cert.levels:
-        rows.append(
-            [
-                rec.level,
-                rec.mesh,
-                rec.successive if rec.successive is not None else 0.0,
-                rec.refine_bound,
-                rec.value if rec.value is not None else "",
-            ]
-        )
-    rows.append(["limit", 0.0, cert.tail_estimate, cert.claimed_bound,
-                 cert.limit_value if cert.limit_value is not None else ""])
+        cert = exc.certificate
+        status = 2
     if cert.mu_bound_ok is False:
         status = 2
-    return ["level", "mesh", "successive_distance", "bound", "value"], rows, status
+    return _LEVEL_HEADER, _level_rows(cert), status
 
 
 def _run_holonomy(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
-    model = build_model(_cfg_get(cfg, "model", dict, "config"))
+    model = _plane_model(cfg, "holonomy")
     path = build_path(_cfg_get(cfg, "path", dict, "config"))
     tol = _cfg_get(cfg, "tol", float, "config", 1e-8)
-    max_level = _cfg_get(cfg, "max_level", int, "config", 20)
-    status = 0
+    max_level = _cfg_get(cfg, "max_level", int, "config", 20, least=0)
     _, summary = holonomy(model, path, tol, max_level=max_level)
-    cert = summary.certificate
-    rows: list[list[Any]] = []
-    for rec in cert.levels:
-        rows.append(
-            [
-                rec.level,
-                rec.mesh,
-                rec.successive if rec.successive is not None else 0.0,
-                rec.refine_bound,
-                "",
-            ]
-        )
-    rows.append(["limit", 0.0, cert.tail_estimate, cert.claimed_bound, ""])
+    rows = _level_rows(summary.certificate)
     if summary.angle is not None:
         rows.append(["angle", 0.0, 0.0, 0.0, summary.angle])
-    return ["level", "mesh", "successive_distance", "bound", "value"], rows, status
+    return _LEVEL_HEADER, rows, 0
 
 
 def _run_knit(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
-    model = build_model(_cfg_get(cfg, "model", dict, "config"))
-    if model.hoelder.mode != MODE_KNITTING:
-        raise ConfigError("knit experiments need a knitting-mode model (flat_connection)")
+    model = _plane_model(cfg, "knit")
     H, ell = build_homotopy(_cfg_get(cfg, "homotopy", dict, "config"))
     ks = _cfg_get(cfg, "ks", list, "config", [8, 16, 32, 64])
     if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 2 for k in ks):
@@ -366,6 +379,8 @@ def run(config_path: str, seed: int | None = None, quiet: bool = False,
             raise ConfigError(f"config.experiment must be one of {EXPERIMENTS}, got {exp!r}")
         if seed is None:
             seed = _cfg_get(cfg, "seed", int, "config", 0)
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         if "probes" in cfg and isinstance(cfg.get("model"), dict):
             cfg["model"].setdefault("probes", cfg["probes"])
         rng = np.random.default_rng(seed)
@@ -383,7 +398,11 @@ def run(config_path: str, seed: int | None = None, quiet: bool = False,
     except SewkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_csv(output, header, rows)
+    try:
+        _write_csv(output, header, rows)
+    except OSError as exc:
+        print(f"config error: cannot write config.output: {exc}", file=sys.stderr)
+        return 1
     if not quiet:
         print(f"{exp}: wrote {len(rows)} rows to {output} (exit {status})")
     return status

@@ -110,6 +110,12 @@ class HoelderData:
         """Three-point bound: sum_i C_i * d_first**a_i * d_second**b_i."""
         return sum(c * d_first**a * d_second**b for a, b, c in self.terms)
 
+    def four_point_bound(self, d_us: float, d_tv: float, d_uv: float) -> float:
+        """Strong four-point bound on d(mu_su o mu_ut, mu_sv o mu_vt):
+        (1 + f(d_us)) * sum_i C_i d_tv**a_i d_uv**b_i + sum_i C_i d_us**b_i d_uv**a_i."""
+        near = self.defect_bound(d_tv, d_uv)
+        return (1.0 + self.f(d_us)) * near + sum(c * d_us**b * d_uv**a for a, b, c in self.terms)
+
 
 def _abs_gap(a: float, b: float) -> float:
     return abs(b - a)

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import DeclaredLipschitzViolated, EndpointMismatch
 from .flows import MODE_KNITTING, ApproxFlowModel, HoelderData
-from .metric import Point, ProbedMap, compose_chain, euclidean, map_distance_value
+from .metric import Point, ProbedMap, compose_chain, euclidean, map_distance_value, p_lerp
 from .paths import LipPath, pullback_flow
-from .sewing import SewCertificate, sew, zeta
+from .sewing import SewCertificate, _column_coefs, _romberg_row, sew, zeta
 from .subdivision import regular
 
 
@@ -88,11 +88,7 @@ def linear_pair_homotopy(g0: LipPath, g1: LipPath) -> tuple[Callable[[float, flo
         raise EndpointMismatch("paths must share both endpoints")
 
     def H(s: float, t: float) -> Point:
-        a = g0.at(t)
-        b = g1.at(t)
-        if isinstance(a, tuple):
-            return tuple((1.0 - s) * x + s * y for x, y in zip(a, b))
-        return (1.0 - s) * a + s * b
+        return p_lerp(g0.at(t), g1.at(t), s)
 
     ell_t = max(g0.lip_norm, g1.lip_norm)
     ell_s = 0.0
@@ -104,17 +100,16 @@ def linear_pair_homotopy(g0: LipPath, g1: LipPath) -> tuple[Callable[[float, flo
 # ---------------------------------------------------------------------------
 # ladder compositions
 
-def _node(net: HomotopyNet, i: int, j: int, crossing: int) -> Point:
-    """Node at column j: row i before the crossing column, row i+1 from it on."""
-    return net.grid[i][j] if j < crossing else net.grid[i + 1][j]
+def _compose_nodes(model: ApproxFlowModel, nodes: Sequence[Point]) -> ProbedMap:
+    """mu composed along consecutive nodes of the net."""
+    return compose_chain(map(model.mu, nodes, nodes[1:]))
 
 
 def row_map(net: HomotopyNet, model: ApproxFlowModel, i: int) -> ProbedMap:
     """Composition of mu along row i of the net."""
     if not 0 <= i <= net.k:
         raise IndexError("row index out of range")
-    row = net.grid[i]
-    return compose_chain([model.mu(row[c], row[c + 1]) for c in range(net.k)])
+    return _compose_nodes(model, net.grid[i])
 
 
 def ladder_map(net: HomotopyNet, model: ApproxFlowModel, i: int, j: int) -> ProbedMap:
@@ -127,8 +122,7 @@ def ladder_map(net: HomotopyNet, model: ApproxFlowModel, i: int, j: int) -> Prob
     if not (0 <= i <= k - 1 and 0 <= j <= k - 1):
         raise IndexError("ladder indices must lie in 0..k-1")
     crossing = k - j
-    nodes = [_node(net, i, c, crossing) for c in range(k + 1)]
-    return compose_chain([model.mu(nodes[c], nodes[c + 1]) for c in range(k)])
+    return _compose_nodes(model, net.grid[i][:crossing] + net.grid[i + 1][crossing:])
 
 
 def knit_bound(h: HoelderData, ell: float, k: int) -> float:
@@ -175,21 +169,22 @@ def holonomy(
     """Sew the flow pulled back along g and summarize it.
 
     For rotation-fiber models the summary accumulates per-step angles over
-    the finest subdivision reached (before any mod-2*pi reduction), with the
-    same geometric-tail extrapolation the sewn map uses.
+    the finest subdivision reached (before any mod-2*pi reduction), and over
+    the coarser levels the certificate's Richardson columns need; those
+    columns extrapolate the angle exactly as they extrapolate the sewn map.
     """
     pulled = pullback_flow(model, g)
     flow, cert = sew(pulled, 0.0, 1.0, tol, max_level=max_level)
     angle = raw = None
     if pulled.angle is not None:
-        raw = _accumulated_angle(pulled.angle, cert.final_subdivision.points)
-        angle = raw
+        coefs = _column_coefs(cert.extrapolation_orders, cert.ratio_estimate)
         k = cert.final_subdivision.k
-        if cert.ratio_estimate and k > cert.base_k and k % 2 == 0:
-            coarser = regular(0.0, 1.0, k // 2)
-            prev = _accumulated_angle(pulled.angle, coarser.points)
-            rho = cert.ratio_estimate
-            angle = raw + (raw - prev) * rho / (1.0 - rho)
+        table: list[tuple[float, ...]] = []
+        for j in range(len(coefs), 0, -1):
+            coarser = regular(0.0, 1.0, k >> j)
+            table = _romberg_row(table, (_accumulated_angle(pulled.angle, coarser.points),), coefs)
+        raw = _accumulated_angle(pulled.angle, cert.final_subdivision.points)
+        angle = _romberg_row(table, (raw,), coefs)[-1][0]
     return flow, HolonomySummary(angle=angle, raw_angle=raw, certificate=cert)
 
 

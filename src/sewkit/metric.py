@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import DomainMismatch, InsufficientProbes, NonFiniteValue
 
@@ -23,18 +23,6 @@ def p_sub(a: Point, b: Point) -> Point:
     if isinstance(a, tuple):
         return tuple(x - y for x, y in zip(a, b))
     return a - b
-
-
-def p_add(a: Point, b: Point) -> Point:
-    if isinstance(a, tuple):
-        return tuple(x + y for x, y in zip(a, b))
-    return a + b
-
-
-def p_scale(a: Point, c: float) -> Point:
-    if isinstance(a, tuple):
-        return tuple(c * x for x in a)
-    return c * a
 
 
 def p_lerp(a: Point, b: Point, w: float) -> Point:
@@ -54,9 +42,8 @@ def p_axpy(b: Point, a: Point, coef: float) -> Point:
 
 
 def p_norm(a: Point) -> float:
+    """Euclidean norm, as the square root of the sum of squares."""
     if isinstance(a, tuple):
-        if len(a) == 2:
-            return math.hypot(a[0], a[1])
         return math.sqrt(sum(x * x for x in a))
     return abs(a)
 
@@ -161,32 +148,42 @@ def identity_map(space: MetricSpace) -> ProbedMap:
 
 def compose(outer: ProbedMap, inner: ProbedMap) -> ProbedMap:
     """outer after inner (function composition)."""
-    if inner.target.name != outer.source.name:
-        raise DomainMismatch(
-            f"cannot compose: inner target {inner.target.name!r} "
-            f"!= outer source {outer.source.name!r}"
-        )
-    f, g = outer.eval, inner.eval
-    return ProbedMap(inner.source, outer.target, lambda p: f(g(p)))
+    return compose_chain((outer, inner))
 
 
-def compose_chain(maps: Sequence[ProbedMap]) -> ProbedMap:
-    """Compose maps[0] o maps[1] o ... o maps[-1]; the last one acts first."""
-    if not maps:
+def compose_chain(maps: Iterable[ProbedMap]) -> ProbedMap:
+    """Compose maps[0] o maps[1] o ... o maps[-1]; the last one acts first.
+
+    ``maps`` may be any iterable, a generator included: each factor is
+    checked against the one before it and only its ``eval`` is kept, so a
+    long chain never holds all its factors at once.  A single factor is
+    returned as is.
+    """
+    factors = iter(maps)
+    first = next(factors, None)
+    if first is None:
         raise ValueError("need at least one map")
-    if len(maps) == 1:
-        return maps[0]
-    for left, right in zip(maps, maps[1:]):
-        if right.target.name != left.source.name:
-            raise DomainMismatch("chain is not composable")
-    evals = tuple(m.eval for m in maps)
+    evals = [first.eval]
+    source = first.source
+    for m in factors:
+        # factors of one chain usually share one space object: test identity first
+        if m.target is not source and m.target.name != source.name:
+            raise DomainMismatch(
+                f"cannot compose: inner target {m.target.name!r} "
+                f"!= outer source {source.name!r}"
+            )
+        evals.append(m.eval)
+        source = m.source
+    if len(evals) == 1:
+        return first
+    evals.reverse()
 
     def run(p: Point) -> Point:
-        for e in reversed(evals):
+        for e in evals:
             p = e(p)
         return p
 
-    return ProbedMap(maps[-1].source, maps[0].target, run)
+    return ProbedMap(source, first.target, run)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 from .errors import InadmissibleRegularity, ModelDomainError
 from .flows import MODE_KNITTING, MODE_SEWING, ApproxFlowModel, HoelderData
-from .metric import Point, ProbedMap, circle_fiber, euclidean, plane_grid, real_line
+from .metric import Point, ProbedMap, circle_fiber, euclidean, p_norm, plane_grid, real_line
 
 TAU = 2.0 * math.pi
 
@@ -29,12 +29,13 @@ EULER_EXPANSION_ORDERS = (1, 2, 3, 4, 5, 6)
 # ---------------------------------------------------------------------------
 # translation models
 
-def _translation_model(
-    name: str,
+def make_additive(
     mu_tilde: Callable[[float, float], float],
     hoelder: HoelderData,
+    name: str = "additive",
     probe_n: int = 5,
 ) -> ApproxFlowModel:
+    """Translations x -> x + mu_tilde(s, t); isometries, so L = 0 and g = 1."""
     space = real_line(-1.0, 1.0, probe_n, name=f"{name}-line")
 
     def mu(s: float, t: float) -> ProbedMap:
@@ -50,20 +51,10 @@ def _translation_model(
     )
 
 
-def make_additive(
-    mu_tilde: Callable[[float, float], float],
-    hoelder: HoelderData,
-    name: str = "additive",
-    probe_n: int = 5,
-) -> ApproxFlowModel:
-    """Translations x -> x + mu_tilde(s, t); isometries, so L = 0 and g = 1."""
-    return _translation_model(name, mu_tilde, hoelder, probe_n)
-
-
 def make_additive_sin(probe_n: int = 5) -> ApproxFlowModel:
     """mu_tilde(s,t) = sin(s)*(t-s); defect |sin u - sin s|*|t-u| <= |u-s||t-u|."""
     h = HoelderData(1.0, ((1.0, 1.0, 1.0),), 0.0, MODE_SEWING)
-    return _translation_model("additive-sin", lambda s, t: math.sin(s) * (t - s), h, probe_n)
+    return make_additive(lambda s, t: math.sin(s) * (t - s), h, "additive-sin", probe_n)
 
 
 def make_young(
@@ -82,7 +73,7 @@ def make_young(
     if eps <= 0.0:
         raise InadmissibleRegularity(f"alpha + beta = {alpha + beta} must exceed 1")
     h = HoelderData(eps, ((alpha, beta, c_x * c_y),), 0.0, MODE_SEWING)
-    return _translation_model(name, lambda s, t: y_fn(s) * (x_fn(t) - x_fn(s)), h, probe_n)
+    return make_additive(lambda s, t: y_fn(s) * (x_fn(t) - x_fn(s)), h, name, probe_n)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +105,7 @@ def make_euler(
     else:
         raise ValueError("dim must be 1 or 2")
     if field_bound is None:
-        field_bound = max(_point_norm(field(p)) for p in space.probes)
+        field_bound = max(p_norm(field(p)) for p in space.probes)
     h = HoelderData(1.0, ((1.0, 1.0, lipschitz * field_bound),), lipschitz, MODE_SEWING)
 
     def mu(s: float, t: float) -> ProbedMap:
@@ -130,12 +121,6 @@ def make_euler(
         summary=summary,
         expansion_orders=EULER_EXPANSION_ORDERS,
     )
-
-
-def _point_norm(p: Point) -> float:
-    if isinstance(p, tuple):
-        return math.sqrt(sum(x * x for x in p))
-    return abs(p)
 
 
 def make_euler_linear(lam: float = 1.0, probe_n: int = 5) -> ApproxFlowModel:

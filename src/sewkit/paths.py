@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import ConcatMismatch, ModelDomainError
 from .flows import ApproxFlowModel
-from .metric import Point, ProbedMap, euclidean, p_lerp, p_sub
+from .metric import Point, ProbedMap, compose, euclidean, p_lerp, p_norm, p_sub
 
 
 def _dot(a: Point, b: Point) -> float:
@@ -27,12 +27,6 @@ def _cross2(a: Point, b: Point) -> float:
     if isinstance(a, tuple) and len(a) == 2:
         return a[0] * b[1] - a[1] * b[0]
     return 0.0
-
-
-def _norm(a: Point) -> float:
-    if isinstance(a, tuple):
-        return math.sqrt(sum(x * x for x in a))
-    return abs(a)
 
 
 @dataclass(frozen=True)
@@ -84,6 +78,8 @@ class LipPath:
 
 
 def polyline(points: Sequence[Point], breaks: Sequence[float] | None = None) -> LipPath:
+    if len(points) < 2:
+        raise ValueError("need at least two points")
     if breaks is None:
         m = len(points) - 1
         breaks = tuple(j / m for j in range(m + 1))
@@ -127,6 +123,8 @@ def ellipse_arc_path(
     for a, b in zip(pts, pts[1:]):
         cum.append(cum[-1] + euclidean(a, b))
     total = cum[-1]
+    if total == 0.0:
+        raise ValueError("a zero-length arc has no arc-length parametrization")
     out: list[Point] = [pts[0]]
     i = 0
     for j in range(1, segments):
@@ -174,6 +172,8 @@ def path_from_csv(file_path: str) -> LipPath:
 
     with _P(file_path).open(newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{file_path} holds no path")
     dim = len(rows[0]) - 1
     breaks = tuple(float(r[0]) for r in rows[1:])
     if dim == 1:
@@ -248,7 +248,7 @@ def _is_backtrack(p: Point, q: Point, r: Point, tol: float) -> bool:
     """True when the leg q -> r runs backward along the segment p -> q."""
     v = p_sub(q, p)
     w = p_sub(r, q)
-    lv, lw = _norm(v), _norm(w)
+    lv, lw = p_norm(v), p_norm(w)
     if lv <= tol or lw <= tol:
         return False
     if abs(_cross2(v, w)) > tol * max(lv, lw, 1.0):
@@ -392,11 +392,8 @@ def groupoid_axiom_check(
         d = map_distance_value(holonomy_map(padded), m)
         checks.append(GroupoidCheck("identity", f"path {idx} . const", d, budget))
 
-        inv = reverse_path(p)
-        inv_map = holonomy_map(inv)
-        ie, me = inv_map.eval, m.eval
-        round_trip = ProbedMap(m.source, inv_map.target, lambda q, _a=ie, _b=me: _a(_b(q)))
-        d = map_distance_value(round_trip, identity_map(m.source))
+        inv_map = holonomy_map(reverse_path(p))
+        d = map_distance_value(compose(inv_map, m), identity_map(m.source))
         checks.append(GroupoidCheck("inverse", f"path {idx}", d, budget))
 
     for i, gi in enumerate(paths):
@@ -404,11 +401,7 @@ def groupoid_axiom_check(
             if euclidean(gi.start, gj.end) > 1e-12:
                 continue
             combined = holonomy_map(concat_reverse_order(gi, gj))
-            ge, he = maps[i].eval, maps[j].eval
-            two_step = ProbedMap(
-                maps[j].source, maps[i].target, lambda q, _a=ge, _b=he: _a(_b(q))
-            )
-            d = map_distance_value(combined, two_step)
+            d = map_distance_value(combined, compose(maps[i], maps[j]))
             checks.append(GroupoidCheck("composition", f"paths {i}.{j}", d, budget))
             for k, gk in enumerate(paths):
                 if euclidean(gj.start, gk.end) > 1e-12:

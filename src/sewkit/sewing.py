@@ -23,7 +23,15 @@ from .errors import (
     NotARefinement,
 )
 from .flows import MODE_SEWING, ApproxFlowModel, HoelderData
-from .metric import Point, ProbedMap, compose_chain, identity_map, map_distance_value, p_axpy
+from .metric import (
+    Point,
+    ProbedMap,
+    compose,
+    compose_chain,
+    identity_map,
+    map_distance_value,
+    p_axpy,
+)
 from .subdivision import Subdivision, dyadic_refine, mesh, refines, regular, reverse
 
 #: additive slack absorbing float rounding in certified inequalities
@@ -114,26 +122,13 @@ def corollary_bound(h: HoelderData, span: float) -> float:
 def compose_along(model: ApproxFlowModel, subdiv: Subdivision) -> ProbedMap:
     """mu composed left to right along the subdivision points.
 
-    The trivial subdivision returns mu(start, end) itself.
+    The trivial subdivision returns mu(start, end) itself, and so does the
+    degenerate one of a single point.
     """
     pts = subdiv.points
-    if len(pts) <= 2:
-        return model.mu(subdiv.start, subdiv.end)
-    factors = [model.mu(a, b) for a, b in zip(pts, pts[1:])]
-    return compose_chain(factors)
-
-
-def _chain_evals(model: ApproxFlowModel, subdiv: Subdivision) -> list[Callable[[Point], Point]]:
-    pts = subdiv.points
     if len(pts) == 1:
-        return [model.mu(subdiv.start, subdiv.end).eval]
-    return [model.mu(a, b).eval for a, b in zip(pts, pts[1:])]
-
-
-def _run_chain(evals: Sequence[Callable[[Point], Point]], p: Point) -> Point:
-    for e in reversed(evals):
-        p = e(p)
-    return p
+        return model.mu(subdiv.start, subdiv.end)
+    return compose_chain(map(model.mu, pts, pts[1:]))
 
 
 def _sup_distance(metric, xs: Sequence[Point], ys: Sequence[Point], what: str) -> float:
@@ -217,6 +212,12 @@ def _romberg_row(
     return row
 
 
+def _column_coefs(orders: Sequence[int], rho: float | None) -> tuple[float, ...]:
+    """r/(1-r) per Richardson column: r = 2**-order, or the observed ratio rho
+    for order 0 (the geometric-tail column)."""
+    return tuple(r / (1.0 - r) for r in (rho if p == 0 else 2.0**-p for p in orders))
+
+
 def _order_ratio_ok(diff: float, prev_diff: float, order: int) -> bool:
     """Whether successive column differences shrink by 2**-order, within the band."""
     return prev_diff > 0.0 and abs(diff / prev_diff * 2.0**order - 1.0) <= ORDER_RATIO_BAND
@@ -263,22 +264,19 @@ def sew(
     probes = source.probes
     metric = target.metric
     orders = model.expansion_orders
-    declared_coefs = tuple(1.0 / (2.0**p - 1.0) for p in orders)
+    declared_coefs = _column_coefs(orders, None)
+
+    def level_value(composite: ProbedMap) -> float | None:
+        return None if value_fn is None else value_fn(composite)
 
     k0 = _auto_base_k(model, span, base_k)
     subdiv = regular(s, t, k0)
-    evals = _chain_evals(model, subdiv)
-    vals = tuple(_run_chain(evals, p) for p in probes)
+    composite = compose_along(model, subdiv)
+    vals = tuple(map(composite.eval, probes))
+    levels = [SewLevel(0, subdiv.k, mesh(subdiv), None, None, refinement_bound(h, span, mesh(subdiv)), level_value(composite))]
 
-    def level_value(chain) -> float | None:
-        if value_fn is None:
-            return None
-        return value_fn(ProbedMap(source, target, lambda p, _c=tuple(chain): _run_chain(_c, p)))
-
-    levels = [SewLevel(0, subdiv.k, mesh(subdiv), None, None, refinement_bound(h, span, mesh(subdiv)), level_value(evals))]
-
-    # the finest chains, enough for the deepest table column, back the limit map
-    chains = [evals]
+    # the finest composites, enough for the deepest table column, back the limit map
+    composites = [composite]
     keep = max(len(orders), 1) + 1
     row = [vals]
     prev_diffs: list[float] = []
@@ -300,9 +298,9 @@ def sew(
     while not converged and level < max_level:
         level += 1
         subdiv = dyadic_refine(prev_subdiv)
-        evals = _chain_evals(model, subdiv)
-        chains = (chains + [evals])[-keep:]
-        vals = tuple(_run_chain(evals, p) for p in probes)
+        composite = compose_along(model, subdiv)
+        composites = (composites + [composite])[-keep:]
+        vals = tuple(map(composite.eval, probes))
         prev_row, row = row, _romberg_row(row, vals, declared_coefs)
         diffs = [
             _sup_distance(metric, a, b, f"column {j}, level {level} of {model.name}")
@@ -329,12 +327,8 @@ def sew(
             diffs[depth], prev_diffs[depth], orders[depth]
         ):
             depth += 1
-        if depth:
-            coefs, used = declared_coefs[:depth], orders[:depth]
-        elif rho:
-            coefs, used = (rho / (1.0 - rho),), (0,)
-        else:
-            coefs, used = (), ()
+        used = orders[:depth] if depth else (0,) if rho else ()
+        coefs = _column_coefs(used, rho)
         extrapolated = bool(used) or d == 0.0
         prev_best = best
         best = _romberg_row(prev_row, vals, coefs)[-1]
@@ -343,7 +337,7 @@ def sew(
         )
         tail = math.fsum(c * x for c, x in zip(coefs, diffs)) if extrapolated else math.inf
 
-        levels.append(SewLevel(level, subdiv.k, mesh(subdiv), d, d_best, bound_prev, level_value(evals)))
+        levels.append(SewLevel(level, subdiv.k, mesh(subdiv), d, d_best, bound_prev, level_value(composite)))
 
         if tol > 0.0:
             if extrapolated and d_best < tol:
@@ -358,12 +352,12 @@ def sew(
         prev_subdiv = subdiv
 
     final_subdiv = subdiv
-    limit_chains = chains[len(chains) - len(coefs) - 1 :]
+    limit_composites = composites[len(composites) - len(coefs) - 1 :]
 
     def limit_eval(p: Point) -> Point:
         table: list[tuple[Point, ...]] = []
-        for chain in limit_chains:
-            table = _romberg_row(table, (_run_chain(chain, p),), coefs)
+        for c in limit_composites:
+            table = _romberg_row(table, (c.eval(p),), coefs)
         return table[-1][0]
 
     final_map = ProbedMap(source, target, limit_eval)
@@ -426,9 +420,7 @@ def flow_law_defect(model: ApproxFlowModel, s: float, u: float, t: float, tol: f
     whole, _ = sew(model, s, t, tol)
     left, _ = sew(model, s, u, tol)
     right, _ = sew(model, u, t, tol)
-    lf, rf = left.eval, right.eval
-    composed = ProbedMap(right.source, left.target, lambda p: lf(rf(p)))
-    return map_distance_value(whole, composed)
+    return map_distance_value(whole, compose(left, right))
 
 
 def inverse_defect_bound(h: HoelderData, span: float, k: int) -> float:
@@ -445,9 +437,7 @@ def inverse_defect(model: ApproxFlowModel, s: float, t: float, k: int) -> float:
     subdiv = regular(s, t, k)
     forward = compose_along(model, subdiv)
     backward = compose_along(model, reverse(subdiv))
-    fe, be = forward.eval, backward.eval
-    round_trip = ProbedMap(backward.source, forward.target, lambda p: fe(be(p)))
-    measured = map_distance_value(round_trip, identity_map(model.space_at(s)))
+    measured = map_distance_value(compose(forward, backward), identity_map(model.space_at(s)))
     bound = inverse_defect_bound(model.hoelder, abs(t - s), k)
     if not within_bound(measured, bound):
         raise BoundViolation(
@@ -478,12 +468,8 @@ def four_point_defect(
     and to the three-point estimate at v == t.  Works for interval models and
     parameter-space models alike (d is the model's parameter metric).
     """
-    h = model.hoelder
     d_p = model.param_metric
-    via_u = compose_chain([model.mu(s, u), model.mu(u, t)])
-    via_v = compose_chain([model.mu(s, v), model.mu(v, t)])
-    lhs = map_distance_value(via_u, via_v)
-    d_us, d_tv, d_uv = d_p(u, s), d_p(t, v), d_p(u, v)
-    rhs = (1.0 + h.f(d_us)) * sum(c * d_tv**a * d_uv**b for a, b, c in h.terms)
-    rhs += sum(c * d_us**b * d_uv**a for a, b, c in h.terms)
-    return lhs, rhs
+    lhs = map_distance_value(
+        compose(model.mu(s, u), model.mu(u, t)), compose(model.mu(s, v), model.mu(v, t))
+    )
+    return lhs, model.hoelder.four_point_bound(d_p(u, s), d_p(t, v), d_p(u, v))

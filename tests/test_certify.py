@@ -110,3 +110,20 @@ def test_sample_spread_error_is_typed_and_still_a_value_error():
     with pytest.raises(InsufficientSamples) as err:
         fit_three_point(make_additive_sin(), narrow)
     assert isinstance(err.value, SewkitError) and isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "model,samples",
+    [
+        (make_euler_linear(1.0), interval_four_point_samples(np.random.default_rng(3), 48)),
+        (make_flat_connection("midpoint"), annulus_four_point_samples(np.random.default_rng(3), 48)),
+    ],
+    ids=["interval", "annulus"],
+)
+def test_four_point_bound_equals_the_inline_formula(model, samples):
+    h, d = model.hoelder, model.param_metric
+    for x, u, v, y in samples:
+        d_xu, d_yv, d_uv = d(x, u), d(y, v), d(u, v)
+        inline = (1.0 + h.f(d_xu)) * sum(c * d_yv**a * d_uv**b for a, b, c in h.terms)
+        inline += sum(c * d_xu**b * d_uv**a for a, b, c in h.terms)
+        assert h.four_point_bound(d_xu, d_yv, d_uv) == inline

@@ -22,6 +22,7 @@ from sewkit import (
     make_flat_connection,
     map_distance_value,
     pullback_flow,
+    regular,
     row_map,
     segment_path,
     sew,
@@ -242,3 +243,18 @@ def test_homotopy_invariance_angle_difference_within_knit_bound():
     _, s1 = holonomy(fm, g1, 1e-9)
     for k in (8, 16, 32):
         assert abs(s0.angle - s1.angle) <= knit_bound(fm.hoelder, ell, k) + 1e-9
+
+
+def test_midpoint_square_loop_angle_uses_the_certificate_columns():
+    fm = make_flat_connection("midpoint")
+    loop = square_loop((2.0, 0.0), 0.5)
+    _, summary = holonomy(fm, loop, 1e-7)
+    cert = summary.certificate
+    assert cert.extrapolation_orders == (0,)
+    c = cert.ratio_estimate / (1.0 - cert.ratio_estimate)
+    angle = pullback_flow(fm, loop).angle
+    coarser = regular(0.0, 1.0, cert.final_subdivision.k // 2).points
+    prev = sum(angle(a, b) for a, b in zip(coarser, coarser[1:]))
+    raw = summary.raw_angle
+    assert summary.angle == raw + c * (raw - prev)
+    assert abs(summary.angle) <= 1e-9

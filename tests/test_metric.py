@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from sewkit import (
     ProbedMap,
     chain_composition_bound,
     compose,
+    compose_chain,
     composition_distance_bound,
     lipschitz_estimate,
     map_distance,
@@ -166,3 +168,33 @@ def test_path_length_monotone_under_refinement(samples, idx, w):
 
 def test_builtin_spaces_satisfy_metric_axioms():
     assert metric_axiom_violations(real_line(-1, 1, 5)) == []
+
+
+def test_compose_chain_streams_factors_from_a_generator():
+    a, b = line((0.0, 1.0), "a"), line((0.0, 1.0), "b")
+    f = affine(a, 2.0, 1.0)
+    assert compose_chain(m for m in [f]) is f
+    with pytest.raises(ValueError):
+        compose_chain(m for m in [])
+    # maps[0] o maps[1] o maps[2]: x -> 2x + 2 -> 4x + 5 -> 8x + 10
+    assert compose_chain(affine(a, 2.0, float(j)) for j in range(3)).eval(1.0) == 18.0
+    mixed = (affine(a, 1.0, 0.0), affine(b, 1.0, 0.0), affine(a, 1.0, 0.0))
+    with pytest.raises(DomainMismatch, match="inner target 'b' != outer source 'a'"):
+        compose_chain(m for m in mixed)
+
+
+def test_compose_chain_never_holds_all_factors():
+    space = line((0.0, 1.0))
+    refs, most_alive = [], 0
+
+    def factors():
+        nonlocal most_alive
+        for _ in range(50):
+            most_alive = max(most_alive, sum(r() is not None for r in refs))
+            m = affine(space, 1.0, 1.0)
+            refs.append(weakref.ref(m))
+            yield m
+
+    chain = compose_chain(factors())
+    assert chain.eval(0.0) == 50.0
+    assert most_alive <= 2
