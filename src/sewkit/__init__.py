@@ -39,8 +39,6 @@ from .knitting import (
     row_map,
 )
 from .metric import (
-    INFINITE,
-    ExtDistance,
     MetricSpace,
     ProbedMap,
     chain_composition_bound,
@@ -50,7 +48,6 @@ from .metric import (
     composition_distance_bound,
     identity_map,
     lipschitz_estimate,
-    map_distance,
     map_distance_value,
     path_length,
     plane_grid,

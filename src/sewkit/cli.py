@@ -255,7 +255,7 @@ def _run_sew(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[
     max_level = _cfg_get(cfg, "max_level", int, "config", 20, least=0)
     status = 0
     try:
-        _, cert = sew(model, s, t, tol, max_level=max_level, value_fn=model.summary)
+        _, cert = sew(model, s, t, tol, max_level=max_level)
     except NonConvergence as exc:
         if exc.certificate is None:
             raise
@@ -295,10 +295,11 @@ def _run_knit(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list
         rows.append([k, 1.0 / k, measured, bound, "pass" if ok else "fail"])
     if cfg.get("class_separation"):
         tol = _cfg_get(cfg, "tol", float, "config", 1e-8)
+        max_level = _cfg_get(cfg, "max_level", int, "config", 20, least=0)
         upper = arc_path(1.0, 0.0, math.pi, 64)
         lower = arc_path(1.0, 0.0, -math.pi, 64)
-        _, s_up = holonomy(model, upper, tol)
-        _, s_lo = holonomy(model, lower, tol)
+        _, s_up = holonomy(model, upper, tol, max_level=max_level)
+        _, s_lo = holonomy(model, lower, tol, max_level=max_level)
         sep = s_up.angle - s_lo.angle
         ok = abs(sep - 2.0 * math.pi) <= 1e-6
         if not ok:
@@ -381,8 +382,6 @@ def run(config_path: str, seed: int | None = None, quiet: bool = False,
             seed = _cfg_get(cfg, "seed", int, "config", 0)
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
-        if "probes" in cfg and isinstance(cfg.get("model"), dict):
-            cfg["model"].setdefault("probes", cfg["probes"])
         rng = np.random.default_rng(seed)
         output = _cfg_get(cfg, "output", str, "config")
         header, rows, status = _RUNNERS[exp](cfg, rng)

@@ -3,8 +3,9 @@
 A model supplies, for parameters a and b (real times, or points of a metric
 parameter space), a probed map mu(a, b) from the space at b to the space at a,
 together with declared defect data: exponents/constants of the three-point
-(or strong four-point) estimate, a Lipschitz slope L with Lip(mu) <= 1 + L*d,
-and a growth function g bounding Lipschitz constants of composites.
+(or strong four-point) estimate and a Lipschitz slope L with
+Lip(mu) <= 1 + L*d, so that g(delta) = exp(L*delta) bounds Lipschitz
+constants of composites.
 """
 from __future__ import annotations
 
@@ -27,16 +28,14 @@ class HoelderData:
 
     ``terms`` is a tuple of (a_i, b_i, C_i).  In sewing mode each pair must
     satisfy a_i + b_i = 1 + epsilon, in knitting mode a_i + b_i = 2 + epsilon.
-    ``lip_slope`` is the L of f(delta) = L*delta; when no explicit ``growth``
-    is supplied the composite-Lipschitz bound defaults to g(delta) =
-    exp(L*delta), which is what a linear slope gives.
+    ``lip_slope`` is the L of f(delta) = L*delta; the composite-Lipschitz
+    bound is g(delta) = exp(L*delta), which is what a linear slope gives.
     """
 
     epsilon: float
     terms: tuple[tuple[float, float, float], ...]
     lip_slope: float = 0.0
     mode: str = MODE_SEWING
-    growth: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -64,14 +63,12 @@ class HoelderData:
         return sum(c for _, _, c in self.terms)
 
     def g(self, delta: float) -> float:
-        """Growth bound for composite Lipschitz constants; g >= 1, non-decreasing.
+        """Growth bound exp(L*delta) for composite Lipschitz constants.
 
         Raises :class:`NonFiniteValue` when exp(L*delta) overflows a double.
         """
         if delta < 0.0:
             raise ValueError("growth argument must be >= 0")
-        if self.growth is not None:
-            return self.growth(delta)
         if self.lip_slope == 0.0:
             return 1.0
         try:
@@ -96,11 +93,7 @@ class HoelderData:
             raise ValueError("lip must be >= 0")
         terms = tuple((a, b, c * lip ** (a + b)) for a, b, c in self.terms)
         eps = self.epsilon + 1.0 if self.mode == MODE_KNITTING else self.epsilon
-        growth = None
-        if self.growth is not None:
-            base = self.growth
-            growth = lambda d, _g=base, _l=lip: _g(_l * d)
-        return HoelderData(eps, terms, self.lip_slope * lip, MODE_SEWING, growth)
+        return HoelderData(eps, terms, self.lip_slope * lip, MODE_SEWING)
 
     def require_mode(self, mode: str, what: str) -> None:
         if self.mode != mode:
@@ -130,10 +123,11 @@ class ApproxFlowModel:
     difference on intervals).  ``max_param_step`` caps the parameter gap over
     which ``mu`` may be evaluated (models that are only locally defined);
     ``angle`` exposes a per-step rotation angle for holonomy summaries and
-    ``summary`` a scalar readout of a flow map for logs.  ``expansion_orders``
-    declares the powers p_1 < p_2 < ... of the step in an asymptotic error
-    expansion of the composites (1, 2, 3, ... for one-step Euler models of
-    smooth fields); ``sew`` uses them for Richardson columns.  Models without
+    ``summary`` a scalar readout of a flow map, which ``sew`` records for each
+    level and for the limit.  ``expansion_orders`` declares the powers
+    p_1 < p_2 < ... of the step in an asymptotic error expansion of the
+    composites (1, 2, 3, ... for one-step Euler models of smooth fields);
+    ``sew`` uses them for Richardson columns.  Models without
     such an expansion declare nothing.
     """
 

@@ -41,13 +41,8 @@ class HomotopyNet:
         return self.grid[0][self.k]
 
 
-def build_net(
-    H: Callable[[float, float], Point],
-    k: int,
-    ell: float,
-    metric: Callable[[Point, Point], float] = euclidean,
-) -> HomotopyNet:
-    """Sample H on the regular (k+1)x(k+1) grid and check the mesh bound.
+def build_net(H: Callable[[float, float], Point], k: int, ell: float) -> HomotopyNet:
+    """Sample H on the regular (k+1)x(k+1) grid and check the Euclidean mesh bound.
 
     Row endpoints must agree across rows (fixed-endpoint homotopy); they are
     snapped to the row-0 values so boundary identities hold exactly.  Raises
@@ -60,17 +55,17 @@ def build_net(
     rows = [[H(i / k, j / k) for j in range(k + 1)] for i in range(k + 1)]
     x, y = rows[0][0], rows[0][k]
     for i in range(1, k + 1):
-        if metric(rows[i][0], x) > 1e-9 or metric(rows[i][k], y) > 1e-9:
+        if euclidean(rows[i][0], x) > 1e-9 or euclidean(rows[i][k], y) > 1e-9:
             raise EndpointMismatch("homotopy must fix both endpoints across rows")
         rows[i][0] = x
         rows[i][k] = y
     step = 0.0
     for i in range(k + 1):
         for j in range(k):
-            step = max(step, metric(rows[i][j], rows[i][j + 1]))
+            step = max(step, euclidean(rows[i][j], rows[i][j + 1]))
     for i in range(k):
         for j in range(k + 1):
-            step = max(step, metric(rows[i][j], rows[i + 1][j]))
+            step = max(step, euclidean(rows[i][j], rows[i + 1][j]))
     if step > ell / k + 1e-12:
         raise DeclaredLipschitzViolated(
             f"net mesh {step:.3e} exceeds declared ell/k = {ell / k:.3e}"
@@ -140,16 +135,14 @@ def knit_compare(net: HomotopyNet, model: ApproxFlowModel) -> tuple[float, float
     return measured, knit_bound(model.hoelder, net.ell, net.k)
 
 
-def knit_prime_constant(
-    h: HoelderData, lip_gamma: float, span: float, zeta_tol: float = 1e-12
-) -> float:
+def knit_prime_constant(h: HoelderData, lip_gamma: float, span: float) -> float:
     """C' = 2**(1+eps) * exp(L*Lip(gamma)*span) * (sum C_i) * zeta(2+eps)."""
     h.require_mode(MODE_KNITTING, "knit_prime_constant")
     return (
         2.0 ** (1.0 + h.epsilon)
         * math.exp(h.lip_slope * lip_gamma * span)
         * h.c_total
-        * zeta(2.0 + h.epsilon, zeta_tol)
+        * zeta(2.0 + h.epsilon)
     )
 
 

@@ -1,9 +1,10 @@
 """Extended metric spaces, probed map spaces and Lipschitz composition bounds.
 
-Distances are allowed to be infinite (tagged, never a NaN sentinel).  Sup
-distances between maps and Lipschitz constants are approximated from finite
-probe sets, so every probed quantity is a lower bound for the true one;
-analytic upper bounds always come from declared model data, never from here.
+Distances are floats and may be ``math.inf`` (extended metric); a NaN is
+never a distance and raises :class:`NonFiniteValue`.  Sup distances between
+maps and Lipschitz constants are approximated from finite probe sets, so
+every probed quantity is a lower bound for the true one; analytic upper
+bounds always come from declared model data, never from here.
 """
 from __future__ import annotations
 
@@ -57,64 +58,15 @@ def euclidean(a: Point, b: Point) -> float:
 
 
 # ---------------------------------------------------------------------------
-# extended distances
-
-@dataclass(frozen=True)
-class ExtDistance:
-    """A non-negative distance value that may be the tagged value Infinite."""
-
-    value: float = 0.0
-    infinite: bool = False
-
-    def __post_init__(self):
-        if not self.infinite:
-            if not math.isfinite(self.value) or self.value < 0.0:
-                raise ValueError(f"finite distance must be >= 0, got {self.value}")
-
-    def as_float(self) -> float:
-        return math.inf if self.infinite else self.value
-
-    def __add__(self, other: "ExtDistance | float") -> "ExtDistance":
-        o = other if isinstance(other, ExtDistance) else ExtDistance(float(other))
-        if self.infinite or o.infinite:
-            return INFINITE
-        return ExtDistance(self.value + o.value)
-
-    __radd__ = __add__
-
-    def _cmp_key(self) -> float:
-        return math.inf if self.infinite else self.value
-
-    def __lt__(self, other):
-        o = other._cmp_key() if isinstance(other, ExtDistance) else float(other)
-        return self._cmp_key() < o
-
-    def __le__(self, other):
-        o = other._cmp_key() if isinstance(other, ExtDistance) else float(other)
-        return self._cmp_key() <= o
-
-    def __gt__(self, other):
-        o = other._cmp_key() if isinstance(other, ExtDistance) else float(other)
-        return self._cmp_key() > o
-
-    def __ge__(self, other):
-        o = other._cmp_key() if isinstance(other, ExtDistance) else float(other)
-        return self._cmp_key() >= o
-
-
-INFINITE = ExtDistance(0.0, infinite=True)
-
-
-# ---------------------------------------------------------------------------
 # spaces and probed maps
 
 @dataclass(frozen=True)
 class MetricSpace:
     """A metric space probed at finitely many points.
 
-    ``metric`` returns a float and may return ``math.inf`` (extended metric);
-    ``distance`` wraps it as an :class:`ExtDistance`.  Spaces are compared by
-    name when maps are composed or measured against each other.
+    ``metric`` returns a float and may return ``math.inf`` (extended metric).
+    Spaces are compared by name when maps are composed or measured against
+    each other.
     """
 
     name: str
@@ -124,10 +76,6 @@ class MetricSpace:
     def __post_init__(self):
         if not self.probes:
             raise ValueError("probe set must be non-empty")
-
-    def distance(self, a: Point, b: Point) -> ExtDistance:
-        d = self.metric(a, b)
-        return INFINITE if d == math.inf else ExtDistance(d)
 
 
 @dataclass(frozen=True)
@@ -189,33 +137,35 @@ def compose_chain(maps: Iterable[ProbedMap]) -> ProbedMap:
 # ---------------------------------------------------------------------------
 # probed sup distance and Lipschitz estimate
 
-def map_distance(f: ProbedMap, g: ProbedMap) -> ExtDistance:
+def sup_distance(
+    metric: Callable[[Point, Point], float], xs: Iterable[Point], ys: Iterable[Point], what: str
+) -> float:
+    """Largest of metric(x, y) over paired points, ``math.inf`` included.
+
+    A NaN at any pair raises :class:`NonFiniteValue`, also after an infinite
+    one: no comparison can order it, and a bare max would drop it.
+    """
+    dists = list(map(metric, xs, ys))
+    if any(map(math.isnan, dists)):
+        raise NonFiniteValue(f"{what}: NaN probe distance in {dists}")
+    return max(dists)
+
+
+def map_distance_value(f: ProbedMap, g: ProbedMap) -> float:
     """Sup distance of two maps over the source probe set (lower bound).
 
-    An infinite probe distance gives ``INFINITE``; a NaN one raises
-    :class:`NonFiniteValue`, since no comparison can order it.
+    Returns ``math.inf`` for an infinite probe distance and raises
+    :class:`NonFiniteValue` for a NaN one.
     """
     if f.source.name != g.source.name or f.target.name != g.target.name:
         raise DomainMismatch(
             f"maps live in different spaces: ({f.source.name}->{f.target.name}) "
             f"vs ({g.source.name}->{g.target.name})"
         )
-    metric = f.target.metric
-    fe, ge = f.eval, g.eval
-    worst = 0.0
-    for p in f.source.probes:
-        d = metric(fe(p), ge(p))
-        if d == math.inf:
-            return INFINITE
-        if math.isnan(d):
-            raise NonFiniteValue(f"NaN distance at probe {p!r} between {f.source.name}-maps")
-        if d > worst:
-            worst = d
-    return ExtDistance(worst)
-
-
-def map_distance_value(f: ProbedMap, g: ProbedMap) -> float:
-    return map_distance(f, g).as_float()
+    probes = f.source.probes
+    return sup_distance(
+        f.target.metric, map(f.eval, probes), map(g.eval, probes), f"{f.source.name}-maps"
+    )
 
 
 def lipschitz_estimate(f: ProbedMap) -> float:
@@ -268,18 +218,25 @@ def chain_composition_bound(gaps: Sequence[float], lips: Sequence[float]) -> flo
     return total
 
 
-def path_length(samples: Sequence[Point], space: MetricSpace) -> ExtDistance:
-    """Length of the sampled polygonal path (non-decreasing under refinement)."""
+def path_length(samples: Sequence[Point], space: MetricSpace) -> float:
+    """Length of the sampled polygonal path (non-decreasing under refinement).
+
+    An infinite step gives ``math.inf``; a NaN or negative one raises ValueError.
+    """
     if len(samples) == 0:
         raise ValueError("need at least one sample point")
-    total = ExtDistance(0.0)
+    total = 0.0
     for a, b in zip(samples, samples[1:]):
-        total = total + space.distance(a, b)
+        d = space.metric(a, b)
+        if not d >= 0.0:
+            raise ValueError(f"distance must be >= 0, got {d}")
+        total += d
     return total
 
 
-def metric_axiom_violations(space: MetricSpace, tol: float = 1e-12) -> list[str]:
+def metric_axiom_violations(space: MetricSpace) -> list[str]:
     """Check identity/symmetry/triangle on all probe triples; empty if clean."""
+    tol = 1e-12
     out: list[str] = []
     pts = space.probes
     m = space.metric
@@ -325,12 +282,11 @@ def plane_grid(radius: float = 1.0, n: int = 3, name: str | None = None) -> Metr
     return MetricSpace(name or f"plane-grid{n}r{radius}", euclidean, probes)
 
 
-def circle_fiber(n: int = 8, radius: float = 1.0, name: str | None = None) -> MetricSpace:
-    """Euclidean plane probed on n equally spaced circle points."""
+def circle_fiber(n: int = 8, name: str | None = None) -> MetricSpace:
+    """Euclidean plane probed on n equally spaced points of the unit circle."""
     if n < 2:
         raise ValueError("need n >= 2 probes")
     probes = tuple(
-        (radius * math.cos(2.0 * math.pi * j / n), radius * math.sin(2.0 * math.pi * j / n))
-        for j in range(n)
+        (math.cos(2.0 * math.pi * j / n), math.sin(2.0 * math.pi * j / n)) for j in range(n)
     )
     return MetricSpace(name or f"plane-circle{n}", euclidean, probes)

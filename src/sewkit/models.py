@@ -135,17 +135,17 @@ def make_euler_sin(probe_n: int = 5) -> ApproxFlowModel:
     return make_euler(math.sin, 1.0, field_bound=1.0, probe_n=probe_n, name="euler-sin")
 
 
-def make_euler_matrix(a: Sequence[Sequence[float]], lipschitz: float | None = None) -> ApproxFlowModel:
-    """Linear 2x2 steps; sews to the matrix exponential."""
+def make_euler_matrix(a: Sequence[Sequence[float]]) -> ApproxFlowModel:
+    """Linear 2x2 steps; sews to the matrix exponential.  The declared
+    Lipschitz constant is the spectral norm of ``a``."""
     (a00, a01), (a10, a11) = (tuple(a[0]), tuple(a[1]))
-    if lipschitz is None:
-        # spectral norm of a 2x2 matrix, closed form
-        g00 = a00 * a00 + a01 * a01
-        g11 = a10 * a10 + a11 * a11
-        g01 = a00 * a10 + a01 * a11
-        half = 0.5 * (g00 + g11)
-        disc = math.sqrt(max(0.0, (0.5 * (g00 - g11)) ** 2 + g01 * g01))
-        lipschitz = math.sqrt(max(0.0, half + disc))
+    # spectral norm of a 2x2 matrix, closed form
+    g00 = a00 * a00 + a01 * a01
+    g11 = a10 * a10 + a11 * a11
+    g01 = a00 * a10 + a01 * a11
+    half = 0.5 * (g00 + g11)
+    disc = math.sqrt(max(0.0, (0.5 * (g00 - g11)) ** 2 + g01 * g01))
+    lipschitz = math.sqrt(max(0.0, half + disc))
     field = lambda p: (a00 * p[0] + a01 * p[1], a10 * p[0] + a11 * p[1])
     return make_euler(field, lipschitz, dim=2, name="euler-matrix")
 
@@ -204,21 +204,18 @@ def make_flat_connection(
     variant: str = FlatConnection.EXACT,
     r0: float = 0.5,
     fiber_probes: int = 8,
-    defect_constant: float | None = None,
 ) -> ApproxFlowModel:
     """Flat-connection transport as an approximate pair-groupoid action.
 
     The exact-segment variant has zero defect whenever the triangle spanned
     by the three parameters avoids the origin, so its declared constants are
     zero.  The midpoint variant carries numerically certified knitting-mode
-    data with epsilon = 1 and terms (2,1) and (1,2).
+    data with epsilon = 1 and terms (2,1) and (1,2), each with constant
+    ``MIDPOINT_DEFECT_CONSTANT``.
     """
     conn = FlatConnection(variant, r0)
     fiber = circle_fiber(fiber_probes, name=f"rot-fiber{fiber_probes}")
-    if variant == FlatConnection.EXACT:
-        c = 0.0
-    else:
-        c = MIDPOINT_DEFECT_CONSTANT if defect_constant is None else defect_constant
+    c = 0.0 if variant == FlatConnection.EXACT else MIDPOINT_DEFECT_CONSTANT
     h = HoelderData(1.0, ((2.0, 1.0, c), (1.0, 2.0, c)), 0.0, MODE_KNITTING)
 
     def mu(x: Point, y: Point) -> ProbedMap:

@@ -7,14 +7,30 @@ and a groupoid-axiom report for sewn holonomies.
 """
 from __future__ import annotations
 
+import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 from .errors import ConcatMismatch, ModelDomainError
 from .flows import ApproxFlowModel
-from .metric import Point, ProbedMap, compose, euclidean, p_lerp, p_norm, p_sub
+from .metric import (
+    Point,
+    ProbedMap,
+    compose,
+    euclidean,
+    identity_map,
+    map_distance_value,
+    p_lerp,
+    p_norm,
+    p_sub,
+)
+from .sewing import sew
+
+#: legs and pauses shorter than this count as exact PL backtracks in ``pl_thin_reduce``
+THIN_TOL = 1e-9
 
 
 def _dot(a: Point, b: Point) -> float:
@@ -94,14 +110,12 @@ def segment_path(a: Point, b: Point) -> LipPath:
     return LipPath((0.0, 1.0), (a, b))
 
 
-def arc_path(
-    radius: float, angle0: float, angle1: float, segments: int = 64, center: Point = (0.0, 0.0)
-) -> LipPath:
-    """PL sampling of a circular arc."""
+def arc_path(radius: float, angle0: float, angle1: float, segments: int = 64) -> LipPath:
+    """PL sampling of a circular arc about the origin."""
     pts = tuple(
         (
-            center[0] + radius * math.cos(angle0 + (angle1 - angle0) * j / segments),
-            center[1] + radius * math.sin(angle0 + (angle1 - angle0) * j / segments),
+            radius * math.cos(angle0 + (angle1 - angle0) * j / segments),
+            radius * math.sin(angle0 + (angle1 - angle0) * j / segments),
         )
         for j in range(segments + 1)
     )
@@ -152,12 +166,9 @@ def square_loop(center: Point = (2.0, 0.0), half_side: float = 0.5) -> LipPath:
 
 def path_to_csv(g: LipPath, file_path: str) -> None:
     """Serialize a PL path as CSV with columns u, x0, x1, ..."""
-    import csv
-    from pathlib import Path as _P
-
     first = g.points[0]
     dim = len(first) if isinstance(first, tuple) else 1
-    with _P(file_path).open("w", newline="") as fh:
+    with Path(file_path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["u"] + [f"x{i}" for i in range(dim)])
         for u, p in zip(g.breaks, g.points):
@@ -167,10 +178,7 @@ def path_to_csv(g: LipPath, file_path: str) -> None:
 
 def path_from_csv(file_path: str) -> LipPath:
     """Read a PL path written by :func:`path_to_csv`."""
-    import csv
-    from pathlib import Path as _P
-
-    with _P(file_path).open(newline="") as fh:
+    with Path(file_path).open(newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{file_path} holds no path")
@@ -186,9 +194,10 @@ def path_from_csv(file_path: str) -> LipPath:
 # ---------------------------------------------------------------------------
 # groupoid operations on paths
 
-def concat_reverse_order(g: LipPath, g2: LipPath, tol: float = 1e-12) -> LipPath:
-    """g . g2: run g2 on [0, 1/2], then g on [1/2, 1]; needs g(0) == g2(1)."""
-    if euclidean(g.start, g2.end) > tol:
+def concat_reverse_order(g: LipPath, g2: LipPath) -> LipPath:
+    """g . g2: run g2 on [0, 1/2], then g on [1/2, 1]; needs g(0) == g2(1)
+    within 1e-12."""
+    if euclidean(g.start, g2.end) > 1e-12:
         raise ConcatMismatch(
             f"g starts at {g.start} but g2 ends at {g2.end}; cannot concatenate"
         )
@@ -244,25 +253,25 @@ def reparametrize(g: LipPath, phi_breaks: Sequence[float], phi_values: Sequence[
 # ---------------------------------------------------------------------------
 # PL thin reduction: cancel exact backtracks
 
-def _is_backtrack(p: Point, q: Point, r: Point, tol: float) -> bool:
+def _is_backtrack(p: Point, q: Point, r: Point) -> bool:
     """True when the leg q -> r runs backward along the segment p -> q."""
     v = p_sub(q, p)
     w = p_sub(r, q)
     lv, lw = p_norm(v), p_norm(w)
-    if lv <= tol or lw <= tol:
+    if lv <= THIN_TOL or lw <= THIN_TOL:
         return False
-    if abs(_cross2(v, w)) > tol * max(lv, lw, 1.0):
+    if abs(_cross2(v, w)) > THIN_TOL * max(lv, lw, 1.0):
         return False
     if _dot(v, w) >= 0.0:
         return False
-    return lw <= lv + tol
+    return lw <= lv + THIN_TOL
 
 
-def pl_thin_reduce(g: LipPath, tol: float = 1e-9) -> LipPath:
+def pl_thin_reduce(g: LipPath) -> LipPath:
     """Cancel adjacent backtracking leg pairs until none remain.
 
     Preserves endpoints, never increases length or Lipschitz norm, and is
-    idempotent.  Only exact PL backtracks (within tol) are cancelled.
+    idempotent.  Only exact PL backtracks (within ``THIN_TOL``) are cancelled.
     """
     breaks = list(g.breaks)
     points = list(g.points)
@@ -271,7 +280,7 @@ def pl_thin_reduce(g: LipPath, tol: float = 1e-9) -> LipPath:
         changed = False
         i = 0
         while i + 2 <= len(points) - 1:
-            if _is_backtrack(points[i], points[i + 1], points[i + 2], tol):
+            if _is_backtrack(points[i], points[i + 1], points[i + 2]):
                 del points[i + 1]
                 del breaks[i + 1]
                 changed = True
@@ -282,13 +291,13 @@ def pl_thin_reduce(g: LipPath, tol: float = 1e-9) -> LipPath:
         # merge repeated consecutive points (pauses are thin-trivial)
         j = 1
         while j < len(points) - 1:
-            if euclidean(points[j], points[j - 1]) <= tol:
+            if euclidean(points[j], points[j - 1]) <= THIN_TOL:
                 del points[j]
                 del breaks[j]
                 changed = True
             else:
                 j += 1
-        if len(points) > 2 and euclidean(points[-1], points[-2]) <= tol:
+        if len(points) > 2 and euclidean(points[-1], points[-2]) <= THIN_TOL:
             del points[-2]
             del breaks[-2]
             changed = True
@@ -367,18 +376,13 @@ def groupoid_axiom_check(
     model: ApproxFlowModel,
     paths: Sequence[LipPath],
     tol: float = 1e-8,
-    budget: float | None = None,
 ) -> GroupoidReport:
     """Check identity, inverse, composition and associativity on sewn holonomies.
 
-    Violations are reported, not raised.  ``budget`` defaults to 3*tol plus a
-    rounding floor.
+    Violations are reported, not raised.  Each check's budget is 3*tol plus a
+    rounding floor, twice that for associativity.
     """
-    from .metric import identity_map, map_distance_value
-    from .sewing import sew
-
-    if budget is None:
-        budget = 3.0 * tol + 1e-9
+    budget = 3.0 * tol + 1e-9
     checks: list[GroupoidCheck] = []
 
     def holonomy_map(p: LipPath) -> ProbedMap:

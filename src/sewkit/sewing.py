@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     BoundViolation,
@@ -31,6 +31,7 @@ from .metric import (
     identity_map,
     map_distance_value,
     p_axpy,
+    sup_distance,
 )
 from .subdivision import Subdivision, dyadic_refine, mesh, refines, regular, reverse
 
@@ -45,8 +46,8 @@ MAX_CONTRACTION = 0.95
 ORDER_RATIO_BAND = 0.25
 
 
-def within_bound(lhs: float, rhs: float, slack: float = BOUND_SLACK) -> bool:
-    return lhs <= rhs + slack * (1.0 + rhs)
+def within_bound(lhs: float, rhs: float) -> bool:
+    return lhs <= rhs + BOUND_SLACK * (1.0 + rhs)
 
 
 #: Euler-Maclaurin coefficients B_2k / (2k)! for k = 1..5 (B2..B10)
@@ -93,10 +94,10 @@ def zeta(s: float, tol: float = 1e-12) -> float:
     return math.fsum(direct + [n ** (1.0 - s) / (s - 1.0), head / 2.0] + corrections)
 
 
-def constant_K(h: HoelderData, zeta_tol: float = 1e-12) -> float:
+def constant_K(h: HoelderData) -> float:
     """K = 2**(1+eps) * (sum C_i) * zeta(1+eps), sewing mode only."""
     h.require_mode(MODE_SEWING, "constant_K (the degree 2+eps variant lives in knitting)")
-    return 2.0 ** (1.0 + h.epsilon) * h.c_total * zeta(1.0 + h.epsilon, zeta_tol)
+    return 2.0 ** (1.0 + h.epsilon) * h.c_total * zeta(1.0 + h.epsilon)
 
 
 def c_prime(h: HoelderData, span: float) -> float:
@@ -132,12 +133,12 @@ def compose_along(model: ApproxFlowModel, subdiv: Subdivision) -> ProbedMap:
 
 
 def _sup_distance(metric, xs: Sequence[Point], ys: Sequence[Point], what: str) -> float:
-    """Largest probe-wise distance; any non-finite one raises NonFiniteValue
-    (a bare max would drop a NaN that is not first)."""
-    dists = [metric(a, b) for a, b in zip(xs, ys)]
-    if not all(map(math.isfinite, dists)):
-        raise NonFiniteValue(f"{what}: non-finite probe distance in {dists}")
-    return max(dists)
+    """Largest probe-wise distance of a sewing quantity, which must be finite:
+    an infinite one raises NonFiniteValue, as a NaN does in ``sup_distance``."""
+    d = sup_distance(metric, xs, ys, what)
+    if d == math.inf:
+        raise NonFiniteValue(f"{what}: infinite probe distance")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +152,7 @@ class SewLevel:
     successive: float | None          # raw distance to the previous level
     accel_successive: float | None    # distance between successive limit estimates
     refine_bound: float               # bound the raw successive distance must obey
-    value: float | None               # optional scalar readout of the raw composite
+    value: float | None               # model.summary of the raw composite, if declared
 
 
 @dataclass
@@ -166,7 +167,8 @@ class SewCertificate:
     ``extrapolation_orders`` lists the Richardson columns behind the returned
     limit: declared orders, or ``(0,)`` for the observed-ratio geometric
     tail; it is empty when the raw finest composite is returned.
-    All g-dependent bounds are conditional on the declared growth function.
+    All g-dependent bounds are conditional on the declared slope L, through
+    g(delta) = exp(L*delta).
     """
 
     K: float
@@ -183,7 +185,6 @@ class SewCertificate:
     base_k: int
     ratio_estimate: float | None
     limit_value: float | None
-    g_conditional: bool = True
     extrapolation_orders: tuple[int, ...] = ()
 
     @property
@@ -191,8 +192,8 @@ class SewCertificate:
         return [(r.level, r.mesh, 0.0 if r.successive is None else r.successive) for r in self.levels]
 
 
-def _auto_base_k(model: ApproxFlowModel, span: float, base_k: int) -> int:
-    k = max(1, base_k)
+def _auto_base_k(model: ApproxFlowModel, span: float) -> int:
+    k = 1
     step = model.max_param_step
     if step is not None and step > 0.0 and span > 0.0:
         while span / k > step:
@@ -229,14 +230,11 @@ def sew(
     t: float,
     tol: float,
     max_level: int = 24,
-    base_k: int = 1,
-    value_fn: Callable[[ProbedMap], float] | None = None,
-    slack: float = BOUND_SLACK,
 ) -> tuple[ProbedMap, SewCertificate]:
     """Sew the approximate flow between s and t into its limit flow map.
 
-    Starting from the regular subdivision with ``base_k`` intervals (grown
-    automatically when the model caps its parameter step), composites over
+    Starting from the trivial subdivision (refined to a regular one while
+    the model caps its parameter step below the span), composites over
     dyadic refinements are compared level to level.  Iteration stops when the
     best limit estimate moves less than tol from the previous level's, or when
     the a-priori refinement bound at the current mesh is already below tol.
@@ -251,7 +249,9 @@ def sew(
     ``MAX_CONTRACTION``) is used: the geometric tail.
 
     Returns the limit map (the same column steps applied to the finest
-    composites) and a :class:`SewCertificate`.  Raises
+    composites) and a :class:`SewCertificate`, which records the model's
+    ``summary`` of each level's composite and of the limit map when the
+    model declares one.  Raises
     :class:`NonConvergence` carrying the certificate when max_level is hit,
     :class:`BoundViolation` if a recorded distance exceeds its bound, and
     :class:`NonFiniteValue` if any probed distance is NaN or infinite.
@@ -267,9 +267,9 @@ def sew(
     declared_coefs = _column_coefs(orders, None)
 
     def level_value(composite: ProbedMap) -> float | None:
-        return None if value_fn is None else value_fn(composite)
+        return None if model.summary is None else model.summary(composite)
 
-    k0 = _auto_base_k(model, span, base_k)
+    k0 = _auto_base_k(model, span)
     subdiv = regular(s, t, k0)
     composite = compose_along(model, subdiv)
     vals = tuple(map(composite.eval, probes))
@@ -309,7 +309,7 @@ def sew(
         d = diffs[0]
 
         bound_prev = refinement_bound(h, span, mesh(prev_subdiv))
-        if not within_bound(d, bound_prev, slack):
+        if not within_bound(d, bound_prev):
             raise BoundViolation(
                 f"successive distance {d:.3e} exceeds refinement bound {bound_prev:.3e} "
                 f"at level {level} of {model.name}"
@@ -361,9 +361,6 @@ def sew(
         return table[-1][0]
 
     final_map = ProbedMap(source, target, limit_eval)
-    if level == 0:
-        tail = min(tail, refinement_bound(h, span, mesh(subdiv)))
-
     if math.isinf(tail):
         tail = refinement_bound(h, span, mesh(final_subdiv))
 
@@ -376,7 +373,7 @@ def sew(
         mu_distance = _sup_distance(
             metric, [direct.eval(p) for p in probes], best, f"mu_st of {model.name}"
         )
-        mu_ok = within_bound(mu_distance + tail, claimed, slack) if done else None
+        mu_ok = within_bound(mu_distance + tail, claimed) if done else None
     except ModelDomainError:
         mu_distance = None
         mu_ok = None
@@ -395,7 +392,7 @@ def sew(
         final_subdivision=final_subdiv,
         base_k=k0,
         ratio_estimate=rho,
-        limit_value=value_fn(final_map) if value_fn is not None else None,
+        limit_value=level_value(final_map),
         extrapolation_orders=used,
     )
 

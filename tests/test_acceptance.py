@@ -64,7 +64,7 @@ def interval_models():
 def test_criterion_1_euler_sewing_order():
     t0 = time.perf_counter()
     m = make_euler_linear(1.0)
-    _, cert = sew(m, 0.0, 1.0, 0.0, max_level=14, value_fn=m.summary)
+    _, cert = sew(m, 0.0, 1.0, 0.0, max_level=14)
     elapsed = time.perf_counter() - t0
     errs = {rec.level: abs(rec.value - math.e) for rec in cert.levels}
     ratios = [errs[n] / errs[n + 1] for n in range(4, 13)]
@@ -82,7 +82,7 @@ def test_criterion_1_euler_sewing_order():
 
 def test_criterion_2_additive_sewing():
     m = make_additive_sin()
-    _, cert = sew(m, 0.0, 1.0, 1e-9, value_fn=m.summary)
+    _, cert = sew(m, 0.0, 1.0, 1e-9)
     value_ok = abs(cert.limit_value - (1.0 - math.cos(1.0))) <= 1e-8
     k = constant_K(HoelderData(1.0, ((1.0, 1.0, 1.0),)))
     k_ok = cert.K == pytest.approx(4.0 * zeta(2.0) * 1.0, rel=1e-12) and cert.K == k

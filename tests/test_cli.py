@@ -112,6 +112,31 @@ def test_knit_experiment_with_class_separation(tmp_path):
     assert float(sep[0][2]) == pytest.approx(2.0 * math.pi, abs=1e-6)
 
 
+def test_class_separation_holonomies_obey_max_level(tmp_path, monkeypatch):
+    # tol <= 0 runs the full ladder, so only max_level bounds these holonomies
+    tols = []
+
+    def holonomy_capped_at_three(model, path, tol, max_level=24):
+        assert max_level == 3, f"holonomy called with max_level={max_level}"
+        tols.append(tol)
+        return real_holonomy(model, path, tol, max_level=max_level)
+
+    real_holonomy = cli.holonomy
+    monkeypatch.setattr(cli, "holonomy", holonomy_capped_at_three)
+    cfg = {
+        "experiment": "knit",
+        "model": {"name": "flat_connection"},
+        "homotopy": {"kind": "semicircle_to_ellipse", "ry": 1.6, "segments": 16},
+        "ks": [8],
+        "class_separation": True,
+        "tol": -1,
+        "max_level": 3,
+        "output": str(tmp_path / "knit.csv"),
+    }
+    assert cli.run(write_cfg(tmp_path, "knit.json", cfg), quiet=True) == 0
+    assert tols == [-1.0, -1.0]
+
+
 def test_knit_experiment_with_named_homotopy(tmp_path):
     cfg = {
         "experiment": "knit",

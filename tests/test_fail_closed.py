@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sewkit import (
-    INFINITE,
     HoelderData,
     NonFiniteValue,
     ProbedMap,
@@ -22,7 +21,6 @@ from sewkit import (
     knit_compare,
     linear_pair_homotopy,
     make_flat_connection,
-    map_distance,
     map_distance_value,
     path_to_csv,
     polyline,
@@ -37,12 +35,16 @@ def test_map_distance_raises_on_nan():
     # one NaN among finite probes is not dropped either
     half = ProbedMap(sp, sp, lambda p: math.nan if p > 0.0 else p)
     with pytest.raises(NonFiniteValue):
-        map_distance(half, identity_map(sp))
+        map_distance_value(half, identity_map(sp))
+    # nor is a NaN after an infinite probe distance
+    inf_then_nan = ProbedMap(sp, sp, lambda p: math.inf if p < 0.0 else math.nan)
+    with pytest.raises(NonFiniteValue):
+        map_distance_value(inf_then_nan, identity_map(sp))
 
 
 def test_map_distance_keeps_infinity_as_an_extended_distance():
     sp = real_line()
-    assert map_distance(ProbedMap(sp, sp, lambda p: math.inf), identity_map(sp)) == INFINITE
+    assert map_distance_value(ProbedMap(sp, sp, lambda p: math.inf), identity_map(sp)) == math.inf
 
 
 def test_knit_compare_raises_on_a_nan_flow():
@@ -179,9 +181,7 @@ def test_model_and_path_fields_fail_closed(tmp_path, capsys, make, case, fragmen
 # A fuzzed config starts from valid values for every field any experiment
 # reads, then up to three positions anywhere in it (a field, a nested field or
 # a list entry) take junk: NaN, infinities, negative, zero or wrong-type values.
-# Cost stays bounded: max_level <= 8, segments and ks <= 16, samples <= 48, and
-# tol is >= 1e-4 whenever it is a finite number (a tol <= 0 asks for the full
-# refinement ladder, which only max_level stops).
+# Cost stays bounded: max_level <= 8, segments and ks <= 16, samples <= 48.
 
 _JUNK = [math.nan, math.inf, -math.inf, -1, -0.5, 0, "x", None, True, [], [1.0], {}]
 
@@ -256,9 +256,7 @@ def _fuzzed_configs(draw):
     for _ in range(draw(st.integers(0, 3))):
         node, key = draw(st.sampled_from(list(_slots(cfg))))
         junk = _JUNK
-        if key == "tol":
-            junk = [v for v in _JUNK if not (isinstance(v, (int, float)) and -math.inf < v <= 0)]
-        elif key == "output":
+        if key == "output":
             junk = [v for v in _JUNK if not isinstance(v, str)]
         node[key] = draw(st.sampled_from(junk))
     return cfg

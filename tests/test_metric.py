@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sewkit import (
-    INFINITE,
     DomainMismatch,
-    ExtDistance,
     InsufficientProbes,
     MetricSpace,
     ProbedMap,
@@ -17,7 +15,6 @@ from sewkit import (
     compose_chain,
     composition_distance_bound,
     lipschitz_estimate,
-    map_distance,
     map_distance_value,
     path_length,
     real_line,
@@ -33,17 +30,7 @@ def affine(space, a, b):
     return ProbedMap(space, space, lambda x: a * x + b)
 
 
-# --- ExtDistance ------------------------------------------------------------
-
-def test_ext_distance_orders_and_saturates():
-    assert INFINITE > ExtDistance(1e300)
-    assert ExtDistance(2.0) > ExtDistance(1.0)
-    assert (ExtDistance(1.0) + ExtDistance(2.0)).as_float() == 3.0
-    assert (ExtDistance(1.0) + INFINITE).infinite
-    assert (INFINITE + INFINITE).infinite
-    with pytest.raises(ValueError):
-        ExtDistance(-0.5)
-
+# --- extended distances -----------------------------------------------------
 
 def test_infinite_distance_between_galaxies():
     # two-galaxy extended space: points on either side of 0 are infinitely far
@@ -51,32 +38,31 @@ def test_infinite_distance_between_galaxies():
         return abs(a - b) if (a >= 0) == (b >= 0) else math.inf
 
     space = MetricSpace("galaxies", two_galaxy, (-2.0, -1.0, 1.0, 2.0))
-    assert space.distance(-1.0, 1.0).infinite
-    assert path_length((-2.0, -1.0, 1.0), space).infinite
+    assert path_length((-2.0, -1.0, 1.0), space) == math.inf
     f = ProbedMap(space, space, lambda x: x)
     g = ProbedMap(space, space, lambda x: -x)
-    assert map_distance(f, g).infinite
+    assert map_distance_value(f, g) == math.inf
 
 
-# --- map_distance -----------------------------------------------------------
+# --- map_distance_value -------------------------------------------------------
 
 def test_map_distance_examples():
     space = line((0.0, 1.0))
     f = affine(space, 1.0, 0.0)
-    assert map_distance(f, f).as_float() == 0.0
+    assert map_distance_value(f, f) == 0.0
     g = affine(space, 1.0, 3.0)
-    assert map_distance(f, g).as_float() == 3.0
+    assert map_distance_value(f, g) == 3.0
     space3 = line((0.0, 0.5, 1.0))
     sq = ProbedMap(space3, space3, lambda x: x * x)
     ident = ProbedMap(space3, space3, lambda x: x)
-    assert map_distance(sq, ident).as_float() == pytest.approx(0.25, abs=1e-15)
+    assert map_distance_value(sq, ident) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_map_distance_rejects_mismatched_spaces():
     f = affine(line((0.0, 1.0), "a"), 1.0, 0.0)
     g = affine(line((0.0, 1.0), "b"), 1.0, 0.0)
     with pytest.raises(DomainMismatch):
-        map_distance(f, g)
+        map_distance_value(f, g)
 
 
 @given(
@@ -145,25 +131,28 @@ def test_composition_bound_dominates_measured(coeffs):
 
 def test_path_length_examples():
     plane = MetricSpace("plane", euclidean, ((0.0, 0.0),))
-    assert path_length([(0.0, 0.0)], plane).as_float() == 0.0
+    assert path_length([(0.0, 0.0)], plane) == 0.0
     l_shape = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
-    assert path_length(l_shape, plane).as_float() == pytest.approx(2.0)
+    assert path_length(l_shape, plane) == pytest.approx(2.0)
     circle = [
         (math.cos(a), math.sin(a))
         for a in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi)
     ]
-    assert path_length(circle, plane).as_float() == pytest.approx(4.0 * math.sqrt(2.0))
+    assert path_length(circle, plane) == pytest.approx(4.0 * math.sqrt(2.0))
     with pytest.raises(ValueError):
         path_length([], plane)
+    for bad in (-0.5, math.nan):
+        with pytest.raises(ValueError):
+            path_length([0.0, 1.0], MetricSpace("bad", lambda a, b, d=bad: d, (0.0,)))
 
 
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=8), st.integers(0, 6), st.floats(0, 1))
 def test_path_length_monotone_under_refinement(samples, idx, w):
     space = line((0.0,), "r")
-    base = path_length(samples, space).as_float()
+    base = path_length(samples, space)
     i = min(idx, len(samples) - 2)
     inserted = samples[: i + 1] + [samples[i] + w * (samples[i + 1] - samples[i])] + samples[i + 1 :]
-    assert path_length(inserted, space).as_float() >= base - 1e-12
+    assert path_length(inserted, space) >= base - 1e-12
 
 
 def test_builtin_spaces_satisfy_metric_axioms():

@@ -47,7 +47,7 @@ def test_additive_sewn_translation_matches_quadrature():
         s, t = sorted(rng.uniform(0.0, 1.0, size=2))
         if t - s < 0.05:
             continue
-        _, cert = sew(m, s, t, 1e-9, value_fn=m.summary)
+        _, cert = sew(m, s, t, 1e-9)
         expect = adaptive_simpson(math.sin, s, t)
         assert cert.limit_value == pytest.approx(expect, abs=1e-8)
 
@@ -55,7 +55,7 @@ def test_additive_sewn_translation_matches_quadrature():
 def test_additive_with_custom_table():
     h = HoelderData(1.0, ((1.0, 1.0, 1.0),))
     m = make_additive(lambda s, t: math.cos(s) * (t - s), h, name="additive-cos")
-    _, cert = sew(m, 0.0, 1.0, 1e-9, value_fn=m.summary)
+    _, cert = sew(m, 0.0, 1.0, 1e-9)
     assert cert.limit_value == pytest.approx(math.sin(1.0), abs=1e-8)
 
 
@@ -82,11 +82,11 @@ def test_euler_matrix_sews_to_the_matrix_exponential():
 
 def test_young_examples_and_admissibility():
     m = make_young(lambda t: t, lambda t: t, 1.0, 1.0)
-    _, cert = sew(m, 0.0, 1.0, 1e-9, value_fn=m.summary)
+    _, cert = sew(m, 0.0, 1.0, 1e-9)
     assert cert.limit_value == pytest.approx(0.5, abs=1e-8)
 
     m2 = make_young(math.sin, lambda t: t * t, 1.0, 1.0, c_y=2.0)
-    _, cert2 = sew(m2, 0.0, 1.0, 1e-9, value_fn=m2.summary)
+    _, cert2 = sew(m2, 0.0, 1.0, 1e-9)
     expect = stieltjes_midpoint(lambda t: t * t, math.sin)
     assert cert2.limit_value == pytest.approx(expect, abs=1e-8)
 

@@ -39,7 +39,7 @@ def test_euler_models_declare_integer_orders_and_others_none():
 @pytest.mark.parametrize("case", range(3))
 def test_euler_sews_meet_tol_on_a_coarse_subdivision(case):
     m, expect = _euler_cases()[case]
-    _, cert = sew(m, 0.0, 1.0, TOL, value_fn=m.summary)
+    _, cert = sew(m, 0.0, 1.0, TOL)
     assert abs(cert.limit_value - expect) <= TOL
     assert cert.final_subdivision.k <= 2**11
     assert cert.converged and cert.mu_bound_ok
@@ -60,7 +60,7 @@ def test_misdeclared_orders_are_caught_by_the_ratio_gate():
     # with x(t) = t**0.75 the sums have no integer-order error series
     young = make_young(lambda t: t**0.75, lambda t: t, 0.75, 1.0)
     m = dataclasses.replace(young, expansion_orders=(1, 2, 3, 4))
-    _, cert = sew(m, 0.0, 1.0, 1e-6, value_fn=m.summary)
+    _, cert = sew(m, 0.0, 1.0, 1e-6)
     assert abs(cert.limit_value - 0.75 / 1.75) <= 1e-6
     assert len(cert.extrapolation_orders) < 4
 
@@ -84,8 +84,8 @@ def _trace(cert):
 )
 def test_undeclared_models_match_an_explicitly_empty_declaration(model):
     explicit = dataclasses.replace(model, expansion_orders=())
-    _, a = sew(model, 0.0, 0.9, 1e-8, value_fn=model.summary)
-    _, b = sew(explicit, 0.0, 0.9, 1e-8, value_fn=explicit.summary)
+    _, a = sew(model, 0.0, 0.9, 1e-8)
+    _, b = sew(explicit, 0.0, 0.9, 1e-8)
     assert _trace(a) == _trace(b)
 
 
@@ -104,7 +104,7 @@ def test_base_level_stop_returns_the_raw_composite():
 
 def test_full_ladder_keeps_every_raw_level_and_extrapolates():
     m = make_euler_linear(1.0)
-    _, cert = sew(m, 0.0, 1.0, 0.0, max_level=12, value_fn=m.summary)
+    _, cert = sew(m, 0.0, 1.0, 0.0, max_level=12)
     assert [r.level for r in cert.levels] == list(range(13))
     assert cert.extrapolation_orders
     assert abs(cert.limit_value - math.e) <= 1e-10

@@ -19,6 +19,7 @@ from sewkit import (
     four_point_defect,
     inverse_defect,
     inverse_defect_bound,
+    make_additive,
     make_additive_sin,
     make_euler,
     make_euler_linear,
@@ -171,13 +172,13 @@ def test_sew_euler_reaches_the_exponential():
 
 def test_sew_additive_sin_reaches_the_integral():
     m = make_additive_sin()
-    _, cert = sew(m, 0.0, 1.0, 1e-8, value_fn=m.summary)
+    _, cert = sew(m, 0.0, 1.0, 1e-8)
     assert cert.limit_value == pytest.approx(1.0 - math.cos(1.0), abs=1e-8)
 
 
 def test_sew_young_linear_reaches_half():
     m = make_young(lambda t: t, lambda t: t, 1.0, 1.0)
-    _, cert = sew(m, 0.0, 1.0, 1e-8, value_fn=m.summary)
+    _, cert = sew(m, 0.0, 1.0, 1e-8)
     assert cert.limit_value == pytest.approx(0.5, abs=1e-8)
 
 
@@ -217,6 +218,14 @@ def test_sew_rejects_nan_probe_values():
     # the NaN probes are not first, so a bare max over distances would drop them
     m = make_euler(lambda x: math.nan if x > 0.5 else x, 1.0, field_bound=1.0)
     with pytest.raises(NonFiniteValue):
+        sew(m, 0.0, 1.0, 1e-8)
+
+
+def test_sew_rejects_infinite_probe_distances():
+    # translations by +inf on steps below 0.3: level 2 is infinitely far from level 1
+    h = HoelderData(1.0, ((1.0, 1.0, 1.0),))
+    m = make_additive(lambda s, t: math.inf if abs(t - s) < 0.3 else math.sin(s) * (t - s), h)
+    with pytest.raises(NonFiniteValue, match="level 2"):
         sew(m, 0.0, 1.0, 1e-8)
 
 
