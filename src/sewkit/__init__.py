@@ -35,7 +35,7 @@ from .knitting import (
     knit_compare,
     knit_prime_constant,
     ladder_map,
-    linear_pair_homotopy,
+    pair_lipschitz,
     row_map,
 )
 from .metric import (

@@ -21,7 +21,7 @@ import numpy as np
 from . import certify as certify_mod
 from .errors import BoundViolation, ConfigError, NonConvergence, NonFiniteValue, SewkitError
 from .flows import MODE_KNITTING, ApproxFlowModel
-from .knitting import build_net, holonomy, knit_compare, linear_pair_homotopy
+from .knitting import build_net, holonomy, knit_compare, pair_lipschitz
 from .models import (
     FlatConnection,
     make_additive_sin,
@@ -196,20 +196,20 @@ def _path(spec: dict, where: str) -> LipPath:
     raise ConfigError(f"unknown {where}.kind {kind!r}")
 
 
-def build_homotopy(spec: dict, where: str = "config.homotopy"):
-    """A homotopy is a pair of PL paths (linear interpolation) or a named
-    built-in from the circle family."""
+def build_homotopy(spec: dict, where: str = "config.homotopy") -> tuple[LipPath, LipPath, float]:
+    """The straight-line homotopy between two PL paths, as (g0, g1, ell): a
+    pair of paths from the config or a named built-in from the circle family."""
     kind = spec.get("kind", "pair")
     if kind == "pair":
         g0 = build_path(_cfg_get(spec, "path0", dict, where), f"{where}.path0")
         g1 = build_path(_cfg_get(spec, "path1", dict, where), f"{where}.path1")
-        return linear_pair_homotopy(g0, g1)
-    if kind == "semicircle_to_ellipse":
+    elif kind == "semicircle_to_ellipse":
         segs = _cfg_get(spec, "segments", int, where, 64, least=1)
         g0 = arc_path(1.0, 0.0, math.pi, segs)
         g1 = ellipse_arc_path(1.0, _cfg_get(spec, "ry", float, where, 1.6), 0.0, math.pi, segs)
-        return linear_pair_homotopy(g0, g1)
-    raise ConfigError(f"unknown {where}.kind {kind!r}; expected pair or semicircle_to_ellipse")
+    else:
+        raise ConfigError(f"unknown {where}.kind {kind!r}; expected pair or semicircle_to_ellipse")
+    return g0, g1, pair_lipschitz(g0, g1)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
@@ -261,8 +261,6 @@ def _run_sew(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[
             raise
         cert = exc.certificate
         status = 2
-    if cert.mu_bound_ok is False:
-        status = 2
     return _LEVEL_HEADER, _level_rows(cert), status
 
 
@@ -280,20 +278,21 @@ def _run_holonomy(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[
 
 def _run_knit(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
     model = _plane_model(cfg, "knit")
-    H, ell = build_homotopy(_cfg_get(cfg, "homotopy", dict, "config"))
+    g0, g1, ell = build_homotopy(_cfg_get(cfg, "homotopy", dict, "config"))
     ks = _cfg_get(cfg, "ks", list, "config", [8, 16, 32, 64])
     if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 2 for k in ks):
         raise ConfigError(f"config.ks entries must be integers >= 2, got {ks!r}")
+    class_separation = _cfg_get(cfg, "class_separation", bool, "config", False)
     status = 0
     rows: list[list[Any]] = []
     for k in ks:
-        net = build_net(H, k, ell)
+        net = build_net(g0, g1, k, ell)
         measured, bound = knit_compare(net, model)
         ok = within_bound(measured, bound)
         if not ok:
             status = 2
         rows.append([k, 1.0 / k, measured, bound, "pass" if ok else "fail"])
-    if cfg.get("class_separation"):
+    if class_separation:
         tol = _cfg_get(cfg, "tol", float, "config", 1e-8)
         max_level = _cfg_get(cfg, "max_level", int, "config", 20, least=0)
         upper = arc_path(1.0, 0.0, math.pi, 64)

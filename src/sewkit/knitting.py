@@ -1,7 +1,8 @@
 """The knitting engine: homotopy nets, ladder comparisons, and holonomy.
 
-Given a Lipschitz homotopy H between two paths with common endpoints, the
-(k+1)x(k+1) net samples H on the regular grid.  Ladder maps interpolate
+Two paths with common endpoints span the straight-line homotopy H; its
+(k+1)x(k+1) net is H on the regular grid, kept as the two paths sampled at
+j/k, with each row built when asked for.  Ladder maps interpolate
 between the row compositions one crossing at a time; under a strong
 four-point estimate of total degree 2+eps the top and bottom rows differ by
 at most exp(delta*ell*L) * (2 + delta*ell*L) * (sum C_i) * ell**(2+eps) *
@@ -12,7 +13,7 @@ for rotation-fiber models (not reduced mod 2*pi, so winding is observable).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import DeclaredLipschitzViolated, EndpointMismatch
@@ -23,73 +24,88 @@ from .sewing import SewCertificate, _column_coefs, _romberg_row, sew, zeta
 from .subdivision import regular
 
 
+def _check_shared_endpoints(g0: LipPath, g1: LipPath) -> None:
+    if euclidean(g0.start, g1.start) > 1e-12 or euclidean(g0.end, g1.end) > 1e-12:
+        raise EndpointMismatch("paths must share both endpoints")
+
+
 @dataclass(frozen=True)
 class HomotopyNet:
-    """Grid samples x_j^i = H(i/k, j/k); rows share the endpoints x and y."""
+    """The net x_j^i = H(i/k, j/k) of the straight-line homotopy H(s, t) =
+    (1-s) g0(t) + s g1(t), kept as its two boundary paths sampled at t_j = j/k.
+
+    Rows are built on demand by :meth:`row` and share the endpoints x and y
+    of row 0.  ``mesh`` bounds every row and column step of the net.
+    """
 
     k: int
-    grid: tuple[tuple[Point, ...], ...]
     ell: float
-    mesh: float
+    samples0: tuple[Point, ...]   # g0(t_j)
+    samples1: tuple[Point, ...]   # g1(t_j)
+    mesh: float = field(init=False)
+
+    def __post_init__(self):
+        # An interior row step is a convex combination of a row-0 and a row-k
+        # step, and every column step is |g1(t_j) - g0(t_j)|/k, so the two
+        # boundary rows give the mesh; the endpoint gap covers the snapping.
+        bottom, top = self.row(0), self.row(self.k)
+        step = max(
+            max(map(euclidean, bottom, bottom[1:])),
+            max(map(euclidean, top, top[1:])),
+            max(map(euclidean, self.samples0, self.samples1)) / self.k,
+        )
+        gap = max(euclidean(self.samples0[0], self.samples1[0]),
+                  euclidean(self.samples0[-1], self.samples1[-1]))
+        object.__setattr__(self, "mesh", step + gap)
 
     @property
     def start(self) -> Point:
-        return self.grid[0][0]
+        return p_lerp(self.samples0[0], self.samples1[0], 0.0)
 
     @property
     def end(self) -> Point:
-        return self.grid[0][self.k]
+        return p_lerp(self.samples0[-1], self.samples1[-1], 0.0)
+
+    def row(self, i: int) -> tuple[Point, ...]:
+        """Row i, H(i/k, t_j) for j = 0..k, with its endpoints snapped to row 0's."""
+        if not 0 <= i <= self.k:
+            raise IndexError("row index out of range")
+        s = i / self.k
+        nodes = [p_lerp(a, b, s) for a, b in zip(self.samples0, self.samples1)]
+        nodes[0], nodes[-1] = self.start, self.end
+        return tuple(nodes)
 
 
-def build_net(H: Callable[[float, float], Point], k: int, ell: float) -> HomotopyNet:
-    """Sample H on the regular (k+1)x(k+1) grid and check the Euclidean mesh bound.
+def build_net(g0: LipPath, g1: LipPath, k: int, ell: float) -> HomotopyNet:
+    """The k-net of the straight-line homotopy from g0 to g1, checked against ell.
 
-    Row endpoints must agree across rows (fixed-endpoint homotopy); they are
-    snapped to the row-0 values so boundary identities hold exactly.  Raises
-    :class:`DeclaredLipschitzViolated` when a grid step exceeds ell/k.
+    Samples each path once at t_j = j/k.  Raises :class:`EndpointMismatch`
+    when the paths do not share both endpoints and
+    :class:`DeclaredLipschitzViolated` when the mesh exceeds ell/k.
     """
     if k < 2:
         raise ValueError("need k >= 2")
     if ell <= 0.0:
         raise ValueError("ell must be positive")
-    rows = [[H(i / k, j / k) for j in range(k + 1)] for i in range(k + 1)]
-    x, y = rows[0][0], rows[0][k]
-    for i in range(1, k + 1):
-        if euclidean(rows[i][0], x) > 1e-9 or euclidean(rows[i][k], y) > 1e-9:
-            raise EndpointMismatch("homotopy must fix both endpoints across rows")
-        rows[i][0] = x
-        rows[i][k] = y
-    step = 0.0
-    for i in range(k + 1):
-        for j in range(k):
-            step = max(step, euclidean(rows[i][j], rows[i][j + 1]))
-    for i in range(k):
-        for j in range(k + 1):
-            step = max(step, euclidean(rows[i][j], rows[i + 1][j]))
-    if step > ell / k + 1e-12:
+    _check_shared_endpoints(g0, g1)
+    ts = [j / k for j in range(k + 1)]
+    net = HomotopyNet(k, ell, tuple(map(g0.at, ts)), tuple(map(g1.at, ts)))
+    if net.mesh > ell / k + 1e-12:
         raise DeclaredLipschitzViolated(
-            f"net mesh {step:.3e} exceeds declared ell/k = {ell / k:.3e}"
+            f"net mesh {net.mesh:.3e} exceeds declared ell/k = {ell / k:.3e}"
         )
-    return HomotopyNet(k, tuple(tuple(r) for r in rows), ell, step)
+    return net
 
 
-def linear_pair_homotopy(g0: LipPath, g1: LipPath) -> tuple[Callable[[float, float], Point], float]:
-    """Straight-line homotopy between two PL paths with common endpoints.
-
-    Returns (H, ell) where ell bounds the Lipschitz norm of H for the
-    |ds| + |dt| metric on the square.
-    """
-    if euclidean(g0.start, g1.start) > 1e-12 or euclidean(g0.end, g1.end) > 1e-12:
-        raise EndpointMismatch("paths must share both endpoints")
-
-    def H(s: float, t: float) -> Point:
-        return p_lerp(g0.at(t), g1.at(t), s)
-
+def pair_lipschitz(g0: LipPath, g1: LipPath) -> float:
+    """A Lipschitz bound ell, for the |ds| + |dt| metric on the square, of the
+    straight-line homotopy between two PL paths with common endpoints."""
+    _check_shared_endpoints(g0, g1)
     ell_t = max(g0.lip_norm, g1.lip_norm)
     ell_s = 0.0
     for u in sorted(set(g0.breaks) | set(g1.breaks)):
         ell_s = max(ell_s, euclidean(g0.at(u), g1.at(u)))
-    return H, max(ell_t, ell_s)
+    return max(ell_t, ell_s)
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +118,7 @@ def _compose_nodes(model: ApproxFlowModel, nodes: Sequence[Point]) -> ProbedMap:
 
 def row_map(net: HomotopyNet, model: ApproxFlowModel, i: int) -> ProbedMap:
     """Composition of mu along row i of the net."""
-    if not 0 <= i <= net.k:
-        raise IndexError("row index out of range")
-    return _compose_nodes(model, net.grid[i])
+    return _compose_nodes(model, net.row(i))
 
 
 def ladder_map(net: HomotopyNet, model: ApproxFlowModel, i: int, j: int) -> ProbedMap:
@@ -117,7 +131,7 @@ def ladder_map(net: HomotopyNet, model: ApproxFlowModel, i: int, j: int) -> Prob
     if not (0 <= i <= k - 1 and 0 <= j <= k - 1):
         raise IndexError("ladder indices must lie in 0..k-1")
     crossing = k - j
-    return _compose_nodes(model, net.grid[i][:crossing] + net.grid[i + 1][crossing:])
+    return _compose_nodes(model, net.row(i)[:crossing] + net.row(i + 1)[crossing:])
 
 
 def knit_bound(h: HoelderData, ell: float, k: int) -> float:

@@ -11,6 +11,7 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -318,17 +319,19 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
     """
     lip = g.lip_norm
     mu = model.mu
+    # chains and angle sums ask for each interior point twice in a row
+    at = lru_cache(maxsize=1)(g.at)
 
     def pulled_mu(s: float, t: float) -> ProbedMap:
         try:
-            return mu(g.at(s), g.at(t))
+            return mu(at(s), at(t))
         except ModelDomainError as exc:
             raise ModelDomainError(f"pullback of {model.name} along path: {exc}") from exc
 
     angle = None
     if model.angle is not None:
         base_angle = model.angle
-        angle = lambda s, t: base_angle(g.at(s), g.at(t))
+        angle = lambda s, t: base_angle(at(s), at(t))
 
     step = None
     if model.max_param_step is not None and lip > 0.0:
@@ -336,7 +339,7 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
 
     return ApproxFlowModel(
         name=f"pullback({model.name})",
-        space_at=lambda t: model.space_at(g.at(t)),
+        space_at=lambda t: model.space_at(at(t)),
         mu=pulled_mu,
         hoelder=model.hoelder.pulled_back(lip),
         max_param_step=step,

@@ -27,7 +27,6 @@ from sewkit import (
     inverse_defect_bound,
     joint,
     knit_compare,
-    linear_pair_homotopy,
     make_additive_sin,
     make_euler_linear,
     make_euler_sin,
@@ -35,6 +34,7 @@ from sewkit import (
     make_young,
     map_distance_value,
     mesh_lemma_check,
+    pair_lipschitz,
     pl_thin_reduce,
     polyline,
     sew,
@@ -195,7 +195,7 @@ def test_criterion_7_knitting_invariance():
     t0 = time.perf_counter()
     g0 = arc_path(1.0, 0.0, math.pi, 64)
     g1 = ellipse_arc_path(1.0, 1.6, 0.0, math.pi, 64)
-    H, ell = linear_pair_homotopy(g0, g1)
+    ell = pair_lipschitz(g0, g1)
 
     fc = make_flat_connection()  # 8 fiber probes by default
     _, s0 = holonomy(fc, g0, 1e-9)
@@ -206,7 +206,7 @@ def test_criterion_7_knitting_invariance():
     measured = {}
     bound_ok = True
     for k in (8, 16, 32, 64):
-        net = build_net(H, k, ell)
+        net = build_net(g0, g1, k, ell)
         got, bound = knit_compare(net, fm)
         measured[k] = got
         bound_ok &= got <= bound + 1e-9 * (1.0 + bound)

@@ -137,6 +137,21 @@ def test_class_separation_holonomies_obey_max_level(tmp_path, monkeypatch):
     assert tols == [-1.0, -1.0]
 
 
+@pytest.mark.parametrize("value", ["false", 0.5, [0], 1], ids=["str", "float", "list", "int"])
+def test_class_separation_must_be_a_boolean(tmp_path, capsys, value):
+    cfg = {
+        "experiment": "knit",
+        "model": {"name": "flat_connection"},
+        "homotopy": {"kind": "semicircle_to_ellipse", "ry": 1.6, "segments": 16},
+        "ks": [8],
+        "class_separation": value,
+        "output": str(tmp_path / "knit.csv"),
+    }
+    assert cli.run(write_cfg(tmp_path, "knit.json", cfg), quiet=True) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "knit.csv").exists()
+
+
 def test_knit_experiment_with_named_homotopy(tmp_path):
     cfg = {
         "experiment": "knit",

@@ -19,9 +19,9 @@ from sewkit import (
     ellipse_arc_path,
     identity_map,
     knit_compare,
-    linear_pair_homotopy,
     make_flat_connection,
     map_distance_value,
+    pair_lipschitz,
     path_to_csv,
     polyline,
     real_line,
@@ -52,10 +52,9 @@ def test_knit_compare_raises_on_a_nan_flow():
     fiber = fc.space_at((1.0, 0.0))
     nan_mu = lambda x, y: ProbedMap(fiber, fiber, lambda p: (math.nan, math.nan))
     broken = dataclasses.replace(fc, mu=nan_mu)
-    H, ell = linear_pair_homotopy(arc_path(1.0, 0.0, math.pi, 16),
-                                  ellipse_arc_path(1.0, 1.6, 0.0, math.pi, 16))
+    g0, g1 = arc_path(1.0, 0.0, math.pi, 16), ellipse_arc_path(1.0, 1.6, 0.0, math.pi, 16)
     with pytest.raises(NonFiniteValue):
-        knit_compare(build_net(H, 8, ell), broken)
+        knit_compare(build_net(g0, g1, 8, pair_lipschitz(g0, g1)), broken)
 
 
 def test_growth_bound_overflow_is_non_finite():

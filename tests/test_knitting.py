@@ -6,10 +6,12 @@ from oracles import winding_number
 from sewkit import (
     DeclaredLipschitzViolated,
     EndpointMismatch,
+    LipPath,
     WrongMode,
     arc_path,
     build_net,
     circle_path,
+    compose_along,
     ellipse_arc_path,
     four_point_defect,
     holonomy,
@@ -17,10 +19,10 @@ from sewkit import (
     knit_compare,
     knit_prime_constant,
     ladder_map,
-    linear_pair_homotopy,
     make_additive_sin,
     make_flat_connection,
     map_distance_value,
+    pair_lipschitz,
     pullback_flow,
     regular,
     row_map,
@@ -29,53 +31,109 @@ from sewkit import (
     square_loop,
     zeta,
 )
+from sewkit.metric import euclidean, p_lerp
 
 
 def semicircle_pair():
     g0 = arc_path(1.0, 0.0, math.pi, 64)
     g1 = ellipse_arc_path(1.0, 1.6, 0.0, math.pi, 64)
-    return linear_pair_homotopy(g0, g1)
+    return g0, g1, pair_lipschitz(g0, g1)
 
 
 # --- nets ------------------------------------------------------------------------
 
 def test_build_net_constant_homotopy_rows_identical():
     g = arc_path(1.0, 0.0, math.pi / 2, 16)
-    H, ell = linear_pair_homotopy(g, g)
-    net = build_net(H, 8, max(ell, g.lip_norm))
-    assert all(net.grid[i] == net.grid[0] for i in range(net.k + 1))
+    ell = pair_lipschitz(g, g)
+    net = build_net(g, g, 8, max(ell, g.lip_norm))
+    assert all(net.row(i) == net.row(0) for i in range(net.k + 1))
 
 
 def test_build_net_linear_interpolation_grid():
     g0 = segment_path((1.0, 0.0), (1.0, 2.0))
     g1 = segment_path((1.0, 0.0), (1.0, 2.0))
-    H, ell = linear_pair_homotopy(g0, g1)
-    net = build_net(H, 4, max(ell, 2.0))
-    assert net.grid[2][2] == (1.0, 1.0)
+    ell = pair_lipschitz(g0, g1)
+    net = build_net(g0, g1, 4, max(ell, 2.0))
+    assert net.row(2)[2] == (1.0, 1.0)
 
 
 def test_build_net_mesh_bound_and_errors():
-    H, ell = semicircle_pair()
-    net = build_net(H, 16, ell)
+    g0, g1, ell = semicircle_pair()
+    net = build_net(g0, g1, 16, ell)
     assert net.mesh <= ell / 16.0 + 1e-12
 
     with pytest.raises(DeclaredLipschitzViolated):
-        build_net(H, 16, ell / 4.0)  # understated Lipschitz norm
+        build_net(g0, g1, 16, ell / 4.0)  # understated Lipschitz norm
 
-    drifting = lambda s, t: (1.0 + s, t)  # endpoints move with s
+    # H(s, t) = (1 + s, t): the endpoints move with s
+    drifting = segment_path((1.0, 0.0), (1.0, 1.0)), segment_path((2.0, 0.0), (2.0, 1.0))
     with pytest.raises(EndpointMismatch):
-        build_net(drifting, 4, 10.0)
+        build_net(*drifting, 4, 10.0)
 
     with pytest.raises(ValueError):
-        build_net(H, 1, ell)
+        build_net(g0, g1, 1, ell)
+
+
+def _brute_force_grid(g0, g1, k):
+    """H(i/k, j/k) at all (k+1)**2 nodes, endpoints snapped to row 0's."""
+    rows = [[p_lerp(g0.at(j / k), g1.at(j / k), i / k) for j in range(k + 1)]
+            for i in range(k + 1)]
+    for r in rows:
+        r[0], r[k] = rows[0][0], rows[0][k]
+    return [tuple(r) for r in rows]
+
+
+@pytest.mark.parametrize("identical", [False, True], ids=["semicircle-ellipse", "identical"])
+@pytest.mark.parametrize("k", [8, 16])
+def test_net_rows_and_mesh_match_the_brute_force_grid(k, identical):
+    g0, g1, ell = semicircle_pair()
+    if identical:
+        g1 = g0
+    net = build_net(g0, g1, k, ell)
+    grid = _brute_force_grid(g0, g1, k)
+    assert [net.row(i) for i in range(k + 1)] == grid
+    steps = [euclidean(r[j], r[j + 1]) for r in grid for j in range(k)]
+    steps += [euclidean(a, b) for r, r2 in zip(grid, grid[1:]) for a, b in zip(r, r2)]
+    assert max(steps) <= net.mesh <= max(steps) + 1e-12
+    with pytest.raises(IndexError):
+        net.row(k + 1)
+
+
+def _count_path_samples(monkeypatch):
+    calls = []
+    real_at = LipPath.at
+
+    def counted_at(self, u):
+        calls.append(u)
+        return real_at(self, u)
+
+    monkeypatch.setattr(LipPath, "at", counted_at)
+    return calls
+
+
+def test_build_net_samples_each_path_once_per_column(monkeypatch):
+    g0, g1, ell = semicircle_pair()
+    calls = _count_path_samples(monkeypatch)
+    for k in (8, 16):
+        calls.clear()
+        build_net(g0, g1, k, ell)
+        assert len(calls) == 2 * (k + 1)
+
+
+def test_pulled_back_chain_samples_each_point_once(monkeypatch):
+    calls = _count_path_samples(monkeypatch)
+    pulled = pullback_flow(make_flat_connection(), arc_path(1.0, 0.0, math.pi, 64))
+    k = 16
+    compose_along(pulled, regular(0.0, 1.0, k))
+    assert len(calls) == k + 1
 
 
 # --- ladder maps -----------------------------------------------------------------
 
 def test_ladder_boundary_identity_is_exact():
-    H, ell = semicircle_pair()
+    g0, g1, ell = semicircle_pair()
     fc = make_flat_connection()
-    net = build_net(H, 8, ell)
+    net = build_net(g0, g1, 8, ell)
     for i in range(1, net.k):
         a = ladder_map(net, fc, i - 1, net.k - 1)
         b = ladder_map(net, fc, i, 0)
@@ -83,9 +141,9 @@ def test_ladder_boundary_identity_is_exact():
 
 
 def test_ladder_map_j0_composes_within_one_row():
-    H, ell = semicircle_pair()
+    g0, g1, ell = semicircle_pair()
     fc = make_flat_connection()
-    net = build_net(H, 8, ell)
+    net = build_net(g0, g1, 8, ell)
     for i in (0, 3, 7):
         assert map_distance_value(ladder_map(net, fc, i, 0), row_map(net, fc, i)) == 0.0
     with pytest.raises(IndexError):
@@ -94,9 +152,9 @@ def test_ladder_map_j0_composes_within_one_row():
 
 def test_ladder_map_constant_homotopy_independent_of_indices():
     g = arc_path(1.0, 0.0, 1.0, 16)
-    H, ell = linear_pair_homotopy(g, g)
+    ell = pair_lipschitz(g, g)
     fc = make_flat_connection()
-    net = build_net(H, 4, max(ell, g.lip_norm))
+    net = build_net(g, g, 4, max(ell, g.lip_norm))
     base = ladder_map(net, fc, 0, 0)
     for i in range(net.k):
         for j in range(net.k):
@@ -104,9 +162,9 @@ def test_ladder_map_constant_homotopy_independent_of_indices():
 
 
 def test_adjacent_ladder_maps_obey_the_strong_four_point_bound():
-    H, ell = semicircle_pair()
+    g0, g1, ell = semicircle_pair()
     fm = make_flat_connection("midpoint")
-    net = build_net(H, 8, ell)
+    net = build_net(g0, g1, 8, ell)
     for i in (0, 4):
         for j in (0, 3, 6):
             a = ladder_map(net, fm, i, j)
@@ -114,10 +172,10 @@ def test_adjacent_ladder_maps_obey_the_strong_four_point_bound():
             measured = map_distance_value(a, b)
             # the two compositions differ only around the moved node pair
             col = net.k - j - 1
-            x = net.grid[i][col - 1]
-            u = net.grid[i][col]
-            v = net.grid[i + 1][col]
-            y = net.grid[i + 1][col + 1]
+            x = net.row(i)[col - 1]
+            u = net.row(i)[col]
+            v = net.row(i + 1)[col]
+            y = net.row(i + 1)[col + 1]
             _, bound = four_point_defect(fm, x, u, v, y)
             assert measured <= bound + 1e-9
 
@@ -126,27 +184,27 @@ def test_adjacent_ladder_maps_obey_the_strong_four_point_bound():
 
 def test_knit_compare_constant_homotopy_is_zero():
     g = arc_path(1.0, 0.0, 1.5, 32)
-    H, ell = linear_pair_homotopy(g, g)
+    ell = pair_lipschitz(g, g)
     fc = make_flat_connection()
-    net = build_net(H, 8, max(ell, g.lip_norm))
+    net = build_net(g, g, 8, max(ell, g.lip_norm))
     measured, bound = knit_compare(net, fc)
     assert measured == 0.0 and bound == 0.0
 
 
 def test_knit_compare_exact_segment_is_rounding_level():
-    H, ell = semicircle_pair()
+    g0, g1, ell = semicircle_pair()
     fc = make_flat_connection()
-    net = build_net(H, 32, ell)
+    net = build_net(g0, g1, 32, ell)
     measured, _ = knit_compare(net, fc)
     assert measured <= 1e-9
 
 
 def test_knit_compare_midpoint_decay_and_bound():
-    H, ell = semicircle_pair()
+    g0, g1, ell = semicircle_pair()
     fm = make_flat_connection("midpoint")
     results = {}
     for k in (8, 16, 32):
-        net = build_net(H, k, ell)
+        net = build_net(g0, g1, k, ell)
         measured, bound = knit_compare(net, fm)
         assert measured <= bound + 1e-9
         results[k] = measured
@@ -155,8 +213,8 @@ def test_knit_compare_midpoint_decay_and_bound():
 
 
 def test_knit_compare_rejects_sewing_mode_models():
-    H, ell = semicircle_pair()
-    net = build_net(H, 4, ell)
+    g0, g1, ell = semicircle_pair()
+    net = build_net(g0, g1, 4, ell)
     with pytest.raises(WrongMode):
         knit_compare(net, make_additive_sin())
 
@@ -235,10 +293,8 @@ def test_class_separation_upper_vs_lower_semicircle():
 
 
 def test_homotopy_invariance_angle_difference_within_knit_bound():
-    H, ell = semicircle_pair()
+    g0, g1, ell = semicircle_pair()
     fm = make_flat_connection("midpoint")
-    g0 = arc_path(1.0, 0.0, math.pi, 64)
-    g1 = ellipse_arc_path(1.0, 1.6, 0.0, math.pi, 64)
     _, s0 = holonomy(fm, g0, 1e-9)
     _, s1 = holonomy(fm, g1, 1e-9)
     for k in (8, 16, 32):
