@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the benchmark on every workload and collect the results in one file.
 
-    python3 scripts/bench.py --pr 6 [--seconds 35] [--workload NAME ...] [--out FILE]
+    python3 scripts/bench.py --pr N [--seconds 35] [--workload NAME ...] [--out FILE]
 
 Each workload runs ``perfbench/run.py`` twice as a subprocess: with
 ``--trace 0`` for the end-to-end metrics and with ``--trace 1`` for the
