@@ -1,10 +1,14 @@
 """Config-driven experiment runner with reproducible CSV output.
 
-Experiments: sew, holonomy, knit, certify.  Configs are JSON documents; all
-floats print with 17 significant digits so identical config + seed produces
-byte-identical CSV.  Exit codes: 0 all assertions pass, 1 config errors
-(including certification samples too few or too narrow), 2 bound
-violations, non-convergence or non-finite values.
+Experiments: sew, holonomy, knit, certify.  Configs are JSON documents,
+checked as a whole against ``CONFIG`` before any work: it declares every
+field of every experiment, model, path kind and homotopy kind with its type,
+default and lower bound.  All floats print with 17 significant digits so
+identical config + seed produces byte-identical CSV.  Exit codes: 0 all
+assertions pass, 1 config errors (an unknown field, a wrong type, a
+non-finite number, a value below its bound, anything a constructor rejects,
+certification samples too few or too narrow), 2 bound violations,
+non-convergence or non-finite values.
 """
 from __future__ import annotations
 
@@ -13,8 +17,9 @@ import csv
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -40,9 +45,7 @@ from .paths import (
     polyline,
     square_loop,
 )
-from .sewing import SewCertificate, sew, within_bound
-
-EXPERIMENTS = ("sew", "knit", "holonomy", "certify")
+from .sewing import MAX_LEVEL, SewCertificate, sew, within_bound
 
 _YOUNG_FNS: dict[str, tuple[Callable[[float], float], float]] = {
     # name -> (function, Hoelder-1 constant on [0,1])
@@ -58,32 +61,85 @@ def _fmt(v: Any) -> str:
     return str(v)
 
 
-_REQUIRED = object()
+#: the default of a field that has none
+REQUIRED = object()
 
 
-def _finite(val: Any, where: str) -> float:
-    """A config number as a finite float; bools, strings, NaN and infinities
-    raise ConfigError."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {type(val).__name__}")
-    if not math.isfinite(val):
-        raise ConfigError(f"{where} must be finite, got {val!r}")
-    return float(val)
+class Field(NamedTuple):
+    """``kind`` is int, float, str, bool, a tuple of the allowed strings or a
+    checker ``(value, where) -> value``, such as a :class:`Tagged` table;
+    ``least`` bounds an int."""
+
+    kind: Any
+    default: Any = REQUIRED
+    least: int | None = None
 
 
-def _cfg_get(cfg: dict, key: str, kind, where: str, default=_REQUIRED, least: int | None = None):
-    """Field ``key`` of ``cfg`` as ``kind``; an int field below ``least`` raises ConfigError."""
-    if key not in cfg:
-        if default is not _REQUIRED:
-            return default
-        raise ConfigError(f"missing field {where}.{key}")
-    val = cfg[key]
+@dataclass(frozen=True)
+class Tagged:
+    """Config objects whose ``tag`` field names their variant: its fields, and
+    what builds it from their checked values in field order (an experiment's
+    runner takes the whole checked config and the seeded generator)."""
+
+    tag: str
+    variants: dict[str, tuple[dict[str, Field], Callable]]
+    default: str | None = None
+
+    def check(self, spec: Any, where: str) -> dict:
+        """``spec`` checked against its variant, defaults filled in.  Every key
+        the variant does not list (that no variant lists, when the tag names
+        none) is named in one error."""
+        if not isinstance(spec, dict):
+            raise ConfigError(f"field {where} must be dict, got {type(spec).__name__}")
+        name = spec.get(self.tag, self.default)
+        variant = self.variants.get(name) if isinstance(name, str) else None
+        known = variant[0] if variant else {k for f, _ in self.variants.values() for k in f}
+        unknown = [f"{where}.{key}" for key in spec if key != self.tag and key not in known]
+        if unknown:
+            raise ConfigError(f"unknown field {', '.join(unknown)}")
+        if variant is None:
+            raise ConfigError(f"unknown {where}.{self.tag} {name!r}; "
+                              f"expected one of {', '.join(self.variants)}")
+        checked = {self.tag: name}
+        for key, field in variant[0].items():
+            if key in spec:
+                checked[key] = _check_field(field, spec[key], f"{where}.{key}")
+            elif field.default is REQUIRED:
+                raise ConfigError(f"missing field {where}.{key}")
+            else:
+                checked[key] = field.default
+        return checked
+
+    __call__ = check
+
+    def build(self, spec: dict, where: str) -> Any:
+        """The object of a checked spec; constructor ValueErrors and unreadable
+        files become ConfigErrors."""
+        fields, build = self.variants[spec[self.tag]]
+        try:
+            return build(*(spec[key] for key in fields))
+        except (ValueError, OSError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _check_field(field: Field, val: Any, where: str) -> Any:
+    kind = field.kind
     if kind is float:
-        return _finite(val, f"field {where}.{key}")
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ConfigError(f"field {where} must be a number, got {type(val).__name__}")
+        if not abs(val) <= sys.float_info.max:  # NaN, infinities and ints beyond any float
+            raise ConfigError(f"field {where} must be finite, got {val!r}")
+        return float(val)
+    if isinstance(kind, tuple):
+        if val not in kind:
+            raise ConfigError(f"field {where} must be one of {list(kind)}, got {val!r}")
+        return val
+    if not isinstance(kind, type):
+        return kind(val, where)
     if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
-        raise ConfigError(f"field {where}.{key} must be {kind.__name__}, got {type(val).__name__}")
-    if least is not None and val < least:
-        raise ConfigError(f"field {where}.{key} must be >= {least}, got {val}")
+        raise ConfigError(f"field {where} must be {kind.__name__}, got {type(val).__name__}")
+    if field.least is not None and val < field.least:
+        raise ConfigError(f"field {where} must be >= {field.least}, got {val}")
     return val
 
 
@@ -91,124 +147,83 @@ def _point(val: Any, where: str) -> tuple[float, float]:
     """A config point of the plane: a list of two finite numbers."""
     if not (isinstance(val, list) and len(val) == 2):
         raise ConfigError(f"{where} must be a point [x, y], got {val!r}")
-    return (_finite(val[0], where), _finite(val[1], where))
+    return (_check_field(_FLOAT, val[0], where), _check_field(_FLOAT, val[1], where))
 
 
-def build_model(spec: dict, where: str = "model") -> ApproxFlowModel:
-    """The model a config names; constructor ValueErrors become ConfigErrors."""
-    try:
-        return _model(spec, where)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _list(entry: Field, length: int | None = None) -> Callable[[Any, str], list]:
+    """A checker of a list, of ``length`` entries when given, each an ``entry``."""
+
+    def check(val: Any, where: str) -> list:
+        if not isinstance(val, list) or (length is not None and len(val) != length):
+            raise ConfigError(f"{where} must be a list{'' if length is None else f' of {length}'}, "
+                              f"got {val!r}")
+        return [_check_field(entry, v, f"{where} entry") for v in val]
+
+    return check
 
 
-def _model(spec: dict, where: str) -> ApproxFlowModel:
-    name = _cfg_get(spec, "name", str, where)
-    probes = _cfg_get(spec, "probes", int, where, 5, least=1)
-    if name == "additive_sin":
-        return make_additive_sin(probe_n=probes)
-    if name == "euler_linear":
-        return make_euler_linear(_cfg_get(spec, "lam", float, where, 1.0), probe_n=probes)
-    if name == "euler_sin":
-        return make_euler_sin(probe_n=probes)
-    if name == "euler_matrix":
-        a = _cfg_get(spec, "a", list, where)
-        if len(a) != 2 or not all(isinstance(r, list) and len(r) == 2 for r in a):
-            raise ConfigError(f"{where}.a must be a 2x2 matrix, got {a!r}")
-        return make_euler_matrix([[_finite(v, f"{where}.a entry") for v in r] for r in a])
-    if name == "young":
-        xk = _cfg_get(spec, "driver", str, where, "linear")
-        yk = _cfg_get(spec, "integrand", str, where, "linear")
-        for key, val in (("driver", xk), ("integrand", yk)):
-            if val not in _YOUNG_FNS:
-                raise ConfigError(
-                    f"{where}.{key} must be one of {sorted(_YOUNG_FNS)}, got {val!r}"
-                )
-        x_fn, c_x = _YOUNG_FNS[xk]
-        y_fn, c_y = _YOUNG_FNS[yk]
-        return make_young(
-            x_fn,
-            y_fn,
-            _cfg_get(spec, "alpha", float, where, 1.0),
-            _cfg_get(spec, "beta", float, where, 1.0),
-            c_x,
-            c_y,
-            name=f"young({xk},{yk})",
-            probe_n=probes,
-        )
-    if name == "flat_connection":
-        return make_flat_connection(
-            variant=_cfg_get(spec, "variant", str, where, FlatConnection.EXACT),
-            r0=_cfg_get(spec, "r0", float, where, 0.5),
-            fiber_probes=_cfg_get(spec, "probes", int, where, 8, least=1),
-        )
-    raise ConfigError(
-        f"unknown {where}.name {name!r}; expected one of additive_sin, euler_linear, "
-        "euler_sin, euler_matrix, young, flat_connection"
-    )
+def _young(driver: str, integrand: str, alpha: float, beta: float, probes: int) -> ApproxFlowModel:
+    (x_fn, c_x), (y_fn, c_y) = _YOUNG_FNS[driver], _YOUNG_FNS[integrand]
+    return make_young(x_fn, y_fn, alpha, beta, c_x, c_y,
+                      name=f"young({driver},{integrand})", probe_n=probes)
 
 
-def build_path(spec: dict, where: str = "path") -> LipPath:
-    """The PL path in the plane a config describes; constructor ValueErrors and
-    unreadable path files become ConfigErrors."""
-    try:
-        return _path(spec, where)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+_FLOAT = Field(float)
+_PROBES = Field(int, 5, least=1)
+_SEGMENTS = Field(int, 64, least=1)
+_ANGLES = {"angle0": Field(float, 0.0), "angle1": Field(float, math.pi)}
+
+MODELS = Tagged("name", {
+    "additive_sin": ({"probes": _PROBES}, make_additive_sin),
+    "euler_linear": ({"lam": Field(float, 1.0), "probes": _PROBES}, make_euler_linear),
+    "euler_sin": ({"probes": _PROBES}, make_euler_sin),
+    "euler_matrix": ({"a": Field(_list(Field(_list(_FLOAT, 2)), 2))}, make_euler_matrix),
+    "young": ({"driver": Field(tuple(_YOUNG_FNS), "linear"),
+               "integrand": Field(tuple(_YOUNG_FNS), "linear"),
+               "alpha": Field(float, 1.0), "beta": Field(float, 1.0), "probes": _PROBES}, _young),
+    "flat_connection": ({"variant": Field(str, FlatConnection.EXACT), "r0": Field(float, 0.5),
+                         "probes": Field(int, 8, least=1)}, make_flat_connection),
+})
+
+PATHS = Tagged("kind", {
+    "circle": ({"radius": Field(float, 1.0), "turns": Field(float, 1.0), "segments": _SEGMENTS},
+               circle_path),
+    "arc": ({"radius": Field(float, 1.0), **_ANGLES, "segments": _SEGMENTS}, arc_path),
+    "ellipse_arc": ({"rx": Field(float, 1.0), "ry": Field(float, 1.5), **_ANGLES,
+                     "segments": _SEGMENTS}, ellipse_arc_path),
+    "square": ({"center": Field(_point, (2.0, 0.0)), "half_side": Field(float, 0.5)}, square_loop),
+    "points": ({"points": Field(_list(Field(_point))), "breaks": Field(_list(_FLOAT), None)},
+               lambda points, breaks: polyline(points, breaks or None)),
+    "csv": ({"file": Field(str)}, path_from_csv),
+})
+
+HOMOTOPIES = Tagged("kind", {
+    "pair": ({"path0": Field(PATHS), "path1": Field(PATHS)},
+             lambda p0, p1: (build_path(p0, "config.homotopy.path0"),
+                             build_path(p1, "config.homotopy.path1"))),
+    "semicircle_to_ellipse": ({"segments": _SEGMENTS, "ry": Field(float, 1.6)},
+                              lambda segs, ry: (arc_path(1.0, 0.0, math.pi, segs),
+                                                ellipse_arc_path(1.0, ry, 0.0, math.pi, segs))),
+}, default="pair")
 
 
-def _path(spec: dict, where: str) -> LipPath:
-    kind = _cfg_get(spec, "kind", str, where)
-    segs = _cfg_get(spec, "segments", int, where, 64, least=1)
-    if kind == "circle":
-        return circle_path(
-            _cfg_get(spec, "radius", float, where, 1.0),
-            _cfg_get(spec, "turns", float, where, 1.0),
-            segs,
-        )
-    if kind == "arc":
-        return arc_path(
-            _cfg_get(spec, "radius", float, where, 1.0),
-            _cfg_get(spec, "angle0", float, where, 0.0),
-            _cfg_get(spec, "angle1", float, where, math.pi),
-            segs,
-        )
-    if kind == "ellipse_arc":
-        return ellipse_arc_path(
-            _cfg_get(spec, "rx", float, where, 1.0),
-            _cfg_get(spec, "ry", float, where, 1.5),
-            _cfg_get(spec, "angle0", float, where, 0.0),
-            _cfg_get(spec, "angle1", float, where, math.pi),
-            segs,
-        )
-    if kind == "square":
-        center = _point(_cfg_get(spec, "center", list, where, [2.0, 0.0]), f"{where}.center")
-        return square_loop(center, _cfg_get(spec, "half_side", float, where, 0.5))
-    if kind == "points":
-        pts = [_point(p, f"{where}.points entry") for p in _cfg_get(spec, "points", list, where)]
-        breaks = _cfg_get(spec, "breaks", list, where, None)
-        return polyline(pts, [_finite(b, f"{where}.breaks entry") for b in breaks] if breaks else None)
-    if kind == "csv":
-        g = path_from_csv(_cfg_get(spec, "file", str, where))
-        if all(isinstance(p, tuple) and len(p) == 2 for p in g.points):
-            return g
+def build_model(spec: dict) -> ApproxFlowModel:
+    """The model of a checked ``config.model`` spec."""
+    return MODELS.build(spec, "config.model")
+
+
+def build_path(spec: dict, where: str = "config.path") -> LipPath:
+    """The PL path of a checked spec, which must lie in the plane."""
+    g = PATHS.build(spec, where)
+    if spec["kind"] == "csv" and not all(isinstance(p, tuple) and len(p) == 2 for p in g.points):
         raise ConfigError(f"{where}.file must hold a path in the plane")
-    raise ConfigError(f"unknown {where}.kind {kind!r}")
+    return g
 
 
-def build_homotopy(spec: dict, where: str = "config.homotopy") -> tuple[LipPath, LipPath, float]:
-    """The straight-line homotopy between two PL paths, as (g0, g1, ell): a
-    pair of paths from the config or a named built-in from the circle family."""
-    kind = spec.get("kind", "pair")
-    if kind == "pair":
-        g0 = build_path(_cfg_get(spec, "path0", dict, where), f"{where}.path0")
-        g1 = build_path(_cfg_get(spec, "path1", dict, where), f"{where}.path1")
-    elif kind == "semicircle_to_ellipse":
-        segs = _cfg_get(spec, "segments", int, where, 64, least=1)
-        g0 = arc_path(1.0, 0.0, math.pi, segs)
-        g1 = ellipse_arc_path(1.0, _cfg_get(spec, "ry", float, where, 1.6), 0.0, math.pi, segs)
-    else:
-        raise ConfigError(f"unknown {where}.kind {kind!r}; expected pair or semicircle_to_ellipse")
+def build_homotopy(spec: dict) -> tuple[LipPath, LipPath, float]:
+    """The straight-line homotopy of a checked spec, as (g0, g1, ell): a pair
+    of paths from the config or a named built-in from the circle family."""
+    g0, g1 = HOMOTOPIES.build(spec, "config.homotopy")
     return g0, g1, pair_lipschitz(g0, g1)
 
 
@@ -239,23 +254,18 @@ def _level_rows(cert: SewCertificate) -> list[list[Any]]:
 
 def _plane_model(cfg: dict, experiment: str) -> ApproxFlowModel:
     """The config's model, which must live over the punctured plane."""
-    model = build_model(_cfg_get(cfg, "model", dict, "config"))
+    model = build_model(cfg["model"])
     if model.hoelder.mode != MODE_KNITTING:
         raise ConfigError(f"{experiment} experiments need a knitting-mode model (flat_connection)")
     return model
 
 
 def _run_sew(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
-    model = build_model(_cfg_get(cfg, "model", dict, "config"))
-    interval = _cfg_get(cfg, "interval", list, "config", [0.0, 1.0])
-    if len(interval) != 2:
-        raise ConfigError(f"config.interval must hold two numbers, got {interval!r}")
-    s, t = (_finite(v, "config.interval entry") for v in interval)
-    tol = _cfg_get(cfg, "tol", float, "config", 1e-8)
-    max_level = _cfg_get(cfg, "max_level", int, "config", 20, least=0)
+    model = build_model(cfg["model"])
+    s, t = cfg["interval"]
     status = 0
     try:
-        _, cert = sew(model, s, t, tol, max_level=max_level)
+        _, cert = sew(model, s, t, cfg["tol"], max_level=cfg["max_level"])
     except NonConvergence as exc:
         if exc.certificate is None:
             raise
@@ -266,10 +276,8 @@ def _run_sew(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[
 
 def _run_holonomy(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
     model = _plane_model(cfg, "holonomy")
-    path = build_path(_cfg_get(cfg, "path", dict, "config"))
-    tol = _cfg_get(cfg, "tol", float, "config", 1e-8)
-    max_level = _cfg_get(cfg, "max_level", int, "config", 20, least=0)
-    _, summary = holonomy(model, path, tol, max_level=max_level)
+    path = build_path(cfg["path"])
+    _, summary = holonomy(model, path, cfg["tol"], max_level=cfg["max_level"])
     rows = _level_rows(summary.certificate)
     if summary.angle is not None:
         rows.append(["angle", 0.0, 0.0, 0.0, summary.angle])
@@ -278,27 +286,21 @@ def _run_holonomy(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[
 
 def _run_knit(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
     model = _plane_model(cfg, "knit")
-    g0, g1, ell = build_homotopy(_cfg_get(cfg, "homotopy", dict, "config"))
-    ks = _cfg_get(cfg, "ks", list, "config", [8, 16, 32, 64])
-    if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 2 for k in ks):
-        raise ConfigError(f"config.ks entries must be integers >= 2, got {ks!r}")
-    class_separation = _cfg_get(cfg, "class_separation", bool, "config", False)
+    g0, g1, ell = build_homotopy(cfg["homotopy"])
     status = 0
     rows: list[list[Any]] = []
-    for k in ks:
+    for k in cfg["ks"]:
         net = build_net(g0, g1, k, ell)
         measured, bound = knit_compare(net, model)
         ok = within_bound(measured, bound)
         if not ok:
             status = 2
         rows.append([k, 1.0 / k, measured, bound, "pass" if ok else "fail"])
-    if class_separation:
-        tol = _cfg_get(cfg, "tol", float, "config", 1e-8)
-        max_level = _cfg_get(cfg, "max_level", int, "config", 20, least=0)
+    if cfg["class_separation"]:
         upper = arc_path(1.0, 0.0, math.pi, 64)
         lower = arc_path(1.0, 0.0, -math.pi, 64)
-        _, s_up = holonomy(model, upper, tol, max_level=max_level)
-        _, s_lo = holonomy(model, lower, tol, max_level=max_level)
+        _, s_up = holonomy(model, upper, cfg["tol"], max_level=cfg["max_level"])
+        _, s_lo = holonomy(model, lower, cfg["tol"], max_level=cfg["max_level"])
         sep = s_up.angle - s_lo.angle
         ok = abs(sep - 2.0 * math.pi) <= 1e-6
         if not ok:
@@ -308,27 +310,17 @@ def _run_knit(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list
 
 
 def _run_certify(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
-    model_spec = _cfg_get(cfg, "model", dict, "config")
-    model = build_model(model_spec)
-    mode = _cfg_get(cfg, "mode", str, "config", "three_point")
-    n = _cfg_get(cfg, "samples", int, "config", 48)
-    on_plane = model_spec.get("name") == "flat_connection"
-    if mode == "three_point":
-        samples = (
-            certify_mod.annulus_three_point_samples(rng, n)
-            if on_plane
-            else certify_mod.interval_three_point_samples(rng, n)
-        )
-        report = certify_mod.fit_three_point(model, samples)
-    elif mode == "strong_four_point":
-        samples = (
-            certify_mod.annulus_four_point_samples(rng, n)
-            if on_plane
-            else certify_mod.interval_four_point_samples(rng, n)
-        )
-        report = certify_mod.fit_strong_four_point(model, samples)
+    model = build_model(cfg["model"])
+    on_plane = cfg["model"]["name"] == "flat_connection"
+    if cfg["mode"] == "three_point":
+        draw = (certify_mod.annulus_three_point_samples if on_plane
+                else certify_mod.interval_three_point_samples)
+        fit = certify_mod.fit_three_point
     else:
-        raise ConfigError("config.mode must be three_point or strong_four_point")
+        draw = (certify_mod.annulus_four_point_samples if on_plane
+                else certify_mod.interval_four_point_samples)
+        fit = certify_mod.fit_strong_four_point
+    report = fit(model, draw(rng, cfg["samples"]))
     status = 0
     rows: list[list[Any]] = []
     for r in report.rows:
@@ -350,12 +342,21 @@ def _run_certify(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[l
     return ["row", "geometry", "defect", "bound", "residual"], rows, status
 
 
-_RUNNERS = {
-    "sew": _run_sew,
-    "holonomy": _run_holonomy,
-    "knit": _run_knit,
-    "certify": _run_certify,
-}
+_SEW_BUDGET = {"tol": Field(float, 1e-8), "max_level": Field(int, MAX_LEVEL, least=0)}
+_RUN = {"seed": Field(int, 0, least=0), "output": Field(str)}
+
+CONFIG = Tagged("experiment", {
+    "sew": ({"model": Field(MODELS), "interval": Field(_list(_FLOAT, 2), [0.0, 1.0]),
+             **_SEW_BUDGET, **_RUN}, _run_sew),
+    "knit": ({"model": Field(MODELS), "homotopy": Field(HOMOTOPIES),
+              "ks": Field(_list(Field(int, least=2)), [8, 16, 32, 64]),
+              "class_separation": Field(bool, False), **_SEW_BUDGET, **_RUN}, _run_knit),
+    "holonomy": ({"model": Field(MODELS), "path": Field(PATHS), **_SEW_BUDGET, **_RUN},
+                 _run_holonomy),
+    "certify": ({"model": Field(MODELS),
+                 "mode": Field(("three_point", "strong_four_point"), "three_point"),
+                 "samples": Field(int, 48), **_RUN}, _run_certify),
+})
 
 
 def run(config_path: str, seed: int | None = None, quiet: bool = False,
@@ -364,9 +365,9 @@ def run(config_path: str, seed: int | None = None, quiet: bool = False,
     try:
         try:
             cfg = json.loads(Path(config_path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {config_path}")
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(f"cannot read the config file: {exc}")
+        except ValueError as exc:  # malformed JSON, an int beyond Python's limit, or not UTF-8
             raise ConfigError(f"config is not valid JSON: {exc}")
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
@@ -375,15 +376,11 @@ def run(config_path: str, seed: int | None = None, quiet: bool = False,
             raise ConfigError(
                 f"config.experiment {exp!r} does not match the {experiment!r} subcommand"
             )
-        if exp not in EXPERIMENTS:
-            raise ConfigError(f"config.experiment must be one of {EXPERIMENTS}, got {exp!r}")
-        if seed is None:
-            seed = _cfg_get(cfg, "seed", int, "config", 0)
+        cfg = CONFIG.check(dict(cfg, experiment=exp), "config")
+        seed = cfg["seed"] if seed is None else seed
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
-        rng = np.random.default_rng(seed)
-        output = _cfg_get(cfg, "output", str, "config")
-        header, rows, status = _RUNNERS[exp](cfg, rng)
+        header, rows, status = CONFIG.variants[exp][1](cfg, np.random.default_rng(seed))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -397,19 +394,19 @@ def run(config_path: str, seed: int | None = None, quiet: bool = False,
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        _write_csv(output, header, rows)
+        _write_csv(cfg["output"], header, rows)
     except OSError as exc:
         print(f"config error: cannot write config.output: {exc}", file=sys.stderr)
         return 1
     if not quiet:
-        print(f"{exp}: wrote {len(rows)} rows to {output} (exit {status})")
+        print(f"{exp}: wrote {len(rows)} rows to {cfg['output']} (exit {status})")
     return status
 
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(prog="sewkit", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name in CONFIG.variants:
         p = sub.add_parser(name, help=f"run a {name} experiment")
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")

@@ -20,7 +20,7 @@ from .errors import DeclaredLipschitzViolated, EndpointMismatch
 from .flows import MODE_KNITTING, ApproxFlowModel, HoelderData
 from .metric import Point, ProbedMap, compose_chain, euclidean, map_distance_value, p_lerp
 from .paths import LipPath, pullback_flow
-from .sewing import SewCertificate, _column_coefs, _romberg_row, sew, zeta
+from .sewing import MAX_LEVEL, SewCertificate, _column_coefs, _romberg_row, sew, zeta
 from .subdivision import regular
 
 
@@ -171,7 +171,7 @@ class HolonomySummary:
 
 
 def holonomy(
-    model: ApproxFlowModel, g: LipPath, tol: float, max_level: int = 24
+    model: ApproxFlowModel, g: LipPath, tol: float, max_level: int = MAX_LEVEL
 ) -> tuple[ProbedMap, HolonomySummary]:
     """Sew the flow pulled back along g and summarize it.
 

@@ -12,6 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -32,18 +33,6 @@ from .sewing import sew
 
 #: legs and pauses shorter than this count as exact PL backtracks in ``pl_thin_reduce``
 THIN_TOL = 1e-9
-
-
-def _dot(a: Point, b: Point) -> float:
-    if isinstance(a, tuple):
-        return sum(x * y for x, y in zip(a, b))
-    return a * b
-
-
-def _cross2(a: Point, b: Point) -> float:
-    if isinstance(a, tuple) and len(a) == 2:
-        return a[0] * b[1] - a[1] * b[0]
-    return 0.0
 
 
 @dataclass(frozen=True)
@@ -261,9 +250,13 @@ def _is_backtrack(p: Point, q: Point, r: Point) -> bool:
     lv, lw = p_norm(v), p_norm(w)
     if lv <= THIN_TOL or lw <= THIN_TOL:
         return False
-    if abs(_cross2(v, w)) > THIN_TOL * max(lv, lw, 1.0):
+    if not isinstance(v, tuple):
+        v, w = (v,), (w,)
+    # |v ^ w|, the area the two legs span in any dimension; |v x w| in the plane
+    wedge = math.hypot(*(v[i] * w[j] - v[j] * w[i] for i, j in combinations(range(len(v)), 2)))
+    if wedge > THIN_TOL * max(lv, lw, 1.0):
         return False
-    if _dot(v, w) >= 0.0:
+    if sum(x * y for x, y in zip(v, w)) >= 0.0:
         return False
     return lw <= lv + THIN_TOL
 

@@ -45,6 +45,9 @@ MAX_CONTRACTION = 0.95
 #: column below it is within this relative band of 2**-order
 ORDER_RATIO_BAND = 0.25
 
+#: refinement levels a sew may add to its base subdivision unless told otherwise
+MAX_LEVEL = 20
+
 
 def within_bound(lhs: float, rhs: float) -> bool:
     return lhs <= rhs + BOUND_SLACK * (1.0 + rhs)
@@ -229,7 +232,7 @@ def sew(
     s: float,
     t: float,
     tol: float,
-    max_level: int = 24,
+    max_level: int = MAX_LEVEL,
 ) -> tuple[ProbedMap, SewCertificate]:
     """Sew the approximate flow between s and t into its limit flow map.
 

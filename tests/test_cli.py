@@ -1,10 +1,16 @@
 import csv
 import json
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
+from perfbench import workloads
 from sewkit import cli, make_euler
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -185,6 +191,8 @@ def test_certify_experiment_fits_young(tmp_path):
 def test_config_errors_exit_one(tmp_path, capsys):
     assert cli.run(str(tmp_path / "missing.json"), quiet=True) == 1
     assert "config error" in capsys.readouterr().err
+    assert cli.run(str(tmp_path), quiet=True) == 1  # a directory
+    assert "config error" in capsys.readouterr().err
 
     bad = write_cfg(
         tmp_path,
@@ -257,3 +265,64 @@ def test_main_entry_point(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sew", "--config", path, "--quiet"])
     assert exc.value.code == 0
+
+
+# --- the config table ----------------------------------------------------------
+
+def test_config_check_fills_every_default():
+    cfg = cli.CONFIG.check({"experiment": "holonomy", "model": {"name": "flat_connection"},
+                            "path": {"kind": "square"}, "output": "out.csv"}, "config")
+    assert cfg == {
+        "experiment": "holonomy",
+        "model": {"name": "flat_connection", "variant": "exact-segment", "r0": 0.5, "probes": 8},
+        "path": {"kind": "square", "center": (2.0, 0.0), "half_side": 0.5},
+        "tol": 1e-8, "max_level": 20, "seed": 0, "output": "out.csv",
+    }
+    assert cli.MAX_LEVEL == 20
+
+
+def _script_configs(tmp_path, monkeypatch):
+    """The configs the experiment scripts write, collected without running them."""
+    configs = []
+
+    def collect(config_path):
+        configs.append(json.loads(Path(config_path).read_text()))
+        return 0
+
+    monkeypatch.setattr(cli, "run", collect)
+    for script in ("run_euler_sew.py", "run_winding_knit.py", "run_certify_young.py"):
+        monkeypatch.setattr(sys, "argv", [script, str(tmp_path)])
+        with pytest.raises(SystemExit):
+            runpy.run_path(str(ROOT / "scripts" / script), run_name="__main__")
+    return configs
+
+
+def test_benchmark_and_script_configs_pass_the_table(tmp_path, monkeypatch):
+    configs = [dict(op.config, output="out.csv")
+               for w in ("sew-smooth", "sew-rough", "knit-holonomy")
+               for op in workloads.generate(w, 7, 150)]
+    configs += _script_configs(tmp_path, monkeypatch)
+    assert len(configs) == 453
+    for cfg in configs:
+        cli.CONFIG.check(cfg, "config")
+
+
+def _table_names(table):
+    """Every variant name and field name of a config table, nested ones included."""
+    for name, (fields, _) in table.variants.items():
+        yield name
+        for key, field in fields.items():
+            yield key
+            if isinstance(field.kind, cli.Tagged):
+                yield from _table_names(field.kind)
+
+
+def test_readme_cli_section_names_every_table_field():
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## CLI"):readme.index("## Experiment scripts")]
+    missing = sorted({n for n in _table_names(cli.CONFIG) if f"`{n}`" not in section
+                      and f'"{n}"' not in section})
+    assert not missing, f"README's CLI section does not name {missing}"
+    examples = section.split("```json")[1:]
+    assert [cli.CONFIG.check(json.loads(block.split("```")[0]), "config")["experiment"]
+            for block in examples] == ["sew", "holonomy", "knit", "certify"]

@@ -93,6 +93,7 @@ def _run(tmp_path, cfg):
         ({"model": {"name": "young", "alpha": math.nan}}, 1),
         ({"tol": math.nan}, 1),
         ({"tol": math.inf}, 1),
+        ({"tol": 10**400}, 1),
         ({"interval": [0.0, -math.inf]}, 1),
         ({"interval": ["a", 1]}, 1),
         ({"interval": [0.0, 0.5, 1.0]}, 1),
@@ -100,7 +101,7 @@ def _run(tmp_path, cfg):
         ({"model": {"name": "euler_matrix", "a": [[1, 0], [0, "x"]]}}, 1),
         ({"model": {"name": "euler_linear", "lam": 1e308}}, 2),
     ],
-    ids=["young-alpha-nan", "tol-nan", "tol-inf", "interval-inf", "interval-str",
+    ids=["young-alpha-nan", "tol-nan", "tol-inf", "tol-int-beyond-float", "interval-inf", "interval-str",
          "interval-len3", "matrix-1x1", "matrix-str", "lam-overflow"],
 )
 def test_sew_config_fails_closed(tmp_path, capsys, case, expect):
@@ -161,13 +162,25 @@ _ARC = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]
         (_holonomy_cfg, _points(_ARC, [0.0, "h", 1.0]), "path.breaks entry must be a number"),
         (_holonomy_cfg, {"path": {"kind": "csv", "file": "no-such-path.csv"}}, "no-such-path.csv"),
         (_holonomy_cfg, {"max_level": -1}, "config.max_level must be >= 0"),
+        (_sew_cfg, {"max_levl": 2}, "unknown field config.max_levl"),
+        (_sew_cfg, {"probes": 3}, "unknown field config.probes"),
+        (_sew_cfg, {"model": {"name": "euler_matrix", "a": [[0, 1], [-1, 0]], "probes": 3}},
+         "unknown field config.model.probes"),
+        (_sew_cfg, {"model": {"name": "additive_sin", "lam": 2.0}}, "unknown field config.model.lam"),
+        (_holonomy_cfg, {"path": {"kind": "circle", "radiuss": 2.0}},
+         "unknown field config.path.radiuss"),
+        (_knit_cfg, {"interval": [0.0, 1.0]}, "unknown field config.interval"),
+        (_knit_cfg, {"homotopy": {"path0": {"kind": "arc", "turns": 1.0}, "path1": {"kind": "arc"}}},
+         "unknown field config.homotopy.path0.turns"),
     ],
     ids=["probes-zero", "max-level-negative", "seed-negative", "max-level-bool", "seed-bool",
          "variant-unknown",
          "r0-negative", "fiber-probes-one", "holonomy-interval-model", "segments-zero",
          "ellipse-zero-length", "center-short", "center-str", "points-str", "points-1d",
          "points-single", "breaks-length", "breaks-str", "csv-missing",
-         "holonomy-max-level-negative"],
+         "holonomy-max-level-negative", "unknown-max-levl", "unknown-top-level-probes",
+         "unknown-matrix-probes", "unknown-additive-lam", "unknown-path-radiuss",
+         "unknown-knit-interval", "unknown-pair-path0-turns"],
 )
 def test_model_and_path_fields_fail_closed(tmp_path, capsys, make, case, fragment):
     assert _run(tmp_path, make(tmp_path, **case)) == 1
@@ -177,65 +190,74 @@ def test_model_and_path_fields_fail_closed(tmp_path, capsys, make, case, fragmen
 
 
 # --- config fuzzing ------------------------------------------------------------
-# A fuzzed config starts from valid values for every field any experiment
-# reads, then up to three positions anywhere in it (a field, a nested field or
-# a list entry) take junk: NaN, infinities, negative, zero or wrong-type values.
-# Cost stays bounded: max_level <= 8, segments and ks <= 16, samples <= 48.
+# A fuzzed config is drawn from the config table: an experiment, then a model,
+# path or homotopy kind (now and then an unknown one), with its required fields
+# and a random share of its optional ones.  Then either up to three positions
+# anywhere in it (a field, a nested field or a list entry) take junk: NaN,
+# infinities, negative, zero or wrong-type values; or one key, at any nesting
+# level, is misspelled or invented, which must exit 1 and name that key.
+# Cost stays bounded: max_level, segments and ks are always drawn, with
+# max_level <= 8, segments and ks <= 16, samples <= 48.
 
 _JUNK = [math.nan, math.inf, -math.inf, -1, -0.5, 0, "x", None, True, [], [1.0], {}]
 
+#: valid values of every table field, by name
+_VALUES = {
+    "seed": [0, 7],
+    "output": ["out.csv"],
+    "tol": [1e-4, 1e-2],
+    "max_level": [0, 4, 8],
+    "interval": [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]],
+    "ks": [[4, 8], [16]],
+    "class_separation": [False, True],
+    "samples": [24, 48],
+    "mode": ["three_point", "strong_four_point"],
+    "probes": [2, 3, 8],
+    "lam": [0.5, 1.0],
+    "a": [[[0.0, 1.0], [-1.0, 0.0]]],
+    "driver": ["linear", "sin", "quadratic"],
+    "integrand": ["linear", "sin", "quadratic"],
+    "alpha": [0.6, 1.0],
+    "beta": [0.6, 1.0],
+    "variant": ["exact-segment", "midpoint"],
+    "r0": [0.5, 1.0],
+    "segments": [1, 4, 16],
+    "radius": [1.0, 2.0],
+    "turns": [0.5, 1.0, 2.0],
+    "angle0": [0.0],
+    "angle1": [3.0, -3.0],
+    "rx": [1.0],
+    "ry": [1.0, 1.6],
+    "center": [[2.0, 0.0], [0.0, 0.0]],
+    "half_side": [0.5],
+    "points": [[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]],
+    "breaks": [[0.0, 0.5, 1.0], [0.0, 0.25, 1.0]],
+    "file": ["no-such-path.csv"],
+}
+#: fields that set a run's cost, so no default may stand in for them
+_ALWAYS = {"max_level", "segments", "ks"}
 
-def _path_strategy():
-    return st.fixed_dictionaries({
-        "kind": st.sampled_from(["circle", "arc", "ellipse_arc", "square", "points", "csv", "spiral"]),
-        "segments": st.sampled_from([1, 4, 16]),
-        "radius": st.sampled_from([1.0, 2.0]),
-        "turns": st.sampled_from([0.5, 1.0, 2.0]),
-        "angle0": st.just(0.0),
-        "angle1": st.sampled_from([3.0, -3.0]),
-        "rx": st.just(1.0),
-        "ry": st.sampled_from([1.0, 1.6]),
-        "center": st.sampled_from([[2.0, 0.0], [0.0, 0.0]]),
-        "half_side": st.just(0.5),
-        "points": st.just([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
-        "breaks": st.sampled_from([[0.0, 0.5, 1.0], [0.0, 0.25, 1.0]]),
-        "file": st.just("no-such-path.csv"),
-    })
+
+def _draw_object(draw, table, name, unknown_tags):
+    spec = {table.tag: name}
+    fields, _ = table.variants.get(name, ({}, None))
+    for key, field in fields.items():
+        if field.default is not cli.REQUIRED and key not in _ALWAYS and draw(st.booleans()):
+            continue
+        if isinstance(field.kind, cli.Tagged):
+            names = [*field.kind.variants, "bogus"] if unknown_tags else list(field.kind.variants)
+            spec[key] = _draw_object(draw, field.kind, draw(st.sampled_from(names)), unknown_tags)
+        else:
+            spec[key] = copy.deepcopy(draw(st.sampled_from(_VALUES[key])))
+    return spec
 
 
-_VALID_CONFIG = st.fixed_dictionaries({
-    "experiment": st.sampled_from(["sew", "knit", "holonomy", "certify"]),
-    "model": st.fixed_dictionaries({
-        "name": st.sampled_from(["additive_sin", "euler_linear", "euler_sin", "euler_matrix",
-                                 "young", "flat_connection", "bogus"]),
-        "probes": st.sampled_from([2, 3, 8]),
-        "lam": st.sampled_from([0.5, 1.0]),
-        "a": st.just([[0.0, 1.0], [-1.0, 0.0]]),
-        "driver": st.sampled_from(["linear", "sin", "quadratic"]),
-        "integrand": st.sampled_from(["linear", "sin", "quadratic"]),
-        "alpha": st.sampled_from([0.6, 1.0]),
-        "beta": st.sampled_from([0.6, 1.0]),
-        "variant": st.sampled_from(["exact-segment", "midpoint"]),
-        "r0": st.sampled_from([0.5, 1.0]),
-    }),
-    "interval": st.sampled_from([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]),
-    "tol": st.sampled_from([1e-4, 1e-2]),
-    "max_level": st.sampled_from([0, 4, 8]),
-    "path": _path_strategy(),
-    "homotopy": st.fixed_dictionaries({
-        "kind": st.sampled_from(["semicircle_to_ellipse", "pair"]),
-        "segments": st.sampled_from([4, 16]),
-        "ry": st.just(1.6),
-        "path0": _path_strategy(),
-        "path1": _path_strategy(),
-    }),
-    "ks": st.sampled_from([[4, 8], [16]]),
-    "samples": st.sampled_from([24, 48]),
-    "seed": st.sampled_from([0, 7]),
-    "mode": st.sampled_from(["three_point", "strong_four_point"]),
-    "class_separation": st.booleans(),
-    "output": st.just("out.csv"),
-})
+def _objects(node, where):
+    """Every (dotted name, object) in a config, nested ones included."""
+    yield where, node
+    for key, val in node.items():
+        if isinstance(val, dict):
+            yield from _objects(val, f"{where}.{key}")
 
 
 def _slots(node):
@@ -249,25 +271,53 @@ def _slots(node):
 
 @st.composite
 def _fuzzed_configs(draw):
-    cfg = copy.deepcopy(draw(_VALID_CONFIG))  # st.just values are shared between examples
+    """A config and, when one of its keys was misspelled or invented, its dotted name."""
+    misspell = draw(st.integers(0, 3)) == 0
+    cfg = _draw_object(draw, cli.CONFIG, draw(st.sampled_from(list(cli.CONFIG.variants))), not misspell)
     if cfg["experiment"] in ("holonomy", "knit") and draw(st.integers(0, 3)):
-        cfg["model"]["name"] = "flat_connection"  # the one model over the plane
+        # the one model over the plane
+        cfg["model"] = _draw_object(draw, cli.MODELS, "flat_connection", False)
+    if misspell:
+        where, node = draw(st.sampled_from(list(_objects(cfg, "config"))))
+        key = draw(st.sampled_from(sorted(node)))
+        bad = draw(st.sampled_from([key + "s", key.upper(), "extra"]))
+        node[bad] = node.pop(key) if bad != "extra" else 1.0
+        return cfg, f"{where}.{bad}"
     for _ in range(draw(st.integers(0, 3))):
         node, key = draw(st.sampled_from(list(_slots(cfg))))
         junk = _JUNK
         if key == "output":
             junk = [v for v in _JUNK if not isinstance(v, str)]
         node[key] = draw(st.sampled_from(junk))
-    return cfg
+    return cfg, None
+
+
+def test_fuzz_values_cover_the_table():
+    def names(table):
+        for fields, _ in table.variants.values():
+            for key, field in fields.items():
+                if isinstance(field.kind, cli.Tagged):
+                    yield from names(field.kind)
+                else:
+                    yield key
+
+    assert set(names(cli.CONFIG)) == set(_VALUES)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cfg=_fuzzed_configs())
-def test_fuzzed_configs_exit_with_a_documented_code(tmp_path, cfg):
+@given(case=_fuzzed_configs())
+def test_fuzzed_configs_exit_with_a_documented_code(tmp_path, capsys, case):
+    cfg, bad_key = case
     if cfg.get("output") == "out.csv":
         cfg["output"] = str(tmp_path / "out.csv")
-    assert _run(tmp_path, cfg) in (0, 1, 2)
+    (tmp_path / "out.csv").unlink(missing_ok=True)  # tmp_path is shared between examples
+    code = _run(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if bad_key is not None:
+        assert code == 1 and bad_key in err, err
+        assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -283,6 +333,16 @@ def test_unusable_csv_path_is_a_config_error(tmp_path, capsys, line, fragment):
         file.write_text("")
     assert _run(tmp_path, _holonomy_cfg(tmp_path, path={"kind": "csv", "file": str(file)})) == 1
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content", [b'{"tol": 1' + b"0" * 5000 + b"}", b"\xff\xfe{}"], ids=["int-5001-digits", "not-utf8"]
+)
+def test_unparsable_config_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert cli.run(str(path), quiet=True) == 1
+    assert "config is not valid JSON" in capsys.readouterr().err
 
 
 def test_unwritable_output_is_a_config_error(tmp_path, capsys):

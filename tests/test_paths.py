@@ -101,6 +101,15 @@ def test_pl_thin_reduce_partial_backtrack():
     assert pl_thin_reduce(p).points == ((0.0, 0.0), (1.0, 0.0), (1.0, 2.0))
 
 
+def test_pl_thin_reduce_keeps_turns_in_space():
+    # an obtuse turn is no backtrack in 3-D either; only collinear legs cancel
+    turn = polyline(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 0.4, 0.0)))
+    assert pl_thin_reduce(turn).points == turn.points
+    assert pl_thin_reduce(turn).length == pytest.approx(1.0 + math.hypot(0.5, 0.4))
+    spike = polyline(((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.5, 0.5, 0.5), (0.5, 0.5, 2.0)))
+    assert pl_thin_reduce(spike).points == ((0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (0.5, 0.5, 2.0))
+
+
 def test_pl_thin_reduce_idempotent_and_monotone():
     rng = np.random.default_rng(23)
     for _ in range(50):
