@@ -27,7 +27,6 @@ from .errors import (
 )
 from .flows import MODE_KNITTING, MODE_SEWING, ApproxFlowModel, HoelderData
 from .knitting import (
-    HolonomySummary,
     HomotopyNet,
     build_net,
     holonomy,

@@ -181,11 +181,19 @@ def interval_four_point_samples(
     return out
 
 
+#: chord scales of the annulus samples.  Each chain step is 0.5 to 1 times its
+#: sample's scale, so sample 0 has every step <= 5e-4 and the last one every
+#: step >= 0.5 * 0.12.  The four-point gap products then span at least
+#: 0.25 * 240**2 = 14400, above the four decades ``_check_sample_spread`` asks
+#: for, at every seed; a floor of 1e-3 let the span fall to 3600.
+ANNULUS_SCALES = (5e-4, 0.12)
+
+
 def annulus_four_point_samples(
     rng: np.random.Generator,
     n: int = 48,
     radius_range: tuple[float, float] = (0.9, 1.6),
-    scales: tuple[float, float] = (1e-3, 0.12),
+    scales: tuple[float, float] = ANNULUS_SCALES,
 ) -> list[tuple[Point, Point, Point, Point]]:
     """Quadruple chains in the punctured plane, chords small against the radius."""
     out = []
@@ -209,7 +217,7 @@ def annulus_three_point_samples(
     rng: np.random.Generator,
     n: int = 48,
     radius_range: tuple[float, float] = (0.9, 1.6),
-    scales: tuple[float, float] = (1e-3, 0.12),
+    scales: tuple[float, float] = ANNULUS_SCALES,
 ) -> list[tuple[Point, Point, Point]]:
     out = [(x, u, y) for x, u, _v, y in annulus_four_point_samples(rng, n, radius_range, scales)]
     return out

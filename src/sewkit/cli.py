@@ -277,10 +277,9 @@ def _run_sew(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[
 def _run_holonomy(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
     model = _plane_model(cfg, "holonomy")
     path = build_path(cfg["path"])
-    _, summary = holonomy(model, path, cfg["tol"], max_level=cfg["max_level"])
-    rows = _level_rows(summary.certificate)
-    if summary.angle is not None:
-        rows.append(["angle", 0.0, 0.0, 0.0, summary.angle])
+    _, cert = holonomy(model, path, cfg["tol"], max_level=cfg["max_level"])
+    rows = _level_rows(cert)
+    rows.append(["angle", 0.0, 0.0, 0.0, cert.limit_value])
     return _LEVEL_HEADER, rows, 0
 
 
@@ -299,9 +298,9 @@ def _run_knit(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list
     if cfg["class_separation"]:
         upper = arc_path(1.0, 0.0, math.pi, 64)
         lower = arc_path(1.0, 0.0, -math.pi, 64)
-        _, s_up = holonomy(model, upper, cfg["tol"], max_level=cfg["max_level"])
-        _, s_lo = holonomy(model, lower, cfg["tol"], max_level=cfg["max_level"])
-        sep = s_up.angle - s_lo.angle
+        _, up = holonomy(model, upper, cfg["tol"], max_level=cfg["max_level"])
+        _, lo = holonomy(model, lower, cfg["tol"], max_level=cfg["max_level"])
+        sep = up.limit_value - lo.limit_value
         ok = abs(sep - 2.0 * math.pi) <= 1e-6
         if not ok:
             status = 2

@@ -122,9 +122,8 @@ class ApproxFlowModel:
     identity when a == b.  ``param_metric`` measures parameter gaps (absolute
     difference on intervals).  ``max_param_step`` caps the parameter gap over
     which ``mu`` may be evaluated (models that are only locally defined);
-    ``angle`` exposes a per-step rotation angle for holonomy summaries and
-    ``summary`` a scalar readout of a flow map, which ``sew`` records for each
-    level and for the limit.  ``expansion_orders`` declares the powers
+    ``summary`` is a scalar readout of a flow map, which ``sew`` records for
+    each level and for the limit.  ``expansion_orders`` declares the powers
     p_1 < p_2 < ... of the step in an asymptotic error expansion of the
     composites (1, 2, 3, ... for one-step Euler models of smooth fields);
     ``sew`` uses them for Richardson columns.  Models without
@@ -138,5 +137,4 @@ class ApproxFlowModel:
     param_metric: Callable[[Param, Param], float] = _abs_gap
     max_param_step: float | None = None
     summary: Callable[[ProbedMap], float] | None = None
-    angle: Callable[[Param, Param], float] | None = None
     expansion_orders: tuple[int, ...] = ()

@@ -7,20 +7,21 @@ between the row compositions one crossing at a time; under a strong
 four-point estimate of total degree 2+eps the top and bottom rows differ by
 at most exp(delta*ell*L) * (2 + delta*ell*L) * (sum C_i) * ell**(2+eps) *
 delta**eps with delta = 1/k, which vanishes as the net refines.  Holonomy
-along a path is the sewn pullback flow, with an accumulated-angle summary
-for rotation-fiber models (not reduced mod 2*pi, so winding is observable).
+along a path is the sewn pullback flow; its certificate carries the model's
+summary, for the flat connection the lifted angle (not reduced mod 2*pi, so
+winding is observable).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DeclaredLipschitzViolated, EndpointMismatch
 from .flows import MODE_KNITTING, ApproxFlowModel, HoelderData
 from .metric import Point, ProbedMap, compose_chain, euclidean, map_distance_value, p_lerp
 from .paths import LipPath, pullback_flow
-from .sewing import MAX_LEVEL, SewCertificate, _column_coefs, _romberg_row, sew, zeta
+from .sewing import MAX_LEVEL, SewCertificate, sew, zeta
 from .subdivision import regular
 
 
@@ -88,7 +89,7 @@ def build_net(g0: LipPath, g1: LipPath, k: int, ell: float) -> HomotopyNet:
     if ell <= 0.0:
         raise ValueError("ell must be positive")
     _check_shared_endpoints(g0, g1)
-    ts = [j / k for j in range(k + 1)]
+    ts = regular(0.0, 1.0, k).points
     net = HomotopyNet(k, ell, tuple(map(g0.at, ts)), tuple(map(g1.at, ts)))
     if net.mesh > ell / k + 1e-12:
         raise DeclaredLipschitzViolated(
@@ -163,37 +164,12 @@ def knit_prime_constant(h: HoelderData, lip_gamma: float, span: float) -> float:
 # ---------------------------------------------------------------------------
 # holonomy along a path
 
-@dataclass
-class HolonomySummary:
-    angle: float | None           # extrapolated accumulated angle (rotation fibers)
-    raw_angle: float | None       # accumulated angle at the finest subdivision
-    certificate: SewCertificate
-
-
 def holonomy(
     model: ApproxFlowModel, g: LipPath, tol: float, max_level: int = MAX_LEVEL
-) -> tuple[ProbedMap, HolonomySummary]:
-    """Sew the flow pulled back along g and summarize it.
+) -> tuple[ProbedMap, SewCertificate]:
+    """The flow pulled back along g, sewn over [0, 1].
 
-    For rotation-fiber models the summary accumulates per-step angles over
-    the finest subdivision reached (before any mod-2*pi reduction), and over
-    the coarser levels the certificate's Richardson columns need; those
-    columns extrapolate the angle exactly as they extrapolate the sewn map.
+    For the flat connection the certificate's level values and
+    ``limit_value`` are the accumulated angle, not reduced mod 2*pi.
     """
-    pulled = pullback_flow(model, g)
-    flow, cert = sew(pulled, 0.0, 1.0, tol, max_level=max_level)
-    angle = raw = None
-    if pulled.angle is not None:
-        coefs = _column_coefs(cert.extrapolation_orders, cert.ratio_estimate)
-        k = cert.final_subdivision.k
-        table: list[tuple[float, ...]] = []
-        for j in range(len(coefs), 0, -1):
-            coarser = regular(0.0, 1.0, k >> j)
-            table = _romberg_row(table, (_accumulated_angle(pulled.angle, coarser.points),), coefs)
-        raw = _accumulated_angle(pulled.angle, cert.final_subdivision.points)
-        angle = _romberg_row(table, (raw,), coefs)[-1][0]
-    return flow, HolonomySummary(angle=angle, raw_angle=raw, certificate=cert)
-
-
-def _accumulated_angle(angle_fn: Callable[[float, float], float], pts: tuple[float, ...]) -> float:
-    return sum(angle_fn(a, b) for a, b in zip(pts, pts[1:]))
+    return sew(pullback_flow(model, g), 0.0, 1.0, tol, max_level=max_level)

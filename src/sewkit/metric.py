@@ -283,10 +283,15 @@ def plane_grid(radius: float = 1.0, n: int = 3, name: str | None = None) -> Metr
 
 
 def circle_fiber(n: int = 8, name: str | None = None) -> MetricSpace:
-    """Euclidean plane probed on n equally spaced points of the unit circle."""
+    """The plane lifted to the universal cover of the punctured plane, probed
+    on n equally spaced points of the unit circle.
+
+    A point is (x, y, phi): phi is an angle of (x, y) that a rotation carries
+    along unreduced, so winding stays readable.  Distances see only (x, y).
+    """
     if n < 2:
         raise ValueError("need n >= 2 probes")
-    probes = tuple(
-        (math.cos(2.0 * math.pi * j / n), math.sin(2.0 * math.pi * j / n)) for j in range(n)
-    )
-    return MetricSpace(name or f"plane-circle{n}", euclidean, probes)
+    phis = [2.0 * math.pi * j / n for j in range(n)]
+    probes = tuple((math.cos(phi), math.sin(phi), phi) for phi in phis)
+    planar = lambda a, b: math.hypot(a[0] - b[0], a[1] - b[1])
+    return MetricSpace(name or f"plane-circle{n}", planar, probes)

@@ -2,8 +2,9 @@
 
 Translation models (additive and Young), first-order vector-field steps on
 the line and the plane, and a flat-connection model on the punctured plane
-whose fibers are rotated copies of R^2.  Each model ships analytic defect
-data; probe-based certification never overrides it.
+whose fibers are rotated copies of R^2, lifted to carry their angle.  Each
+model ships analytic defect data; probe-based certification never overrides
+it.
 """
 from __future__ import annotations
 
@@ -207,6 +208,11 @@ def make_flat_connection(
 ) -> ApproxFlowModel:
     """Flat-connection transport as an approximate pair-groupoid action.
 
+    Each ``mu`` rotates the (x, y) part of a lifted fiber point by the
+    transported angle and adds that angle to its lift, so the model's
+    ``summary``, the lift of (1, 0) at angle 0, reads a composite's
+    accumulated angle without reduction mod 2*pi.
+
     The exact-segment variant has zero defect whenever the triangle spanned
     by the three parameters avoids the origin, so its declared constants are
     zero.  The midpoint variant carries numerically certified knitting-mode
@@ -221,9 +227,8 @@ def make_flat_connection(
     def mu(x: Point, y: Point) -> ProbedMap:
         theta = conn.angle(x, y)
         co, si = math.cos(theta), math.sin(theta)
-        return ProbedMap(
-            fiber, fiber, lambda p, _c=co, _s=si: (_c * p[0] - _s * p[1], _s * p[0] + _c * p[1])
-        )
+        return ProbedMap(fiber, fiber, lambda p, _c=co, _s=si, _t=theta: (
+            _c * p[0] - _s * p[1], _s * p[0] + _c * p[1], p[2] + _t))
 
     return ApproxFlowModel(
         name=f"flat-connection[{variant}]",
@@ -232,5 +237,5 @@ def make_flat_connection(
         hoelder=h,
         param_metric=euclidean,
         max_param_step=r0,
-        angle=conn.angle,
+        summary=lambda m: m.eval((1.0, 0.0, 0.0))[2],
     )

@@ -309,10 +309,12 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
 
     The Lipschitz slope rescales to L*Lip(g) and every defect term picks up
     Lip(g)**(a+b); knitting-mode data pulls back to sewing mode one order up.
+    The pulled model keeps the model's ``summary``, so a sew of it reads the
+    holonomy's summary (the flat connection's accumulated angle) at each level.
     """
     lip = g.lip_norm
     mu = model.mu
-    # chains and angle sums ask for each interior point twice in a row
+    # a chain asks for each interior point twice in a row
     at = lru_cache(maxsize=1)(g.at)
 
     def pulled_mu(s: float, t: float) -> ProbedMap:
@@ -320,11 +322,6 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
             return mu(at(s), at(t))
         except ModelDomainError as exc:
             raise ModelDomainError(f"pullback of {model.name} along path: {exc}") from exc
-
-    angle = None
-    if model.angle is not None:
-        base_angle = model.angle
-        angle = lambda s, t: base_angle(at(s), at(t))
 
     step = None
     if model.max_param_step is not None and lip > 0.0:
@@ -336,7 +333,7 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
         mu=pulled_mu,
         hoelder=model.hoelder.pulled_back(lip),
         max_param_step=step,
-        angle=angle,
+        summary=model.summary,
     )
 
 

@@ -175,7 +175,6 @@ class SewCertificate:
     """
 
     K: float
-    C_prime: float
     epsilon: float
     levels: list[SewLevel]
     claimed_bound: float
@@ -185,7 +184,6 @@ class SewCertificate:
     converged: bool
     stop_reason: str
     final_subdivision: Subdivision
-    base_k: int
     ratio_estimate: float | None
     limit_value: float | None
     extrapolation_orders: tuple[int, ...] = ()
@@ -383,7 +381,6 @@ def sew(
 
     cert = SewCertificate(
         K=constant_K(h),
-        C_prime=c_prime(h, span),
         epsilon=h.epsilon,
         levels=levels,
         claimed_bound=claimed,
@@ -393,7 +390,6 @@ def sew(
         converged=done,
         stop_reason=reason if converged else ("full ladder (tol <= 0)" if tol <= 0.0 else "max_level reached"),
         final_subdivision=final_subdiv,
-        base_k=k0,
         ratio_estimate=rho,
         limit_value=level_value(final_map),
         extrapolation_orders=used,

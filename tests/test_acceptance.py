@@ -200,7 +200,7 @@ def test_criterion_7_knitting_invariance():
     fc = make_flat_connection()  # 8 fiber probes by default
     _, s0 = holonomy(fc, g0, 1e-9)
     _, s1 = holonomy(fc, g1, 1e-9)
-    angles_ok = abs(s0.angle - s1.angle) <= 1e-9
+    angles_ok = abs(s0.limit_value - s1.limit_value) <= 1e-9
 
     fm = make_flat_connection("midpoint")
     measured = {}
@@ -218,7 +218,7 @@ def test_criterion_7_knitting_invariance():
         7,
         "knitting invariance",
         angles_ok and bound_ok and rate_ok and elapsed < 30.0,
-        f"angle gap {abs(s0.angle - s1.angle):.1e}, decay slope {slope:.2f}, {elapsed:.2f}s",
+        f"angle gap {abs(s0.limit_value - s1.limit_value):.1e}, decay slope {slope:.2f}, {elapsed:.2f}s",
     )
 
 
@@ -229,15 +229,15 @@ def test_criterion_8_class_separation():
     _, upper = holonomy(fc, arc_path(1.0, 0.0, math.pi, 64), 1e-8)
     _, lower = holonomy(fc, arc_path(1.0, 0.0, -math.pi, 64), 1e-8)
     ok = (
-        abs(winding.angle - 2.0 * math.pi) <= 1e-6
-        and abs(contractible.angle) <= 1e-6
-        and abs((upper.angle - lower.angle) - 2.0 * math.pi) <= 1e-6
+        abs(winding.limit_value - 2.0 * math.pi) <= 1e-6
+        and abs(contractible.limit_value) <= 1e-6
+        and abs((upper.limit_value - lower.limit_value) - 2.0 * math.pi) <= 1e-6
     )
     report(
         8,
         "class separation",
         ok,
-        f"winding {winding.angle:.8f}, contractible {contractible.angle:.1e}",
+        f"winding {winding.limit_value:.8f}, contractible {contractible.limit_value:.1e}",
     )
 
 
@@ -262,7 +262,7 @@ def test_criterion_9_thin_reduction_shadow():
         reduced = pl_thin_reduce(g)
         flow_a, sa = holonomy(fc, g, tol)
         flow_b, sb = holonomy(fc, reduced, tol)
-        if map_distance_value(flow_a, flow_b) > budget or abs(sa.angle - sb.angle) > budget:
+        if map_distance_value(flow_a, flow_b) > budget or abs(sa.limit_value - sb.limit_value) > budget:
             violations += 1
     report(9, "thin-reduction shadow", violations == 0, f"{violations} violations in 50")
 

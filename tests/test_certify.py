@@ -19,6 +19,8 @@ from sewkit import (
     make_young,
     pullback_flow,
 )
+from sewkit.certify import _check_sample_spread
+from sewkit.metric import euclidean
 
 
 def test_additive_sin_three_point_fit():
@@ -110,6 +112,15 @@ def test_sample_spread_error_is_typed_and_still_a_value_error():
     with pytest.raises(InsufficientSamples) as err:
         fit_three_point(make_additive_sin(), narrow)
     assert isinstance(err.value, SewkitError) and isinstance(err.value, ValueError)
+
+
+def test_annulus_samples_span_four_decades_at_every_seed():
+    # draws only: the gap products both fits regress on pass the spread check
+    for seed in range(1000):
+        four = annulus_four_point_samples(np.random.default_rng(seed))
+        _check_sample_spread([euclidean(y, v) * euclidean(u, v) for _, u, v, y in four], "four")
+        three = annulus_three_point_samples(np.random.default_rng(seed))
+        _check_sample_spread([euclidean(y, u) * euclidean(u, x) for x, u, y in three], "three")
 
 
 @pytest.mark.parametrize(

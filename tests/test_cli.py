@@ -95,6 +95,22 @@ def test_holonomy_experiment_reports_winding(tmp_path):
     assert float(rows[-1][4]) == pytest.approx(2.0 * math.pi, abs=1e-6)
 
 
+@pytest.mark.parametrize("variant", ["exact-segment", "midpoint"])
+def test_holonomy_limit_row_is_the_angle_and_levels_carry_values(tmp_path, variant):
+    cfg = {
+        "experiment": "holonomy",
+        "model": {"name": "flat_connection", "variant": variant},
+        "path": {"kind": "arc", "radius": 1.0, "angle0": 0.0, "angle1": -math.pi},
+        "output": str(tmp_path / "hol.csv"),
+    }
+    assert cli.run(write_cfg(tmp_path, "hol.json", cfg), quiet=True) == 0
+    rows = read_rows(tmp_path / "hol.csv")
+    (limit,) = [r for r in rows if r[0] == "limit"]
+    assert rows[-1][0] == "angle"
+    assert limit[4] == rows[-1][4]
+    assert all(r[4] != "" for r in rows[1:])
+
+
 def test_knit_experiment_with_class_separation(tmp_path):
     cfg = {
         "experiment": "knit",
@@ -213,18 +229,18 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert cli.run(mismatch, quiet=True, experiment="knit") == 1
 
 
-def test_certify_with_too_narrow_sample_spread_exits_one(tmp_path, capsys):
-    # at sample seed 55 the annulus gap products span less than four decades
+def test_certify_with_too_few_samples_exits_one(tmp_path, capsys):
     cfg = {
         "experiment": "certify",
         "model": {"name": "flat_connection", "variant": "midpoint"},
         "mode": "strong_four_point",
-        "samples": 48,
+        "samples": 10,
         "seed": 55,
         "output": str(tmp_path / "four.csv"),
     }
     assert cli.run(write_cfg(tmp_path, "four.json", cfg), quiet=True) == 1
-    assert "geometric range of gap sizes" in capsys.readouterr().err
+    assert "at least 20 samples" in capsys.readouterr().err
+    assert not (tmp_path / "four.csv").exists()
 
 
 def test_unknown_experiment_rejected(tmp_path, capsys):

@@ -6,6 +6,7 @@ from oracles import winding_number
 from sewkit import (
     DeclaredLipschitzViolated,
     EndpointMismatch,
+    FlatConnection,
     LipPath,
     WrongMode,
     arc_path,
@@ -232,15 +233,15 @@ def test_knit_bound_formula():
 
 def test_holonomy_constant_path_is_identity():
     fc = make_flat_connection()
-    flow, summary = holonomy(fc, arc_path(1.0, 0.7, 0.7, 4), 1e-8)
-    assert summary.angle == 0.0
+    flow, cert = holonomy(fc, arc_path(1.0, 0.7, 0.7, 4), 1e-8)
+    assert cert.limit_value == 0.0
     assert all(flow.eval(p) == p for p in flow.source.probes)
 
 
 def test_holonomy_full_circle_accumulates_two_pi():
     fc = make_flat_connection()
-    _, summary = holonomy(fc, circle_path(1.0, 1.0, 64), 1e-8)
-    assert abs(summary.angle - 2.0 * math.pi) <= 1e-6
+    _, cert = holonomy(fc, circle_path(1.0, 1.0, 64), 1e-8)
+    assert abs(cert.limit_value - 2.0 * math.pi) <= 1e-6
     assert winding_number(circle_path(1.0, 1.0, 64).points) == 1
 
 
@@ -248,14 +249,14 @@ def test_holonomy_contractible_square_is_flat():
     fc = make_flat_connection()
     loop = square_loop((2.0, 0.0), 0.5)
     assert winding_number(loop.points) == 0
-    _, summary = holonomy(fc, loop, 1e-8)
-    assert abs(summary.angle) <= 1e-6
+    _, cert = holonomy(fc, loop, 1e-8)
+    assert abs(cert.limit_value) <= 1e-6
 
 
 def test_holonomy_midpoint_variant_converges_to_the_same_angle():
     fm = make_flat_connection("midpoint")
-    _, summary = holonomy(fm, circle_path(1.0, 1.0, 64), 1e-8)
-    assert abs(summary.angle - 2.0 * math.pi) <= 1e-6
+    _, cert = holonomy(fm, circle_path(1.0, 1.0, 64), 1e-8)
+    assert abs(cert.limit_value - 2.0 * math.pi) <= 1e-6
 
 
 def test_knitting_prime_constant_bounds_the_sewn_gap():
@@ -287,9 +288,9 @@ def test_class_separation_upper_vs_lower_semicircle():
     fc = make_flat_connection()
     _, up = holonomy(fc, arc_path(1.0, 0.0, math.pi, 64), 1e-8)
     _, lo = holonomy(fc, arc_path(1.0, 0.0, -math.pi, 64), 1e-8)
-    assert abs(up.angle - math.pi) <= 1e-9
-    assert abs(lo.angle + math.pi) <= 1e-9
-    assert abs((up.angle - lo.angle) - 2.0 * math.pi) <= 1e-6
+    assert abs(up.limit_value - math.pi) <= 1e-9
+    assert abs(lo.limit_value + math.pi) <= 1e-9
+    assert abs((up.limit_value - lo.limit_value) - 2.0 * math.pi) <= 1e-6
 
 
 def test_homotopy_invariance_angle_difference_within_knit_bound():
@@ -298,19 +299,32 @@ def test_homotopy_invariance_angle_difference_within_knit_bound():
     _, s0 = holonomy(fm, g0, 1e-9)
     _, s1 = holonomy(fm, g1, 1e-9)
     for k in (8, 16, 32):
-        assert abs(s0.angle - s1.angle) <= knit_bound(fm.hoelder, ell, k) + 1e-9
+        assert abs(s0.limit_value - s1.limit_value) <= knit_bound(fm.hoelder, ell, k) + 1e-9
 
 
 def test_midpoint_square_loop_angle_uses_the_certificate_columns():
     fm = make_flat_connection("midpoint")
     loop = square_loop((2.0, 0.0), 0.5)
-    _, summary = holonomy(fm, loop, 1e-7)
-    cert = summary.certificate
+    _, cert = holonomy(fm, loop, 1e-7)
     assert cert.extrapolation_orders == (0,)
     c = cert.ratio_estimate / (1.0 - cert.ratio_estimate)
-    angle = pullback_flow(fm, loop).angle
-    coarser = regular(0.0, 1.0, cert.final_subdivision.k // 2).points
-    prev = sum(angle(a, b) for a, b in zip(coarser, coarser[1:]))
-    raw = summary.raw_angle
-    assert summary.angle == raw + c * (raw - prev)
-    assert abs(summary.angle) <= 1e-9
+    raw, prev = cert.levels[-1].value, cert.levels[-2].value
+    assert cert.limit_value == raw + c * (raw - prev)
+    assert abs(cert.limit_value) <= 1e-9
+
+
+@pytest.mark.parametrize("variant", [FlatConnection.EXACT, FlatConnection.MIDPOINT])
+@pytest.mark.parametrize(
+    "loop", [circle_path(1.0, 1.0, 64), square_loop((2.0, 0.0), 0.5)], ids=["circle", "square"]
+)
+def test_holonomy_level_values_are_the_summed_step_angles(variant, loop):
+    # each level's value is the angle the lift accumulates along its chain,
+    # which is the forward sum of the per-step angles up to rounding; tol 0
+    # runs the full ladder, since the exact variant stops at its base level
+    angle = FlatConnection(variant).angle
+    _, cert = holonomy(make_flat_connection(variant), loop, 0.0, max_level=6)
+    assert len(cert.levels) == 7
+    for rec in cert.levels:
+        pts = regular(0.0, 1.0, rec.intervals).points
+        forward = sum(angle(loop.at(a), loop.at(b)) for a, b in zip(pts, pts[1:]))
+        assert abs(rec.value - forward) <= 1e-11

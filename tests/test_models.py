@@ -189,10 +189,10 @@ def test_exact_segment_holonomy_counts_winding():
     rng = np.random.default_rng(17)
     for turns, segs in ((1.0, 48), (2.0, 96)):
         loop = circle_path(1.0, turns, segs)
-        _, summary = holonomy(fc, loop, 1e-8)
+        _, cert = holonomy(fc, loop, 1e-8)
         w = winding_number(loop.points)
         assert w == int(turns)
-        assert abs(summary.angle - 2.0 * math.pi * w) <= 1e-9
+        assert abs(cert.limit_value - 2.0 * math.pi * w) <= 1e-9
     # a wobbly non-circular loop still matches its crossing-count winding
     pts = []
     n = 40
@@ -202,5 +202,5 @@ def test_exact_segment_holonomy_counts_winding():
         pts.append((r * math.cos(a), r * math.sin(a)))
     pts.append(pts[0])
     loop = polyline(tuple(pts))
-    _, summary = holonomy(fc, loop, 1e-8)
-    assert abs(summary.angle - 2.0 * math.pi * winding_number(loop.points)) <= 1e-9
+    _, cert = holonomy(fc, loop, 1e-8)
+    assert abs(cert.limit_value - 2.0 * math.pi * winding_number(loop.points)) <= 1e-9
