@@ -127,7 +127,10 @@ class ApproxFlowModel:
     p_1 < p_2 < ... of the step in an asymptotic error expansion of the
     composites (1, 2, 3, ... for one-step Euler models of smooth fields);
     ``sew`` uses them for Richardson columns.  Models without
-    such an expansion declare nothing.
+    such an expansion declare nothing.  ``increment`` declares a translation
+    model: mu(a, b) is then x -> x + increment(a, b) on a real fiber, and
+    ``compose_along`` adds the increments of a subdivision directly instead
+    of building one map per interval.
     """
 
     name: str
@@ -138,3 +141,4 @@ class ApproxFlowModel:
     max_param_step: float | None = None
     summary: Callable[[ProbedMap], float] | None = None
     expansion_orders: tuple[int, ...] = ()
+    increment: Callable[[Param, Param], float] | None = None

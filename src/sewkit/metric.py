@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import DomainMismatch, InsufficientProbes, NonFiniteValue
@@ -132,6 +134,18 @@ def compose_chain(maps: Iterable[ProbedMap]) -> ProbedMap:
         return p
 
     return ProbedMap(source, first.target, run)
+
+
+def translation_map(source: MetricSpace, target: MetricSpace, shifts: Sequence[float]) -> ProbedMap:
+    """The translation p -> p + shifts[0] + shifts[1] + ..., added one at a
+    time in this order.
+
+    A chain of translations by d_1, ..., d_k, the last one acting first, is
+    ``translation_map(source, target, (d_k, ..., d_1))`` bit for bit: the
+    additions run in the chain's order.  ``sum`` (compensated on newer
+    Pythons) and ``math.fsum`` would round differently.
+    """
+    return ProbedMap(source, target, lambda p: reduce(add, shifts, p))
 
 
 # ---------------------------------------------------------------------------

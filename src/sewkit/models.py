@@ -13,7 +13,16 @@ from typing import Callable, Sequence
 
 from .errors import InadmissibleRegularity, ModelDomainError
 from .flows import MODE_KNITTING, MODE_SEWING, ApproxFlowModel, HoelderData
-from .metric import Point, ProbedMap, circle_fiber, euclidean, p_norm, plane_grid, real_line
+from .metric import (
+    Point,
+    ProbedMap,
+    circle_fiber,
+    euclidean,
+    p_norm,
+    plane_grid,
+    real_line,
+    translation_map,
+)
 
 TAU = 2.0 * math.pi
 
@@ -36,12 +45,12 @@ def make_additive(
     name: str = "additive",
     probe_n: int = 5,
 ) -> ApproxFlowModel:
-    """Translations x -> x + mu_tilde(s, t); isometries, so L = 0 and g = 1."""
+    """Translations x -> x + mu_tilde(s, t); isometries, so L = 0 and g = 1.
+    The model declares mu_tilde as its ``increment``."""
     space = real_line(-1.0, 1.0, probe_n, name=f"{name}-line")
 
     def mu(s: float, t: float) -> ProbedMap:
-        delta = mu_tilde(s, t)
-        return ProbedMap(space, space, lambda p, _d=delta: p + _d)
+        return translation_map(space, space, (mu_tilde(s, t),))
 
     return ApproxFlowModel(
         name=name,
@@ -49,6 +58,7 @@ def make_additive(
         mu=mu,
         hoelder=hoelder,
         summary=lambda m: m.eval(0.0),
+        increment=mu_tilde,
     )
 
 

@@ -32,6 +32,7 @@ from .metric import (
     map_distance_value,
     p_axpy,
     sup_distance,
+    translation_map,
 )
 from .subdivision import Subdivision, dyadic_refine, mesh, refines, regular, reverse
 
@@ -126,13 +127,21 @@ def corollary_bound(h: HoelderData, span: float) -> float:
 def compose_along(model: ApproxFlowModel, subdiv: Subdivision) -> ProbedMap:
     """mu composed left to right along the subdivision points.
 
-    The trivial subdivision returns mu(start, end) itself, and so does the
-    degenerate one of a single point.
+    The degenerate subdivision of a single point returns mu(start, end)
+    itself, and so does the trivial one of a model without ``increment``.
+    A model that declares ``increment`` composes to one translation by its
+    increments, added in the order the chain of its maps adds them (last
+    interval first), so no map is built per interval and every value is
+    the chain's bit for bit.
     """
     pts = subdiv.points
     if len(pts) == 1:
         return model.mu(subdiv.start, subdiv.end)
-    return compose_chain(map(model.mu, pts, pts[1:]))
+    if model.increment is None:
+        return compose_chain(map(model.mu, pts, pts[1:]))
+    shifts = list(map(model.increment, pts, pts[1:]))
+    shifts.reverse()
+    return translation_map(model.space_at(subdiv.end), model.space_at(subdiv.start), shifts)
 
 
 def _sup_distance(metric, xs: Sequence[Point], ys: Sequence[Point], what: str) -> float:
@@ -272,9 +281,12 @@ def sew(
 
     k0 = _auto_base_k(model, span)
     subdiv = regular(s, t, k0)
+    # each level's mesh and refinement bound, computed once and carried to the next level
+    step = mesh(subdiv)
+    bound = refinement_bound(h, span, step)
     composite = compose_along(model, subdiv)
     vals = tuple(map(composite.eval, probes))
-    levels = [SewLevel(0, subdiv.k, mesh(subdiv), None, None, refinement_bound(h, span, mesh(subdiv)), level_value(composite))]
+    levels = [SewLevel(0, subdiv.k, step, None, None, bound, level_value(composite))]
 
     # the finest composites, enough for the deepest table column, back the limit map
     composites = [composite]
@@ -282,7 +294,6 @@ def sew(
     row = [vals]
     prev_diffs: list[float] = []
     best = vals
-    prev_subdiv = subdiv
     rho: float | None = None
     coefs: tuple[float, ...] = ()
     used: tuple[int, ...] = ()
@@ -290,15 +301,18 @@ def sew(
     converged = False
     reason = ""
 
-    if tol > 0.0 and refinement_bound(h, span, mesh(subdiv)) < tol:
+    if tol > 0.0 and bound < tol:
         converged = True
         reason = "a-priori refinement bound below tol at base level"
-        tail = refinement_bound(h, span, mesh(subdiv))
+        tail = bound
 
     level = 0
     while not converged and level < max_level:
         level += 1
-        subdiv = dyadic_refine(prev_subdiv)
+        subdiv = dyadic_refine(subdiv)
+        bound_prev = bound
+        step = mesh(subdiv)
+        bound = refinement_bound(h, span, step)
         composite = compose_along(model, subdiv)
         composites = (composites + [composite])[-keep:]
         vals = tuple(map(composite.eval, probes))
@@ -309,7 +323,6 @@ def sew(
         ]
         d = diffs[0]
 
-        bound_prev = refinement_bound(h, span, mesh(prev_subdiv))
         if not within_bound(d, bound_prev):
             raise BoundViolation(
                 f"successive distance {d:.3e} exceeds refinement bound {bound_prev:.3e} "
@@ -338,21 +351,19 @@ def sew(
         )
         tail = math.fsum(c * x for c, x in zip(coefs, diffs)) if extrapolated else math.inf
 
-        levels.append(SewLevel(level, subdiv.k, mesh(subdiv), d, d_best, bound_prev, level_value(composite)))
+        levels.append(SewLevel(level, subdiv.k, step, d, d_best, bound_prev, level_value(composite)))
 
         if tol > 0.0:
             if extrapolated and d_best < tol:
                 converged = True
                 reason = "extrapolated successive distance below tol"
-            elif refinement_bound(h, span, mesh(subdiv)) < tol:
+            elif bound < tol:
                 converged = True
                 reason = "a-priori refinement bound below tol"
-                tail = min(tail, refinement_bound(h, span, mesh(subdiv)))
+                tail = min(tail, bound)
 
         prev_diffs = diffs
-        prev_subdiv = subdiv
 
-    final_subdiv = subdiv
     limit_composites = composites[len(composites) - len(coefs) - 1 :]
 
     def limit_eval(p: Point) -> Point:
@@ -363,7 +374,7 @@ def sew(
 
     final_map = ProbedMap(source, target, limit_eval)
     if math.isinf(tail):
-        tail = refinement_bound(h, span, mesh(final_subdiv))
+        tail = bound
 
     claimed = corollary_bound(h, span)
     done = converged or tol <= 0.0
@@ -389,7 +400,7 @@ def sew(
         mu_bound_ok=mu_ok,
         converged=done,
         stop_reason=reason if converged else ("full ladder (tol <= 0)" if tol <= 0.0 else "max_level reached"),
-        final_subdivision=final_subdiv,
+        final_subdivision=subdiv,
         ratio_estimate=rho,
         limit_value=level_value(final_map),
         extrapolation_orders=used,

@@ -38,7 +38,7 @@ class Subdivision:
     @property
     def k(self) -> int:
         """Number of intervals (0 for a degenerate subdivision)."""
-        return len(self.points) - 1
+        return 0 if self.start == self.end else len(self.interior) + 1
 
     @property
     def span(self) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -12,6 +13,7 @@ from sewkit import (
     Subdivision,
     WrongMode,
     compose_along,
+    compose_chain,
     concat,
     constant_K,
     dyadic_refine,
@@ -31,6 +33,7 @@ from sewkit import (
     sew,
     zeta,
 )
+from sewkit import cli
 from sewkit.errors import NotARefinement
 from sewkit.flows import MODE_KNITTING
 
@@ -154,6 +157,51 @@ def test_splitting_consistency_is_exact():
         assert glued.eval(p) == a.eval(b.eval(p))
 
 
+def _translation_models():
+    kinds = cli.MODELS.variants["young"][0]["driver"].kind
+    h = HoelderData(1.0, ((1.0, 1.0, 3.0),))
+    return [make_additive_sin(), make_additive(lambda s, t: math.exp(s) * (t - s), h)] + [
+        cli.build_model(cli.MODELS.check(
+            {"name": "young", "driver": x, "integrand": y, "alpha": 0.75, "beta": 0.75}, "model"))
+        for x in kinds for y in kinds
+    ]
+
+
+_SUBDIVISIONS = [
+    regular(0.0, 1.0, 7),
+    dyadic_refine(dyadic_refine(regular(0.1, 0.9, 3))),
+    regular(1.0, 0.2, 6),
+    concat(Subdivision(0.0, 0.4, (0.1, 0.3)), Subdivision(0.4, 1.0, (0.7,))),
+    Subdivision(-0.3, 1.2, (-0.29, 0.0, 0.013, 0.5, 0.51, 1.1)),
+]
+
+
+@pytest.mark.parametrize("sd", _SUBDIVISIONS, ids=["regular", "dyadic", "reversed", "concat", "irregular"])
+def test_translation_composites_equal_the_chain_bit_for_bit(sd):
+    pts = sd.points
+    for m in _translation_models():
+        fused = compose_along(m, sd)
+        chain = compose_chain(map(m.mu, pts, pts[1:]))
+        assert fused.source is chain.source and fused.target is chain.target
+        for p in fused.source.probes:
+            assert fused.eval(p) == chain.eval(p), m.name
+
+
+def test_translation_composites_build_no_map_per_interval():
+    calls = []
+    base = make_additive_sin()
+
+    def counting_mu(s, t):
+        calls.append((s, t))
+        return base.mu(s, t)
+
+    m = dataclasses.replace(base, mu=counting_mu)
+    for k in (2, 3, 64):
+        assert compose_along(m, regular(0.0, 1.0, k)).eval(0.5) == compose_along(
+            base, regular(0.0, 1.0, k)).eval(0.5)
+    assert calls == []
+
+
 # --- sew ----------------------------------------------------------------------
 
 def test_sew_identity_at_equal_endpoints():
@@ -225,6 +273,10 @@ def test_sew_rejects_infinite_probe_distances():
     # translations by +inf on steps below 0.3: level 2 is infinitely far from level 1
     h = HoelderData(1.0, ((1.0, 1.0, 1.0),))
     m = make_additive(lambda s, t: math.inf if abs(t - s) < 0.3 else math.sin(s) * (t - s), h)
+    with pytest.raises(NonFiniteValue, match="level 2"):
+        sew(m, 0.0, 1.0, 1e-8)
+    # a NaN increment on the second of four intervals: the summed composite keeps it
+    m = make_additive(lambda s, t: math.nan if s == 0.25 else math.sin(s) * (t - s), h)
     with pytest.raises(NonFiniteValue, match="level 2"):
         sew(m, 0.0, 1.0, 1e-8)
 
