@@ -25,7 +25,7 @@ from .errors import (
     SewkitError,
     WrongMode,
 )
-from .flows import MODE_KNITTING, MODE_SEWING, ApproxFlowModel, HoelderData
+from .flows import MODE_KNITTING, MODE_SEWING, ApproxFlowModel, HoelderData, Readout
 from .knitting import (
     HomotopyNet,
     build_net,

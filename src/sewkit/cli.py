@@ -3,10 +3,10 @@
 Experiments: sew, holonomy, knit, certify.  Configs are JSON documents,
 checked as a whole against ``CONFIG`` before any work: it declares every
 field of every experiment, model, path kind and homotopy kind with its type,
-default and lower bound.  All floats print with 17 significant digits so
+default and bounds.  All floats print with 17 significant digits so
 identical config + seed produces byte-identical CSV.  Exit codes: 0 all
 assertions pass, 1 config errors (an unknown field, a wrong type, a
-non-finite number, a value below its bound, anything a constructor rejects,
+non-finite number, a value outside its bounds, anything a constructor rejects,
 certification samples too few or too narrow), 2 bound violations,
 non-convergence or non-finite values.
 """
@@ -68,11 +68,12 @@ REQUIRED = object()
 class Field(NamedTuple):
     """``kind`` is int, float, str, bool, a tuple of the allowed strings or a
     checker ``(value, where) -> value``, such as a :class:`Tagged` table;
-    ``least`` bounds an int."""
+    ``least`` and ``most`` bound an int."""
 
     kind: Any
     default: Any = REQUIRED
     least: int | None = None
+    most: int | None = None
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,8 @@ def _check_field(field: Field, val: Any, where: str) -> Any:
         raise ConfigError(f"field {where} must be {kind.__name__}, got {type(val).__name__}")
     if field.least is not None and val < field.least:
         raise ConfigError(f"field {where} must be >= {field.least}, got {val}")
+    if field.most is not None and val > field.most:
+        raise ConfigError(f"field {where} must be <= {field.most}, got {val}")
     return val
 
 
@@ -151,7 +154,8 @@ def _point(val: Any, where: str) -> tuple[float, float]:
 
 
 def _list(entry: Field, length: int | None = None) -> Callable[[Any, str], list]:
-    """A checker of a list, of ``length`` entries when given, each an ``entry``."""
+    """A checker of a list, of ``length`` entries when given, each an
+    ``entry``, which the checker keeps as its ``entry`` attribute."""
 
     def check(val: Any, where: str) -> list:
         if not isinstance(val, list) or (length is not None and len(val) != length):
@@ -159,6 +163,7 @@ def _list(entry: Field, length: int | None = None) -> Callable[[Any, str], list]
                               f"got {val!r}")
         return [_check_field(entry, v, f"{where} entry") for v in val]
 
+    check.entry = entry
     return check
 
 
@@ -169,8 +174,9 @@ def _young(driver: str, integrand: str, alpha: float, beta: float, probes: int) 
 
 
 _FLOAT = Field(float)
-_PROBES = Field(int, 5, least=1)
-_SEGMENTS = Field(int, 64, least=1)
+# upper bounds on the fields that set a run's work, far above any use so far
+_PROBES = Field(int, 5, least=1, most=64)
+_SEGMENTS = Field(int, 64, least=1, most=4096)
 _ANGLES = {"angle0": Field(float, 0.0), "angle1": Field(float, math.pi)}
 
 MODELS = Tagged("name", {
@@ -182,7 +188,7 @@ MODELS = Tagged("name", {
                "integrand": Field(tuple(_YOUNG_FNS), "linear"),
                "alpha": Field(float, 1.0), "beta": Field(float, 1.0), "probes": _PROBES}, _young),
     "flat_connection": ({"variant": Field(str, FlatConnection.EXACT), "r0": Field(float, 0.5),
-                         "probes": Field(int, 8, least=1)}, make_flat_connection),
+                         "probes": Field(int, 8, least=1, most=64)}, make_flat_connection),
 })
 
 PATHS = Tagged("kind", {
@@ -348,13 +354,13 @@ CONFIG = Tagged("experiment", {
     "sew": ({"model": Field(MODELS), "interval": Field(_list(_FLOAT, 2), [0.0, 1.0]),
              **_SEW_BUDGET, **_RUN}, _run_sew),
     "knit": ({"model": Field(MODELS), "homotopy": Field(HOMOTOPIES),
-              "ks": Field(_list(Field(int, least=2)), [8, 16, 32, 64]),
+              "ks": Field(_list(Field(int, least=2, most=4096)), [8, 16, 32, 64]),
               "class_separation": Field(bool, False), **_SEW_BUDGET, **_RUN}, _run_knit),
     "holonomy": ({"model": Field(MODELS), "path": Field(PATHS), **_SEW_BUDGET, **_RUN},
                  _run_holonomy),
     "certify": ({"model": Field(MODELS),
                  "mode": Field(("three_point", "strong_four_point"), "three_point"),
-                 "samples": Field(int, 48), **_RUN}, _run_certify),
+                 "samples": Field(int, 48, most=10_000), **_RUN}, _run_certify),
 })
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .errors import NonFiniteValue, WrongMode
-from .metric import MetricSpace, ProbedMap
+from .metric import MetricSpace, Point, ProbedMap
 
 MODE_SEWING = "sewing"      # exponents satisfy a + b = 1 + epsilon
 MODE_KNITTING = "knitting"  # exponents satisfy a + b = 2 + epsilon
@@ -110,6 +110,22 @@ class HoelderData:
         return (1.0 + self.f(d_us)) * near + sum(c * d_us**b * d_uv**a for a, b, c in self.terms)
 
 
+@dataclass(frozen=True)
+class Readout:
+    """A summary that reads a flow map's image of ``point``, or coordinate
+    ``coord`` of that image.  When ``point`` is one of the source probes,
+    ``sew`` reads it from the probe values it already holds."""
+
+    point: Point
+    coord: int | None = None
+
+    def read(self, image: Point) -> float:
+        return image if self.coord is None else image[self.coord]
+
+    def __call__(self, m: ProbedMap) -> float:
+        return self.read(m.eval(self.point))
+
+
 def _abs_gap(a: float, b: float) -> float:
     return abs(b - a)
 
@@ -123,7 +139,8 @@ class ApproxFlowModel:
     difference on intervals).  ``max_param_step`` caps the parameter gap over
     which ``mu`` may be evaluated (models that are only locally defined);
     ``summary`` is a scalar readout of a flow map, which ``sew`` records for
-    each level and for the limit.  ``expansion_orders`` declares the powers
+    each level and for the limit; the built-in models declare a
+    :class:`Readout`.  ``expansion_orders`` declares the powers
     p_1 < p_2 < ... of the step in an asymptotic error expansion of the
     composites (1, 2, 3, ... for one-step Euler models of smooth fields);
     ``sew`` uses them for Richardson columns.  Models without

@@ -12,7 +12,7 @@ import math
 from typing import Callable, Sequence
 
 from .errors import InadmissibleRegularity, ModelDomainError
-from .flows import MODE_KNITTING, MODE_SEWING, ApproxFlowModel, HoelderData
+from .flows import MODE_KNITTING, MODE_SEWING, ApproxFlowModel, HoelderData, Readout
 from .metric import (
     Point,
     ProbedMap,
@@ -34,6 +34,12 @@ MIDPOINT_DEFECT_CONSTANT = 3.0
 #: step (Gragg 1965; Hairer-Norsett-Wanner, Thm II.8.1); ``sew`` gates each
 #: column on the observed ratios, so a longer tuple only allows more columns
 EULER_EXPANSION_ORDERS = (1, 2, 3, 4, 5, 6)
+
+#: error expansion of the midpoint flat connection's composites: on a PL path
+#: whose corners are subdivision points, a level's lifted angle is a
+#: composite midpoint rule on each leg, whose error runs in even powers of the
+#: step (Euler-Maclaurin), and so do the rotated (x, y) probe values
+MIDPOINT_EXPANSION_ORDERS = (2, 4, 6, 8, 10, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +63,7 @@ def make_additive(
         space_at=lambda _t: space,
         mu=mu,
         hoelder=hoelder,
-        summary=lambda m: m.eval(0.0),
+        summary=Readout(0.0),
         increment=mu_tilde,
     )
 
@@ -123,7 +129,7 @@ def make_euler(
         dt = t - s
         return ProbedMap(space, space, lambda p, _dt=dt: add(p, field(p), _dt))
 
-    summary = (lambda m: m.eval(1.0)) if dim == 1 else (lambda m: m.eval((1.0, 0.0))[0])
+    summary = Readout(1.0) if dim == 1 else Readout((1.0, 0.0), 0)
     return ApproxFlowModel(
         name=name,
         space_at=lambda _t: space,
@@ -227,7 +233,8 @@ def make_flat_connection(
     by the three parameters avoids the origin, so its declared constants are
     zero.  The midpoint variant carries numerically certified knitting-mode
     data with epsilon = 1 and terms (2,1) and (1,2), each with constant
-    ``MIDPOINT_DEFECT_CONSTANT``.
+    ``MIDPOINT_DEFECT_CONSTANT``, and declares the even expansion orders
+    ``MIDPOINT_EXPANSION_ORDERS``; the exact-segment variant declares none.
     """
     conn = FlatConnection(variant, r0)
     fiber = circle_fiber(fiber_probes, name=f"rot-fiber{fiber_probes}")
@@ -247,5 +254,6 @@ def make_flat_connection(
         hoelder=h,
         param_metric=euclidean,
         max_param_step=r0,
-        summary=lambda m: m.eval((1.0, 0.0, 0.0))[2],
+        summary=Readout((1.0, 0.0, 0.0), 2),
+        expansion_orders=() if variant == FlatConnection.EXACT else MIDPOINT_EXPANSION_ORDERS,
     )

@@ -29,7 +29,7 @@ from .metric import (
     p_norm,
     p_sub,
 )
-from .sewing import sew
+from .sewing import MAX_LEVEL, sew
 
 #: legs and pauses shorter than this count as exact PL backtracks in ``pl_thin_reduce``
 THIN_TOL = 1e-9
@@ -311,6 +311,11 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
     Lip(g)**(a+b); knitting-mode data pulls back to sewing mode one order up.
     The pulled model keeps the model's ``summary``, so a sew of it reads the
     holonomy's summary (the flat connection's accumulated angle) at each level.
+    It keeps the model's ``expansion_orders`` only when every break of g is
+    a dyadic rational with at most ``MAX_LEVEL`` binary digits: the dyadic
+    levels of a sew over [0, 1] then come to contain every corner, and a
+    level's error expands in the step along each leg.  Other paths declare
+    no orders.
     """
     lip = g.lip_norm
     mu = model.mu
@@ -327,6 +332,8 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
     if model.max_param_step is not None and lip > 0.0:
         step = model.max_param_step / lip
 
+    dyadic = all(math.ldexp(b, MAX_LEVEL).is_integer() for b in g.breaks)
+
     return ApproxFlowModel(
         name=f"pullback({model.name})",
         space_at=lambda t: model.space_at(at(t)),
@@ -334,6 +341,7 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
         hoelder=model.hoelder.pulled_back(lip),
         max_param_step=step,
         summary=model.summary,
+        expansion_orders=model.expansion_orders if dyadic else (),
     )
 
 

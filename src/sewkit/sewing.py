@@ -22,7 +22,7 @@ from .errors import (
     NonFiniteValue,
     NotARefinement,
 )
-from .flows import MODE_SEWING, ApproxFlowModel, HoelderData
+from .flows import MODE_SEWING, ApproxFlowModel, HoelderData, Readout
 from .metric import (
     Point,
     ProbedMap,
@@ -142,6 +142,14 @@ def compose_along(model: ApproxFlowModel, subdiv: Subdivision) -> ProbedMap:
     shifts = list(map(model.increment, pts, pts[1:]))
     shifts.reverse()
     return translation_map(model.space_at(subdiv.end), model.space_at(subdiv.start), shifts)
+
+
+def _probe_slot(probes: Sequence[Point], point: Point) -> int | None:
+    """Index of the probe that is ``point`` bit for bit, or None: repr tells
+    -0.0 from 0.0 and 1 from 1.0, which compare equal but may have images
+    that print differently."""
+    key = repr(point)
+    return next((i for i, p in enumerate(probes) if repr(p) == key), None)
 
 
 def _sup_distance(metric, xs: Sequence[Point], ys: Sequence[Point], what: str) -> float:
@@ -276,8 +284,15 @@ def sew(
     orders = model.expansion_orders
     declared_coefs = _column_coefs(orders, None)
 
-    def level_value(composite: ProbedMap) -> float | None:
-        return None if model.summary is None else model.summary(composite)
+    summary = model.summary
+    slot = _probe_slot(probes, summary.point) if isinstance(summary, Readout) else None
+
+    def level_value(composite: ProbedMap, vals: tuple[Point, ...]) -> float | None:
+        """The summary of a map whose probe images are vals; a readout at a
+        probe reads vals instead of evaluating the map again."""
+        if summary is None:
+            return None
+        return summary(composite) if slot is None else summary.read(vals[slot])
 
     k0 = _auto_base_k(model, span)
     subdiv = regular(s, t, k0)
@@ -286,7 +301,7 @@ def sew(
     bound = refinement_bound(h, span, step)
     composite = compose_along(model, subdiv)
     vals = tuple(map(composite.eval, probes))
-    levels = [SewLevel(0, subdiv.k, step, None, None, bound, level_value(composite))]
+    levels = [SewLevel(0, subdiv.k, step, None, None, bound, level_value(composite, vals))]
 
     # the finest composites, enough for the deepest table column, back the limit map
     composites = [composite]
@@ -351,7 +366,9 @@ def sew(
         )
         tail = math.fsum(c * x for c, x in zip(coefs, diffs)) if extrapolated else math.inf
 
-        levels.append(SewLevel(level, subdiv.k, step, d, d_best, bound_prev, level_value(composite)))
+        levels.append(
+            SewLevel(level, subdiv.k, step, d, d_best, bound_prev, level_value(composite, vals))
+        )
 
         if tol > 0.0:
             if extrapolated and d_best < tol:
@@ -402,7 +419,8 @@ def sew(
         stop_reason=reason if converged else ("full ladder (tol <= 0)" if tol <= 0.0 else "max_level reached"),
         final_subdivision=subdiv,
         ratio_estimate=rho,
-        limit_value=level_value(final_map),
+        # best holds the limit map's probe images: the same column steps on the same composites
+        limit_value=level_value(final_map, best),
         extrapolation_orders=used,
     )
 

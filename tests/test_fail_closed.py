@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -189,6 +190,65 @@ def test_model_and_path_fields_fail_closed(tmp_path, capsys, make, case, fragmen
     assert err.startswith("config error") and fragment in err
 
 
+def _upper_bounds(table):
+    """The upper bound of every field of a config table that has one, by
+    field name; a list field's bound is its entries'."""
+    bounds = {}
+    for fields, _ in table.variants.values():
+        for key, field in fields.items():
+            if isinstance(field.kind, cli.Tagged):
+                nested = _upper_bounds(field.kind)
+            else:
+                field = getattr(field.kind, "entry", field)
+                nested = {} if field.most is None else {key: field.most}
+            for name, most in nested.items():
+                assert bounds.setdefault(name, most) == most, name
+    return bounds
+
+
+_MOST = _upper_bounds(cli.CONFIG)
+
+
+def _certify_cfg(tmp_path, samples):
+    return {"experiment": "certify", "model": {"name": "additive_sin"}, "samples": samples,
+            "output": str(tmp_path / "out.csv")}
+
+
+#: a config for each bounded field, given a value for it, and the field's dotted name
+_BOUNDED = [
+    (lambda t, v: _sew_cfg(t, model={"name": "euler_sin", "probes": v}), "config.model.probes"),
+    (lambda t, v: _holonomy_cfg(t, model={"name": "flat_connection", "probes": v}),
+     "config.model.probes"),
+    (lambda t, v: _holonomy_cfg(t, path={"kind": "arc", "segments": v}), "config.path.segments"),
+    (lambda t, v: _knit_cfg(t, homotopy={"kind": "semicircle_to_ellipse", "segments": v}),
+     "config.homotopy.segments"),
+    (lambda t, v: _knit_cfg(t, ks=[8, v]), "config.ks"),
+    (_certify_cfg, "config.samples"),
+]
+
+
+def test_upper_bounds_cover_the_fields_that_set_the_work():
+    assert set(_MOST) == {"probes", "segments", "ks", "samples"}
+    assert {where.rsplit(".", 1)[1] for _, where in _BOUNDED} == set(_MOST)
+
+
+@pytest.mark.parametrize("make,where", _BOUNDED, ids=[w for _, w in _BOUNDED])
+def test_a_value_above_its_bound_is_a_config_error(tmp_path, capsys, make, where):
+    most = _MOST[where.rsplit(".", 1)[1]]
+    cli.CONFIG.check(make(tmp_path, most), "config")
+    assert _run(tmp_path, make(tmp_path, most + 1)) == 1
+    assert not (tmp_path / "out.csv").exists()
+    assert f"field {where}" in capsys.readouterr().err
+
+
+def test_readme_states_every_upper_bound():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("## CLI"):readme.index("## Experiment scripts")]
+    for name, most in _MOST.items():
+        assert any(f"`{name}`" in line and f"at most {most}" in line
+                   for line in section.splitlines()), name
+
+
 # --- config fuzzing ------------------------------------------------------------
 # A fuzzed config is drawn from the config table: an experiment, then a model,
 # path or homotopy kind (now and then an unknown one), with its required fields
@@ -196,7 +256,8 @@ def test_model_and_path_fields_fail_closed(tmp_path, capsys, make, case, fragmen
 # anywhere in it (a field, a nested field or a list entry) take junk: NaN,
 # infinities, negative, zero or wrong-type values; or one key, at any nesting
 # level, is misspelled or invented, which must exit 1 and name that key.
-# Cost stays bounded: max_level, segments and ks are always drawn, with
+# A field with an upper bound may also take the value just above it.  Cost
+# stays bounded: max_level, segments and ks are always drawn, with
 # max_level <= 8, segments and ks <= 16, samples <= 48.
 
 _JUNK = [math.nan, math.inf, -math.inf, -1, -0.5, 0, "x", None, True, [], [1.0], {}]
@@ -260,13 +321,15 @@ def _objects(node, where):
             yield from _objects(val, f"{where}.{key}")
 
 
-def _slots(node):
-    """Every (container, key) position in a config, nested ones included."""
+def _slots(node, name=None):
+    """Every (container, key, field name) position in a config, nested ones
+    included; a list entry carries the name of its list."""
     keys = node if isinstance(node, dict) else range(len(node))
     for key in keys:
-        yield node, key
+        field = key if isinstance(node, dict) else name
+        yield node, key, field
         if isinstance(node[key], (dict, list)):
-            yield from _slots(node[key])
+            yield from _slots(node[key], field)
 
 
 @st.composite
@@ -284,10 +347,12 @@ def _fuzzed_configs(draw):
         node[bad] = node.pop(key) if bad != "extra" else 1.0
         return cfg, f"{where}.{bad}"
     for _ in range(draw(st.integers(0, 3))):
-        node, key = draw(st.sampled_from(list(_slots(cfg))))
+        node, key, name = draw(st.sampled_from(list(_slots(cfg))))
         junk = _JUNK
         if key == "output":
             junk = [v for v in _JUNK if not isinstance(v, str)]
+        if name in _MOST:
+            junk = junk + [_MOST[name] + 1]
         node[key] = draw(st.sampled_from(junk))
     return cfg, None
 

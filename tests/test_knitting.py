@@ -33,6 +33,8 @@ from sewkit import (
     zeta,
 )
 from sewkit.metric import euclidean, p_lerp
+from sewkit.models import MIDPOINT_EXPANSION_ORDERS
+from sewkit.sewing import _column_coefs, _romberg_row
 
 
 def semicircle_pair():
@@ -303,13 +305,19 @@ def test_homotopy_invariance_angle_difference_within_knit_bound():
 
 
 def test_midpoint_square_loop_angle_uses_the_certificate_columns():
+    # the limit angle is the Richardson combination of the recorded level
+    # angles over the columns the certificate names: the declared even orders
     fm = make_flat_connection("midpoint")
     loop = square_loop((2.0, 0.0), 0.5)
     _, cert = holonomy(fm, loop, 1e-7)
-    assert cert.extrapolation_orders == (0,)
-    c = cert.ratio_estimate / (1.0 - cert.ratio_estimate)
-    raw, prev = cert.levels[-1].value, cert.levels[-2].value
-    assert cert.limit_value == raw + c * (raw - prev)
+    orders = cert.extrapolation_orders
+    assert orders and orders == MIDPOINT_EXPANSION_ORDERS[: len(orders)]
+    coefs = _column_coefs(orders, cert.ratio_estimate)
+    table = []
+    for rec in cert.levels:
+        table = _romberg_row(table, (rec.value,), coefs)
+    assert len(table) == len(orders) + 1
+    assert cert.limit_value == table[-1][0]
     assert abs(cert.limit_value) <= 1e-9
 
 

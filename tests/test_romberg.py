@@ -1,20 +1,31 @@
 """Richardson columns for models that declare error-expansion orders."""
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
-from oracles import expm2
+from oracles import expm2, winding_number
 from sewkit import (
+    ModelDomainError,
+    arc_path,
+    circle_path,
+    ellipse_arc_path,
+    holonomy,
     make_additive_sin,
     make_euler_linear,
     make_euler_matrix,
     make_euler_sin,
     make_flat_connection,
     make_young,
+    polyline,
+    pullback_flow,
     sew,
+    square_loop,
 )
+from sewkit.models import MIDPOINT_EXPANSION_ORDERS
+from sewkit.sewing import MAX_LEVEL
 
 TOL = 1e-8
 
@@ -31,8 +42,9 @@ def _euler_cases():
 def test_euler_models_declare_integer_orders_and_others_none():
     for m, _ in _euler_cases():
         assert m.expansion_orders[:3] == (1, 2, 3)
+    assert make_flat_connection("midpoint").expansion_orders[:3] == (2, 4, 6)
     young = make_young(lambda t: t, lambda t: t, 1.0, 1.0)
-    for m in (make_additive_sin(), young, make_flat_connection()):
+    for m in (make_additive_sin(), young, make_flat_connection("exact-segment")):
         assert m.expansion_orders == ()
 
 
@@ -89,6 +101,33 @@ def test_undeclared_models_match_an_explicitly_empty_declaration(model):
     assert _trace(a) == _trace(b)
 
 
+def _via_the_chain(model):
+    """The model with its readout wrapped, so ``sew`` evaluates every summary
+    on the map instead of reading it from the probe values."""
+    return dataclasses.replace(model, summary=lambda m, _r=model.summary: _r(m))
+
+
+@pytest.mark.parametrize(
+    "model,s,t",
+    [
+        (make_additive_sin(), 0.0, 0.9),
+        (make_additive_sin(probe_n=4), 0.0, 0.9),  # the readout point 0.0 is no probe
+        (make_young(math.sin, lambda t: t * t, 0.8, 0.7, c_y=2.0), 0.0, 0.9),
+        (make_euler_linear(1.0), 0.0, 1.0),
+        (make_euler_matrix([[0.2, -1.0], [1.0, 0.1]]), 0.0, 1.0),
+        (pullback_flow(make_flat_connection("midpoint"), circle_path(1.0, 1.0, 64)), 0.0, 1.0),
+        (pullback_flow(make_flat_connection("midpoint"), circle_path(1.0, 1.0, 48)), 0.0, 1.0),
+    ],
+    ids=["additive_sin", "additive_sin-4", "young", "euler_linear", "euler_matrix",
+         "midpoint-dyadic", "midpoint-48"],
+)
+def test_summaries_read_from_probe_values_match_the_chain_bit_for_bit(model, s, t):
+    _, a = sew(model, s, t, 1e-8)
+    _, b = sew(_via_the_chain(model), s, t, 1e-8)
+    assert repr(_trace(a)) == repr(_trace(b))  # repr tells -0.0 from 0.0
+    assert all(r.value is not None for r in a.levels)
+
+
 def test_additive_sin_uses_at_most_the_observed_ratio_column():
     m = make_additive_sin()
     _, cert = sew(m, 0.0, 1.0, 1e-8)
@@ -108,3 +147,99 @@ def test_full_ladder_keeps_every_raw_level_and_extrapolates():
     assert [r.level for r in cert.levels] == list(range(13))
     assert cert.extrapolation_orders
     assert abs(cert.limit_value - math.e) <= 1e-10
+
+
+# --- midpoint holonomies: even orders on dyadic paths ---------------------------
+
+def test_pullback_declares_the_orders_only_for_dyadic_breaks():
+    fm = make_flat_connection("midpoint")
+    pts = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]
+    assert pullback_flow(fm, polyline(pts, (0.0, 0.375, 1.0))).expansion_orders == (
+        MIDPOINT_EXPANSION_ORDERS
+    )
+    assert pullback_flow(fm, circle_path(1.0, 1.0, 64)).expansion_orders == (
+        MIDPOINT_EXPANSION_ORDERS
+    )
+    for g in (polyline(pts, (0.0, 1.0 / 3.0, 1.0)), circle_path(1.0, 1.0, 100)):
+        assert pullback_flow(fm, g).expansion_orders == ()
+    # a dyadic break finer than the deepest level a sew reaches counts as non-dyadic
+    assert pullback_flow(fm, polyline(pts, (0.0, 2.0**-(MAX_LEVEL + 1), 1.0))).expansion_orders == ()
+    exact = make_flat_connection("exact-segment")
+    assert pullback_flow(exact, circle_path(1.0, 1.0, 64)).expansion_orders == ()
+
+
+_SEGMENTS = (8, 16, 32, 48, 64, 100, 128)
+_SWEEP_TOLS = (1e-7, 1e-8, 1e-9)
+_R0 = 0.5
+
+
+def _polar(rx, ry, a):
+    """The unwrapped polar angle of the ellipse point at parameter a."""
+    return a + math.remainder(math.atan2(ry * math.sin(a), rx * math.cos(a)) - a, 2.0 * math.pi)
+
+
+def _sweep_paths():
+    """Seeded midpoint-holonomy paths with their closed-form angles."""
+    rng = random.Random(20)
+    cases = []
+    for turns in (1.0, -1.0, 2.0, 3.0):
+        r = rng.uniform(0.8, 2.0)
+        for segs in _SEGMENTS:
+            cases.append((f"circle(r={r:.3f},turns={turns},{segs})",
+                          circle_path(r, turns, segs), 2.0 * math.pi * turns))
+    for _ in range(4):
+        r, a0 = rng.uniform(0.8, 2.0), rng.uniform(-math.pi, math.pi)
+        a1 = a0 + rng.choice((1.0, -1.0)) * rng.uniform(0.5, 1.9) * math.pi
+        for segs in _SEGMENTS:
+            cases.append((f"arc(r={r:.3f},{a0:.3f},{a1:.3f},{segs})",
+                          arc_path(r, a0, a1, segs), a1 - a0))
+    for _ in range(4):
+        rx, ry = rng.uniform(0.8, 2.0), rng.uniform(0.8, 2.0)
+        a0 = rng.uniform(-math.pi, math.pi)
+        a1 = a0 + rng.choice((1.0, -1.0)) * rng.uniform(0.5, 1.5) * math.pi
+        for segs in _SEGMENTS:
+            cases.append((f"ellipse({rx:.3f},{ry:.3f},{a0:.3f},{a1:.3f},{segs})",
+                          ellipse_arc_path(rx, ry, a0, a1, segs),
+                          _polar(rx, ry, a1) - _polar(rx, ry, a0)))
+    for j in range(16):
+        # every other square winds once about the excluded disk
+        if j % 2:
+            center = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+            half = max(map(abs, center)) + rng.uniform(0.6, 1.2)
+        else:
+            center = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+            half = rng.uniform(0.3, 1.5)
+        loop = square_loop(center, half)
+        cases.append((f"square({center[0]:.3f},{center[1]:.3f})", loop,
+                      2.0 * math.pi * winding_number(loop.points)))
+    return cases
+
+
+def _distance_to_origin(g):
+    """The least distance from the origin to the legs of a PL path."""
+    best = math.inf
+    for (x0, y0), (x1, y1) in zip(g.points, g.points[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        w = min(1.0, max(0.0, -(x0 * dx + y0 * dy) / (dx * dx + dy * dy)))
+        best = min(best, math.hypot(x0 + w * dx, y0 + w * dy))
+    return best
+
+
+def test_midpoint_holonomies_meet_tol_against_their_closed_forms():
+    # dyadic and non-dyadic breaks alike; only a path that enters the
+    # excluded disk may raise, and every converged limit lies within tol
+    fm = make_flat_connection("midpoint", r0=_R0)
+    cases = _sweep_paths()
+    assert len(cases) == 100
+    ran = 0
+    for name, g, angle in cases:
+        for tol in _SWEEP_TOLS:
+            try:
+                _, cert = holonomy(fm, g, tol)
+            except ModelDomainError:
+                assert _distance_to_origin(g) < _R0, name
+                continue
+            ran += 1
+            assert cert.converged, (name, tol)
+            assert abs(cert.limit_value - angle) <= tol, (name, tol, cert.limit_value - angle)
+    assert ran >= 0.95 * 3 * len(cases)
