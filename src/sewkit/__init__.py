@@ -90,7 +90,6 @@ from .sewing import (
     compose_along,
     constant_K,
     corollary_bound,
-    c_prime,
     flow_law_defect,
     four_point_defect,
     inverse_defect,

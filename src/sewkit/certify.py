@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import InsufficientSamples
 from .flows import ApproxFlowModel
-from .metric import Point, compose_chain, map_distance_value
+from .metric import Point, map_distance_value
+from .metric import compose_chain  # unused here: kept for perfbench/tracer.py, which patches it
+from .sewing import compose_along, four_point_defect
 
 #: defects below this are excluded from regressions (noise floor)
 NOISE_FLOOR = 1e-13
@@ -99,9 +101,7 @@ def fit_three_point(model: ApproxFlowModel, samples: Sequence[tuple]) -> FitRepo
     rows: list[FitSample] = []
     products = []
     for s, u, t in samples:
-        direct = model.mu(s, t)
-        via = compose_chain([model.mu(s, u), model.mu(u, t)])
-        defect = map_distance_value(direct, via)
+        defect = map_distance_value(model.mu(s, t), compose_along(model, (s, u, t)))
         g1, g2 = d_p(t, u), d_p(u, s)
         declared = h.defect_bound(g1, g2)
         rows.append(FitSample(f"s={s!r};u={u!r};t={t!r}", g1 * g2, defect, declared))
@@ -113,19 +113,16 @@ def fit_three_point(model: ApproxFlowModel, samples: Sequence[tuple]) -> FitRepo
 def fit_strong_four_point(model: ApproxFlowModel, samples: Sequence[tuple]) -> FitReport:
     """Fit the strong four-point exponent from quadruples (x, u, v, y).
 
-    The regressor is log(d(y,v)*d(u,v)); a fitted total degree below
+    Each row's defect and declared bound are ``four_point_defect``'s.  The
+    regressor is log(d(y,v)*d(u,v)); a fitted total degree below
     2 + STRONG_MODE_MIN_EPSILON flags the model as sewing-only.
     """
-    h = model.hoelder
     d_p = model.param_metric
     rows: list[FitSample] = []
     products = []
     for x, u, v, y in samples:
-        via_u = compose_chain([model.mu(x, u), model.mu(u, y)])
-        via_v = compose_chain([model.mu(x, v), model.mu(v, y)])
-        defect = map_distance_value(via_u, via_v)
+        defect, declared = four_point_defect(model, x, u, v, y)
         d_yv, d_uv = d_p(y, v), d_p(u, v)
-        declared = h.four_point_bound(d_p(x, u), d_yv, d_uv)
         rows.append(
             FitSample(f"x={x!r};u={u!r};v={v!r};y={y!r}", d_yv * d_uv, defect, declared)
         )

@@ -146,8 +146,8 @@ class ApproxFlowModel:
     ``sew`` uses them for Richardson columns.  Models without
     such an expansion declare nothing.  ``increment`` declares a translation
     model: mu(a, b) is then x -> x + increment(a, b) on a real fiber, and
-    ``compose_along`` adds the increments of a subdivision directly instead
-    of building one map per interval.
+    ``compose_along(model, params)`` adds the increments between consecutive
+    parameters directly instead of building one map per interval.
     """
 
     name: str

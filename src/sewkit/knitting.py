@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .errors import DeclaredLipschitzViolated, EndpointMismatch
 from .flows import MODE_KNITTING, ApproxFlowModel, HoelderData
-from .metric import Point, ProbedMap, compose_chain, euclidean, map_distance_value, p_lerp
+from .metric import Point, ProbedMap, euclidean, map_distance_value, p_lerp
+from .metric import compose_chain  # unused here: kept for perfbench/tracer.py, which patches it
 from .paths import LipPath, pullback_flow
-from .sewing import MAX_LEVEL, SewCertificate, sew, zeta
+from .sewing import MAX_LEVEL, SewCertificate, compose_along, sew, zeta
 from .subdivision import regular
 
 
@@ -112,14 +112,9 @@ def pair_lipschitz(g0: LipPath, g1: LipPath) -> float:
 # ---------------------------------------------------------------------------
 # ladder compositions
 
-def _compose_nodes(model: ApproxFlowModel, nodes: Sequence[Point]) -> ProbedMap:
-    """mu composed along consecutive nodes of the net."""
-    return compose_chain(map(model.mu, nodes, nodes[1:]))
-
-
 def row_map(net: HomotopyNet, model: ApproxFlowModel, i: int) -> ProbedMap:
     """Composition of mu along row i of the net."""
-    return _compose_nodes(model, net.row(i))
+    return compose_along(model, net.row(i))
 
 
 def ladder_map(net: HomotopyNet, model: ApproxFlowModel, i: int, j: int) -> ProbedMap:
@@ -132,7 +127,7 @@ def ladder_map(net: HomotopyNet, model: ApproxFlowModel, i: int, j: int) -> Prob
     if not (0 <= i <= k - 1 and 0 <= j <= k - 1):
         raise IndexError("ladder indices must lie in 0..k-1")
     crossing = k - j
-    return _compose_nodes(model, net.row(i)[:crossing] + net.row(i + 1)[crossing:])
+    return compose_along(model, net.row(i)[:crossing] + net.row(i + 1)[crossing:])
 
 
 def knit_bound(h: HoelderData, ell: float, k: int) -> float:

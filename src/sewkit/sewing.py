@@ -22,7 +22,7 @@ from .errors import (
     NonFiniteValue,
     NotARefinement,
 )
-from .flows import MODE_SEWING, ApproxFlowModel, HoelderData, Readout
+from .flows import MODE_SEWING, ApproxFlowModel, HoelderData, Param, Readout
 from .metric import (
     Point,
     ProbedMap,
@@ -34,7 +34,7 @@ from .metric import (
     sup_distance,
     translation_map,
 )
-from .subdivision import Subdivision, dyadic_refine, mesh, refines, regular, reverse
+from .subdivision import Subdivision, dyadic_refine, mesh, refines, regular
 
 #: additive slack absorbing float rounding in certified inequalities
 BOUND_SLACK = 1e-9
@@ -104,11 +104,6 @@ def constant_K(h: HoelderData) -> float:
     return 2.0 ** (1.0 + h.epsilon) * h.c_total * zeta(1.0 + h.epsilon)
 
 
-def c_prime(h: HoelderData, span: float) -> float:
-    """C' = 2**(1+eps) * g(span) * (sum C_i) * zeta(1+eps)."""
-    return constant_K(h) * h.g(span)
-
-
 def refinement_bound(h: HoelderData, span: float, mesh_value: float) -> float:
     """Bound on d(mu^I, mu^J) for any J finer than I with mesh(I)=mesh_value."""
     if mesh_value == 0.0:
@@ -124,24 +119,25 @@ def corollary_bound(h: HoelderData, span: float) -> float:
 # ---------------------------------------------------------------------------
 # composites
 
-def compose_along(model: ApproxFlowModel, subdiv: Subdivision) -> ProbedMap:
-    """mu composed left to right along the subdivision points.
+def compose_along(model: ApproxFlowModel, params: Sequence[Param]) -> ProbedMap:
+    """mu(p_0, p_1) o mu(p_1, p_2) o ... o mu(p_{k-1}, p_k) along the parameters.
 
-    The degenerate subdivision of a single point returns mu(start, end)
-    itself, and so does the trivial one of a model without ``increment``.
-    A model that declares ``increment`` composes to one translation by its
+    This is the one chain runner: sew levels pass subdivision points, knit
+    rows and ladders pass net nodes, the defect checks and fits pass short
+    tuples such as (s, u, t).  A single parameter p gives mu(p, p), and two
+    give mu(p_0, p_1) itself for a model without ``increment``.  A model
+    that declares ``increment`` composes to one translation by its
     increments, added in the order the chain of its maps adds them (last
     interval first), so no map is built per interval and every value is
     the chain's bit for bit.
     """
-    pts = subdiv.points
-    if len(pts) == 1:
-        return model.mu(subdiv.start, subdiv.end)
+    if len(params) == 1:
+        return model.mu(params[0], params[0])
     if model.increment is None:
-        return compose_chain(map(model.mu, pts, pts[1:]))
-    shifts = list(map(model.increment, pts, pts[1:]))
+        return compose_chain(map(model.mu, params, params[1:]))
+    shifts = list(map(model.increment, params, params[1:]))
     shifts.reverse()
-    return translation_map(model.space_at(subdiv.end), model.space_at(subdiv.start), shifts)
+    return translation_map(model.space_at(params[-1]), model.space_at(params[0]), shifts)
 
 
 def _probe_slot(probes: Sequence[Point], point: Point) -> int | None:
@@ -204,10 +200,6 @@ class SewCertificate:
     ratio_estimate: float | None
     limit_value: float | None
     extrapolation_orders: tuple[int, ...] = ()
-
-    @property
-    def level_log(self) -> list[tuple[int, float, float]]:
-        return [(r.level, r.mesh, 0.0 if r.successive is None else r.successive) for r in self.levels]
 
 
 def _auto_base_k(model: ApproxFlowModel, span: float) -> int:
@@ -299,7 +291,7 @@ def sew(
     # each level's mesh and refinement bound, computed once and carried to the next level
     step = mesh(subdiv)
     bound = refinement_bound(h, span, step)
-    composite = compose_along(model, subdiv)
+    composite = compose_along(model, subdiv.points)
     vals = tuple(map(composite.eval, probes))
     levels = [SewLevel(0, subdiv.k, step, None, None, bound, level_value(composite, vals))]
 
@@ -328,7 +320,7 @@ def sew(
         bound_prev = bound
         step = mesh(subdiv)
         bound = refinement_bound(h, span, step)
-        composite = compose_along(model, subdiv)
+        composite = compose_along(model, subdiv.points)
         composites = (composites + [composite])[-keep:]
         vals = tuple(map(composite.eval, probes))
         prev_row, row = row, _romberg_row(row, vals, declared_coefs)
@@ -459,9 +451,9 @@ def inverse_defect(model: ApproxFlowModel, s: float, t: float, k: int) -> float:
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    subdiv = regular(s, t, k)
-    forward = compose_along(model, subdiv)
-    backward = compose_along(model, reverse(subdiv))
+    points = regular(s, t, k).points
+    forward = compose_along(model, points)
+    backward = compose_along(model, points[::-1])
     measured = map_distance_value(compose(forward, backward), identity_map(model.space_at(s)))
     bound = inverse_defect_bound(model.hoelder, abs(t - s), k)
     if not within_bound(measured, bound):
@@ -477,7 +469,7 @@ def mesh_lemma_check(
     """Measured d(mu^I, mu^J) for J finer than I, and its mesh bound."""
     if not refines(fine, coarse):
         raise NotARefinement("second subdivision must refine the first")
-    lhs = map_distance_value(compose_along(model, coarse), compose_along(model, fine))
+    lhs = map_distance_value(compose_along(model, coarse.points), compose_along(model, fine.points))
     span = coarse.span
     rhs = refinement_bound(model.hoelder, span, mesh(coarse))
     return lhs, rhs
@@ -494,7 +486,5 @@ def four_point_defect(
     parameter-space models alike (d is the model's parameter metric).
     """
     d_p = model.param_metric
-    lhs = map_distance_value(
-        compose(model.mu(s, u), model.mu(u, t)), compose(model.mu(s, v), model.mu(v, t))
-    )
+    lhs = map_distance_value(compose_along(model, (s, u, t)), compose_along(model, (s, v, t)))
     return lhs, model.hoelder.four_point_bound(d_p(u, s), d_p(t, v), d_p(u, v))

@@ -1,44 +1,48 @@
-"""Ordered subdivisions of the interval between s and t.
+"""Ordered subdivisions of the interval between s and t, as their points.
 
-Points run monotonically from ``start`` to ``end`` (decreasing when
-start > end, a single point when they coincide).  Midpoints are computed as
-(a+b)/2 so refinement is bit-reproducible.
+A subdivision is its tuple of points t_0, ..., t_k, finite and strictly
+monotone from ``start`` = t_0 to ``end`` = t_k (decreasing when start > end);
+a single point is the degenerate subdivision of [s, s].  Midpoints are
+computed as (a+b)/2 so refinement is bit-reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import gt, lt, sub
 
 from .errors import CannotCoarsen, EndpointMismatch
 
 
 @dataclass(frozen=True)
 class Subdivision:
-    start: float
-    end: float
-    interior: tuple[float, ...] = ()
+    points: tuple[float, ...]
 
     def __post_init__(self):
-        if self.start == self.end:
-            if self.interior:
-                raise ValueError("degenerate interval takes no interior points")
-            return
-        sign = 1.0 if self.end > self.start else -1.0
-        prev = self.start
-        for p in (*self.interior, self.end):
-            if sign * (p - prev) <= 0.0:
-                raise ValueError("interior points must be strictly monotone from start to end")
-            prev = p
+        pts = self.points
+        if not pts:
+            raise ValueError("a subdivision needs at least one point")
+        if not all(map(math.isfinite, pts)):
+            raise ValueError(f"subdivision points must be finite, got {pts!r}")
+        if not (all(map(lt, pts, pts[1:])) or all(map(gt, pts, pts[1:]))):
+            raise ValueError("points must be strictly monotone from start to end")
 
     @property
-    def points(self) -> tuple[float, ...]:
-        if self.start == self.end:
-            return (self.start,)
-        return (self.start, *self.interior, self.end)
+    def start(self) -> float:
+        return self.points[0]
+
+    @property
+    def end(self) -> float:
+        return self.points[-1]
+
+    @property
+    def interior(self) -> tuple[float, ...]:
+        return self.points[1:-1]
 
     @property
     def k(self) -> int:
         """Number of intervals (0 for a degenerate subdivision)."""
-        return 0 if self.start == self.end else len(self.interior) + 1
+        return len(self.points) - 1
 
     @property
     def span(self) -> float:
@@ -46,43 +50,34 @@ class Subdivision:
 
 
 def regular(s: float, t: float, k: int) -> Subdivision:
-    """The regular subdivision with k equal intervals."""
+    """The regular subdivision with k equal intervals (one point when s == t)."""
     if k < 1:
         raise ValueError("need k >= 1")
     if s == t:
-        return Subdivision(s, t)
-    interior = tuple(s + j * (t - s) / k for j in range(1, k))
-    return Subdivision(s, t, interior)
+        return Subdivision((s,))
+    return Subdivision((s, *(s + j * (t - s) / k for j in range(1, k)), t))
 
 
 def mesh(subdiv: Subdivision) -> float:
+    """Largest interval length |b - a| (0 for a degenerate subdivision)."""
     pts = subdiv.points
-    if len(pts) == 1:
-        return 0.0
-    return max(abs(b - a) for a, b in zip(pts, pts[1:]))
+    return max(map(abs, map(sub, pts[1:], pts)), default=0.0)
 
 
 def dyadic_refine(subdiv: Subdivision) -> Subdivision:
     """Insert every interval's midpoint."""
     pts = subdiv.points
-    if len(pts) == 1:
-        return subdiv
-    interior: list[float] = []
-    for a, b in zip(pts, pts[1:]):
-        interior.append((a + b) / 2.0)
-        interior.append(b)
-    interior.pop()  # drop the end point
-    return Subdivision(subdiv.start, subdiv.end, tuple(interior))
+    refined = [0.0] * (2 * len(pts) - 1)
+    refined[::2] = pts
+    refined[1::2] = [(a + b) / 2.0 for a, b in zip(pts, pts[1:])]
+    return Subdivision(tuple(refined))
 
 
 def joint(a: Subdivision, b: Subdivision) -> Subdivision:
     """Coarsest subdivision finer than both (union of points)."""
     if a.start != b.start or a.end != b.end:
         raise EndpointMismatch("joint needs identical endpoints")
-    if a.start == a.end:
-        return a
-    merged = sorted(set(a.interior) | set(b.interior), reverse=a.start > a.end)
-    return Subdivision(a.start, a.end, tuple(merged))
+    return Subdivision(tuple(sorted(set(a.points) | set(b.points), reverse=a.start > a.end)))
 
 
 def refines(finer: Subdivision, coarser: Subdivision) -> bool:
@@ -93,20 +88,14 @@ def refines(finer: Subdivision, coarser: Subdivision) -> bool:
 
 def reverse(subdiv: Subdivision) -> Subdivision:
     """Same points, endpoints swapped."""
-    if subdiv.start == subdiv.end:
-        return subdiv
-    return Subdivision(subdiv.end, subdiv.start, tuple(reversed(subdiv.interior)))
+    return Subdivision(subdiv.points[::-1])
 
 
 def concat(left: Subdivision, right: Subdivision) -> Subdivision:
     """Glue a subdivision of [s,u] and one of [u,t] into one of [s,t]."""
     if left.end != right.start:
         raise EndpointMismatch("concat needs left.end == right.start")
-    if left.start == left.end:
-        return right
-    if right.start == right.end:
-        return left
-    return Subdivision(left.start, right.end, (*left.interior, left.end, *right.interior))
+    return Subdivision(left.points + right.points[1:])
 
 
 def coarsen_minimal_pair(subdiv: Subdivision) -> tuple[Subdivision, int]:
@@ -119,12 +108,6 @@ def coarsen_minimal_pair(subdiv: Subdivision) -> tuple[Subdivision, int]:
     pts = subdiv.points
     if len(pts) < 3:
         raise CannotCoarsen("no interior point to remove")
-    best_j = 1
-    best_sum = abs(pts[2] - pts[0])
-    for j in range(2, len(pts) - 1):
-        pair = abs(pts[j + 1] - pts[j - 1])
-        if pair < best_sum:
-            best_sum = pair
-            best_j = j
-    interior = tuple(p for i, p in enumerate(subdiv.interior, start=1) if i != best_j)
-    return Subdivision(subdiv.start, subdiv.end, interior), best_j
+    # min keeps the first of equal keys, so ties break to the smallest index
+    best_j = min(range(1, len(pts) - 1), key=lambda j: abs(pts[j + 1] - pts[j - 1]))
+    return Subdivision(pts[:best_j] + pts[best_j + 1 :]), best_j

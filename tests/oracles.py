@@ -3,7 +3,7 @@
 Everything here is deliberately decoupled from the package's own refinement
 machinery: quadrature by adaptive Simpson, Stieltjes integrals by dense
 midpoint sums, matrix exponentials by scaling and squaring, winding numbers
-by signed axis crossings.
+by signed axis crossings, dyadic refinement and mesh by plain loops.
 """
 from __future__ import annotations
 
@@ -83,3 +83,19 @@ def winding_number(points) -> int:
 def left_riemann(f, a: float, b: float, k: int) -> float:
     h = (b - a) / k
     return sum(f(a + j * h) for j in range(k)) * h
+
+
+def dyadic_midpoints(points) -> tuple:
+    """Dyadic refinement by a plain loop: (a + b) / 2 inserted between a and b."""
+    out = [points[0]]
+    for a, b in zip(points, points[1:]):
+        out += [(a + b) / 2, b]
+    return tuple(out)
+
+
+def max_gap(points) -> float:
+    """Mesh by a plain loop: the largest abs(b - a), 0.0 for a single point."""
+    best = 0.0
+    for a, b in zip(points, points[1:]):
+        best = max(best, abs(b - a))
+    return best

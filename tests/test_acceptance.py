@@ -111,7 +111,7 @@ def test_criterion_3_mesh_lemma_property_suite():
         interior = np.sort(rng.uniform(min(s, t), max(s, t), size=n_interior))
         if t < s:
             interior = interior[::-1]
-        coarse = Subdivision(s, t, tuple(float(x) for x in interior))
+        coarse = Subdivision((s, *(float(x) for x in interior), t))
         choice = trial % 3
         if choice == 0:
             fine = dyadic_refine(coarse)
@@ -121,7 +121,7 @@ def test_criterion_3_mesh_lemma_property_suite():
             extra = np.sort(rng.uniform(min(s, t), max(s, t), size=3))
             if t < s:
                 extra = extra[::-1]
-            fine = joint(coarse, Subdivision(s, t, tuple(float(x) for x in extra)))
+            fine = joint(coarse, Subdivision((s, *(float(x) for x in extra), t)))
         lhs, rhs = mesh_lemma_check(m, coarse, fine)
         if lhs > rhs + 1e-9 * (1.0 + rhs):
             violations += 1

@@ -11,6 +11,7 @@ from sewkit import (
     arc_path,
     fit_strong_four_point,
     fit_three_point,
+    four_point_defect,
     interval_four_point_samples,
     interval_three_point_samples,
     make_additive_sin,
@@ -138,3 +139,17 @@ def test_four_point_bound_equals_the_inline_formula(model, samples):
         inline = (1.0 + h.f(d_xu)) * sum(c * d_yv**a * d_uv**b for a, b, c in h.terms)
         inline += sum(c * d_xu**b * d_uv**a for a, b, c in h.terms)
         assert h.four_point_bound(d_xu, d_yv, d_uv) == inline
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_strong_four_point_rows_are_four_point_defect(seed):
+    rng = np.random.default_rng(seed)
+    cases = [
+        (make_flat_connection("midpoint"), annulus_four_point_samples(rng, 48)),
+        (make_euler_linear(1.0), interval_four_point_samples(rng, 48)),
+        (make_additive_sin(), interval_four_point_samples(rng, 48)),
+    ]
+    for model, samples in cases:
+        report = fit_strong_four_point(model, samples)
+        for row, (x, u, v, y) in zip(report.rows, samples, strict=True):
+            assert (row.defect, row.declared_bound) == four_point_defect(model, x, u, v, y)

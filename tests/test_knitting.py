@@ -13,6 +13,7 @@ from sewkit import (
     build_net,
     circle_path,
     compose_along,
+    compose_chain,
     ellipse_arc_path,
     four_point_defect,
     holonomy,
@@ -127,7 +128,7 @@ def test_pulled_back_chain_samples_each_point_once(monkeypatch):
     calls = _count_path_samples(monkeypatch)
     pulled = pullback_flow(make_flat_connection(), arc_path(1.0, 0.0, math.pi, 64))
     k = 16
-    compose_along(pulled, regular(0.0, 1.0, k))
+    compose_along(pulled, regular(0.0, 1.0, k).points)
     assert len(calls) == k + 1
 
 
@@ -151,6 +152,17 @@ def test_ladder_map_j0_composes_within_one_row():
         assert map_distance_value(ladder_map(net, fc, i, 0), row_map(net, fc, i)) == 0.0
     with pytest.raises(IndexError):
         ladder_map(net, fc, 0, net.k)
+
+
+def test_row_map_is_the_chain_of_mu_along_the_row():
+    g0, g1, ell = semicircle_pair()
+    for model in (make_flat_connection(), make_flat_connection("midpoint")):
+        net = build_net(g0, g1, 8, ell)
+        for i in range(net.k + 1):
+            row = net.row(i)
+            got = row_map(net, model, i)
+            chain = compose_chain(map(model.mu, row, row[1:]))
+            assert all(got.eval(p) == chain.eval(p) for p in got.source.probes)
 
 
 def test_ladder_map_constant_homotopy_independent_of_indices():

@@ -126,21 +126,21 @@ def test_constant_K_rejects_knitting_mode():
 
 def test_compose_along_trivial_returns_mu_exactly():
     m = make_euler_linear(1.0)
-    trivial = Subdivision(0.0, 1.0)
-    composed = compose_along(m, trivial)
+    trivial = Subdivision((0.0, 1.0))
+    composed = compose_along(m, trivial.points)
     direct = m.mu(0.0, 1.0)
     assert all(composed.eval(p) == direct.eval(p) for p in composed.source.probes)
 
 
 def test_compose_along_euler_two_steps():
     m = make_euler_linear(1.0)
-    composed = compose_along(m, Subdivision(0.0, 1.0, (0.5,)))
+    composed = compose_along(m, Subdivision((0.0, 0.5, 1.0)).points)
     assert composed.eval(1.0) == pytest.approx(2.25)
 
 
 def test_compose_along_additive_left_sum():
     m = make_additive_sin()
-    composed = compose_along(m, regular(0.0, 1.0, 4))
+    composed = compose_along(m, regular(0.0, 1.0, 4).points)
     expect = left_riemann(math.sin, 0.0, 1.0, 4)
     assert composed.eval(0.0) == pytest.approx(expect, abs=1e-15)
     assert expect == pytest.approx(0.3521170644705151, abs=1e-13)
@@ -148,11 +148,11 @@ def test_compose_along_additive_left_sum():
 
 def test_splitting_consistency_is_exact():
     m = make_additive_sin()
-    left = Subdivision(0.0, 0.4, (0.1, 0.3))
-    right = Subdivision(0.4, 1.0, (0.7,))
-    glued = compose_along(m, concat(left, right))
-    a = compose_along(m, left)
-    b = compose_along(m, right)
+    left = Subdivision((0.0, 0.1, 0.3, 0.4))
+    right = Subdivision((0.4, 0.7, 1.0))
+    glued = compose_along(m, concat(left, right).points)
+    a = compose_along(m, left.points)
+    b = compose_along(m, right.points)
     for p in glued.source.probes:
         assert glued.eval(p) == a.eval(b.eval(p))
 
@@ -171,8 +171,8 @@ _SUBDIVISIONS = [
     regular(0.0, 1.0, 7),
     dyadic_refine(dyadic_refine(regular(0.1, 0.9, 3))),
     regular(1.0, 0.2, 6),
-    concat(Subdivision(0.0, 0.4, (0.1, 0.3)), Subdivision(0.4, 1.0, (0.7,))),
-    Subdivision(-0.3, 1.2, (-0.29, 0.0, 0.013, 0.5, 0.51, 1.1)),
+    concat(Subdivision((0.0, 0.1, 0.3, 0.4)), Subdivision((0.4, 0.7, 1.0))),
+    Subdivision((-0.3, -0.29, 0.0, 0.013, 0.5, 0.51, 1.1, 1.2)),
 ]
 
 
@@ -180,7 +180,7 @@ _SUBDIVISIONS = [
 def test_translation_composites_equal_the_chain_bit_for_bit(sd):
     pts = sd.points
     for m in _translation_models():
-        fused = compose_along(m, sd)
+        fused = compose_along(m, sd.points)
         chain = compose_chain(map(m.mu, pts, pts[1:]))
         assert fused.source is chain.source and fused.target is chain.target
         for p in fused.source.probes:
@@ -197,8 +197,8 @@ def test_translation_composites_build_no_map_per_interval():
 
     m = dataclasses.replace(base, mu=counting_mu)
     for k in (2, 3, 64):
-        assert compose_along(m, regular(0.0, 1.0, k)).eval(0.5) == compose_along(
-            base, regular(0.0, 1.0, k)).eval(0.5)
+        assert compose_along(m, regular(0.0, 1.0, k).points).eval(0.5) == compose_along(
+            base, regular(0.0, 1.0, k).points).eval(0.5)
     assert calls == []
 
 
@@ -329,7 +329,7 @@ def test_mesh_lemma_property_additive_dyadic():
     rng = np.random.default_rng(5)
     for _ in range(50):
         interior = tuple(sorted(rng.uniform(0.0, 1.0, size=int(rng.integers(0, 4)))))
-        coarse = Subdivision(0.0, 1.0, interior)
+        coarse = Subdivision((0.0, *interior, 1.0))
         lhs, rhs = mesh_lemma_check(m, coarse, dyadic_refine(coarse))
         assert lhs <= rhs + 1e-9
 
