@@ -51,6 +51,7 @@ from .metric import (
     path_length,
     plane_grid,
     real_line,
+    rotation_map,
     translation_map,
 )
 from .models import (

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .errors import NonFiniteValue, WrongMode
-from .metric import MetricSpace, Point, ProbedMap
+from .metric import MetricSpace, Point, ProbedMap, translation_map
 
 MODE_SEWING = "sewing"      # exponents satisfy a + b = 1 + epsilon
 MODE_KNITTING = "knitting"  # exponents satisfy a + b = 2 + epsilon
@@ -144,10 +144,14 @@ class ApproxFlowModel:
     p_1 < p_2 < ... of the step in an asymptotic error expansion of the
     composites (1, 2, 3, ... for one-step Euler models of smooth fields);
     ``sew`` uses them for Richardson columns.  Models without
-    such an expansion declare nothing.  ``increment`` declares a translation
-    model: mu(a, b) is then x -> x + increment(a, b) on a real fiber, and
-    ``compose_along(model, params)`` adds the increments between consecutive
-    parameters directly instead of building one map per interval.
+    such an expansion declare nothing.  ``increment`` declares a model whose
+    maps act by a scalar increment, and ``act(source, target, shifts)`` how
+    a list of increments acts (a translation by default, a rotation for the
+    flat connection): a model with ``increment`` has
+    mu(a, b) == act(space_at(b), space_at(a), (increment(a, b),)), and
+    ``compose_along(model, params)`` hands the increments between
+    consecutive parameters to ``act`` instead of building one map per
+    interval.
     """
 
     name: str
@@ -159,3 +163,4 @@ class ApproxFlowModel:
     summary: Callable[[ProbedMap], float] | None = None
     expansion_orders: tuple[int, ...] = ()
     increment: Callable[[Param, Param], float] | None = None
+    act: Callable[[MetricSpace, MetricSpace, Sequence[float]], ProbedMap] = translation_map

@@ -31,6 +31,8 @@ def p_sub(a: Point, b: Point) -> Point:
 def p_lerp(a: Point, b: Point, w: float) -> Point:
     """(1-w)*a + w*b, componentwise."""
     if isinstance(a, tuple):
+        if len(a) == 2:
+            return ((1.0 - w) * a[0] + w * b[0], (1.0 - w) * a[1] + w * b[1])
         return tuple((1.0 - w) * x + w * y for x, y in zip(a, b))
     return (1.0 - w) * a + w * b
 
@@ -146,6 +148,22 @@ def translation_map(source: MetricSpace, target: MetricSpace, shifts: Sequence[f
     Pythons) and ``math.fsum`` would round differently.
     """
     return ProbedMap(source, target, lambda p: reduce(add, shifts, p))
+
+
+def rotation_map(source: MetricSpace, target: MetricSpace, shifts: Sequence[float]) -> ProbedMap:
+    """On lifted points (x, y, phi), the rotation of (x, y) by
+    theta = shifts[0] + shifts[1] + ..., with phi carried to
+    phi + shifts[0] + shifts[1] + ..., added one at a time in this order.
+
+    Rotations commute, so a chain of rotations by d_1, ..., d_k, the last one
+    acting first, is ``rotation_map(source, target, (d_k, ..., d_1))``: phi
+    bit for bit, as in :func:`translation_map`; (x, y) to rounding, since
+    it is rotated once by the summed angle instead of k times.
+    """
+    theta = reduce(add, shifts)
+    co, si = math.cos(theta), math.sin(theta)
+    return ProbedMap(source, target, lambda p: (
+        co * p[0] - si * p[1], si * p[0] + co * p[1], reduce(add, shifts, p[2])))
 
 
 # ---------------------------------------------------------------------------

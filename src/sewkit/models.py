@@ -21,6 +21,7 @@ from .metric import (
     p_norm,
     plane_grid,
     real_line,
+    rotation_map,
     translation_map,
 )
 
@@ -227,7 +228,11 @@ def make_flat_connection(
     Each ``mu`` rotates the (x, y) part of a lifted fiber point by the
     transported angle and adds that angle to its lift, so the model's
     ``summary``, the lift of (1, 0) at angle 0, reads a composite's
-    accumulated angle without reduction mod 2*pi.
+    accumulated angle without reduction mod 2*pi.  The structure group is
+    abelian, so the model declares the angle as its ``increment`` and
+    :func:`~sewkit.metric.rotation_map` as its ``act``: a chain of k maps
+    composes to one rotation by the summed angle, whose lift is the chain's
+    bit for bit and whose (x, y) part is the chain's to rounding.
 
     The exact-segment variant has zero defect whenever the triangle spanned
     by the three parameters avoids the origin, so its declared constants are
@@ -242,10 +247,7 @@ def make_flat_connection(
     h = HoelderData(1.0, ((2.0, 1.0, c), (1.0, 2.0, c)), 0.0, MODE_KNITTING)
 
     def mu(x: Point, y: Point) -> ProbedMap:
-        theta = conn.angle(x, y)
-        co, si = math.cos(theta), math.sin(theta)
-        return ProbedMap(fiber, fiber, lambda p, _c=co, _s=si, _t=theta: (
-            _c * p[0] - _s * p[1], _s * p[0] + _c * p[1], p[2] + _t))
+        return rotation_map(fiber, fiber, (conn.angle(x, y),))
 
     return ApproxFlowModel(
         name=f"flat-connection[{variant}]",
@@ -256,4 +258,6 @@ def make_flat_connection(
         max_param_step=r0,
         summary=Readout((1.0, 0.0, 0.0), 2),
         expansion_orders=() if variant == FlatConnection.EXACT else MIDPOINT_EXPANSION_ORDERS,
+        increment=conn.angle,
+        act=rotation_map,
     )

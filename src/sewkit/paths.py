@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -123,9 +123,7 @@ def ellipse_arc_path(
     fine = max(segments * 32, 1024)
     ang = [angle0 + (angle1 - angle0) * j / fine for j in range(fine + 1)]
     pts = [(rx * math.cos(a), ry * math.sin(a)) for a in ang]
-    cum = [0.0]
-    for a, b in zip(pts, pts[1:]):
-        cum.append(cum[-1] + euclidean(a, b))
+    cum = list(accumulate(map(math.dist, pts, pts[1:]), initial=0.0))
     total = cum[-1]
     if total == 0.0:
         raise ValueError("a zero-length arc has no arc-length parametrization")
@@ -311,6 +309,9 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
     Lip(g)**(a+b); knitting-mode data pulls back to sewing mode one order up.
     The pulled model keeps the model's ``summary``, so a sew of it reads the
     holonomy's summary (the flat connection's accumulated angle) at each level.
+    It pulls a declared ``increment`` back like ``mu`` and keeps ``act``, so
+    its chains stay fused (one rotation by the summed angle for the flat
+    connection); both raise :class:`ModelDomainError` naming the pullback.
     It keeps the model's ``expansion_orders`` only when every break of g is
     a dyadic rational with at most ``MAX_LEVEL`` binary digits: the dyadic
     levels of a sew over [0, 1] then come to contain every corner, and a
@@ -318,15 +319,17 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
     no orders.
     """
     lip = g.lip_norm
-    mu = model.mu
     # a chain asks for each interior point twice in a row
     at = lru_cache(maxsize=1)(g.at)
 
-    def pulled_mu(s: float, t: float) -> ProbedMap:
-        try:
-            return mu(at(s), at(t))
-        except ModelDomainError as exc:
-            raise ModelDomainError(f"pullback of {model.name} along path: {exc}") from exc
+    def pulled(f):
+        def pulled_f(s: float, t: float):
+            try:
+                return f(at(s), at(t))
+            except ModelDomainError as exc:
+                raise ModelDomainError(f"pullback of {model.name} along path: {exc}") from exc
+
+        return pulled_f
 
     step = None
     if model.max_param_step is not None and lip > 0.0:
@@ -337,11 +340,13 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
     return ApproxFlowModel(
         name=f"pullback({model.name})",
         space_at=lambda t: model.space_at(at(t)),
-        mu=pulled_mu,
+        mu=pulled(model.mu),
         hoelder=model.hoelder.pulled_back(lip),
         max_param_step=step,
         summary=model.summary,
         expansion_orders=model.expansion_orders if dyadic else (),
+        increment=None if model.increment is None else pulled(model.increment),
+        act=model.act,
     )
 
 

@@ -48,14 +48,26 @@ def test_map_distance_keeps_infinity_as_an_extended_distance():
     assert map_distance_value(ProbedMap(sp, sp, lambda p: math.inf), identity_map(sp)) == math.inf
 
 
+def _knit_compare_on_a_net(model):
+    g0, g1 = arc_path(1.0, 0.0, math.pi, 16), ellipse_arc_path(1.0, 1.6, 0.0, math.pi, 16)
+    return knit_compare(build_net(g0, g1, 8, pair_lipschitz(g0, g1)), model)
+
+
 def test_knit_compare_raises_on_a_nan_flow():
+    # the flat connection's rows are one rotation by the summed increments
+    broken = dataclasses.replace(make_flat_connection(variant="midpoint"),
+                                 increment=lambda x, y: math.nan)
+    with pytest.raises(NonFiniteValue):
+        _knit_compare_on_a_net(broken)
+
+
+def test_knit_compare_raises_on_a_nan_mu_without_increment():
     fc = make_flat_connection(variant="midpoint")
     fiber = fc.space_at((1.0, 0.0))
     nan_mu = lambda x, y: ProbedMap(fiber, fiber, lambda p: (math.nan, math.nan))
-    broken = dataclasses.replace(fc, mu=nan_mu)
-    g0, g1 = arc_path(1.0, 0.0, math.pi, 16), ellipse_arc_path(1.0, 1.6, 0.0, math.pi, 16)
+    broken = dataclasses.replace(fc, mu=nan_mu, increment=None)
     with pytest.raises(NonFiniteValue):
-        knit_compare(build_net(g0, g1, 8, pair_lipschitz(g0, g1)), broken)
+        _knit_compare_on_a_net(broken)
 
 
 def test_growth_bound_overflow_is_non_finite():

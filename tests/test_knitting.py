@@ -8,6 +8,7 @@ from sewkit import (
     EndpointMismatch,
     FlatConnection,
     LipPath,
+    ModelDomainError,
     WrongMode,
     arc_path,
     build_net,
@@ -27,6 +28,7 @@ from sewkit import (
     pair_lipschitz,
     pullback_flow,
     regular,
+    rotation_map,
     row_map,
     segment_path,
     sew,
@@ -155,14 +157,41 @@ def test_ladder_map_j0_composes_within_one_row():
 
 
 def test_row_map_is_the_chain_of_mu_along_the_row():
+    # a row is one rotation by its summed angles: the lift is the chain's bit
+    # for bit, (x, y) the chain's to rounding
     g0, g1, ell = semicircle_pair()
     for model in (make_flat_connection(), make_flat_connection("midpoint")):
         net = build_net(g0, g1, 8, ell)
+        fiber = model.space_at(g0.start)
         for i in range(net.k + 1):
             row = net.row(i)
             got = row_map(net, model, i)
             chain = compose_chain(map(model.mu, row, row[1:]))
-            assert all(got.eval(p) == chain.eval(p) for p in got.source.probes)
+            rotation = rotation_map(fiber, fiber, [model.increment(a, b)
+                                                   for a, b in zip(row, row[1:])][::-1])
+            for p in got.source.probes:
+                image, chained = got.eval(p), chain.eval(p)
+                assert image[2] == chained[2]
+                assert image[:2] == rotation.eval(p)[:2]
+                assert euclidean(image[:2], chained[:2]) <= 1e-13
+
+
+def test_fused_pulled_midpoint_chain_matches_the_chain_of_mu():
+    pulled = pullback_flow(make_flat_connection("midpoint"), circle_path(1.0, 2.0, 64))
+    params = regular(0.0, 1.0, 1024).points
+    fused = compose_along(pulled, params)
+    chain = compose_chain(map(pulled.mu, params, params[1:]))
+    for p in fused.source.probes:
+        image, chained = fused.eval(p), chain.eval(p)
+        assert image[2] == chained[2]
+        assert euclidean(image[:2], chained[:2]) <= 1e-12
+
+
+def test_fused_pulled_chain_names_the_pullback_on_an_antipodal_chord():
+    pulled = pullback_flow(make_flat_connection(), arc_path(1.0, 0.0, math.pi, 2))
+    assert pulled.increment is not None
+    with pytest.raises(ModelDomainError, match="pullback of"):
+        compose_along(pulled, (0.0, 1.0))
 
 
 def test_ladder_map_constant_homotopy_independent_of_indices():

@@ -149,6 +149,15 @@ def test_flat_connection_domain_checks():
         make_flat_connection("simpson")
 
 
+def test_flat_connection_mu_is_act_over_its_one_increment():
+    for variant in ("exact-segment", "midpoint"):
+        fc = make_flat_connection(variant)
+        fiber = fc.space_at((1.0, 0.0))
+        for x, y in (((1.0, 0.2), (0.8, 0.7)), ((0.9, -0.3), (-0.2, 1.1)), ((1.0, 0.0),) * 2):
+            m, a = fc.mu(x, y), fc.act(fiber, fiber, (fc.increment(x, y),))
+            assert all(m.eval(p) == a.eval(p) for p in fiber.probes)
+
+
 def test_flat_connection_inverse_is_exact():
     for variant in ("exact-segment", "midpoint"):
         fc = make_flat_connection(variant)
