@@ -144,14 +144,15 @@ class ApproxFlowModel:
     p_1 < p_2 < ... of the step in an asymptotic error expansion of the
     composites (1, 2, 3, ... for one-step Euler models of smooth fields);
     ``sew`` uses them for Richardson columns.  Models without
-    such an expansion declare nothing.  ``increment`` declares a model whose
-    maps act by a scalar increment, and ``act(source, target, shifts)`` how
-    a list of increments acts (a translation by default, a rotation for the
-    flat connection): a model with ``increment`` has
-    mu(a, b) == act(space_at(b), space_at(a), (increment(a, b),)), and
-    ``compose_along(model, params)`` hands the increments between
-    consecutive parameters to ``act`` instead of building one map per
-    interval.
+    such an expansion declare nothing.  ``increments(params)`` declares a
+    model whose maps act by scalar increments: it returns a new list of the
+    increments between consecutive parameters, as plain floats.
+    ``act(source, target, shifts)`` says how a list of increments acts (a
+    translation by default, a rotation for the flat connection): a model
+    with ``increments`` has
+    mu(a, b) == act(space_at(b), space_at(a), increments((a, b))), and
+    ``compose_along(model, params)`` hands ``increments(params)`` to ``act``
+    instead of building one map per interval.
     """
 
     name: str
@@ -162,5 +163,5 @@ class ApproxFlowModel:
     max_param_step: float | None = None
     summary: Callable[[ProbedMap], float] | None = None
     expansion_orders: tuple[int, ...] = ()
-    increment: Callable[[Param, Param], float] | None = None
+    increments: Callable[[Sequence[Param]], list[float]] | None = None
     act: Callable[[MetricSpace, MetricSpace, Sequence[float]], ProbedMap] = translation_map

@@ -9,7 +9,10 @@ it.
 from __future__ import annotations
 
 import math
+from operator import sub
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import InadmissibleRegularity, ModelDomainError
 from .flows import MODE_KNITTING, MODE_SEWING, ApproxFlowModel, HoelderData, Readout
@@ -26,6 +29,8 @@ from .metric import (
 )
 
 TAU = 2.0 * math.pi
+
+_MIDPOINT_TOO_CLOSE = "chord midpoint too close to the origin for the midpoint rule"
 
 #: knitting-mode defect constant per term for the midpoint flat connection,
 #: certified numerically on the working annulus (radius >= 0.7, chords <= r0)
@@ -53,7 +58,7 @@ def make_additive(
     probe_n: int = 5,
 ) -> ApproxFlowModel:
     """Translations x -> x + mu_tilde(s, t); isometries, so L = 0 and g = 1.
-    The model declares mu_tilde as its ``increment``."""
+    The model's ``increments`` are mu_tilde between consecutive parameters."""
     space = real_line(-1.0, 1.0, probe_n, name=f"{name}-line")
 
     def mu(s: float, t: float) -> ProbedMap:
@@ -65,7 +70,7 @@ def make_additive(
         mu=mu,
         hoelder=hoelder,
         summary=Readout(0.0),
-        increment=mu_tilde,
+        increments=lambda params: list(map(mu_tilde, params, params[1:])),
     )
 
 
@@ -175,6 +180,16 @@ def _wrap_angle(d: float) -> float:
     return math.remainder(d, TAU)
 
 
+def _midpoint_rule(x0, x1, y0, y1):
+    """Numerator and denominator (the squared radius of the chord midpoint)
+    of the midpoint-rule angle along the chord (x0, x1) -> (y0, y1).  Written
+    once for floats and numpy arrays alike, so one chord and a whole chain
+    give the same bits."""
+    mx = 0.5 * (x0 + y0)
+    my = 0.5 * (x1 + y1)
+    return mx * (y1 - x1) - my * (y0 - x0), mx * mx + my * my
+
+
 class FlatConnection:
     """Rotation-fiber transport over the plane minus a disk of radius r0.
 
@@ -201,21 +216,58 @@ class FlatConnection:
         if math.hypot(p[0], p[1]) < self.r0 - 1e-12:
             raise ModelDomainError(f"point {p} inside the excluded disk of radius {self.r0}")
 
+    def _check_points(self, points: Sequence[Point] | np.ndarray) -> None:
+        """``_check_point`` on every point.  An array is screened in one pass
+        with a margin far above the rounding of x*x + y*y against
+        ``math.hypot``, and each hit is confirmed by ``_check_point``, so
+        exactly the points ``math.hypot`` rejects raise, named by plain
+        floats."""
+        if isinstance(points, np.ndarray):
+            lim = self.r0 - 1e-12
+            x, y = points[:, 0], points[:, 1]
+            for i in (x * x + y * y < lim * lim * (1.0 + 1e-9)).nonzero()[0]:
+                self._check_point(tuple(points[i].tolist()))
+        else:
+            for p in points:
+                self._check_point(p)
+
+    def angles(self, points: Sequence[Point] | np.ndarray) -> list[float]:
+        """Signed angles transported along the chords between consecutive
+        points, as plain floats; each point is checked once.
+
+        Given an (n, 2) array (a path sampled by ``LipPath.sample``), the
+        midpoint rule runs as one array pass; given a sequence of tuples (a
+        knit row, a four-point triple), it runs per chord, which is faster
+        on short chains.  The exact-segment variant takes ``math.atan2`` of
+        each point either way, since ``np.arctan2`` can differ from it in the
+        last bit.
+        """
+        self._check_points(points)
+        if self.variant == self.EXACT:
+            if isinstance(points, np.ndarray):
+                points = points.tolist()
+            theta = [math.atan2(p[1], p[0]) for p in points]
+            out = list(map(_wrap_angle, map(sub, theta[1:], theta)))
+            if any(abs(d) > math.pi - 1e-9 for d in out):
+                raise ModelDomainError("chord is antipodal: the segment crosses the origin")
+            return out
+        lim2 = self.mid_min * self.mid_min
+        if isinstance(points, np.ndarray):
+            num, r2 = _midpoint_rule(points[:-1, 0], points[:-1, 1], points[1:, 0], points[1:, 1])
+            if (r2 < lim2).any():
+                raise ModelDomainError(_MIDPOINT_TOO_CLOSE)
+            return (num / r2).tolist()
+        out = []
+        for x, y in zip(points, points[1:]):
+            num, r2 = _midpoint_rule(x[0], x[1], y[0], y[1])
+            if r2 < lim2:
+                raise ModelDomainError(_MIDPOINT_TOO_CLOSE)
+            out.append(num / r2)
+        return out
+
     def angle(self, x: Point, y: Point) -> float:
         """Signed angle transported from x to y along the straight chord."""
-        self._check_point(x)
-        self._check_point(y)
-        if self.variant == self.EXACT:
-            d = _wrap_angle(math.atan2(y[1], y[0]) - math.atan2(x[1], x[0]))
-            if abs(d) > math.pi - 1e-9:
-                raise ModelDomainError("chord is antipodal: the segment crosses the origin")
-            return d
-        mx = 0.5 * (x[0] + y[0])
-        my = 0.5 * (x[1] + y[1])
-        r2 = mx * mx + my * my
-        if r2 < self.mid_min * self.mid_min:
-            raise ModelDomainError("chord midpoint too close to the origin for the midpoint rule")
-        return (mx * (y[1] - x[1]) - my * (y[0] - x[0])) / r2
+        return self.angles((x, y))[0]
 
 
 def make_flat_connection(
@@ -229,7 +281,8 @@ def make_flat_connection(
     transported angle and adds that angle to its lift, so the model's
     ``summary``, the lift of (1, 0) at angle 0, reads a composite's
     accumulated angle without reduction mod 2*pi.  The structure group is
-    abelian, so the model declares the angle as its ``increment`` and
+    abelian, so the model declares the angles along a chain as its
+    ``increments`` and
     :func:`~sewkit.metric.rotation_map` as its ``act``: a chain of k maps
     composes to one rotation by the summed angle, whose lift is the chain's
     bit for bit and whose (x, y) part is the chain's to rounding.
@@ -247,7 +300,7 @@ def make_flat_connection(
     h = HoelderData(1.0, ((2.0, 1.0, c), (1.0, 2.0, c)), 0.0, MODE_KNITTING)
 
     def mu(x: Point, y: Point) -> ProbedMap:
-        return rotation_map(fiber, fiber, (conn.angle(x, y),))
+        return rotation_map(fiber, fiber, conn.angles((x, y)))
 
     return ApproxFlowModel(
         name=f"flat-connection[{variant}]",
@@ -258,6 +311,6 @@ def make_flat_connection(
         max_param_step=r0,
         summary=Readout((1.0, 0.0, 0.0), 2),
         expansion_orders=() if variant == FlatConnection.EXACT else MIDPOINT_EXPANSION_ORDERS,
-        increment=conn.angle,
+        increments=conn.angles,
         act=rotation_map,
     )

@@ -11,10 +11,12 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from itertools import accumulate, combinations
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .errors import ConcatMismatch, ModelDomainError
 from .flows import ApproxFlowModel
@@ -81,6 +83,27 @@ class LipPath:
         i = bisect_right(self.breaks, u) - 1
         w = (u - self.breaks[i]) / (self.breaks[i + 1] - self.breaks[i])
         return p_lerp(self.points[i], self.points[i + 1], w)
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array(self.breaks, dtype=float), np.array(self.points, dtype=float)
+
+    def sample(self, params: Sequence[float]) -> np.ndarray:
+        """``at`` at every parameter in one numpy pass: row i of the result
+        (entry i for a path of floats) equals ``at(params[i])`` bit for bit,
+        with the same breakpoint search, weight and (1-w)*a + w*b."""
+        u = np.asarray(params, dtype=float)
+        breaks, points = self._arrays
+        # bisect_right(breaks, u) - 1 for 0 < u < 1, and a valid leg for the rest
+        i = np.searchsorted(breaks[1:-1], u, "right")
+        lo = breaks[i]
+        w = (u - lo) / (breaks[i + 1] - lo)
+        if points.ndim == 2:
+            w = w[:, None]
+        p = (1.0 - w) * points[i] + w * points[i + 1]
+        p[u <= 0.0] = points[0]
+        p[u >= 1.0] = points[-1]
+        return p
 
 
 def polyline(points: Sequence[Point], breaks: Sequence[float] | None = None) -> LipPath:
@@ -309,9 +332,10 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
     Lip(g)**(a+b); knitting-mode data pulls back to sewing mode one order up.
     The pulled model keeps the model's ``summary``, so a sew of it reads the
     holonomy's summary (the flat connection's accumulated angle) at each level.
-    It pulls a declared ``increment`` back like ``mu`` and keeps ``act``, so
-    its chains stay fused (one rotation by the summed angle for the flat
-    connection); both raise :class:`ModelDomainError` naming the pullback.
+    It pulls declared ``increments`` back through one ``g.sample`` of all the
+    parameters and keeps ``act``, so its chains stay fused (one rotation by
+    the summed angle for the flat connection); ``mu`` and ``increments``
+    raise :class:`ModelDomainError` naming the pullback.
     It keeps the model's ``expansion_orders`` only when every break of g is
     a dyadic rational with at most ``MAX_LEVEL`` binary digits: the dyadic
     levels of a sew over [0, 1] then come to contain every corner, and a
@@ -319,17 +343,16 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
     no orders.
     """
     lip = g.lip_norm
-    # a chain asks for each interior point twice in a row
-    at = lru_cache(maxsize=1)(g.at)
 
-    def pulled(f):
-        def pulled_f(s: float, t: float):
-            try:
-                return f(at(s), at(t))
-            except ModelDomainError as exc:
-                raise ModelDomainError(f"pullback of {model.name} along path: {exc}") from exc
+    def pulled(f, *points):
+        try:
+            return f(*points)
+        except ModelDomainError as exc:
+            raise ModelDomainError(f"pullback of {model.name} along path: {exc}") from exc
 
-        return pulled_f
+    increments = None
+    if model.increments is not None:
+        increments = lambda params: pulled(model.increments, g.sample(params))
 
     step = None
     if model.max_param_step is not None and lip > 0.0:
@@ -339,13 +362,13 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
 
     return ApproxFlowModel(
         name=f"pullback({model.name})",
-        space_at=lambda t: model.space_at(at(t)),
-        mu=pulled(model.mu),
+        space_at=lambda t: model.space_at(g.at(t)),
+        mu=lambda s, t: pulled(model.mu, g.at(s), g.at(t)),
         hoelder=model.hoelder.pulled_back(lip),
         max_param_step=step,
         summary=model.summary,
         expansion_orders=model.expansion_orders if dyadic else (),
-        increment=None if model.increment is None else pulled(model.increment),
+        increments=increments,
         act=model.act,
     )
 

@@ -124,23 +124,20 @@ def compose_along(model: ApproxFlowModel, params: Sequence[Param]) -> ProbedMap:
     This is the one chain runner: sew levels pass subdivision points, knit
     rows and ladders pass net nodes, the defect checks and fits pass short
     tuples such as (s, u, t).  A single parameter p gives mu(p, p), and two
-    give mu(p_0, p_1) itself for a model without ``increment``.  A model
-    that declares ``increment`` composes to one ``model.act`` over its
-    increments, listed in the order the chain of its maps applies them (last
-    interval first), so no map is built per interval: a translation's values
-    are the chain's bit for bit, a rotation's lifted angle too.  The spaces
-    are fetched around the increments, first at p_0 and last at p_k, so a
-    pulled-back model that caches its latest path sample samples each
-    parameter once.
+    give mu(p_0, p_1) itself for a model without ``increments``.  A model
+    that declares ``increments`` composes to one ``model.act`` over
+    ``increments(params)``, listed in the order the chain of its maps applies
+    them (last interval first), so no map is built per interval: a
+    translation's values are the chain's bit for bit, a rotation's lifted
+    angle too.
     """
     if len(params) == 1:
         return model.mu(params[0], params[0])
-    if model.increment is None:
+    if model.increments is None:
         return compose_chain(map(model.mu, params, params[1:]))
-    target = model.space_at(params[0])
-    shifts = list(map(model.increment, params, params[1:]))
+    shifts = model.increments(params)
     shifts.reverse()
-    return model.act(model.space_at(params[-1]), target, shifts)
+    return model.act(model.space_at(params[-1]), model.space_at(params[0]), shifts)
 
 
 def _probe_slot(probes: Sequence[Point], point: Point) -> int | None:

@@ -56,7 +56,7 @@ def _knit_compare_on_a_net(model):
 def test_knit_compare_raises_on_a_nan_flow():
     # the flat connection's rows are one rotation by the summed increments
     broken = dataclasses.replace(make_flat_connection(variant="midpoint"),
-                                 increment=lambda x, y: math.nan)
+                                 increments=lambda xs: [math.nan] * (len(xs) - 1))
     with pytest.raises(NonFiniteValue):
         _knit_compare_on_a_net(broken)
 
@@ -65,7 +65,7 @@ def test_knit_compare_raises_on_a_nan_mu_without_increment():
     fc = make_flat_connection(variant="midpoint")
     fiber = fc.space_at((1.0, 0.0))
     nan_mu = lambda x, y: ProbedMap(fiber, fiber, lambda p: (math.nan, math.nan))
-    broken = dataclasses.replace(fc, mu=nan_mu, increment=None)
+    broken = dataclasses.replace(fc, mu=nan_mu, increments=None)
     with pytest.raises(NonFiniteValue):
         _knit_compare_on_a_net(broken)
 

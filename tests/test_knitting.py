@@ -105,15 +105,15 @@ def test_net_rows_and_mesh_match_the_brute_force_grid(k, identical):
         net.row(k + 1)
 
 
-def _count_path_samples(monkeypatch):
+def _count_path_samples(monkeypatch, name="at"):
     calls = []
-    real_at = LipPath.at
+    real = getattr(LipPath, name)
 
-    def counted_at(self, u):
+    def counted(self, u):
         calls.append(u)
-        return real_at(self, u)
+        return real(self, u)
 
-    monkeypatch.setattr(LipPath, "at", counted_at)
+    monkeypatch.setattr(LipPath, name, counted)
     return calls
 
 
@@ -128,10 +128,19 @@ def test_build_net_samples_each_path_once_per_column(monkeypatch):
 
 def test_pulled_back_chain_samples_each_point_once(monkeypatch):
     calls = _count_path_samples(monkeypatch)
-    pulled = pullback_flow(make_flat_connection(), arc_path(1.0, 0.0, math.pi, 64))
+    samples = _count_path_samples(monkeypatch, "sample")
     k = 16
-    compose_along(pulled, regular(0.0, 1.0, k).points)
-    assert len(calls) == k + 1
+    params = regular(0.0, 1.0, k).points
+    for variant in ("exact-segment", "midpoint"):
+        pulled = pullback_flow(make_flat_connection(variant), arc_path(1.0, 0.0, math.pi, 64))
+        calls.clear()
+        samples.clear()
+        pulled.increments(params)
+        assert samples == [params] and calls == []
+        samples.clear()
+        compose_along(pulled, params)
+        # the one sample of the increments; the two ``at`` calls fetch the end spaces
+        assert samples == [params] and sorted(calls) == [0.0, 1.0]
 
 
 # --- ladder maps -----------------------------------------------------------------
@@ -167,7 +176,7 @@ def test_row_map_is_the_chain_of_mu_along_the_row():
             row = net.row(i)
             got = row_map(net, model, i)
             chain = compose_chain(map(model.mu, row, row[1:]))
-            rotation = rotation_map(fiber, fiber, [model.increment(a, b)
+            rotation = rotation_map(fiber, fiber, [model.increments((a, b))[0]
                                                    for a, b in zip(row, row[1:])][::-1])
             for p in got.source.probes:
                 image, chained = got.eval(p), chain.eval(p)
@@ -189,7 +198,7 @@ def test_fused_pulled_midpoint_chain_matches_the_chain_of_mu():
 
 def test_fused_pulled_chain_names_the_pullback_on_an_antipodal_chord():
     pulled = pullback_flow(make_flat_connection(), arc_path(1.0, 0.0, math.pi, 2))
-    assert pulled.increment is not None
+    assert pulled.increments is not None
     with pytest.raises(ModelDomainError, match="pullback of"):
         compose_along(pulled, (0.0, 1.0))
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from oracles import adaptive_simpson, expm2, stieltjes_midpoint, winding_number
 from sewkit import (
     InadmissibleRegularity,
     ModelDomainError,
+    arc_path,
     circle_path,
+    compose_along,
     compose_chain,
     holonomy,
     make_additive,
@@ -20,9 +23,12 @@ from sewkit import (
     make_young,
     map_distance_value,
     polyline,
+    pullback_flow,
+    regular,
     sew,
 )
 from sewkit.flows import HoelderData
+from sewkit.models import FlatConnection
 
 
 ALL_INTERVAL_MODELS = [
@@ -154,8 +160,90 @@ def test_flat_connection_mu_is_act_over_its_one_increment():
         fc = make_flat_connection(variant)
         fiber = fc.space_at((1.0, 0.0))
         for x, y in (((1.0, 0.2), (0.8, 0.7)), ((0.9, -0.3), (-0.2, 1.1)), ((1.0, 0.0),) * 2):
-            m, a = fc.mu(x, y), fc.act(fiber, fiber, (fc.increment(x, y),))
+            m, a = fc.mu(x, y), fc.act(fiber, fiber, fc.increments((x, y)))
             assert all(m.eval(p) == a.eval(p) for p in fiber.probes)
+
+
+def test_a_chain_checks_each_point_once(monkeypatch):
+    screened, checked = [], []
+    real_points, real_point = FlatConnection._check_points, FlatConnection._check_point
+
+    def check_points(self, points):
+        screened.append(len(points))
+        real_points(self, points)
+
+    def check_point(self, p):
+        checked.append(p)
+        real_point(self, p)
+
+    monkeypatch.setattr(FlatConnection, "_check_points", check_points)
+    monkeypatch.setattr(FlatConnection, "_check_point", check_point)
+    k = 16
+    arc = arc_path(1.0, 0.0, 2.0, 64)
+    params = regular(0.0, 1.0, k).points
+    for variant in ("exact-segment", "midpoint"):
+        fc = make_flat_connection(variant)
+        screened.clear()
+        checked.clear()
+        compose_along(fc, tuple(map(arc.at, params)))
+        assert screened == [k + 1] and len(checked) == k + 1
+        screened.clear()
+        checked.clear()
+        compose_along(pullback_flow(fc, arc), params)
+        # the array screen finds no point near the disk, so none needs confirming
+        assert screened == [k + 1] and checked == []
+
+
+def _disk_edge_points(lim, n_angles, seed):
+    """(angle, point) pairs within 3 ulps of radius lim: those where a plain
+    x*x + y*y < lim*lim or np.hypot screen disagrees with math.hypot, then
+    every point of the first 40 angles."""
+    tricky, plain = [], []
+    for i, theta in enumerate(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, n_angles)):
+        r = lim
+        for _ in range(3):
+            r = math.nextafter(r, 0.0)
+        for _ in range(7):
+            x, y = r * math.cos(theta), r * math.sin(theta)
+            inside = math.hypot(x, y) < lim
+            if inside != (x * x + y * y < lim * lim) or inside != (np.hypot(x, y) < lim):
+                tricky.append((theta, (x, y)))
+            elif i < 40:
+                plain.append((theta, (x, y)))
+            r = math.nextafter(r, 1.0)
+    return tricky + plain
+
+
+def test_points_at_the_disk_edge_raise_exactly_as_math_hypot_rejects():
+    lim = 0.5 - 1e-12
+    outcomes = set()
+    for theta, p in _disk_edge_points(lim, 3000, 5):
+        q0 = (math.cos(theta - 0.3), math.sin(theta - 0.3))
+        q1 = (math.cos(theta + 0.3), math.sin(theta + 0.3))
+        inside = math.hypot(*p) < lim
+        outcomes.add(inside)
+        for variant in ("exact-segment", "midpoint"):
+            fc = make_flat_connection(variant)
+            pulled = pullback_flow(fc, polyline((q0, p, q1)))
+            for chain in (lambda: fc.mu(p, q1),
+                          lambda: compose_along(fc, (q0, p, q1)),
+                          lambda: compose_along(pulled, (0.0, 0.5, 1.0))):
+                if inside:
+                    with pytest.raises(ModelDomainError, match=re.escape(f"point {p} inside")):
+                        chain()
+                else:
+                    chain()
+    assert outcomes == {True, False}
+
+
+def test_midpoint_too_close_chord_raises_in_every_chain():
+    fm = make_flat_connection("midpoint")
+    row = ((1.5, 0.0), (1.0, 0.9), (-1.0, -0.9))
+    for chain in (lambda: compose_along(fm, row[1:]),
+                  lambda: compose_along(fm, row),
+                  lambda: compose_along(pullback_flow(fm, polyline(row)), (0.0, 0.5, 1.0))):
+        with pytest.raises(ModelDomainError, match="midpoint too close"):
+            chain()
 
 
 def test_flat_connection_inverse_is_exact():

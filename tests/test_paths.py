@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from sewkit import (
     ConcatMismatch,
     LipPath,
+    ModelDomainError,
     arc_path,
     circle_path,
     compose_chain,
     concat_reverse_order,
+    compose_along,
     constant_path,
+    ellipse_arc_path,
     groupoid_axiom_check,
     identity_map,
     make_flat_connection,
@@ -20,6 +23,7 @@ from sewkit import (
     pl_thin_reduce,
     polyline,
     pullback_flow,
+    regular,
     reparametrize,
     reverse_path,
     segment_path,
@@ -142,6 +146,28 @@ def test_path_csv_round_trip(tmp_path):
     assert path_from_csv(f2).points == line.points
 
 
+def test_sample_equals_at_bit_for_bit():
+    arc = arc_path(1.112, 0.853, 6.259, 128)
+    arc24 = arc_path(1.0, 0.0, 2.0, 24)
+    paths = [
+        arc,
+        ellipse_arc_path(1.0, 1.6, 0.0, math.pi, 48),
+        concat_reverse_order(arc_path(1.0, 0.3, 1.4, 7), arc_path(1.0, -0.5, 0.3, 5)),
+        # pulls the break 5/24 back to within 6e-17 of the break 0.4
+        reparametrize(arc24, (0.0, 0.4, 1.0), (0.0, math.nextafter(5 / 24, 1.0), 1.0)),
+        polyline((0.0, 1.5, -0.25, 2.0, -0.0)),
+    ]
+    assert min(np.diff(paths[3].breaks)) < 1e-16
+    levels = [u for n in range(13) for u in regular(0.0, 1.0, 2**n).points]
+    for g in paths:
+        params = [0.0, 1.0, -0.3, -0.0, 1.7, *g.breaks, *levels]
+        for us in (params, params[::-1]):
+            got = g.sample(us).tolist()
+            assert len(got) == len(us)
+            for u, p in zip(us, got):
+                assert repr(tuple(p) if isinstance(p, list) else p) == repr(g.at(u)), (g, u)
+
+
 # --- pullback ------------------------------------------------------------------
 
 def test_pullback_constant_path_is_identity_flow():
@@ -161,6 +187,22 @@ def test_pullback_rescales_defect_data():
     for (a, b, c), (a0, b0, c0) in zip(pulled.hoelder.terms, fc.hoelder.terms):
         assert (a, b) == (a0, b0)
         assert c == pytest.approx(c0 * lip ** (a0 + b0))
+
+
+def test_pulled_increments_and_error_points_are_plain_floats():
+    params = regular(0.0, 1.0, 8).points
+    for variant in ("exact-segment", "midpoint"):
+        fc = make_flat_connection(variant)
+        shifts = pullback_flow(fc, arc_path(1.0, 0.0, 2.0, 16)).increments(params)
+        assert len(shifts) == 8 and all(type(x) is float for x in shifts)
+        # the chord from (1, 0.3) to (-1, 0.2) enters the disk first at u = 3/8
+        g = segment_path((1.0, 0.3), (-1.0, 0.2))
+        with pytest.raises(ModelDomainError) as info:
+            compose_along(pullback_flow(fc, g), params)
+        message = str(info.value)
+        assert message.startswith(f"pullback of {fc.name} along path: ")
+        assert f"point {g.at(0.375)} inside the excluded disk" in message
+        assert "float64" not in message
 
 
 def test_pullback_exact_segment_defect_zero_on_chordsafe_arc():
