@@ -2,23 +2,25 @@
 
 Two paths with common endpoints span the straight-line homotopy H; its
 (k+1)x(k+1) net is H on the regular grid, kept as the two paths sampled at
-j/k, with each row built when asked for.  Ladder maps interpolate
-between the row compositions one crossing at a time; under a strong
-four-point estimate of total degree 2+eps the top and bottom rows differ by
-at most exp(delta*ell*L) * (2 + delta*ell*L) * (sum C_i) * ell**(2+eps) *
-delta**eps with delta = 1/k, which vanishes as the net refines.  Holonomy
-along a path is the sewn pullback flow; its certificate carries the model's
-summary, for the flat connection the lifted angle (not reduced mod 2*pi, so
-winding is observable).
+j/k by one ``LipPath.sample`` each, with each row built when asked for.
+Ladder maps interpolate between the row compositions one crossing at a
+time; under a strong four-point estimate of total degree 2+eps the top and
+bottom rows differ by at most exp(delta*ell*L) * (2 + delta*ell*L) *
+(sum C_i) * ell**(2+eps) * delta**eps with delta = 1/k, which vanishes as
+the net refines.  Holonomy along a path is the sewn pullback flow; its
+certificate carries the model's summary, for the flat connection the lifted
+angle (not reduced mod 2*pi, so winding is observable).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DeclaredLipschitzViolated, EndpointMismatch
 from .flows import MODE_KNITTING, ApproxFlowModel, HoelderData
-from .metric import Point, ProbedMap, euclidean, map_distance_value, p_lerp
+from .metric import Point, ProbedMap, euclidean, map_distance_value
 from .metric import compose_chain  # unused here: kept for perfbench/tracer.py, which patches it
 from .paths import LipPath, pullback_flow
 from .sewing import MAX_LEVEL, SewCertificate, compose_along, sew, zeta
@@ -30,10 +32,11 @@ def _check_shared_endpoints(g0: LipPath, g1: LipPath) -> None:
         raise EndpointMismatch("paths must share both endpoints")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomotopyNet:
     """The net x_j^i = H(i/k, j/k) of the straight-line homotopy H(s, t) =
-    (1-s) g0(t) + s g1(t), kept as its two boundary paths sampled at t_j = j/k.
+    (1-s) g0(t) + s g1(t), kept as its two boundary paths sampled at t_j = j/k
+    by ``LipPath.sample`` (arrays of k+1 points).
 
     Rows are built on demand by :meth:`row` and share the endpoints x and y
     of row 0.  ``mesh`` bounds every row and column step of the net.
@@ -41,47 +44,40 @@ class HomotopyNet:
 
     k: int
     ell: float
-    samples0: tuple[Point, ...]   # g0(t_j)
-    samples1: tuple[Point, ...]   # g1(t_j)
+    samples0: np.ndarray   # g0(t_j)
+    samples1: np.ndarray   # g1(t_j)
     mesh: float = field(init=False)
 
     def __post_init__(self):
         # An interior row step is a convex combination of a row-0 and a row-k
         # step, and every column step is |g1(t_j) - g0(t_j)|/k, so the two
         # boundary rows give the mesh; the endpoint gap covers the snapping.
-        bottom, top = self.row(0), self.row(self.k)
-        step = max(
-            max(map(euclidean, bottom, bottom[1:])),
-            max(map(euclidean, top, top[1:])),
-            max(map(euclidean, self.samples0, self.samples1)) / self.k,
-        )
-        gap = max(euclidean(self.samples0[0], self.samples1[0]),
-                  euclidean(self.samples0[-1], self.samples1[-1]))
+        # Row 0 is g0(t_j), row k is g1(t_j) with row 0's ends (to a zero's sign).
+        bottom, top = self.samples0.tolist(), self.samples1.tolist()
+        gap = max(euclidean(bottom[0], top[0]), euclidean(bottom[-1], top[-1]))
+        column = max(map(euclidean, bottom, top)) / self.k
+        top[0], top[-1] = bottom[0], bottom[-1]
+        step = max(max(map(euclidean, bottom, bottom[1:])),
+                   max(map(euclidean, top, top[1:])), column)
         object.__setattr__(self, "mesh", step + gap)
 
-    @property
-    def start(self) -> Point:
-        return p_lerp(self.samples0[0], self.samples1[0], 0.0)
-
-    @property
-    def end(self) -> Point:
-        return p_lerp(self.samples0[-1], self.samples1[-1], 0.0)
-
     def row(self, i: int) -> tuple[Point, ...]:
-        """Row i, H(i/k, t_j) for j = 0..k, with its endpoints snapped to row 0's."""
+        """Row i, H(i/k, t_j) for j = 0..k, with its endpoints snapped to row 0's:
+        a tuple of points, each a tuple of floats or, on paths of floats, a float."""
         if not 0 <= i <= self.k:
             raise IndexError("row index out of range")
         s = i / self.k
-        nodes = [p_lerp(a, b, s) for a, b in zip(self.samples0, self.samples1)]
-        nodes[0], nodes[-1] = self.start, self.end
-        return tuple(nodes)
+        nodes = (1.0 - s) * self.samples0 + s * self.samples1
+        nodes[0], nodes[-1] = self.samples0[0], self.samples0[-1]
+        nodes = nodes.tolist()
+        return tuple(map(tuple, nodes)) if self.samples0.ndim == 2 else tuple(nodes)
 
 
 def build_net(g0: LipPath, g1: LipPath, k: int, ell: float) -> HomotopyNet:
     """The k-net of the straight-line homotopy from g0 to g1, checked against ell.
 
-    Samples each path once at t_j = j/k.  Raises :class:`EndpointMismatch`
-    when the paths do not share both endpoints and
+    Samples each path once, by one ``LipPath.sample`` at t_j = j/k.  Raises
+    :class:`EndpointMismatch` when the paths do not share both endpoints and
     :class:`DeclaredLipschitzViolated` when the mesh exceeds ell/k.
     """
     if k < 2:
@@ -90,7 +86,7 @@ def build_net(g0: LipPath, g1: LipPath, k: int, ell: float) -> HomotopyNet:
         raise ValueError("ell must be positive")
     _check_shared_endpoints(g0, g1)
     ts = regular(0.0, 1.0, k).points
-    net = HomotopyNet(k, ell, tuple(map(g0.at, ts)), tuple(map(g1.at, ts)))
+    net = HomotopyNet(k, ell, g0.sample(ts), g1.sample(ts))
     if net.mesh > ell / k + 1e-12:
         raise DeclaredLipschitzViolated(
             f"net mesh {net.mesh:.3e} exceeds declared ell/k = {ell / k:.3e}"
@@ -100,12 +96,12 @@ def build_net(g0: LipPath, g1: LipPath, k: int, ell: float) -> HomotopyNet:
 
 def pair_lipschitz(g0: LipPath, g1: LipPath) -> float:
     """A Lipschitz bound ell, for the |ds| + |dt| metric on the square, of the
-    straight-line homotopy between two PL paths with common endpoints."""
+    straight-line homotopy between two PL paths with common endpoints; samples
+    each path once, at the union of their breaks, where |g1 - g0| peaks."""
     _check_shared_endpoints(g0, g1)
     ell_t = max(g0.lip_norm, g1.lip_norm)
-    ell_s = 0.0
-    for u in sorted(set(g0.breaks) | set(g1.breaks)):
-        ell_s = max(ell_s, euclidean(g0.at(u), g1.at(u)))
+    us = sorted(set(g0.breaks) | set(g1.breaks))
+    ell_s = max(map(euclidean, g0.sample(us).tolist(), g1.sample(us).tolist()))
     return max(ell_t, ell_s)
 
 

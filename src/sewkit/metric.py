@@ -22,17 +22,9 @@ Point = Any  # a float, or a tuple of floats
 # ---------------------------------------------------------------------------
 # point helpers (floats and tuples share one code path)
 
-def p_sub(a: Point, b: Point) -> Point:
-    if isinstance(a, tuple):
-        return tuple(x - y for x, y in zip(a, b))
-    return a - b
-
-
 def p_lerp(a: Point, b: Point, w: float) -> Point:
     """(1-w)*a + w*b, componentwise."""
     if isinstance(a, tuple):
-        if len(a) == 2:
-            return ((1.0 - w) * a[0] + w * b[0], (1.0 - w) * a[1] + w * b[1])
         return tuple((1.0 - w) * x + w * y for x, y in zip(a, b))
     return (1.0 - w) * a + w * b
 
@@ -54,11 +46,11 @@ def p_norm(a: Point) -> float:
 
 
 def euclidean(a: Point, b: Point) -> float:
-    if isinstance(a, tuple):
-        if len(a) == 2:
-            return math.hypot(a[0] - b[0], a[1] - b[1])
-        return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-    return abs(a - b)
+    """|a - b| for numbers, else ``math.dist``: in the plane the bits of
+    ``math.hypot`` of the differences; points of unequal dimension raise."""
+    if isinstance(a, (float, int)):
+        return abs(a - b)
+    return math.dist(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +217,9 @@ def lipschitz_estimate(f: ProbedMap) -> float:
 
 
 def composition_distance_bound(d_gg: float, lip_gprime: float, d_ff: float) -> float:
-    """Bound d(g o f, g' o f') <= d(g, g') + Lip(g') * d(f, f')."""
-    if d_gg < 0 or lip_gprime < 0 or d_ff < 0:
-        raise ValueError("composition bound inputs must be non-negative")
-    return d_gg + lip_gprime * d_ff
+    """Bound d(g o f, g' o f') <= d(g, g') + Lip(g') * d(f, f'): the r = 2 case
+    of :func:`chain_composition_bound`, whose sum never reads the last lip."""
+    return chain_composition_bound((d_gg, d_ff), (lip_gprime, 0.0))
 
 
 def chain_composition_bound(gaps: Sequence[float], lips: Sequence[float]) -> float:

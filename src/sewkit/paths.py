@@ -13,6 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations
+from operator import sub, truediv
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +30,6 @@ from .metric import (
     map_distance_value,
     p_lerp,
     p_norm,
-    p_sub,
 )
 from .sewing import MAX_LEVEL, sew
 
@@ -39,7 +39,8 @@ THIN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LipPath:
-    """A PL path on [0,1]: breakpoints 0 = u_0 < ... < u_m = 1 and m+1 points."""
+    """A PL path on [0,1]: breakpoints 0 = u_0 < ... < u_m = 1 and m+1 finite
+    points of one dimension (all floats, or all tuples of one length)."""
 
     breaks: tuple[float, ...]
     points: tuple[Point, ...]
@@ -52,16 +53,18 @@ class LipPath:
             raise ValueError("need at least two breakpoints")
         if self.breaks[0] != 0.0 or self.breaks[-1] != 1.0:
             raise ValueError("breakpoints must run from 0 to 1")
-        if any(b >= c for b, c in zip(self.breaks, self.breaks[1:])):
+        if not all(b < c for b, c in zip(self.breaks, self.breaks[1:])):  # a NaN fails too
             raise ValueError("breakpoints must be strictly increasing")
-        lip = 0.0
-        for i in range(len(self.points) - 1):
-            speed = euclidean(self.points[i], self.points[i + 1]) / (
-                self.breaks[i + 1] - self.breaks[i]
-            )
-            if speed > lip:
-                lip = speed
-        object.__setattr__(self, "lip_norm", lip)
+        try:
+            points = self._arrays[1]
+        except ValueError:
+            raise ValueError("points must be numbers, or tuples of numbers of one length") from None
+        bad = ~np.isfinite(points).reshape(len(points), -1).all(axis=1)
+        if bad.any():
+            raise ValueError(f"points must be finite, got {self.points[bad.argmax()]!r}")
+        steps = map(euclidean, self.points, self.points[1:])
+        spans = map(sub, self.breaks[1:], self.breaks)
+        object.__setattr__(self, "lip_norm", max(map(truediv, steps, spans)))
 
     @property
     def start(self) -> Point:
@@ -242,10 +245,13 @@ def reverse_path(g: LipPath) -> LipPath:
 
 
 def reparametrize(g: LipPath, phi_breaks: Sequence[float], phi_values: Sequence[float]) -> LipPath:
-    """g composed with a monotone PL reparametrization of [0,1]."""
+    """g composed with a monotone PL reparametrization of [0,1]; phi may be
+    flat on a piece but never decrease."""
     phi = LipPath(tuple(phi_breaks), tuple(float(v) for v in phi_values))
     if phi.points[0] != 0.0 or phi.points[-1] != 1.0:
         raise ValueError("reparametrization must fix the endpoints")
+    if not all(v0 <= v1 for v0, v1 in zip(phi.points, phi.points[1:])):
+        raise ValueError(f"reparametrization must be non-decreasing, got {phi.points}")
     pulled = [u for u in phi.breaks]
     for target in g.breaks[1:-1]:
         # invert the PL map on each monotone piece
@@ -266,13 +272,13 @@ def reparametrize(g: LipPath, phi_breaks: Sequence[float], phi_values: Sequence[
 
 def _is_backtrack(p: Point, q: Point, r: Point) -> bool:
     """True when the leg q -> r runs backward along the segment p -> q."""
-    v = p_sub(q, p)
-    w = p_sub(r, q)
+    if not isinstance(p, tuple):
+        p, q, r = (p,), (q,), (r,)
+    v = tuple(y - x for x, y in zip(p, q))
+    w = tuple(y - x for x, y in zip(q, r))
     lv, lw = p_norm(v), p_norm(w)
     if lv <= THIN_TOL or lw <= THIN_TOL:
         return False
-    if not isinstance(v, tuple):
-        v, w = (v,), (w,)
     # |v ^ w|, the area the two legs span in any dimension; |v x w| in the plane
     wedge = math.hypot(*(v[i] * w[j] - v[j] * w[i] for i, j in combinations(range(len(v)), 2)))
     if wedge > THIN_TOL * max(lv, lw, 1.0):

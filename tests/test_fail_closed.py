@@ -412,6 +412,25 @@ def test_unusable_csv_path_is_a_config_error(tmp_path, capsys, line, fragment):
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant", ["midpoint", "exact-segment"])
+def test_csv_path_with_a_nan_cell_is_a_config_error(tmp_path, capsys, variant):
+    file = tmp_path / "nan.csv"
+    file.write_text("u,x0,x1\n0,1,0\n0.5,nan,0.5\n1,0,1\n")
+    model = {"name": "flat_connection", "variant": variant}
+    cfg = _holonomy_cfg(tmp_path, model=model, path={"kind": "csv", "file": str(file)})
+    assert _run(tmp_path, cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.path: points must be finite"), err
+    assert not (tmp_path / "out.csv").exists()
+
+    arc = {"kind": "arc", "radius": 1.0, "angle0": 0.0, "angle1": math.pi / 2, "segments": 8}
+    homotopy = {"kind": "pair", "path0": {"kind": "csv", "file": str(file)}, "path1": arc}
+    assert _run(tmp_path, _knit_cfg(tmp_path, model=model, homotopy=homotopy)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.homotopy.path0: points must be finite"), err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize(
     "content", [b'{"tol": 1' + b"0" * 5000 + b"}", b"\xff\xfe{}"], ids=["int-5001-digits", "not-utf8"]
 )

@@ -26,6 +26,7 @@ from sewkit import (
     make_flat_connection,
     map_distance_value,
     pair_lipschitz,
+    polyline,
     pullback_flow,
     regular,
     rotation_map,
@@ -89,15 +90,25 @@ def _brute_force_grid(g0, g1, k):
     return [tuple(r) for r in rows]
 
 
-@pytest.mark.parametrize("identical", [False, True], ids=["semicircle-ellipse", "identical"])
+def line_pair():
+    """Two paths of floats with common endpoints and different breaks."""
+    g0 = polyline((0.0, 0.7, 0.2, 1.0))
+    g1 = polyline((0.0, -0.3, 1.0), (0.0, 0.4, 1.0))
+    return g0, g1, pair_lipschitz(g0, g1)
+
+
+@pytest.mark.parametrize("pair", ["semicircle-ellipse", "identical", "line"])
 @pytest.mark.parametrize("k", [8, 16])
-def test_net_rows_and_mesh_match_the_brute_force_grid(k, identical):
-    g0, g1, ell = semicircle_pair()
-    if identical:
+def test_net_rows_and_mesh_match_the_brute_force_grid(k, pair):
+    g0, g1, ell = line_pair() if pair == "line" else semicircle_pair()
+    if pair == "identical":
         g1 = g0
     net = build_net(g0, g1, k, ell)
     grid = _brute_force_grid(g0, g1, k)
-    assert [net.row(i) for i in range(k + 1)] == grid
+    rows = [net.row(i) for i in range(k + 1)]
+    assert rows == grid
+    point = float if pair == "line" else tuple
+    assert all(type(r) is tuple and all(type(x) is point for x in r) for r in rows)
     steps = [euclidean(r[j], r[j + 1]) for r in grid for j in range(k)]
     steps += [euclidean(a, b) for r, r2 in zip(grid, grid[1:]) for a, b in zip(r, r2)]
     assert max(steps) <= net.mesh <= max(steps) + 1e-12
@@ -120,10 +131,34 @@ def _count_path_samples(monkeypatch, name="at"):
 def test_build_net_samples_each_path_once_per_column(monkeypatch):
     g0, g1, ell = semicircle_pair()
     calls = _count_path_samples(monkeypatch)
+    samples = _count_path_samples(monkeypatch, "sample")
     for k in (8, 16):
         calls.clear()
+        samples.clear()
         build_net(g0, g1, k, ell)
-        assert len(calls) == 2 * (k + 1)
+        ts = regular(0.0, 1.0, k).points
+        assert samples == [ts, ts] and calls == []
+
+
+def test_pair_lipschitz_samples_each_path_once_over_the_union_of_breaks(monkeypatch):
+    pairs = [
+        (arc_path(1.0, 0.0, math.pi, 6), ellipse_arc_path(1.0, 1.6, 0.0, math.pi, 4)),
+        line_pair()[:2],
+    ]
+    # the same bound, point by point
+    expected = [
+        max(g0.lip_norm, g1.lip_norm,
+            max(euclidean(g0.at(u), g1.at(u)) for u in set(g0.breaks) | set(g1.breaks)))
+        for g0, g1 in pairs
+    ]
+    calls = _count_path_samples(monkeypatch)
+    samples = _count_path_samples(monkeypatch, "sample")
+    for (g0, g1), ell in zip(pairs, expected):
+        calls.clear()
+        samples.clear()
+        assert repr(pair_lipschitz(g0, g1)) == repr(ell)
+        us = sorted(set(g0.breaks) | set(g1.breaks))
+        assert samples == [us, us] and calls == []
 
 
 def test_pulled_back_chain_samples_each_point_once(monkeypatch):

@@ -43,6 +43,25 @@ def test_lip_path_validation_and_norm():
         LipPath((0.0, 0.6, 0.5, 1.0), ((0.0,), (1.0,), (2.0,), (3.0,)))
 
 
+@pytest.mark.parametrize(
+    "breaks,points,fragment",
+    [
+        ((0.0, 0.5, 1.0), ((0.0, 0.0), (math.nan, 0.5), (1.0, 1.0)), "finite"),
+        ((0.0, 0.5, 1.0), (0.0, math.nan, 1.0), "finite"),
+        ((0.0, 0.5, 1.0), ((0.0, 0.0), (math.inf, 0.5), (1.0, 1.0)), "finite"),
+        ((0.0, 0.5, 1.0), ((0.0, 0.0), (0.5, -math.inf), (1.0, 1.0)), "finite"),
+        ((0.0, math.nan, 1.0), ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0)), "strictly increasing"),
+        ((0.0, 0.5, 1.0), ((0.0, 0.0), (0.5, 0.5, 0.0), (1.0, 1.0)), "one length"),
+        ((0.0, 0.5, 1.0), (0.0, (0.5,), 1.0), "one length"),
+    ],
+    ids=["nan-point", "nan-float-point", "inf-point", "minus-inf-point", "nan-break",
+         "2d-and-3d", "float-and-tuple"],
+)
+def test_lip_path_fails_closed_on_bad_points(breaks, points, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        LipPath(breaks, points)
+
+
 def test_concat_reverse_order_bookkeeping():
     const = constant_path((2.0, 0.0))
     both = concat_reverse_order(const, const)
@@ -214,6 +233,15 @@ def test_pullback_exact_segment_defect_zero_on_chordsafe_arc():
         direct = pulled.mu(s, t)
         via = compose_chain([pulled.mu(s, u), pulled.mu(u, t)])
         assert map_distance_value(direct, via) <= 1e-12
+
+
+def test_reparametrize_rejects_a_decreasing_phi():
+    g = polyline(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
+    with pytest.raises(ValueError, match="non-decreasing"):
+        reparametrize(g, (0.0, 0.4, 0.7, 1.0), (0.0, 0.8, 0.3, 1.0))
+    # a flat piece is allowed: the path pauses there
+    paused = reparametrize(g, (0.0, 0.4, 0.7, 1.0), (0.0, 0.5, 0.5, 1.0))
+    assert paused.at(0.5) == paused.at(0.4) == g.at(0.5)
 
 
 def test_pullback_reparametrization_invariance():
