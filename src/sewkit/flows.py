@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .errors import NonFiniteValue, WrongMode
-from .metric import MetricSpace, Point, ProbedMap, translation_map
+from .metric import MetricSpace, Point, ProbedMap, euclidean, translation_map
 
 MODE_SEWING = "sewing"      # exponents satisfy a + b = 1 + epsilon
 MODE_KNITTING = "knitting"  # exponents satisfy a + b = 2 + epsilon
@@ -126,17 +126,14 @@ class Readout:
         return self.read(m.eval(self.point))
 
 
-def _abs_gap(a: float, b: float) -> float:
-    return abs(b - a)
-
-
 @dataclass(frozen=True)
 class ApproxFlowModel:
     """A local approximate flow over an interval or a metric parameter space.
 
     ``mu(a, b)`` maps the space at b to the space at a and must be the exact
-    identity when a == b.  ``param_metric`` measures parameter gaps (absolute
-    difference on intervals).  ``max_param_step`` caps the parameter gap over
+    identity when a == b.  ``param_metric`` is the metric d_P of the parameter
+    space (``euclidean``: the absolute difference on intervals, the Euclidean
+    distance in the plane).  ``max_param_step`` caps the parameter gap over
     which ``mu`` may be evaluated (models that are only locally defined);
     ``summary`` is a scalar readout of a flow map, which ``sew`` records for
     each level and for the limit; the built-in models declare a
@@ -159,7 +156,7 @@ class ApproxFlowModel:
     space_at: Callable[[Param], MetricSpace]
     mu: Callable[[Param, Param], ProbedMap]
     hoelder: HoelderData
-    param_metric: Callable[[Param, Param], float] = _abs_gap
+    param_metric: Callable[[Param, Param], float] = euclidean
     max_param_step: float | None = None
     summary: Callable[[ProbedMap], float] | None = None
     expansion_orders: tuple[int, ...] = ()

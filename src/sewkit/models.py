@@ -20,7 +20,6 @@ from .metric import (
     Point,
     ProbedMap,
     circle_fiber,
-    euclidean,
     p_norm,
     plane_grid,
     real_line,
@@ -307,7 +306,6 @@ def make_flat_connection(
         space_at=lambda _x: fiber,
         mu=mu,
         hoelder=h,
-        param_metric=euclidean,
         max_param_step=r0,
         summary=Readout((1.0, 0.0, 0.0), 2),
         expansion_orders=() if variant == FlatConnection.EXACT else MIDPOINT_EXPANSION_ORDERS,

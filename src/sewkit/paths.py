@@ -95,18 +95,27 @@ class LipPath:
         """``at`` at every parameter in one numpy pass: row i of the result
         (entry i for a path of floats) equals ``at(params[i])`` bit for bit,
         with the same breakpoint search, weight and (1-w)*a + w*b."""
-        u = np.asarray(params, dtype=float)
-        breaks, points = self._arrays
-        # bisect_right(breaks, u) - 1 for 0 < u < 1, and a valid leg for the rest
-        i = np.searchsorted(breaks[1:-1], u, "right")
-        lo = breaks[i]
-        w = (u - lo) / (breaks[i + 1] - lo)
-        if points.ndim == 2:
-            w = w[:, None]
-        p = (1.0 - w) * points[i] + w * points[i + 1]
-        p[u <= 0.0] = points[0]
-        p[u >= 1.0] = points[-1]
-        return p
+        return _interpolate(*self._arrays, params)
+
+
+def _interpolate(breaks: np.ndarray, points: np.ndarray, params: Sequence[float]) -> np.ndarray:
+    """The polyline through ``points`` at increasing ``breaks``, at every
+    parameter in one numpy pass: the leg with breaks[i] <= u < breaks[i+1],
+    w = (u - breaks[i]) / (breaks[i+1] - breaks[i]) and
+    (1-w)*points[i] + w*points[i+1]; parameters at or beyond either end take
+    that end's point.  Breaks may repeat: a parameter between the ends never
+    falls on a zero-length leg."""
+    u = np.asarray(params, dtype=float)
+    # bisect_right(breaks, u) - 1 inside the ends, and a valid leg for the rest
+    i = np.searchsorted(breaks[1:-1], u, "right")
+    lo = breaks[i]
+    w = (u - lo) / (breaks[i + 1] - lo)
+    if points.ndim == 2:
+        w = w[:, None]
+    p = (1.0 - w) * points[i] + w * points[i + 1]
+    p[u <= breaks[0]] = points[0]
+    p[u >= breaks[-1]] = points[-1]
+    return p
 
 
 def polyline(points: Sequence[Point], breaks: Sequence[float] | None = None) -> LipPath:
@@ -147,22 +156,17 @@ def ellipse_arc_path(
 ) -> LipPath:
     """PL sampling of an elliptical arc at uniform arc length (constant speed)."""
     fine = max(segments * 32, 1024)
-    ang = [angle0 + (angle1 - angle0) * j / fine for j in range(fine + 1)]
-    pts = [(rx * math.cos(a), ry * math.sin(a)) for a in ang]
-    cum = list(accumulate(map(math.dist, pts, pts[1:]), initial=0.0))
+    angles = angle0 + (angle1 - angle0) * np.arange(fine + 1) / fine
+    pts = np.column_stack((rx * np.cos(angles), ry * np.sin(angles)))
+    rows = pts.tolist()
+    # math.dist, not np.hypot: the two differ in the last bit on some pairs
+    cum = np.array(list(accumulate(map(math.dist, rows, rows[1:]), initial=0.0)))
     total = cum[-1]
     if total == 0.0:
         raise ValueError("a zero-length arc has no arc-length parametrization")
-    out: list[Point] = [pts[0]]
-    i = 0
-    for j in range(1, segments):
-        target = total * j / segments
-        while cum[i + 1] < target:
-            i += 1
-        w = (target - cum[i]) / (cum[i + 1] - cum[i])
-        out.append(p_lerp(pts[i], pts[i + 1], w))
-    out.append(pts[-1])
-    return polyline(tuple(out))
+    # the ends stay the table's own: total * segments / segments need not be total
+    inner = _interpolate(cum, pts, total * np.arange(1, segments) / segments)
+    return polyline((tuple(rows[0]), *map(tuple, inner.tolist()), tuple(rows[-1])))
 
 
 def square_loop(center: Point = (2.0, 0.0), half_side: float = 0.5) -> LipPath:
@@ -252,17 +256,11 @@ def reparametrize(g: LipPath, phi_breaks: Sequence[float], phi_values: Sequence[
         raise ValueError("reparametrization must fix the endpoints")
     if not all(v0 <= v1 for v0, v1 in zip(phi.points, phi.points[1:])):
         raise ValueError(f"reparametrization must be non-decreasing, got {phi.points}")
-    pulled = [u for u in phi.breaks]
-    for target in g.breaks[1:-1]:
-        # invert the PL map on each monotone piece
-        for i in range(len(phi.breaks) - 1):
-            v0, v1 = phi.points[i], phi.points[i + 1]
-            if v0 < target <= v1:
-                u = phi.breaks[i] + (target - v0) / (v1 - v0) * (
-                    phi.breaks[i + 1] - phi.breaks[i]
-                )
-                pulled.append(u)
-    breaks = tuple(sorted(set(pulled)))
+    # phi inverted on its rising pieces: a target t falls on the piece with
+    # values[i] <= t < values[i+1], and a tie pulls back to phi's own break
+    us, values = phi._arrays
+    pulled = _interpolate(values, us, g.breaks[1:-1])
+    breaks = tuple(np.union1d(us, pulled).tolist())
     points = tuple(g.at(phi.at(u)) for u in breaks)
     return LipPath(breaks, points)
 

@@ -352,7 +352,8 @@ def sew(
         coefs = _column_coefs(used, rho)
         extrapolated = bool(used) or d == 0.0
         prev_best = best
-        best = _romberg_row(prev_row, vals, coefs)[-1]
+        # declared columns are row's own; only the observed-ratio column is built apart
+        best = row[depth] if depth else _romberg_row(prev_row, vals, coefs)[-1]
         d_best = _sup_distance(
             metric, prev_best, best, f"extrapolation at level {level} of {model.name}"
         )

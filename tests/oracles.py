@@ -3,9 +3,13 @@
 Everything here is deliberately decoupled from the package's own refinement
 machinery: quadrature by adaptive Simpson, Stieltjes integrals by dense
 midpoint sums, matrix exponentials by scaling and squaring, winding numbers
-by signed axis crossings, dyadic refinement and mesh by plain loops.
+by signed axis crossings, dyadic refinement and mesh by plain loops,
+arc-length resampling of an ellipse by a walk over its table.
 """
 from __future__ import annotations
+
+import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -99,3 +103,24 @@ def max_gap(points) -> float:
     for a, b in zip(points, points[1:]):
         best = max(best, abs(b - a))
     return best
+
+
+def ellipse_arc_points(rx: float, ry: float, angle0: float, angle1: float, segments: int) -> tuple:
+    """The points of an elliptical arc at uniform arc length: a table of
+    max(32*segments, 1024) + 1 cos/sin samples, walked leg by leg and
+    interpolated as (1-w)*a + w*b at each target total*j/segments."""
+    fine = max(segments * 32, 1024)
+    ang = [angle0 + (angle1 - angle0) * j / fine for j in range(fine + 1)]
+    pts = [(rx * math.cos(a), ry * math.sin(a)) for a in ang]
+    cum = list(accumulate(map(math.dist, pts, pts[1:]), initial=0.0))
+    total = cum[-1]
+    out = [pts[0]]
+    i = 0
+    for j in range(1, segments):
+        target = total * j / segments
+        while cum[i + 1] < target:
+            i += 1
+        w = (target - cum[i]) / (cum[i + 1] - cum[i])
+        out.append(tuple((1.0 - w) * x + w * y for x, y in zip(pts[i], pts[i + 1])))
+    out.append(pts[-1])
+    return tuple(out)

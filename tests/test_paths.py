@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ellipse_arc_points
 from sewkit import (
     ConcatMismatch,
     LipPath,
@@ -185,6 +186,35 @@ def test_sample_equals_at_bit_for_bit():
             assert len(got) == len(us)
             for u, p in zip(us, got):
                 assert repr(tuple(p) if isinstance(p, list) else p) == repr(g.at(u)), (g, u)
+
+
+def test_ellipse_arc_path_matches_the_table_walk_point_for_point():
+    rng = np.random.default_rng(15)
+    cases = [(1.0, 1.6, 0.0, math.pi, 64)]
+    for segments in (1, 2, 3, 7, 32, 48, 64, 100, 128, 500):
+        for _ in range(6):
+            rx, ry = rng.uniform(0.1, 3.0, size=2)
+            angle0 = rng.uniform(-4.0, 4.0)
+            angle1 = angle0 + rng.uniform(-7.0, 7.0)
+            cases.append((float(rx), float(ry), float(angle0), float(angle1), segments))
+    for case in cases:
+        got = ellipse_arc_path(*case).points
+        assert len(got) == case[-1] + 1
+        assert repr(got) == repr(ellipse_arc_points(*case)), case
+    with pytest.raises(ValueError, match="zero-length"):
+        ellipse_arc_path(0.0, 0.0, 0.0, math.pi, 8)
+
+
+def test_reparametrize_pulls_a_tie_back_to_phis_own_break():
+    # phi(0.9) = 0.75 is a break of g: the pulled break is 0.9 itself
+    g = polyline(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), (0.0, 0.5, 0.75, 1.0))
+    phi_breaks, phi_values = (0.0, 0.3, 0.9, 1.0), (0.0, 0.5, 0.75, 1.0)
+    h = reparametrize(g, phi_breaks, phi_values)
+    assert h.breaks == (0.0, 0.3, 0.9, 1.0)
+    assert min(np.diff(h.breaks)) > 1e-12
+    phi = polyline(phi_values, phi_breaks)
+    for u, p in zip(h.breaks, h.points):
+        assert p == g.at(phi.at(u))
 
 
 # --- pullback ------------------------------------------------------------------

@@ -22,6 +22,7 @@ from sewkit import (
     polyline,
     pullback_flow,
     sew,
+    sewing,
     square_loop,
 )
 from sewkit.models import MIDPOINT_EXPANSION_ORDERS
@@ -126,6 +127,25 @@ def test_summaries_read_from_probe_values_match_the_chain_bit_for_bit(model, s, 
     _, b = sew(_via_the_chain(model), s, t, 1e-8)
     assert repr(_trace(a)) == repr(_trace(b))  # repr tells -0.0 from 0.0
     assert all(r.value is not None for r in a.levels)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        make_euler_matrix([[0.2, -1.0], [1.0, 0.1]]),
+        pullback_flow(make_flat_connection("midpoint"), circle_path(1.0, 1.0, 64)),
+    ],
+    ids=["euler_matrix", "midpoint-dyadic"],
+)
+def test_declared_columns_are_built_once_per_level(model, monkeypatch):
+    # the best estimate is read from the level's own table row; a second
+    # Richardson row is built only for the observed-ratio column
+    calls = []
+    original = sewing._romberg_row
+    monkeypatch.setattr(sewing, "_romberg_row", lambda *a: calls.append(a) or original(*a))
+    _, cert = sew(model, 0.0, 1.0, TOL)  # the limit map itself is never evaluated
+    assert cert.extrapolation_orders and 0 not in cert.extrapolation_orders
+    assert len(calls) <= len(cert.levels)
 
 
 def test_additive_sin_uses_at_most_the_observed_ratio_column():
