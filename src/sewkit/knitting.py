@@ -20,15 +20,15 @@ import numpy as np
 
 from .errors import DeclaredLipschitzViolated, EndpointMismatch
 from .flows import MODE_KNITTING, ApproxFlowModel, HoelderData
-from .metric import Point, ProbedMap, euclidean, map_distance_value
+from .metric import ProbedMap, euclidean, map_distance_value
 from .metric import compose_chain  # unused here: kept for perfbench/tracer.py, which patches it
-from .paths import LipPath, pullback_flow
+from .paths import ENDPOINT_TOL, LipPath, pullback_flow
 from .sewing import MAX_LEVEL, SewCertificate, compose_along, sew, zeta
 from .subdivision import regular
 
 
 def _check_shared_endpoints(g0: LipPath, g1: LipPath) -> None:
-    if euclidean(g0.start, g1.start) > 1e-12 or euclidean(g0.end, g1.end) > 1e-12:
+    if euclidean(g0.start, g1.start) > ENDPOINT_TOL or euclidean(g0.end, g1.end) > ENDPOINT_TOL:
         raise EndpointMismatch("paths must share both endpoints")
 
 
@@ -38,8 +38,9 @@ class HomotopyNet:
     (1-s) g0(t) + s g1(t), kept as its two boundary paths sampled at t_j = j/k
     by ``LipPath.sample`` (arrays of k+1 points).
 
-    Rows are built on demand by :meth:`row` and share the endpoints x and y
-    of row 0.  ``mesh`` bounds every row and column step of the net.
+    Rows are built on demand by :meth:`row`, as arrays, and share the
+    endpoints x and y of row 0.  ``mesh`` bounds every row and column step
+    of the net.
     """
 
     k: int
@@ -61,16 +62,15 @@ class HomotopyNet:
                    max(map(euclidean, top, top[1:])), column)
         object.__setattr__(self, "mesh", step + gap)
 
-    def row(self, i: int) -> tuple[Point, ...]:
+    def row(self, i: int) -> np.ndarray:
         """Row i, H(i/k, t_j) for j = 0..k, with its endpoints snapped to row 0's:
-        a tuple of points, each a tuple of floats or, on paths of floats, a float."""
+        a (k+1, 2) array in the plane, (k+1,) on paths of floats."""
         if not 0 <= i <= self.k:
             raise IndexError("row index out of range")
         s = i / self.k
         nodes = (1.0 - s) * self.samples0 + s * self.samples1
         nodes[0], nodes[-1] = self.samples0[0], self.samples0[-1]
-        nodes = nodes.tolist()
-        return tuple(map(tuple, nodes)) if self.samples0.ndim == 2 else tuple(nodes)
+        return nodes
 
 
 def build_net(g0: LipPath, g1: LipPath, k: int, ell: float) -> HomotopyNet:
@@ -117,13 +117,14 @@ def ladder_map(net: HomotopyNet, model: ApproxFlowModel, i: int, j: int) -> Prob
     """Hybrid composition crossing from row i to row i+1 at column k - j.
 
     ladder_map(i, k-1) and ladder_map(i+1, 0) compose the same nodes, so
-    consecutive ladders sweep row 0 into row k one crossing at a time.
+    consecutive ladders sweep row 0 into row k one crossing at a time.  The
+    nodes are the two row slices joined as one array.
     """
     k = net.k
     if not (0 <= i <= k - 1 and 0 <= j <= k - 1):
         raise IndexError("ladder indices must lie in 0..k-1")
     crossing = k - j
-    return compose_along(model, net.row(i)[:crossing] + net.row(i + 1)[crossing:])
+    return compose_along(model, np.concatenate((net.row(i)[:crossing], net.row(i + 1)[crossing:])))
 
 
 def knit_bound(h: HoelderData, ell: float, k: int) -> float:

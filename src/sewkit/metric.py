@@ -22,13 +22,6 @@ Point = Any  # a float, or a tuple of floats
 # ---------------------------------------------------------------------------
 # point helpers (floats and tuples share one code path)
 
-def p_lerp(a: Point, b: Point, w: float) -> Point:
-    """(1-w)*a + w*b, componentwise."""
-    if isinstance(a, tuple):
-        return tuple((1.0 - w) * x + w * y for x, y in zip(a, b))
-    return (1.0 - w) * a + w * b
-
-
 def p_axpy(b: Point, a: Point, coef: float) -> Point:
     """b + coef*(b - a); geometric-tail extrapolation step."""
     if coef == 0.0:

@@ -234,12 +234,12 @@ class FlatConnection:
         """Signed angles transported along the chords between consecutive
         points, as plain floats; each point is checked once.
 
-        Given an (n, 2) array (a path sampled by ``LipPath.sample``), the
-        midpoint rule runs as one array pass; given a sequence of tuples (a
-        knit row, a four-point triple), it runs per chord, which is faster
-        on short chains.  The exact-segment variant takes ``math.atan2`` of
-        each point either way, since ``np.arctan2`` can differ from it in the
-        last bit.
+        Given an (n, 2) array (a path sampled by ``LipPath.sample``, a knit
+        row or ladder), the midpoint rule runs as one array pass; given a
+        sequence of tuples (a single chord from ``mu``, a four-point triple),
+        it runs per chord, which is faster on short chains.  The exact-segment
+        variant takes ``math.atan2`` of each point either way, since
+        ``np.arctan2`` can differ from it in the last bit.
         """
         self._check_points(points)
         if self.variant == self.EXACT:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations
@@ -28,13 +27,15 @@ from .metric import (
     euclidean,
     identity_map,
     map_distance_value,
-    p_lerp,
     p_norm,
 )
 from .sewing import MAX_LEVEL, sew
 
 #: legs and pauses shorter than this count as exact PL backtracks in ``pl_thin_reduce``
 THIN_TOL = 1e-9
+
+#: endpoints this close count as shared, in concatenation and the knitting checks
+ENDPOINT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,23 +80,27 @@ class LipPath:
         return sum(euclidean(a, b) for a, b in zip(self.points, self.points[1:]))
 
     def at(self, u: float) -> Point:
+        """``sample`` at u as a plain point; at or beyond an end, that end's stored point."""
         if u <= 0.0:
             return self.points[0]
         if u >= 1.0:
             return self.points[-1]
-        i = bisect_right(self.breaks, u) - 1
-        w = (u - self.breaks[i]) / (self.breaks[i + 1] - self.breaks[i])
-        return p_lerp(self.points[i], self.points[i + 1], w)
+        return _as_points(self.sample((u,)))[0]
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array(self.breaks, dtype=float), np.array(self.points, dtype=float)
 
     def sample(self, params: Sequence[float]) -> np.ndarray:
-        """``at`` at every parameter in one numpy pass: row i of the result
-        (entry i for a path of floats) equals ``at(params[i])`` bit for bit,
-        with the same breakpoint search, weight and (1-w)*a + w*b."""
+        """The path at every parameter in one numpy pass, by ``_interpolate``:
+        row i of the result (entry i for a path of floats) is the point at
+        ``params[i]``, which ``at`` returns as a plain point."""
         return _interpolate(*self._arrays, params)
+
+
+def _as_points(a: np.ndarray) -> tuple[Point, ...]:
+    """Sampled points as plain points: tuples of floats, or floats on a line."""
+    return tuple(map(tuple, a.tolist())) if a.ndim == 2 else tuple(a.tolist())
 
 
 def _interpolate(breaks: np.ndarray, points: np.ndarray, params: Sequence[float]) -> np.ndarray:
@@ -106,7 +111,7 @@ def _interpolate(breaks: np.ndarray, points: np.ndarray, params: Sequence[float]
     that end's point.  Breaks may repeat: a parameter between the ends never
     falls on a zero-length leg."""
     u = np.asarray(params, dtype=float)
-    # bisect_right(breaks, u) - 1 inside the ends, and a valid leg for the rest
+    # the leg of the last break at or below u inside the ends, and a valid leg for the rest
     i = np.searchsorted(breaks[1:-1], u, "right")
     lo = breaks[i]
     w = (u - lo) / (breaks[i + 1] - lo)
@@ -135,16 +140,15 @@ def segment_path(a: Point, b: Point) -> LipPath:
     return LipPath((0.0, 1.0), (a, b))
 
 
+def _arc_table(rx: float, ry: float, angle0: float, angle1: float, n: int) -> np.ndarray:
+    """The (n+1, 2) table (rx cos a_j, ry sin a_j) at a_j = angle0 + (angle1 - angle0) * j / n."""
+    a = angle0 + (angle1 - angle0) * np.arange(n + 1) / n
+    return np.column_stack((rx * np.cos(a), ry * np.sin(a)))
+
+
 def arc_path(radius: float, angle0: float, angle1: float, segments: int = 64) -> LipPath:
     """PL sampling of a circular arc about the origin."""
-    pts = tuple(
-        (
-            radius * math.cos(angle0 + (angle1 - angle0) * j / segments),
-            radius * math.sin(angle0 + (angle1 - angle0) * j / segments),
-        )
-        for j in range(segments + 1)
-    )
-    return polyline(pts)
+    return polyline(_as_points(_arc_table(radius, radius, angle0, angle1, segments)))
 
 
 def circle_path(radius: float = 1.0, turns: float = 1.0, segments: int = 64) -> LipPath:
@@ -155,9 +159,7 @@ def ellipse_arc_path(
     rx: float, ry: float, angle0: float, angle1: float, segments: int = 64
 ) -> LipPath:
     """PL sampling of an elliptical arc at uniform arc length (constant speed)."""
-    fine = max(segments * 32, 1024)
-    angles = angle0 + (angle1 - angle0) * np.arange(fine + 1) / fine
-    pts = np.column_stack((rx * np.cos(angles), ry * np.sin(angles)))
+    pts = _arc_table(rx, ry, angle0, angle1, max(segments * 32, 1024))
     rows = pts.tolist()
     # math.dist, not np.hypot: the two differ in the last bit on some pairs
     cum = np.array(list(accumulate(map(math.dist, rows, rows[1:]), initial=0.0)))
@@ -166,7 +168,7 @@ def ellipse_arc_path(
         raise ValueError("a zero-length arc has no arc-length parametrization")
     # the ends stay the table's own: total * segments / segments need not be total
     inner = _interpolate(cum, pts, total * np.arange(1, segments) / segments)
-    return polyline((tuple(rows[0]), *map(tuple, inner.tolist()), tuple(rows[-1])))
+    return polyline((tuple(rows[0]), *_as_points(inner), tuple(rows[-1])))
 
 
 def square_loop(center: Point = (2.0, 0.0), half_side: float = 0.5) -> LipPath:
@@ -195,11 +197,15 @@ def path_to_csv(g: LipPath, file_path: str) -> None:
 
 
 def path_from_csv(file_path: str) -> LipPath:
-    """Read a PL path written by :func:`path_to_csv`."""
+    """Read a PL path written by :func:`path_to_csv`; a row whose cell count
+    differs from the header's, a blank one included, raises ValueError."""
     with Path(file_path).open(newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{file_path} holds no path")
+    for n, r in enumerate(rows[1:], start=2):
+        if len(r) != len(rows[0]):
+            raise ValueError(f"{file_path} row {n} has {len(r)} cells, its header {len(rows[0])}")
     dim = len(rows[0]) - 1
     breaks = tuple(float(r[0]) for r in rows[1:])
     if dim == 1:
@@ -214,8 +220,8 @@ def path_from_csv(file_path: str) -> LipPath:
 
 def concat_reverse_order(g: LipPath, g2: LipPath) -> LipPath:
     """g . g2: run g2 on [0, 1/2], then g on [1/2, 1]; needs g(0) == g2(1)
-    within 1e-12."""
-    if euclidean(g.start, g2.end) > 1e-12:
+    within ``ENDPOINT_TOL``."""
+    if euclidean(g.start, g2.end) > ENDPOINT_TOL:
         raise ConcatMismatch(
             f"g starts at {g.start} but g2 ends at {g2.end}; cannot concatenate"
         )
@@ -240,7 +246,7 @@ def subpath(g: LipPath, s: float, t: float) -> LipPath:
     inner = [u for u in g.breaks if lo < u < hi]
     params = [t, *inner, s] if t < s else [t, *reversed(inner), s]
     breaks = tuple((w - t) / (s - t) for w in params)
-    points = tuple(g.at(w) for w in params)
+    points = _as_points(g.sample(params))
     return LipPath(breaks, points)
 
 
@@ -261,7 +267,7 @@ def reparametrize(g: LipPath, phi_breaks: Sequence[float], phi_values: Sequence[
     us, values = phi._arrays
     pulled = _interpolate(values, us, g.breaks[1:-1])
     breaks = tuple(np.union1d(us, pulled).tolist())
-    points = tuple(g.at(phi.at(u)) for u in breaks)
+    points = _as_points(g.sample(phi.sample(breaks)))
     return LipPath(breaks, points)
 
 
@@ -320,9 +326,6 @@ def pl_thin_reduce(g: LipPath) -> LipPath:
             del points[-2]
             del breaks[-2]
             changed = True
-    if len(points) == 1:
-        return constant_path(points[0])
-    breaks[0], breaks[-1] = 0.0, 1.0
     return LipPath(tuple(breaks), tuple(points))
 
 
@@ -435,13 +438,13 @@ def groupoid_axiom_check(
 
     for i, gi in enumerate(paths):
         for j, gj in enumerate(paths):
-            if euclidean(gi.start, gj.end) > 1e-12:
+            if euclidean(gi.start, gj.end) > ENDPOINT_TOL:
                 continue
             combined = holonomy_map(concat_reverse_order(gi, gj))
             d = map_distance_value(combined, compose(maps[i], maps[j]))
             checks.append(GroupoidCheck("composition", f"paths {i}.{j}", d, budget))
             for k, gk in enumerate(paths):
-                if euclidean(gj.start, gk.end) > 1e-12:
+                if euclidean(gj.start, gk.end) > ENDPOINT_TOL:
                     continue
                 left = holonomy_map(concat_reverse_order(concat_reverse_order(gi, gj), gk))
                 right = holonomy_map(concat_reverse_order(gi, concat_reverse_order(gj, gk)))

@@ -4,11 +4,13 @@ Everything here is deliberately decoupled from the package's own refinement
 machinery: quadrature by adaptive Simpson, Stieltjes integrals by dense
 midpoint sums, matrix exponentials by scaling and squaring, winding numbers
 by signed axis crossings, dyadic refinement and mesh by plain loops,
-arc-length resampling of an ellipse by a walk over its table.
+arc-length resampling of an ellipse by a walk over its table, points on a
+PL path by a plain breakpoint search, arcs by a ``math.cos``/``math.sin`` loop.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
@@ -124,3 +126,34 @@ def ellipse_arc_points(rx: float, ry: float, angle0: float, angle1: float, segme
         out.append(tuple((1.0 - w) * x + w * y for x, y in zip(pts[i], pts[i + 1])))
     out.append(pts[-1])
     return tuple(out)
+
+
+def lerp(a, b, w: float):
+    """(1-w)*a + w*b, componentwise on tuples."""
+    if isinstance(a, tuple):
+        return tuple((1.0 - w) * x + w * y for x, y in zip(a, b))
+    return (1.0 - w) * a + w * b
+
+
+def path_point(g, u: float):
+    """The point of a PL path at u: an end's own point at or beyond that end,
+    else lerp on the leg with breaks[i] <= u < breaks[i+1], found by bisection."""
+    if u <= 0.0:
+        return g.points[0]
+    if u >= 1.0:
+        return g.points[-1]
+    i = bisect_right(g.breaks, u) - 1
+    w = (u - g.breaks[i]) / (g.breaks[i + 1] - g.breaks[i])
+    return lerp(g.points[i], g.points[i + 1], w)
+
+
+def arc_points(radius: float, angle0: float, angle1: float, segments: int) -> tuple:
+    """The points of a circular arc about the origin at uniform angle steps,
+    by a plain ``math.cos``/``math.sin`` loop."""
+    return tuple(
+        (
+            radius * math.cos(angle0 + (angle1 - angle0) * j / segments),
+            radius * math.sin(angle0 + (angle1 - angle0) * j / segments),
+        )
+        for j in range(segments + 1)
+    )

@@ -432,6 +432,22 @@ def test_csv_path_with_a_nan_cell_is_a_config_error(tmp_path, capsys, variant):
 
 
 @pytest.mark.parametrize(
+    "content,row",
+    [("u,x0,x1\n0,1,0\n1,0,1\n\n", 4), ("u,x0,x1\n0,1,0\n\n1,0,1\n", 3),
+     ("u,x0\n0,1\n0.5\n1,2\n", 3)],
+    ids=["trailing-blank-line", "blank-line-between-rows", "short-row"],
+)
+def test_csv_path_with_a_blank_or_short_row_is_a_config_error(tmp_path, capsys, content, row):
+    file = tmp_path / "path.csv"
+    file.write_text(content)
+    assert _run(tmp_path, _holonomy_cfg(tmp_path, path={"kind": "csv", "file": str(file)})) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.path") and f"row {row} " in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
     "content", [b'{"tol": 1' + b"0" * 5000 + b"}", b"\xff\xfe{}"], ids=["int-5001-digits", "not-utf8"]
 )
 def test_unparsable_config_is_a_config_error(tmp_path, capsys, content):

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from oracles import winding_number
+from oracles import lerp, path_point, winding_number
 from sewkit import (
     DeclaredLipschitzViolated,
     EndpointMismatch,
@@ -36,7 +37,7 @@ from sewkit import (
     square_loop,
     zeta,
 )
-from sewkit.metric import euclidean, p_lerp
+from sewkit.metric import euclidean
 from sewkit.models import MIDPOINT_EXPANSION_ORDERS
 from sewkit.sewing import _column_coefs, _romberg_row
 
@@ -53,7 +54,8 @@ def test_build_net_constant_homotopy_rows_identical():
     g = arc_path(1.0, 0.0, math.pi / 2, 16)
     ell = pair_lipschitz(g, g)
     net = build_net(g, g, 8, max(ell, g.lip_norm))
-    assert all(net.row(i) == net.row(0) for i in range(net.k + 1))
+    _assert_rows_are_arrays(net, 2)
+    assert all(np.array_equal(net.row(i), net.row(0)) for i in range(net.k + 1))
 
 
 def test_build_net_linear_interpolation_grid():
@@ -61,7 +63,8 @@ def test_build_net_linear_interpolation_grid():
     g1 = segment_path((1.0, 0.0), (1.0, 2.0))
     ell = pair_lipschitz(g0, g1)
     net = build_net(g0, g1, 4, max(ell, 2.0))
-    assert net.row(2)[2] == (1.0, 1.0)
+    _assert_rows_are_arrays(net, 2)
+    assert net.row(2)[2].tolist() == [1.0, 1.0]
 
 
 def test_build_net_mesh_bound_and_errors():
@@ -81,9 +84,17 @@ def test_build_net_mesh_bound_and_errors():
         build_net(g0, g1, 1, ell)
 
 
+def _assert_rows_are_arrays(net, dim):
+    """Every row is a float64 array, (k+1, 2) in the plane and (k+1,) on a line."""
+    shape = (net.k + 1, 2) if dim == 2 else (net.k + 1,)
+    for i in range(net.k + 1):
+        row = net.row(i)
+        assert type(row) is np.ndarray and row.dtype == np.float64 and row.shape == shape
+
+
 def _brute_force_grid(g0, g1, k):
     """H(i/k, j/k) at all (k+1)**2 nodes, endpoints snapped to row 0's."""
-    rows = [[p_lerp(g0.at(j / k), g1.at(j / k), i / k) for j in range(k + 1)]
+    rows = [[lerp(path_point(g0, j / k), path_point(g1, j / k), i / k) for j in range(k + 1)]
             for i in range(k + 1)]
     for r in rows:
         r[0], r[k] = rows[0][0], rows[0][k]
@@ -105,10 +116,8 @@ def test_net_rows_and_mesh_match_the_brute_force_grid(k, pair):
         g1 = g0
     net = build_net(g0, g1, k, ell)
     grid = _brute_force_grid(g0, g1, k)
-    rows = [net.row(i) for i in range(k + 1)]
-    assert rows == grid
-    point = float if pair == "line" else tuple
-    assert all(type(r) is tuple and all(type(x) is point for x in r) for r in rows)
+    _assert_rows_are_arrays(net, 1 if pair == "line" else 2)
+    assert all(np.array_equal(net.row(i), np.array(r)) for i, r in enumerate(grid))
     steps = [euclidean(r[j], r[j + 1]) for r in grid for j in range(k)]
     steps += [euclidean(a, b) for r, r2 in zip(grid, grid[1:]) for a, b in zip(r, r2)]
     assert max(steps) <= net.mesh <= max(steps) + 1e-12
@@ -298,6 +307,21 @@ def test_knit_compare_midpoint_decay_and_bound():
         results[k] = measured
     assert results[8] / results[16] >= 1.7
     assert results[16] / results[32] >= 1.7
+
+
+@pytest.mark.parametrize("variant", ["midpoint", "exact-segment"])
+def test_knit_rows_take_the_array_pass_of_angles(monkeypatch, variant):
+    seen = []
+    real = FlatConnection.angles
+
+    def spy(self, points):
+        seen.append(type(points))
+        return real(self, points)
+
+    monkeypatch.setattr(FlatConnection, "angles", spy)
+    g0, g1, ell = semicircle_pair()
+    knit_compare(build_net(g0, g1, 64, ell), make_flat_connection(variant))
+    assert seen and set(seen) == {np.ndarray}
 
 
 def test_knit_compare_rejects_sewing_mode_models():

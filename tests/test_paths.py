@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ellipse_arc_points
+from oracles import arc_points, ellipse_arc_points, path_point
 from sewkit import (
     ConcatMismatch,
     LipPath,
@@ -185,7 +185,23 @@ def test_sample_equals_at_bit_for_bit():
             got = g.sample(us).tolist()
             assert len(got) == len(us)
             for u, p in zip(us, got):
-                assert repr(tuple(p) if isinstance(p, list) else p) == repr(g.at(u)), (g, u)
+                expected = repr(path_point(g, u))
+                assert repr(tuple(p) if isinstance(p, list) else p) == expected, (g, u)
+                assert repr(g.at(u)) == expected, (g, u)
+
+
+def test_arc_path_matches_the_math_loop_point_for_point():
+    rng = np.random.default_rng(17)
+    cases = [(1.0, 0.0, math.pi, 64), (1.0, 0.0, -math.pi, 64), (1.0, 0.0, 2.0 * math.pi, 64)]
+    for segments in (1, 2, 3, 7, 16, 64, 100, 128, 500):
+        for _ in range(8):
+            radius = rng.uniform(0.1, 3.0)
+            angle0 = rng.uniform(-4.0, 4.0)
+            angle1 = angle0 + rng.uniform(-7.0, 7.0)
+            cases.append((float(radius), float(angle0), float(angle1), segments))
+    for case in cases:
+        assert repr(arc_path(*case).points) == repr(arc_points(*case)), case
+    assert repr(circle_path(1.0, 1.0, 64).points) == repr(arc_points(1.0, 0.0, 2.0 * math.pi, 64))
 
 
 def test_ellipse_arc_path_matches_the_table_walk_point_for_point():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sewkit.metric import euclidean, p_lerp
+from sewkit import segment_path
+from sewkit.metric import euclidean
 
 coords = st.floats(allow_nan=False, allow_infinity=False)
 planar = st.tuples(coords, coords)
@@ -18,9 +19,12 @@ def test_euclidean_on_pairs_is_the_two_component_hypot(a, b):
 
 
 @given(planar, planar, st.floats(0.0, 1.0))
-def test_p_lerp_on_pairs_is_the_two_component_formula(a, b, w):
+def test_segment_sample_on_pairs_is_the_two_component_formula(a, b, w):
+    # the ends are the stored points themselves, -0.0 included
     expected = ((1.0 - w) * a[0] + w * b[0], (1.0 - w) * a[1] + w * b[1])
-    assert repr(p_lerp(a, b, w)) == repr(expected)
+    if w in (0.0, 1.0):
+        expected = b if w else a
+    assert repr(tuple(segment_path(a, b).sample([w])[0].tolist())) == repr(expected)
 
 
 def test_euclidean_on_numbers_and_mismatched_points():
