@@ -16,7 +16,6 @@ from .errors import (
     DomainMismatch,
     EndpointMismatch,
     InadmissibleRegularity,
-    InsufficientProbes,
     InsufficientSamples,
     ModelDomainError,
     NonConvergence,
@@ -40,15 +39,11 @@ from .knitting import (
 from .metric import (
     MetricSpace,
     ProbedMap,
-    chain_composition_bound,
     circle_fiber,
     compose,
     compose_chain,
-    composition_distance_bound,
     identity_map,
-    lipschitz_estimate,
     map_distance_value,
-    path_length,
     plane_grid,
     real_line,
     rotation_map,

@@ -13,10 +13,6 @@ class ModelDomainError(SewkitError):
     """A flow model was evaluated outside its admissible region."""
 
 
-class InsufficientProbes(SewkitError):
-    """An operation needs more distinct probe points than the space carries."""
-
-
 class EndpointMismatch(SewkitError):
     """Endpoints of subdivisions, paths or homotopies do not line up."""
 

@@ -22,6 +22,22 @@ MODE_KNITTING = "knitting"  # exponents satisfy a + b = 2 + epsilon
 Param = Any  # a real time, or a point of the parameter space
 
 
+def bound_power(base: float, exponent: float, what: str) -> float:
+    """``base**exponent`` inside the declared bound ``what``.
+
+    Raises :class:`NonFiniteValue` naming the bound when the power overflows
+    a double or is not finite, as :meth:`HoelderData.g` does for exp: no
+    double holds such a bound, so it certifies nothing.
+    """
+    try:
+        value = base**exponent
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"{what}: {base!r}**{exponent!r} is not a finite double")
+    return value
+
+
 @dataclass(frozen=True)
 class HoelderData:
     """Declared defect exponents/constants plus Lipschitz controls.
@@ -65,7 +81,8 @@ class HoelderData:
     def g(self, delta: float) -> float:
         """Growth bound exp(L*delta) for composite Lipschitz constants.
 
-        Raises :class:`NonFiniteValue` when exp(L*delta) overflows a double.
+        Raises :class:`NonFiniteValue` when exp(L*delta) overflows a double,
+        as :func:`bound_power` does for the powers in the declared bounds.
         """
         if delta < 0.0:
             raise ValueError("growth argument must be >= 0")
@@ -91,7 +108,10 @@ class HoelderData:
         """
         if lip < 0.0:
             raise ValueError("lip must be >= 0")
-        terms = tuple((a, b, c * lip ** (a + b)) for a, b, c in self.terms)
+        terms = tuple(
+            (a, b, c * bound_power(lip, a + b, "pulled-back defect constant"))
+            for a, b, c in self.terms
+        )
         eps = self.epsilon + 1.0 if self.mode == MODE_KNITTING else self.epsilon
         return HoelderData(eps, terms, self.lip_slope * lip, MODE_SEWING)
 

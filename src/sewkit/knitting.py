@@ -13,17 +13,16 @@ angle (not reduced mod 2*pi, so winding is observable).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DeclaredLipschitzViolated, EndpointMismatch
-from .flows import MODE_KNITTING, ApproxFlowModel, HoelderData
+from .flows import MODE_KNITTING, ApproxFlowModel, HoelderData, bound_power
 from .metric import ProbedMap, euclidean, map_distance_value
 from .metric import compose_chain  # unused here: kept for perfbench/tracer.py, which patches it
 from .paths import ENDPOINT_TOL, LipPath, pullback_flow
-from .sewing import MAX_LEVEL, SewCertificate, compose_along, sew, zeta
+from .sewing import MAX_LEVEL, SewCertificate, compose_along, sew, within_bound, zeta
 from .subdivision import regular
 
 
@@ -78,7 +77,8 @@ def build_net(g0: LipPath, g1: LipPath, k: int, ell: float) -> HomotopyNet:
 
     Samples each path once, by one ``LipPath.sample`` at t_j = j/k.  Raises
     :class:`EndpointMismatch` when the paths do not share both endpoints and
-    :class:`DeclaredLipschitzViolated` when the mesh exceeds ell/k.
+    :class:`DeclaredLipschitzViolated` when the mesh exceeds ell/k beyond
+    ``within_bound``'s slack, as every certified inequality is checked.
     """
     if k < 2:
         raise ValueError("need k >= 2")
@@ -87,7 +87,7 @@ def build_net(g0: LipPath, g1: LipPath, k: int, ell: float) -> HomotopyNet:
     _check_shared_endpoints(g0, g1)
     ts = regular(0.0, 1.0, k).points
     net = HomotopyNet(k, ell, g0.sample(ts), g1.sample(ts))
-    if net.mesh > ell / k + 1e-12:
+    if not within_bound(net.mesh, ell / k):
         raise DeclaredLipschitzViolated(
             f"net mesh {net.mesh:.3e} exceeds declared ell/k = {ell / k:.3e}"
         )
@@ -128,11 +128,18 @@ def ladder_map(net: HomotopyNet, model: ApproxFlowModel, i: int, j: int) -> Prob
 
 
 def knit_bound(h: HoelderData, ell: float, k: int) -> float:
-    """exp(delta*ell*L) * (2 + delta*ell*L) * (sum C_i) * ell**(2+eps) * delta**eps."""
+    """g(delta*ell) * (2 + f(delta*ell)) * (sum C_i) * ell**(2+eps) * delta**eps,
+    that is exp(delta*ell*L) * (2 + delta*ell*L) * ..., with delta = 1/k."""
     h.require_mode(MODE_KNITTING, "knit_bound")
     delta = 1.0 / k
-    x = delta * ell * h.lip_slope
-    return math.exp(x) * (2.0 + x) * h.c_total * ell ** (2.0 + h.epsilon) * delta**h.epsilon
+    step = delta * ell
+    return (
+        h.g(step)
+        * (2.0 + h.f(step))
+        * h.c_total
+        * bound_power(ell, 2.0 + h.epsilon, "knit bound")
+        * bound_power(delta, h.epsilon, "knit bound")
+    )
 
 
 def knit_compare(net: HomotopyNet, model: ApproxFlowModel) -> tuple[float, float]:
@@ -143,11 +150,11 @@ def knit_compare(net: HomotopyNet, model: ApproxFlowModel) -> tuple[float, float
 
 
 def knit_prime_constant(h: HoelderData, lip_gamma: float, span: float) -> float:
-    """C' = 2**(1+eps) * exp(L*Lip(gamma)*span) * (sum C_i) * zeta(2+eps)."""
+    """C' = 2**(1+eps) * g(Lip(gamma)*span) * (sum C_i) * zeta(2+eps)."""
     h.require_mode(MODE_KNITTING, "knit_prime_constant")
     return (
-        2.0 ** (1.0 + h.epsilon)
-        * math.exp(h.lip_slope * lip_gamma * span)
+        bound_power(2.0, 1.0 + h.epsilon, "knit constant C'")
+        * h.g(lip_gamma * span)
         * h.c_total
         * zeta(2.0 + h.epsilon)
     )

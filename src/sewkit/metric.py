@@ -1,10 +1,10 @@
-"""Extended metric spaces, probed map spaces and Lipschitz composition bounds.
+"""Extended metric spaces, probed maps, their composition and sup distance.
 
 Distances are floats and may be ``math.inf`` (extended metric); a NaN is
 never a distance and raises :class:`NonFiniteValue`.  Sup distances between
-maps and Lipschitz constants are approximated from finite probe sets, so
-every probed quantity is a lower bound for the true one; analytic upper
-bounds always come from declared model data, never from here.
+maps are approximated from finite probe sets, so every probed distance is a
+lower bound for the true one; analytic upper bounds always come from
+declared model data, never from here.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from functools import reduce
 from operator import add
 from typing import Any, Callable, Iterable, Sequence
 
-from .errors import DomainMismatch, InsufficientProbes, NonFiniteValue
+from .errors import DomainMismatch, NonFiniteValue
 
 Point = Any  # a float, or a tuple of floats
 
@@ -152,7 +152,7 @@ def rotation_map(source: MetricSpace, target: MetricSpace, shifts: Sequence[floa
 
 
 # ---------------------------------------------------------------------------
-# probed sup distance and Lipschitz estimate
+# probed sup distance
 
 def sup_distance(
     metric: Callable[[Point, Point], float], xs: Iterable[Point], ys: Iterable[Point], what: str
@@ -183,92 +183,6 @@ def map_distance_value(f: ProbedMap, g: ProbedMap) -> float:
     return sup_distance(
         f.target.metric, map(f.eval, probes), map(g.eval, probes), f"{f.source.name}-maps"
     )
-
-
-def lipschitz_estimate(f: ProbedMap) -> float:
-    """Max slope over distinct probe pairs; a lower bound on Lip(f)."""
-    probes = f.source.probes
-    metric_s = f.source.metric
-    metric_t = f.target.metric
-    images = [f.eval(p) for p in probes]
-    best = 0.0
-    pairs = 0
-    for i in range(len(probes)):
-        for j in range(i + 1, len(probes)):
-            ds = metric_s(probes[i], probes[j])
-            if ds == 0.0:
-                continue
-            pairs += 1
-            if ds == math.inf:
-                continue
-            q = metric_t(images[i], images[j]) / ds
-            if q > best:
-                best = q
-    if pairs == 0:
-        raise InsufficientProbes("need at least two distinct probe points")
-    return best
-
-
-def composition_distance_bound(d_gg: float, lip_gprime: float, d_ff: float) -> float:
-    """Bound d(g o f, g' o f') <= d(g, g') + Lip(g') * d(f, f'): the r = 2 case
-    of :func:`chain_composition_bound`, whose sum never reads the last lip."""
-    return chain_composition_bound((d_gg, d_ff), (lip_gprime, 0.0))
-
-
-def chain_composition_bound(gaps: Sequence[float], lips: Sequence[float]) -> float:
-    """Bound for an r-fold composition gap.
-
-    ``gaps[j]`` is the distance between the j-th factors, ``lips[j]`` an upper
-    bound on the Lipschitz constant of the j-th primed factor.  Returns
-    sum_j (prod_{i<j} lips[i]) * gaps[j].
-    """
-    if len(gaps) != len(lips):
-        raise ValueError("gaps and lips must have equal length")
-    if any(v < 0 for v in gaps) or any(v < 0 for v in lips):
-        raise ValueError("chain bound inputs must be non-negative")
-    total = 0.0
-    prefix = 1.0
-    for gap, lip in zip(gaps, lips):
-        total += prefix * gap
-        prefix *= lip
-    return total
-
-
-def path_length(samples: Sequence[Point], space: MetricSpace) -> float:
-    """Length of the sampled polygonal path (non-decreasing under refinement).
-
-    An infinite step gives ``math.inf``; a NaN or negative one raises ValueError.
-    """
-    if len(samples) == 0:
-        raise ValueError("need at least one sample point")
-    total = 0.0
-    for a, b in zip(samples, samples[1:]):
-        d = space.metric(a, b)
-        if not d >= 0.0:
-            raise ValueError(f"distance must be >= 0, got {d}")
-        total += d
-    return total
-
-
-def metric_axiom_violations(space: MetricSpace) -> list[str]:
-    """Check identity/symmetry/triangle on all probe triples; empty if clean."""
-    tol = 1e-12
-    out: list[str] = []
-    pts = space.probes
-    m = space.metric
-    for p in pts:
-        if m(p, p) > tol:
-            out.append(f"d(x,x) != 0 at {p!r}")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(m(pts[i], pts[j]) - m(pts[j], pts[i])) > tol:
-                out.append(f"asymmetric at probes {i},{j}")
-    for i in range(len(pts)):
-        for j in range(len(pts)):
-            for k in range(len(pts)):
-                if m(pts[i], pts[k]) > m(pts[i], pts[j]) + m(pts[j], pts[k]) + tol:
-                    out.append(f"triangle fails at probes {i},{j},{k}")
-    return out
 
 
 # ---------------------------------------------------------------------------

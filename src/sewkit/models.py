@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InadmissibleRegularity, ModelDomainError
-from .flows import MODE_KNITTING, MODE_SEWING, ApproxFlowModel, HoelderData, Readout
+from .flows import MODE_KNITTING, MODE_SEWING, ApproxFlowModel, HoelderData, Readout, bound_power
 from .metric import (
     Point,
     ProbedMap,
@@ -166,7 +166,7 @@ def make_euler_matrix(a: Sequence[Sequence[float]]) -> ApproxFlowModel:
     g11 = a10 * a10 + a11 * a11
     g01 = a00 * a10 + a01 * a11
     half = 0.5 * (g00 + g11)
-    disc = math.sqrt(max(0.0, (0.5 * (g00 - g11)) ** 2 + g01 * g01))
+    disc = math.sqrt(max(0.0, bound_power(0.5 * (g00 - g11), 2, "Lipschitz constant") + g01 * g01))
     lipschitz = math.sqrt(max(0.0, half + disc))
     field = lambda p: (a00 * p[0] + a01 * p[1], a10 * p[0] + a11 * p[1])
     return make_euler(field, lipschitz, dim=2, name="euler-matrix")
@@ -210,6 +210,9 @@ class FlatConnection:
         self.variant = variant
         self.r0 = r0
         self.mid_min = 0.7 * r0
+        if self.mid_min * self.mid_min == 0.0:
+            # the midpoint rule's squared-radius guard would then never fire
+            raise ValueError(f"r0 = {r0!r} is too small: the squared midpoint radius underflows")
 
     def _check_point(self, p: Point) -> None:
         if math.hypot(p[0], p[1]) < self.r0 - 1e-12:
@@ -263,10 +266,6 @@ class FlatConnection:
                 raise ModelDomainError(_MIDPOINT_TOO_CLOSE)
             out.append(num / r2)
         return out
-
-    def angle(self, x: Point, y: Point) -> float:
-        """Signed angle transported from x to y along the straight chord."""
-        return self.angles((x, y))[0]
 
 
 def make_flat_connection(

@@ -403,10 +403,6 @@ class GroupoidReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    @property
-    def violations(self) -> list[GroupoidCheck]:
-        return [c for c in self.checks if not c.ok]
-
 
 def groupoid_axiom_check(
     model: ApproxFlowModel,

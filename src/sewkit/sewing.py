@@ -22,7 +22,7 @@ from .errors import (
     NonFiniteValue,
     NotARefinement,
 )
-from .flows import MODE_SEWING, ApproxFlowModel, HoelderData, Param, Readout
+from .flows import MODE_SEWING, ApproxFlowModel, HoelderData, Param, Readout, bound_power
 from .metric import (
     Point,
     ProbedMap,
@@ -100,19 +100,20 @@ def zeta(s: float, tol: float = 1e-12) -> float:
 def constant_K(h: HoelderData) -> float:
     """K = 2**(1+eps) * (sum C_i) * zeta(1+eps), sewing mode only."""
     h.require_mode(MODE_SEWING, "constant_K (the degree 2+eps variant lives in knitting)")
-    return 2.0 ** (1.0 + h.epsilon) * h.c_total * zeta(1.0 + h.epsilon)
+    return bound_power(2.0, 1.0 + h.epsilon, "constant K") * h.c_total * zeta(1.0 + h.epsilon)
 
 
 def refinement_bound(h: HoelderData, span: float, mesh_value: float) -> float:
     """Bound on d(mu^I, mu^J) for any J finer than I with mesh(I)=mesh_value."""
     if mesh_value == 0.0:
         return 0.0
-    return constant_K(h) * h.g(span) * h.g(mesh_value) * mesh_value**h.epsilon * span
+    power = bound_power(mesh_value, h.epsilon, "refinement bound")
+    return constant_K(h) * h.g(span) * h.g(mesh_value) * power * span
 
 
 def corollary_bound(h: HoelderData, span: float) -> float:
     """Bound on d(mu_st, limit flow): K * g(span) * span**(1+eps)."""
-    return constant_K(h) * h.g(span) * span ** (1.0 + h.epsilon)
+    return constant_K(h) * h.g(span) * bound_power(span, 1.0 + h.epsilon, "corollary bound")
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +204,18 @@ class SewCertificate:
 
 
 def _auto_base_k(model: ApproxFlowModel, span: float) -> int:
+    """Intervals of the regular base subdivision: 1, doubled while a step
+    exceeds the model's ``max_param_step``.  Raises :class:`NonConvergence`
+    once it would pass 2**MAX_LEVEL, before any level is built."""
     k = 1
     step = model.max_param_step
     if step is not None and step > 0.0 and span > 0.0:
         while span / k > step:
+            if k == 2**MAX_LEVEL:
+                raise NonConvergence(
+                    f"base level of {model.name} needs more than 2**{MAX_LEVEL} intervals "
+                    f"of at most {step!r} over span {span!r}"
+                )
             k *= 2
     return k
 
@@ -291,6 +300,12 @@ def sew(
     # each level's mesh and refinement bound, computed once and carried to the next level
     step = mesh(subdiv)
     bound = refinement_bound(h, span, step)
+    claimed = corollary_bound(h, span)
+    if not (math.isfinite(bound) and math.isfinite(claimed)):
+        # the powers are finite, so a product of declared constants overflowed
+        raise NonFiniteValue(
+            f"declared bounds of {model.name} over span {span!r} overflow a double"
+        )
     composite = compose_along(model, subdiv.points)
     vals = tuple(map(composite.eval, probes))
     levels = [SewLevel(0, subdiv.k, step, None, None, bound, level_value(composite, vals))]
@@ -386,7 +401,6 @@ def sew(
     if math.isinf(tail):
         tail = bound
 
-    claimed = corollary_bound(h, span)
     done = converged or tol <= 0.0
     mu_distance: float | None
     mu_ok: bool | None
@@ -442,7 +456,10 @@ def flow_law_defect(model: ApproxFlowModel, s: float, u: float, t: float, tol: f
 
 
 def inverse_defect_bound(h: HoelderData, span: float, k: int) -> float:
-    return h.g(span) * k * h.c_total * (span / k) ** (1.0 + h.epsilon) if k >= 1 else 0.0
+    if k < 1:
+        return 0.0
+    power = bound_power(span / k, 1.0 + h.epsilon, "inverse defect bound")
+    return h.g(span) * k * h.c_total * power
 
 
 def inverse_defect(model: ApproxFlowModel, s: float, t: float, k: int) -> float:

@@ -20,12 +20,15 @@ from sewkit import (
     ellipse_arc_path,
     identity_map,
     knit_compare,
+    make_additive_sin,
+    make_euler_linear,
     make_flat_connection,
     map_distance_value,
     pair_lipschitz,
     path_to_csv,
     polyline,
     real_line,
+    sewing,
 )
 
 
@@ -113,15 +116,32 @@ def _run(tmp_path, cfg):
         ({"model": {"name": "euler_matrix", "a": [[1]]}}, 1),
         ({"model": {"name": "euler_matrix", "a": [[1, 0], [0, "x"]]}}, 1),
         ({"model": {"name": "euler_linear", "lam": 1e308}}, 2),
+        ({"model": {"name": "young", "alpha": 1e308, "beta": 1e308}}, 2),
+        ({"model": {"name": "young", "alpha": 1e300, "beta": 0.5}}, 2),
+        ({"model": {"name": "additive_sin"}, "interval": [0.0, 1e300]}, 2),
+        ({"model": {"name": "euler_linear", "lam": 700.0}}, 2),
+        ({"model": {"name": "euler_matrix", "a": [[1e120, 0], [0, 0]]}}, 2),
     ],
     ids=["young-alpha-nan", "tol-nan", "tol-inf", "tol-int-beyond-float", "interval-inf", "interval-str",
-         "interval-len3", "matrix-1x1", "matrix-str", "lam-overflow"],
+         "interval-len3", "matrix-1x1", "matrix-str", "lam-overflow", "young-eps-inf",
+         "young-K-overflow", "span-power-overflow", "bound-product-overflow",
+         "matrix-norm-overflow"],
 )
 def test_sew_config_fails_closed(tmp_path, capsys, case, expect):
     assert _run(tmp_path, _sew_cfg(tmp_path, **case)) == expect
     assert not (tmp_path / "out.csv").exists()
     err = capsys.readouterr().err
     assert err.startswith("config error" if expect == 1 else "non-finite value")
+
+
+def test_an_infinite_base_level_bound_raises_before_level_0_is_composed(monkeypatch):
+    def no_chain(*args):
+        raise AssertionError("a chain was composed")
+
+    monkeypatch.setattr(sewing, "compose_along", no_chain)
+    for model, interval in ((make_additive_sin(), (0.0, 1e300)), (make_euler_linear(700.0), (0.0, 1.0))):
+        with pytest.raises(NonFiniteValue):
+            sewing.sew(model, *interval, 1e-8)
 
 
 @pytest.mark.parametrize("ks", [[1], [8.0], [True], ["8"]], ids=["one", "float", "bool", "str"])
@@ -136,6 +156,38 @@ def _holonomy_cfg(tmp_path, **extra):
            "max_level": 12, "seed": 0, "output": str(tmp_path / "out.csv")}
     cfg.update(extra)
     return cfg
+
+
+_MIDPOINT = {"name": "flat_connection", "variant": "midpoint"}
+
+
+@pytest.mark.parametrize(
+    "case,expect,fragment",
+    [
+        ({"path": {"kind": "circle", "radius": 1e120, "segments": 16}}, 2,
+         "non-finite value: pulled-back defect constant"),
+        ({"path": {"kind": "circle", "radius": 1e30, "segments": 16}}, 2,
+         "needs more than 2**20 intervals"),
+        ({"model": dict(_MIDPOINT, r0=1e-6)}, 2, "needs more than 2**20 intervals"),
+        ({"model": dict(_MIDPOINT, r0=1e-300),
+          "path": {"kind": "circle", "radius": 1e-300, "segments": 16}}, 1,
+         "config error: config.model: r0 = 1e-300 is too small"),
+    ],
+    ids=["pullback-overflow", "base-level-runaway-radius", "base-level-runaway-r0", "r0-underflow"],
+)
+def test_holonomy_config_fails_closed(tmp_path, capsys, case, expect, fragment):
+    assert _run(tmp_path, _holonomy_cfg(tmp_path, **case)) == expect
+    assert not (tmp_path / "out.csv").exists()
+    err = capsys.readouterr().err
+    assert fragment in err and "Traceback" not in err, err
+
+
+def test_knit_pair_far_from_the_origin_passes(tmp_path):
+    homotopy = {"kind": "pair",
+                "path0": {"kind": "points", "points": [[1e5, 0], [1e5, 1e5]]},
+                "path1": {"kind": "points",
+                          "points": [[1e5, 0], [110000.00000000001, 20000], [1e5, 1e5]]}}
+    assert _run(tmp_path, _knit_cfg(tmp_path, homotopy=homotopy, ks=[8, 16, 32, 64])) == 0
 
 
 def _square(**fields):
@@ -266,13 +318,14 @@ def test_readme_states_every_upper_bound():
 # path or homotopy kind (now and then an unknown one), with its required fields
 # and a random share of its optional ones.  Then either up to three positions
 # anywhere in it (a field, a nested field or a list entry) take junk: NaN,
-# infinities, negative, zero or wrong-type values; or one key, at any nesting
-# level, is misspelled or invented, which must exit 1 and name that key.
+# infinities, the extreme finite values 1e308 and 1e-300, negative, zero or
+# wrong-type values; or one key, at any nesting level, is misspelled or
+# invented, which must exit 1 and name that key.
 # A field with an upper bound may also take the value just above it.  Cost
 # stays bounded: max_level, segments and ks are always drawn, with
 # max_level <= 8, segments and ks <= 16, samples <= 48.
 
-_JUNK = [math.nan, math.inf, -math.inf, -1, -0.5, 0, "x", None, True, [], [1.0], {}]
+_JUNK = [math.nan, math.inf, -math.inf, 1e308, 1e-300, -1, -0.5, 0, "x", None, True, [], [1.0], {}]
 
 #: valid values of every table field, by name
 _VALUES = {
@@ -365,7 +418,7 @@ def _fuzzed_configs(draw):
             junk = [v for v in _JUNK if not isinstance(v, str)]
         if name in _MOST:
             junk = junk + [_MOST[name] + 1]
-        node[key] = draw(st.sampled_from(junk))
+        node[key] = copy.deepcopy(draw(st.sampled_from(junk)))  # junk lists are shared objects
     return cfg, None
 
 

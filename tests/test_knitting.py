@@ -1,15 +1,20 @@
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
 from oracles import lerp, path_point, winding_number
 from sewkit import (
+    MODE_KNITTING,
     DeclaredLipschitzViolated,
     EndpointMismatch,
     FlatConnection,
+    HoelderData,
     LipPath,
     ModelDomainError,
+    NonFiniteValue,
     WrongMode,
     arc_path,
     build_net,
@@ -82,6 +87,25 @@ def test_build_net_mesh_bound_and_errors():
 
     with pytest.raises(ValueError):
         build_net(g0, g1, 1, ell)
+
+
+def test_build_net_far_from_the_origin_accepts_its_own_ell():
+    # mesh <= ell/k is checked with within_bound: an absolute slack of 1e-12
+    # is below the rounding of the mesh once coordinates reach about 1e4
+    rng = random.Random(1)
+    for scale in (1e4, 1e5, 1e6):
+        for _ in range(100):
+            mid = (scale * (1.0 + 0.2 * rng.random()), scale * rng.random())
+            g0 = polyline([(scale, 0.0), (scale, scale)])
+            g1 = polyline([(scale, 0.0), mid, (scale, scale)])
+            ell = pair_lipschitz(g0, g1)
+            for k in (2, 3, 8, 16):
+                net = build_net(g0, g1, k, ell)
+                assert net.mesh <= ell / k * (1.0 + 1e-14)
+    g0 = polyline([(1e5, 0.0), (1e5, 1e5)])
+    g1 = polyline([(1e5, 0.0), (110000.00000000001, 20000.0), (1e5, 1e5)])
+    for k in (8, 16, 32, 64):
+        build_net(g0, g1, k, pair_lipschitz(g0, g1))
 
 
 def _assert_rows_are_arrays(net, dim):
@@ -340,6 +364,28 @@ def test_knit_bound_formula():
     assert got == pytest.approx(2.0 * h.c_total * 2.0**3 / k, rel=1e-12)
 
 
+def test_knit_bound_and_prime_constant_with_a_positive_slope():
+    # with L > 0 the bound is g(delta*ell) * (2 + f(delta*ell)) * ..., the same
+    # formula as exp(delta*ell*L) * (2 + delta*ell*L) * ...
+    h = HoelderData(1.0, ((2.0, 1.0, 3.0), (1.0, 2.0, 3.0)), 0.7, MODE_KNITTING)
+    ell, k = 2.0, 16
+    x = ell / k * 0.7
+    got = knit_bound(h, ell, k)
+    assert got == h.g(ell / k) * (2.0 + h.f(ell / k)) * h.c_total * ell**3 / k
+    assert got == pytest.approx(math.exp(x) * (2.0 + x) * 6.0 * 8.0 / k, rel=1e-12)
+    lip, span = 1.5, 0.5
+    assert knit_prime_constant(h, lip, span) == pytest.approx(
+        4.0 * math.exp(0.7 * lip * span) * 6.0 * zeta(3.0), rel=1e-12
+    )
+    steep = dataclasses.replace(h, lip_slope=1e308)
+    with pytest.raises(NonFiniteValue):
+        knit_bound(steep, ell, k)
+    with pytest.raises(NonFiniteValue):
+        knit_prime_constant(steep, lip, span)
+    with pytest.raises(NonFiniteValue):
+        knit_bound(h, 1e200, k)  # ell**3 overflows
+
+
 # --- holonomy ---------------------------------------------------------------------
 
 def test_holonomy_constant_path_is_identity():
@@ -438,10 +484,10 @@ def test_holonomy_level_values_are_the_summed_step_angles(variant, loop):
     # each level's value is the angle the lift accumulates along its chain,
     # which is the forward sum of the per-step angles up to rounding; tol 0
     # runs the full ladder, since the exact variant stops at its base level
-    angle = FlatConnection(variant).angle
+    angles = FlatConnection(variant).angles
     _, cert = holonomy(make_flat_connection(variant), loop, 0.0, max_level=6)
     assert len(cert.levels) == 7
     for rec in cert.levels:
         pts = regular(0.0, 1.0, rec.intervals).points
-        forward = sum(angle(loop.at(a), loop.at(b)) for a, b in zip(pts, pts[1:]))
+        forward = sum(angles((loop.at(a), loop.at(b)))[0] for a, b in zip(pts, pts[1:]))
         assert abs(rec.value - forward) <= 1e-11

@@ -5,21 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sewkit import (
-    DomainMismatch,
+from oracles import (
     InsufficientProbes,
-    MetricSpace,
-    ProbedMap,
     chain_composition_bound,
-    compose,
-    compose_chain,
     composition_distance_bound,
     lipschitz_estimate,
-    map_distance_value,
+    metric_axiom_violations,
     path_length,
+)
+from sewkit import (
+    DomainMismatch,
+    MetricSpace,
+    ProbedMap,
+    compose,
+    compose_chain,
+    map_distance_value,
     real_line,
 )
-from sewkit.metric import euclidean, metric_axiom_violations
+from sewkit.metric import euclidean
 
 
 def line(probes, name="line"):

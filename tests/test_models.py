@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import adaptive_simpson, expm2, stieltjes_midpoint, winding_number
+from oracles import adaptive_simpson, expm2, lipschitz_estimate, stieltjes_midpoint, winding_number
 from sewkit import (
     InadmissibleRegularity,
     ModelDomainError,
@@ -110,8 +110,6 @@ def test_young_three_point_defect_is_exact_product():
 
 def test_euler_step_lipschitz_within_declared_slope():
     # probed Lipschitz estimate is a lower bound; it must stay under 1 + L*|t-s|
-    from sewkit import lipschitz_estimate
-
     m = make_euler_sin()
     rng = np.random.default_rng(8)
     for _ in range(50):
