@@ -47,10 +47,10 @@ from .paths import (
 )
 from .sewing import MAX_LEVEL, SewCertificate, sew, within_bound
 
-_YOUNG_FNS: dict[str, tuple[Callable[[float], float], float]] = {
-    # name -> (function, Hoelder-1 constant on [0,1])
+_YOUNG_FNS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float]] = {
+    # name -> (array function, Hoelder-1 constant on [0,1])
     "linear": (lambda t: t, 1.0),
-    "sin": (math.sin, 1.0),
+    "sin": (np.sin, 1.0),
     "quadratic": (lambda t: t * t, 2.0),
 }
 
@@ -389,8 +389,11 @@ def run(config_path: str, seed: int | None = None, quiet: bool = False,
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (BoundViolation, NonConvergence) as exc:
+    except BoundViolation as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
+        return 2
+    except NonConvergence as exc:
+        print(f"non-convergence: {exc}", file=sys.stderr)
         return 2
     except NonFiniteValue as exc:
         print(f"non-finite value: {exc}", file=sys.stderr)

@@ -81,19 +81,23 @@ class HoelderData:
     def g(self, delta: float) -> float:
         """Growth bound exp(L*delta) for composite Lipschitz constants.
 
-        Raises :class:`NonFiniteValue` when exp(L*delta) overflows a double,
-        as :func:`bound_power` does for the powers in the declared bounds.
+        Raises :class:`NonFiniteValue` when exp(L*delta) is not a finite
+        double (it overflows, or L or delta is not finite), as
+        :func:`bound_power` does for the powers in the declared bounds.
         """
         if delta < 0.0:
             raise ValueError("growth argument must be >= 0")
         if self.lip_slope == 0.0:
             return 1.0
         try:
-            return math.exp(self.lip_slope * delta)
+            value = math.exp(self.lip_slope * delta)
         except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
             raise NonFiniteValue(
-                f"growth bound exp({self.lip_slope!r} * {delta!r}) overflows"
-            ) from None
+                f"growth bound exp({self.lip_slope!r} * {delta!r}) is not a finite double"
+            )
+        return value
 
     def f(self, delta: float) -> float:
         """Single-step Lipschitz excess, f(delta) = L*delta."""
@@ -162,9 +166,11 @@ class ApproxFlowModel:
     composites (1, 2, 3, ... for one-step Euler models of smooth fields);
     ``sew`` uses them for Richardson columns.  Models without
     such an expansion declare nothing.  ``increments(params)`` declares a
-    model whose maps act by scalar increments: it returns a new list of the
-    increments between consecutive parameters, as plain floats.
-    ``act(source, target, shifts)`` says how a list of increments acts (a
+    model whose maps act by scalar increments: it returns the increments
+    between consecutive parameters in the form its ``act`` takes, a 1-D
+    float64 array for the translation models (one numpy pass over the
+    parameters) and a new list of plain floats for the flat connection.
+    ``act(source, target, shifts)`` says how a sequence of increments acts (a
     translation by default, a rotation for the flat connection): a model
     with ``increments`` has
     mu(a, b) == act(space_at(b), space_at(a), increments((a, b))), and
@@ -180,5 +186,5 @@ class ApproxFlowModel:
     max_param_step: float | None = None
     summary: Callable[[ProbedMap], float] | None = None
     expansion_orders: tuple[int, ...] = ()
-    increments: Callable[[Sequence[Param]], list[float]] | None = None
+    increments: Callable[[Sequence[Param]], Sequence[float]] | None = None
     act: Callable[[MetricSpace, MetricSpace, Sequence[float]], ProbedMap] = translation_map

@@ -14,6 +14,8 @@ from functools import reduce
 from operator import add
 from typing import Any, Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainMismatch, NonFiniteValue
 
 Point = Any  # a float, or a tuple of floats
@@ -125,14 +127,24 @@ def compose_chain(maps: Iterable[ProbedMap]) -> ProbedMap:
 
 def translation_map(source: MetricSpace, target: MetricSpace, shifts: Sequence[float]) -> ProbedMap:
     """The translation p -> p + shifts[0] + shifts[1] + ..., added one at a
-    time in this order.
+    time in this order: the image of p is the last entry of
+    ``np.add.accumulate`` over [p, *shifts], as a plain float.
 
     A chain of translations by d_1, ..., d_k, the last one acting first, is
     ``translation_map(source, target, (d_k, ..., d_1))`` bit for bit: the
-    additions run in the chain's order.  ``sum`` (compensated on newer
-    Pythons) and ``math.fsum`` would round differently.
+    accumulation is sequential, so the additions run in the chain's order.
+    ``np.sum`` (pairwise), ``sum`` (compensated on newer Pythons) and
+    ``math.fsum`` would round differently.
     """
-    return ProbedMap(source, target, lambda p: reduce(add, shifts, p))
+    seq = np.empty(len(shifts) + 1)
+    seq[1:] = shifts
+
+    def shift(p: Point) -> float:
+        acc = seq.copy()
+        acc[0] = p
+        return np.add.accumulate(acc, out=acc).item(-1)
+
+    return ProbedMap(source, target, shift)
 
 
 def rotation_map(source: MetricSpace, target: MetricSpace, shifts: Sequence[float]) -> ProbedMap:

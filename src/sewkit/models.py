@@ -50,18 +50,43 @@ MIDPOINT_EXPANSION_ORDERS = (2, 4, 6, 8, 10, 12)
 # ---------------------------------------------------------------------------
 # translation models
 
-def make_additive(
-    mu_tilde: Callable[[float, float], float],
+#: the arrays an array function is tried on when a translation model is built
+_TRIAL_S = np.array([0.25, 0.75])
+_TRIAL_T = _TRIAL_S[::-1]
+
+
+def _require_array_fn(what: str, fn: Callable[..., np.ndarray], *args: np.ndarray) -> None:
+    """Raise ValueError naming ``fn`` unless, called once on the 2-element
+    float64 arrays ``args``, it returns a float64 array of their shape: a
+    scalar function such as ``math.sin`` fails here, not inside a sew."""
+    try:
+        out = fn(*args)
+    except (TypeError, ValueError) as exc:
+        out = exc
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == args[0].shape):
+        got = f"{type(out).__name__}: {out}" if isinstance(out, Exception) else repr(out)
+        raise ValueError(
+            f"{what} {fn!r} must map float64 arrays elementwise to a float64 array "
+            f"of their shape; on {len(args)} array(s) of shape {args[0].shape} it gave {got}"
+        )
+
+
+def _translation_model(
+    increments_of: Callable[[np.ndarray], np.ndarray],
     hoelder: HoelderData,
-    name: str = "additive",
-    probe_n: int = 5,
+    name: str,
+    probe_n: int,
 ) -> ApproxFlowModel:
-    """Translations x -> x + mu_tilde(s, t); isometries, so L = 0 and g = 1.
-    The model's ``increments`` are mu_tilde between consecutive parameters."""
+    """Translations whose increments between consecutive parameters are
+    ``increments_of(a)`` over the float64 array a of the parameters;
+    isometries, so L = 0 and g = 1."""
     space = real_line(-1.0, 1.0, probe_n, name=f"{name}-line")
 
+    def increments(params: Sequence[float]) -> np.ndarray:
+        return increments_of(np.asarray(params, dtype=float))
+
     def mu(s: float, t: float) -> ProbedMap:
-        return translation_map(space, space, (mu_tilde(s, t),))
+        return translation_map(space, space, increments((s, t)))
 
     return ApproxFlowModel(
         name=name,
@@ -69,19 +94,36 @@ def make_additive(
         mu=mu,
         hoelder=hoelder,
         summary=Readout(0.0),
-        increments=lambda params: list(map(mu_tilde, params, params[1:])),
+        increments=increments,
     )
+
+
+def make_additive(
+    mu_tilde: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    hoelder: HoelderData,
+    name: str = "additive",
+    probe_n: int = 5,
+) -> ApproxFlowModel:
+    """Translations x -> x + mu_tilde(s, t); isometries, so L = 0 and g = 1.
+
+    ``mu_tilde`` is an array function: on float64 arrays s and t of one
+    shape it returns the float64 array of its values, elementwise.  The
+    model's ``increments(params)`` are ``mu_tilde(a[:-1], a[1:])`` over the
+    float64 array a of the parameters, one numpy pass per chain.  A
+    ``mu_tilde`` that is not an array function raises ValueError here."""
+    _require_array_fn(f"{name}: mu_tilde", mu_tilde, _TRIAL_S, _TRIAL_T)
+    return _translation_model(lambda a: mu_tilde(a[:-1], a[1:]), hoelder, name, probe_n)
 
 
 def make_additive_sin(probe_n: int = 5) -> ApproxFlowModel:
     """mu_tilde(s,t) = sin(s)*(t-s); defect |sin u - sin s|*|t-u| <= |u-s||t-u|."""
     h = HoelderData(1.0, ((1.0, 1.0, 1.0),), 0.0, MODE_SEWING)
-    return make_additive(lambda s, t: math.sin(s) * (t - s), h, "additive-sin", probe_n)
+    return make_additive(lambda s, t: np.sin(s) * (t - s), h, "additive-sin", probe_n)
 
 
 def make_young(
-    x_fn: Callable[[float], float],
-    y_fn: Callable[[float], float],
+    x_fn: Callable[[np.ndarray], np.ndarray],
+    y_fn: Callable[[np.ndarray], np.ndarray],
     alpha: float,
     beta: float,
     c_x: float = 1.0,
@@ -90,12 +132,25 @@ def make_young(
     probe_n: int = 5,
 ) -> ApproxFlowModel:
     """Translation by y(s)*(x(t)-x(s)) for an alpha-Hoelder driver x and
-    beta-Hoelder integrand y; admissible only when alpha + beta > 1."""
+    beta-Hoelder integrand y; admissible only when alpha + beta > 1.
+
+    ``x_fn`` and ``y_fn`` are array functions, as ``mu_tilde`` is in
+    :func:`make_additive`: each is evaluated once per chain on the float64
+    array a of its parameters, and the increments are
+    ``y[:-1] * (x[1:] - x[:-1])``, elementwise the scalar formula's
+    operations.  A driver that is not an array function raises ValueError."""
     eps = alpha + beta - 1.0
     if eps <= 0.0:
         raise InadmissibleRegularity(f"alpha + beta = {alpha + beta} must exceed 1")
+    _require_array_fn(f"{name}: x_fn", x_fn, _TRIAL_S)
+    _require_array_fn(f"{name}: y_fn", y_fn, _TRIAL_S)
     h = HoelderData(eps, ((alpha, beta, c_x * c_y),), 0.0, MODE_SEWING)
-    return make_additive(lambda s, t: y_fn(s) * (x_fn(t) - x_fn(s)), h, name, probe_n)
+
+    def increments_of(a: np.ndarray) -> np.ndarray:
+        x = x_fn(a)
+        return y_fn(a)[:-1] * (x[1:] - x[:-1])
+
+    return _translation_model(increments_of, h, name, probe_n)
 
 
 # ---------------------------------------------------------------------------

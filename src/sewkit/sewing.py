@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     BoundViolation,
     ModelDomainError,
@@ -122,23 +124,26 @@ def corollary_bound(h: HoelderData, span: float) -> float:
 def compose_along(model: ApproxFlowModel, params: Sequence[Param]) -> ProbedMap:
     """mu(p_0, p_1) o mu(p_1, p_2) o ... o mu(p_{k-1}, p_k) along the parameters.
 
-    This is the one chain runner: sew levels pass subdivision points, knit
-    rows and ladders pass net nodes, the defect checks and fits pass short
-    tuples such as (s, u, t).  A single parameter p gives mu(p, p), and two
-    give mu(p_0, p_1) itself for a model without ``increments``.  A model
-    that declares ``increments`` composes to one ``model.act`` over
-    ``increments(params)``, listed in the order the chain of its maps applies
-    them (last interval first), so no map is built per interval: a
-    translation's values are the chain's bit for bit, a rotation's lifted
-    angle too.
+    This is the one chain runner: sew levels pass their subdivision's points
+    (a float64 array), knit rows and ladders pass net nodes, the defect
+    checks and fits pass short tuples such as (s, u, t).  A single parameter
+    p gives mu(p, p), and two give mu(p_0, p_1) itself for a model without
+    ``increments``; such a model gets the points of a 1-D array as plain
+    floats.  A model that declares ``increments`` composes to one
+    ``model.act`` over ``increments(params)`` reversed, in the order the
+    chain of its maps applies them (last interval first), so no map is
+    built per interval: a translation's values are the chain's bit for bit,
+    a rotation's lifted angle too.
     """
+    if model.increments is None and isinstance(params, np.ndarray) and params.ndim == 1:
+        params = params.tolist()
     if len(params) == 1:
         return model.mu(params[0], params[0])
     if model.increments is None:
         return compose_chain(map(model.mu, params, params[1:]))
-    shifts = model.increments(params)
-    shifts.reverse()
-    return model.act(model.space_at(params[-1]), model.space_at(params[0]), shifts)
+    return model.act(
+        model.space_at(params[-1]), model.space_at(params[0]), model.increments(params)[::-1]
+    )
 
 
 def _probe_slot(probes: Sequence[Point], point: Point) -> int | None:

@@ -1,42 +1,51 @@
 """Ordered subdivisions of the interval between s and t, as their points.
 
-A subdivision is its tuple of points t_0, ..., t_k, finite and strictly
-monotone from ``start`` = t_0 to ``end`` = t_k (decreasing when start > end);
-a single point is the degenerate subdivision of [s, s].  Midpoints are
-computed as (a+b)/2 so refinement is bit-reproducible.
+A subdivision is its points t_0, ..., t_k, a read-only 1-D float64 array,
+finite and strictly monotone from ``start`` = t_0 to ``end`` = t_k
+(decreasing when start > end); a single point is the degenerate subdivision
+of [s, s].  Every level operation is one numpy pass with the operations of
+the plain loop, elementwise: midpoints are computed as (a+b)/2 so refinement
+is bit-reproducible.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from operator import gt, lt, sub
+import numpy as np
 
 from .errors import CannotCoarsen, EndpointMismatch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subdivision:
-    points: tuple[float, ...]
+    """``points`` is copied into a read-only float64 array; compare two
+    subdivisions by their points (``a.points.tolist() == b.points.tolist()``)."""
+
+    points: np.ndarray
 
     def __post_init__(self):
-        pts = self.points
-        if not pts:
+        pts = np.array(self.points, dtype=float)
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
+        if pts.ndim != 1:
+            raise ValueError(f"subdivision points must form a 1-D sequence, got shape {pts.shape}")
+        if not pts.size:
             raise ValueError("a subdivision needs at least one point")
-        if not all(map(math.isfinite, pts)):
+        if not np.isfinite(pts).all():
             raise ValueError(f"subdivision points must be finite, got {pts!r}")
-        if not (all(map(lt, pts, pts[1:])) or all(map(gt, pts, pts[1:]))):
+        a, b = pts[:-1], pts[1:]
+        if not ((a < b).all() or (a > b).all()):
             raise ValueError("points must be strictly monotone from start to end")
 
     @property
     def start(self) -> float:
-        return self.points[0]
+        return self.points.item(0)
 
     @property
     def end(self) -> float:
-        return self.points[-1]
+        return self.points.item(-1)
 
     @property
-    def interior(self) -> tuple[float, ...]:
+    def interior(self) -> np.ndarray:
         return self.points[1:-1]
 
     @property
@@ -50,40 +59,45 @@ class Subdivision:
 
 
 def regular(s: float, t: float, k: int) -> Subdivision:
-    """The regular subdivision with k equal intervals (one point when s == t)."""
+    """The regular subdivision with k equal intervals (one point when s == t):
+    s + j*(t-s)/k for j = 1..k-1 between the two ends."""
     if k < 1:
         raise ValueError("need k >= 1")
     if s == t:
         return Subdivision((s,))
-    return Subdivision((s, *(s + j * (t - s) / k for j in range(1, k)), t))
+    pts = np.empty(k + 1)
+    pts[0], pts[-1] = s, t
+    pts[1:-1] = s + np.arange(1.0, k) * (t - s) / k
+    return Subdivision(pts)
 
 
 def mesh(subdiv: Subdivision) -> float:
-    """Largest interval length |b - a| (0 for a degenerate subdivision)."""
+    """Largest interval length |b - a|, a plain float (0 for a degenerate subdivision)."""
     pts = subdiv.points
-    return max(map(abs, map(sub, pts[1:], pts)), default=0.0)
+    return np.abs(pts[1:] - pts[:-1]).max().item() if len(pts) > 1 else 0.0
 
 
 def dyadic_refine(subdiv: Subdivision) -> Subdivision:
     """Insert every interval's midpoint."""
     pts = subdiv.points
-    refined = [0.0] * (2 * len(pts) - 1)
+    refined = np.empty(2 * len(pts) - 1)
     refined[::2] = pts
-    refined[1::2] = [(a + b) / 2.0 for a, b in zip(pts, pts[1:])]
-    return Subdivision(tuple(refined))
+    refined[1::2] = (pts[:-1] + pts[1:]) / 2.0
+    return Subdivision(refined)
 
 
 def joint(a: Subdivision, b: Subdivision) -> Subdivision:
     """Coarsest subdivision finer than both (union of points)."""
     if a.start != b.start or a.end != b.end:
         raise EndpointMismatch("joint needs identical endpoints")
-    return Subdivision(tuple(sorted(set(a.points) | set(b.points), reverse=a.start > a.end)))
+    union = np.union1d(a.points, b.points)
+    return Subdivision(union[::-1] if a.start > a.end else union)
 
 
 def refines(finer: Subdivision, coarser: Subdivision) -> bool:
     if finer.start != coarser.start or finer.end != coarser.end:
         return False
-    return set(coarser.points) <= set(finer.points)
+    return bool(np.isin(coarser.points, finer.points).all())
 
 
 def reverse(subdiv: Subdivision) -> Subdivision:
@@ -95,7 +109,7 @@ def concat(left: Subdivision, right: Subdivision) -> Subdivision:
     """Glue a subdivision of [s,u] and one of [u,t] into one of [s,t]."""
     if left.end != right.start:
         raise EndpointMismatch("concat needs left.end == right.start")
-    return Subdivision(left.points + right.points[1:])
+    return Subdivision(np.concatenate((left.points, right.points[1:])))
 
 
 def coarsen_minimal_pair(subdiv: Subdivision) -> tuple[Subdivision, int]:
@@ -108,6 +122,6 @@ def coarsen_minimal_pair(subdiv: Subdivision) -> tuple[Subdivision, int]:
     pts = subdiv.points
     if len(pts) < 3:
         raise CannotCoarsen("no interior point to remove")
-    # min keeps the first of equal keys, so ties break to the smallest index
-    best_j = min(range(1, len(pts) - 1), key=lambda j: abs(pts[j + 1] - pts[j - 1]))
-    return Subdivision(pts[:best_j] + pts[best_j + 1 :]), best_j
+    # argmin returns the first of equal values, so ties break to the smallest index
+    best_j = int(np.abs(pts[2:] - pts[:-2]).argmin()) + 1
+    return Subdivision(np.concatenate((pts[:best_j], pts[best_j + 1 :]))), best_j

@@ -5,7 +5,9 @@ machinery: quadrature by adaptive Simpson, Stieltjes integrals by dense
 midpoint sums, matrix exponentials by scaling and squaring, winding numbers
 by signed axis crossings, dyadic refinement and mesh by plain loops,
 arc-length resampling of an ellipse by a walk over its table, points on a
-PL path by a plain breakpoint search, arcs by a ``math.cos``/``math.sin`` loop.
+PL path by a plain breakpoint search, arcs by a ``math.cos``/``math.sin`` loop,
+translation increments by one scalar ``math`` call per interval and
+translations by ``reduce(add)``.
 It also holds the probe-side metric helpers that only tests use: a probed
 Lipschitz estimate, the composition-gap bounds, sampled path length and a
 metric-axiom scan over probe triples.
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import reduce
 from itertools import accumulate
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -112,6 +116,22 @@ def max_gap(points) -> float:
     for a, b in zip(points, points[1:]):
         best = max(best, abs(b - a))
     return best
+
+
+#: the CLI's Young drivers as scalar ``math`` functions
+YOUNG_SCALAR_FNS = {"linear": lambda t: t, "sin": math.sin, "quadratic": lambda t: t * t}
+
+
+def young_increments(x, y, params) -> list:
+    """y(s)*(x(t)-x(s)) between consecutive parameters, one scalar call of
+    each function per interval end, with x and y on plain floats."""
+    params = list(params)
+    return [y(s) * (x(t) - x(s)) for s, t in zip(params, params[1:])]
+
+
+def translate(p: float, shifts) -> float:
+    """p + shifts[0] + shifts[1] + ..., one addition at a time."""
+    return reduce(add, shifts, p)
 
 
 def ellipse_arc_points(rx: float, ry: float, angle0: float, angle1: float, segments: int) -> tuple:

@@ -79,6 +79,14 @@ def test_growth_bound_overflow_is_non_finite():
         h.g(1.0)
 
 
+@pytest.mark.parametrize("delta", [1.0, 0.0], ids=["inf", "nan"])
+def test_growth_bound_with_an_infinite_slope_is_non_finite(delta):
+    # exp(inf * 1.0) is inf and exp(inf * 0.0) is NaN; neither raises OverflowError
+    h = HoelderData(1.0, ((1.0, 1.0, 1.0),), math.inf)
+    with pytest.raises(NonFiniteValue, match="growth bound"):
+        h.g(delta)
+
+
 # --- CLI ---------------------------------------------------------------------
 
 def _sew_cfg(tmp_path, **extra):
@@ -180,6 +188,25 @@ def test_holonomy_config_fails_closed(tmp_path, capsys, case, expect, fragment):
     assert not (tmp_path / "out.csv").exists()
     err = capsys.readouterr().err
     assert fragment in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "case,fragment",
+    [
+        ({"model": dict(_MIDPOINT, r0=1e-6),
+          "path": {"kind": "circle", "radius": 1.0, "segments": 16}},
+         "needs more than 2**20 intervals"),
+        ({"path": {"kind": "circle", "radius": 1.0, "segments": 48}, "tol": 1e-12,
+          "max_level": 1}, "within 1 levels"),
+    ],
+    ids=["base-level-runaway", "max-level"],
+)
+def test_holonomy_non_convergence_is_reported_as_such(tmp_path, capsys, case, fragment):
+    # neither is a violated bound: the sew stopped before it could certify anything
+    assert _run(tmp_path, _holonomy_cfg(tmp_path, **case)) == 2
+    assert not (tmp_path / "out.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence: ") and fragment in err, err
 
 
 def test_knit_pair_far_from_the_origin_passes(tmp_path):

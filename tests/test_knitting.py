@@ -169,8 +169,8 @@ def test_build_net_samples_each_path_once_per_column(monkeypatch):
         calls.clear()
         samples.clear()
         build_net(g0, g1, k, ell)
-        ts = regular(0.0, 1.0, k).points
-        assert samples == [ts, ts] and calls == []
+        ts = regular(0.0, 1.0, k).points.tolist()
+        assert [u.tolist() for u in samples] == [ts, ts] and calls == []
 
 
 def test_pair_lipschitz_samples_each_path_once_over_the_union_of_breaks(monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from oracles import (
     lipschitz_estimate,
     metric_axiom_violations,
     path_length,
+    translate,
 )
 from sewkit import (
     DomainMismatch,
@@ -21,6 +23,7 @@ from sewkit import (
     compose_chain,
     map_distance_value,
     real_line,
+    translation_map,
 )
 from sewkit.metric import euclidean
 
@@ -190,3 +193,23 @@ def test_compose_chain_never_holds_all_factors():
     chain = compose_chain(factors())
     assert chain.eval(0.0) == 50.0
     assert most_alive <= 2
+
+
+# --- translations -------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**4),
+    st.floats(1e-12, 1.0),
+    st.floats(-1.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_translation_map_adds_the_shifts_in_order_bit_for_bit(n, scale, p, seed):
+    # magnitudes spread over three decades below the scale, signs mixed
+    rng = np.random.default_rng(seed)
+    shifts = scale * rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 0.0, n)
+    sp = real_line()
+    expect = repr(translate(p, shifts.tolist()))
+    for given_shifts in (shifts, shifts.tolist()):
+        image = translation_map(sp, sp, given_shifts).eval(p)
+        assert type(image) is float and repr(image) == expect

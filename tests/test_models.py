@@ -60,7 +60,7 @@ def test_additive_sewn_translation_matches_quadrature():
 
 def test_additive_with_custom_table():
     h = HoelderData(1.0, ((1.0, 1.0, 1.0),))
-    m = make_additive(lambda s, t: math.cos(s) * (t - s), h, name="additive-cos")
+    m = make_additive(lambda s, t: np.cos(s) * (t - s), h, name="additive-cos")
     _, cert = sew(m, 0.0, 1.0, 1e-9)
     assert cert.limit_value == pytest.approx(math.sin(1.0), abs=1e-8)
 
@@ -91,13 +91,45 @@ def test_young_examples_and_admissibility():
     _, cert = sew(m, 0.0, 1.0, 1e-9)
     assert cert.limit_value == pytest.approx(0.5, abs=1e-8)
 
-    m2 = make_young(math.sin, lambda t: t * t, 1.0, 1.0, c_y=2.0)
+    m2 = make_young(np.sin, lambda t: t * t, 1.0, 1.0, c_y=2.0)
     _, cert2 = sew(m2, 0.0, 1.0, 1e-9)
     expect = stieltjes_midpoint(lambda t: t * t, math.sin)
     assert cert2.limit_value == pytest.approx(expect, abs=1e-8)
 
     with pytest.raises(InadmissibleRegularity):
         make_young(lambda t: t, lambda t: t, 0.5, 0.5)
+
+
+_H = HoelderData(1.0, ((1.0, 1.0, 1.0),))
+
+
+@pytest.mark.parametrize(
+    "build,fragment",
+    [
+        (lambda: make_young(math.sin, np.sin, 0.75, 0.75), "x_fn <built-in function sin>"),
+        (lambda: make_young(lambda t: t, lambda t: list(t), 0.75, 0.75), "y_fn <function"),
+        (lambda: make_young(lambda t: t, lambda t: t.astype(np.float32), 0.75, 0.75), "y_fn"),
+        (lambda: make_young(lambda t: 1.0, lambda t: t, 0.75, 0.75), "x_fn"),
+        (lambda: make_additive(lambda s, t: math.sin(s) * (t - s), _H), "mu_tilde"),
+        (lambda: make_additive(lambda s, t: list(np.sin(s) * (t - s)), _H), "mu_tilde"),
+        (lambda: make_additive(lambda s, t: np.sin(s[:1]) * (t[:1] - s[:1]), _H), "mu_tilde"),
+    ],
+    ids=["math-sin", "list", "float32", "scalar", "additive-math-sin", "additive-list",
+         "additive-shape"],
+)
+def test_drivers_that_are_not_array_functions_fail_closed(build, fragment):
+    # tried once on 2-element float64 arrays when the model is built, not deep inside a sew
+    with pytest.raises(ValueError, match="must map float64 arrays") as err:
+        build()
+    assert fragment in str(err.value)
+
+
+def test_translation_increments_are_float64_arrays():
+    for m in (make_additive_sin(), make_young(np.sin, lambda t: t * t, 0.8, 0.7, c_y=2.0)):
+        for params in ((0.0, 0.5), [0.0, 0.25, 1.0], regular(0.0, 1.0, 8).points):
+            inc = m.increments(params)
+            assert isinstance(inc, np.ndarray) and inc.dtype == np.float64
+            assert inc.shape == (len(params) - 1,)
 
 
 def test_young_three_point_defect_is_exact_product():

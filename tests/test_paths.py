@@ -178,7 +178,7 @@ def test_sample_equals_at_bit_for_bit():
         polyline((0.0, 1.5, -0.25, 2.0, -0.0)),
     ]
     assert min(np.diff(paths[3].breaks)) < 1e-16
-    levels = [u for n in range(13) for u in regular(0.0, 1.0, 2**n).points]
+    levels = [u for n in range(13) for u in regular(0.0, 1.0, 2**n).points.tolist()]
     for g in paths:
         params = [0.0, 1.0, -0.3, -0.0, 1.7, *g.breaks, *levels]
         for us in (params, params[::-1]):

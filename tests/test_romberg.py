@@ -92,7 +92,7 @@ def _trace(cert):
 
 @pytest.mark.parametrize(
     "model",
-    [make_additive_sin(), make_young(math.sin, lambda t: t * t, 0.8, 0.7, c_y=2.0)],
+    [make_additive_sin(), make_young(np.sin, lambda t: t * t, 0.8, 0.7, c_y=2.0)],
     ids=["additive_sin", "young"],
 )
 def test_undeclared_models_match_an_explicitly_empty_declaration(model):
@@ -113,7 +113,7 @@ def _via_the_chain(model):
     [
         (make_additive_sin(), 0.0, 0.9),
         (make_additive_sin(probe_n=4), 0.0, 0.9),  # the readout point 0.0 is no probe
-        (make_young(math.sin, lambda t: t * t, 0.8, 0.7, c_y=2.0), 0.0, 0.9),
+        (make_young(np.sin, lambda t: t * t, 0.8, 0.7, c_y=2.0), 0.0, 0.9),
         (make_euler_linear(1.0), 0.0, 1.0),
         (make_euler_matrix([[0.2, -1.0], [1.0, 0.1]]), 0.0, 1.0),
         (pullback_flow(make_flat_connection("midpoint"), circle_path(1.0, 1.0, 64)), 0.0, 1.0),

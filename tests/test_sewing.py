@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import left_riemann
+from oracles import YOUNG_SCALAR_FNS, left_riemann, translate, young_increments
 from sewkit import (
     HoelderData,
     NonConvergence,
@@ -160,7 +160,7 @@ def test_splitting_consistency_is_exact():
 def _translation_models():
     kinds = cli.MODELS.variants["young"][0]["driver"].kind
     h = HoelderData(1.0, ((1.0, 1.0, 3.0),))
-    return [make_additive_sin(), make_additive(lambda s, t: math.exp(s) * (t - s), h)] + [
+    return [make_additive_sin(), make_additive(lambda s, t: np.exp(s) * (t - s), h)] + [
         cli.build_model(cli.MODELS.check(
             {"name": "young", "driver": x, "integrand": y, "alpha": 0.75, "beta": 0.75}, "model"))
         for x in kinds for y in kinds
@@ -185,6 +185,25 @@ def test_translation_composites_equal_the_chain_bit_for_bit(sd):
         assert fused.source is chain.source and fused.target is chain.target
         for p in fused.source.probes:
             assert fused.eval(p) == chain.eval(p), m.name
+
+
+@pytest.mark.parametrize("sd", _SUBDIVISIONS, ids=["regular", "dyadic", "reversed", "concat", "irregular"])
+def test_translation_composites_equal_the_scalar_oracle_bit_for_bit(sd):
+    # the increments of a plain math loop, summed by reduce(add) in the chain's
+    # order (last interval first): independent of the models' array increments
+    pts = sd.points.tolist()
+    cases = [(make_additive_sin(), lambda t: t, math.sin)] + [
+        (cli.build_model(cli.MODELS.check(
+            {"name": "young", "driver": x, "integrand": y, "alpha": 0.75, "beta": 0.75}, "model")),
+         YOUNG_SCALAR_FNS[x], YOUNG_SCALAR_FNS[y])
+        for x in YOUNG_SCALAR_FNS for y in YOUNG_SCALAR_FNS
+    ]
+    assert tuple(YOUNG_SCALAR_FNS) == cli.MODELS.variants["young"][0]["driver"].kind
+    for m, x, y in cases:
+        shifts = young_increments(x, y, pts)[::-1]
+        fused = compose_along(m, sd.points)
+        for p in fused.source.probes:
+            assert repr(fused.eval(p)) == repr(translate(p, shifts)), m.name
 
 
 def test_translation_composites_build_no_map_per_interval():
@@ -272,11 +291,11 @@ def test_sew_rejects_nan_probe_values():
 def test_sew_rejects_infinite_probe_distances():
     # translations by +inf on steps below 0.3: level 2 is infinitely far from level 1
     h = HoelderData(1.0, ((1.0, 1.0, 1.0),))
-    m = make_additive(lambda s, t: math.inf if abs(t - s) < 0.3 else math.sin(s) * (t - s), h)
+    m = make_additive(lambda s, t: np.where(abs(t - s) < 0.3, math.inf, np.sin(s) * (t - s)), h)
     with pytest.raises(NonFiniteValue, match="level 2"):
         sew(m, 0.0, 1.0, 1e-8)
     # a NaN increment on the second of four intervals: the summed composite keeps it
-    m = make_additive(lambda s, t: math.nan if s == 0.25 else math.sin(s) * (t - s), h)
+    m = make_additive(lambda s, t: np.where(s == 0.25, math.nan, np.sin(s) * (t - s)), h)
     with pytest.raises(NonFiniteValue, match="level 2"):
         sew(m, 0.0, 1.0, 1e-8)
 

@@ -50,9 +50,22 @@ def test_non_finite_or_missing_points_are_rejected(build):
         build()
 
 
+def test_points_are_a_read_only_copy():
+    a = np.array([0.0, 0.5, 1.0])
+    sd = Subdivision(a)
+    assert isinstance(sd.points, np.ndarray) and sd.points.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        sd.points[1] = 0.25
+    a[1] = 0.25  # the caller's array stays writable, and the subdivision keeps its points
+    assert sd.points.tolist() == [0.0, 0.5, 1.0]
+    for derived in (regular(0.0, 1.0, 4), dyadic_refine(sd), reverse(sd), concat(sd, Subdivision((1.0, 2.0)))):
+        with pytest.raises(ValueError, match="read-only"):
+            derived.points[0] = 3.0
+
+
 def test_dyadic_refine_examples():
-    assert dyadic_refine(Subdivision((0.0, 1.0))).points == (0.0, 0.5, 1.0)
-    assert dyadic_refine(Subdivision((0.0, 0.5, 1.0))).points == (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert dyadic_refine(Subdivision((0.0, 1.0))).points.tolist() == [0.0, 0.5, 1.0]
+    assert dyadic_refine(Subdivision((0.0, 0.5, 1.0))).points.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
     irregular = Subdivision((0.0, 0.1, 0.9, 1.0))
     assert mesh(dyadic_refine(irregular)) == pytest.approx(mesh(irregular) / 2.0)
     assert refines(dyadic_refine(irregular), irregular)
@@ -61,8 +74,8 @@ def test_dyadic_refine_examples():
 def test_joint_examples():
     a = Subdivision((0.0, 0.5, 1.0))
     b = Subdivision((0.0, 0.25, 1.0))
-    assert joint(a, a).points == a.points
-    assert joint(a, b).points == (0.0, 0.25, 0.5, 1.0)
+    assert joint(a, a).points.tolist() == a.points.tolist()
+    assert joint(a, b).points.tolist() == [0.0, 0.25, 0.5, 1.0]
     assert mesh(joint(a, b)) <= min(mesh(a), mesh(b))
     with pytest.raises(EndpointMismatch):
         joint(a, Subdivision((0.0, 2.0)))
@@ -70,24 +83,24 @@ def test_joint_examples():
 
 def test_reverse():
     s = Subdivision((0.0, 0.5, 1.0))
-    assert reverse(s).points == (1.0, 0.5, 0.0)
-    assert reverse(reverse(s)) == s
+    assert reverse(s).points.tolist() == [1.0, 0.5, 0.0]
+    assert reverse(reverse(s)).points.tolist() == s.points.tolist()
     assert mesh(reverse(s)) == mesh(s)
 
 
 def test_concat():
     left = Subdivision((0.0, 0.25, 0.5))
     right = Subdivision((0.5, 1.0))
-    assert concat(left, right).points == (0.0, 0.25, 0.5, 1.0)
+    assert concat(left, right).points.tolist() == [0.0, 0.25, 0.5, 1.0]
     with pytest.raises(EndpointMismatch):
         concat(left, Subdivision((0.6, 1.0)))
 
 
 def test_coarsen_minimal_pair_examples():
     s, j = coarsen_minimal_pair(Subdivision((0.0, 0.1, 0.9, 1.0)))
-    assert j == 1 and s.points == (0.0, 0.9, 1.0)  # tie broken to smallest index
+    assert j == 1 and s.points.tolist() == [0.0, 0.9, 1.0]  # tie broken to smallest index
     s, j = coarsen_minimal_pair(regular(0.0, 1.0, 4))
-    assert j == 1 and s.points == (0.0, 0.5, 0.75, 1.0)
+    assert j == 1 and s.points.tolist() == [0.0, 0.5, 0.75, 1.0]
     with pytest.raises(CannotCoarsen):
         coarsen_minimal_pair(Subdivision((0.0, 1.0)))
 
@@ -107,11 +120,11 @@ def test_coarsen_pair_sum_inequality_randomized():
 def test_coarsen_terminates_in_k_minus_1_steps():
     subdiv = Subdivision((0.0, 0.2, 0.3, 0.7, 0.95, 1.0))
     steps = 0
-    while subdiv.interior:
+    while subdiv.interior.size:
         subdiv, _ = coarsen_minimal_pair(subdiv)
         steps += 1
     assert steps == 4
-    assert subdiv.points == (0.0, 1.0)
+    assert subdiv.points.tolist() == [0.0, 1.0]
 
 
 interiors = st.lists(st.floats(0.01, 0.99), max_size=5).map(
@@ -136,7 +149,7 @@ def test_refinement_partial_order(ia):
     d = dyadic_refine(a)
     assert refines(a, a)
     assert refines(d, a)
-    assert not refines(a, d) or d.points == a.points
+    assert not refines(a, d) or d.points.tolist() == a.points.tolist()
 
 
 ends = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -148,8 +161,8 @@ def test_refinement_ladders_match_the_plain_loop_bit_for_bit(s, t, k0, levels):
     assume(abs(t - s) > 1e-3)
     subdiv = regular(s, t, k0)
     for _ in range(levels):
-        assert repr(mesh(subdiv)) == repr(max_gap(subdiv.points))
+        assert repr(mesh(subdiv)) == repr(max_gap(subdiv.points.tolist()))
         refined = dyadic_refine(subdiv)
-        assert repr(refined.points) == repr(dyadic_midpoints(subdiv.points))
+        assert repr(refined.points.tolist()) == repr(list(dyadic_midpoints(subdiv.points.tolist())))
         subdiv = refined
-    assert repr(mesh(subdiv)) == repr(max_gap(subdiv.points))
+    assert repr(mesh(subdiv)) == repr(max_gap(subdiv.points.tolist()))
