@@ -32,7 +32,6 @@ from .knitting import (
     knit_bound,
     knit_compare,
     knit_prime_constant,
-    ladder_map,
     pair_lipschitz,
     row_map,
 )

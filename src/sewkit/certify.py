@@ -99,14 +99,12 @@ def fit_three_point(model: ApproxFlowModel, samples: Sequence[tuple]) -> FitRepo
     h = model.hoelder
     d_p = model.param_metric
     rows: list[FitSample] = []
-    products = []
     for s, u, t in samples:
         defect = map_distance_value(model.mu(s, t), compose_along(model, (s, u, t)))
         g1, g2 = d_p(t, u), d_p(u, s)
         declared = h.defect_bound(g1, g2)
         rows.append(FitSample(f"s={s!r};u={u!r};t={t!r}", g1 * g2, defect, declared))
-        products.append(g1 * g2)
-    _check_sample_spread(products, "fit_three_point")
+    _check_sample_spread([r.gap_product for r in rows], "fit_three_point")
     return _regress("three-point", rows, degree_offset=1.0)
 
 
@@ -119,15 +117,13 @@ def fit_strong_four_point(model: ApproxFlowModel, samples: Sequence[tuple]) -> F
     """
     d_p = model.param_metric
     rows: list[FitSample] = []
-    products = []
     for x, u, v, y in samples:
         defect, declared = four_point_defect(model, x, u, v, y)
         d_yv, d_uv = d_p(y, v), d_p(u, v)
         rows.append(
             FitSample(f"x={x!r};u={u!r};v={v!r};y={y!r}", d_yv * d_uv, defect, declared)
         )
-        products.append(d_yv * d_uv)
-    _check_sample_spread(products, "fit_strong_four_point")
+    _check_sample_spread([r.gap_product for r in rows], "fit_strong_four_point")
     report = _regress("strong-four-point", rows, degree_offset=2.0)
     if not report.exact:
         report.strong_mode_ok = report.epsilon_hat >= STRONG_MODE_MIN_EPSILON
@@ -144,6 +140,21 @@ def fit_strong_four_point(model: ApproxFlowModel, samples: Sequence[tuple]) -> F
 # ---------------------------------------------------------------------------
 # default sample generators
 
+def _draws(rng: np.random.Generator, n: int, *ranges: tuple[float, float]) -> np.ndarray:
+    """An (n, len(ranges)) array whose column j is uniform on ranges[j]: numpy's
+    own ``uniform`` formula, so row by row the doubles of scalar ``uniform``
+    calls in range order."""
+    lo, hi = np.array(ranges, dtype=float).T
+    return lo + (hi - lo) * rng.random((n, len(ranges)))
+
+
+def _scales(n: int, scales: tuple[float, float]) -> np.ndarray:
+    """The n per-sample scales as a column, log-spaced from scales[0] to scales[1]."""
+    log_lo, log_hi = math.log(scales[0]), math.log(scales[1])
+    steps = [math.exp(log_lo + (log_hi - log_lo) * (i / max(1, n - 1))) for i in range(n)]
+    return np.array(steps).reshape(n, 1)
+
+
 def interval_three_point_samples(
     rng: np.random.Generator,
     n: int = 48,
@@ -151,14 +162,9 @@ def interval_three_point_samples(
     scales: tuple[float, float] = (1e-4, 1e-1),
 ) -> list[tuple[float, float, float]]:
     """Triples s < u < t with u strictly inside, gaps spanning the scale range."""
-    out = []
-    log_lo, log_hi = math.log(scales[0]), math.log(scales[1])
-    for i in range(n):
-        w = math.exp(log_lo + (log_hi - log_lo) * (i / max(1, n - 1)))
-        s = float(rng.uniform(*s_range))
-        theta = float(rng.uniform(0.3, 0.7))
-        out.append((s, s + theta * w, s + w))
-    return out
+    w = _scales(n, scales)
+    s, theta = np.hsplit(_draws(rng, n, s_range, (0.3, 0.7)), 2)
+    return list(map(tuple, np.hstack((s, s + theta * w, s + w)).tolist()))
 
 
 def interval_four_point_samples(
@@ -168,14 +174,9 @@ def interval_four_point_samples(
     scales: tuple[float, float] = (1e-4, 1e-1),
 ) -> list[tuple[float, float, float, float]]:
     """Quadruple chains x < u < v < y with comparable single-scale gaps."""
-    out = []
-    log_lo, log_hi = math.log(scales[0]), math.log(scales[1])
-    for i in range(n):
-        hscale = math.exp(log_lo + (log_hi - log_lo) * (i / max(1, n - 1)))
-        x = float(rng.uniform(*s_range))
-        h1, h2, h3 = (float(rng.uniform(0.5, 1.0)) * hscale for _ in range(3))
-        out.append((x, x + h1, x + h1 + h2, x + h1 + h2 + h3))
-    return out
+    steps = _draws(rng, n, s_range, *[(0.5, 1.0)] * 3)
+    steps[:, 1:] *= _scales(n, scales)
+    return list(map(tuple, np.add.accumulate(steps, axis=1).tolist()))
 
 
 #: chord scales of the annulus samples.  Each chain step is 0.5 to 1 times its
@@ -192,22 +193,17 @@ def annulus_four_point_samples(
     radius_range: tuple[float, float] = (0.9, 1.6),
     scales: tuple[float, float] = ANNULUS_SCALES,
 ) -> list[tuple[Point, Point, Point, Point]]:
-    """Quadruple chains in the punctured plane, chords small against the radius."""
-    out = []
-    log_lo, log_hi = math.log(scales[0]), math.log(scales[1])
-    for i in range(n):
-        hscale = math.exp(log_lo + (log_hi - log_lo) * (i / max(1, n - 1)))
-        rho = float(rng.uniform(*radius_range))
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        p = (rho * math.cos(phi), rho * math.sin(phi))
-        chain = [p]
-        for _ in range(3):
-            ang = float(rng.uniform(0.0, 2.0 * math.pi))
-            step = float(rng.uniform(0.5, 1.0)) * hscale
-            q = (chain[-1][0] + step * math.cos(ang), chain[-1][1] + step * math.sin(ang))
-            chain.append(q)
-        out.append(tuple(chain))
-    return out
+    """Quadruple chains in the punctured plane, chords small against the radius;
+    the cosines and sines are ``math``'s, whose bits do not depend on numpy's build."""
+    turn = (0.0, 2.0 * math.pi)
+    d = _draws(rng, n, radius_range, turn, *[turn, (0.5, 1.0)] * 3)
+    lengths = np.hstack((d[:, :1], d[:, 3::2] * _scales(n, scales)))
+    angles = d[:, [1, 2, 4, 6]].ravel().tolist()
+    cos = np.fromiter(map(math.cos, angles), float).reshape(n, 4)
+    sin = np.fromiter(map(math.sin, angles), float).reshape(n, 4)
+    xs = np.add.accumulate(lengths * cos, axis=1)
+    ys = np.add.accumulate(lengths * sin, axis=1)
+    return [tuple(zip(*row)) for row in zip(xs.tolist(), ys.tolist())]
 
 
 def annulus_three_point_samples(
@@ -216,5 +212,5 @@ def annulus_three_point_samples(
     radius_range: tuple[float, float] = (0.9, 1.6),
     scales: tuple[float, float] = ANNULUS_SCALES,
 ) -> list[tuple[Point, Point, Point]]:
-    out = [(x, u, y) for x, u, _v, y in annulus_four_point_samples(rng, n, radius_range, scales)]
-    return out
+    """The chains of ``annulus_four_point_samples`` without their third point."""
+    return [(x, u, y) for x, u, _v, y in annulus_four_point_samples(rng, n, radius_range, scales)]

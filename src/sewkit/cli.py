@@ -316,7 +316,7 @@ def _run_knit(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list
 
 def _run_certify(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
     model = build_model(cfg["model"])
-    on_plane = cfg["model"]["name"] == "flat_connection"
+    on_plane = model.hoelder.mode == MODE_KNITTING
     if cfg["mode"] == "three_point":
         draw = (certify_mod.annulus_three_point_samples if on_plane
                 else certify_mod.interval_three_point_samples)
@@ -329,7 +329,7 @@ def _run_certify(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[l
     status = 0
     rows: list[list[Any]] = []
     for r in report.rows:
-        ok = within_bound(r.defect, r.declared_bound) if r.declared_bound > 0.0 else True
+        ok = within_bound(r.defect, r.declared_bound)
         if not ok:
             status = 2
         rows.append(
@@ -360,7 +360,7 @@ CONFIG = Tagged("experiment", {
                  _run_holonomy),
     "certify": ({"model": Field(MODELS),
                  "mode": Field(("three_point", "strong_four_point"), "three_point"),
-                 "samples": Field(int, 48, most=10_000), **_RUN}, _run_certify),
+                 "samples": Field(int, 48, least=0, most=10_000), **_RUN}, _run_certify),
 })
 
 

@@ -106,25 +106,11 @@ def pair_lipschitz(g0: LipPath, g1: LipPath) -> float:
 
 
 # ---------------------------------------------------------------------------
-# ladder compositions
+# row compositions
 
 def row_map(net: HomotopyNet, model: ApproxFlowModel, i: int) -> ProbedMap:
     """Composition of mu along row i of the net."""
     return compose_along(model, net.row(i))
-
-
-def ladder_map(net: HomotopyNet, model: ApproxFlowModel, i: int, j: int) -> ProbedMap:
-    """Hybrid composition crossing from row i to row i+1 at column k - j.
-
-    ladder_map(i, k-1) and ladder_map(i+1, 0) compose the same nodes, so
-    consecutive ladders sweep row 0 into row k one crossing at a time.  The
-    nodes are the two row slices joined as one array.
-    """
-    k = net.k
-    if not (0 <= i <= k - 1 and 0 <= j <= k - 1):
-        raise IndexError("ladder indices must lie in 0..k-1")
-    crossing = k - j
-    return compose_along(model, np.concatenate((net.row(i)[:crossing], net.row(i + 1)[crossing:])))
 
 
 def knit_bound(h: HoelderData, ell: float, k: int) -> float:

@@ -7,7 +7,9 @@ by signed axis crossings, dyadic refinement and mesh by plain loops,
 arc-length resampling of an ellipse by a walk over its table, points on a
 PL path by a plain breakpoint search, arcs by a ``math.cos``/``math.sin`` loop,
 translation increments by one scalar ``math`` call per interval and
-translations by ``reduce(add)``.
+translations by ``reduce(add)``, certification samples by one scalar
+``rng.uniform`` call per coordinate, and ladder compositions by slicing two
+net rows.
 It also holds the probe-side metric helpers that only tests use: a probed
 Lipschitz estimate, the composition-gap bounds, sampled path length and a
 metric-axiom scan over probe triples.
@@ -23,8 +25,12 @@ from typing import Sequence
 
 import numpy as np
 
+from sewkit.certify import ANNULUS_SCALES
 from sewkit.errors import SewkitError
+from sewkit.flows import ApproxFlowModel
+from sewkit.knitting import HomotopyNet
 from sewkit.metric import MetricSpace, Point, ProbedMap
+from sewkit.sewing import compose_along
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-11) -> float:
@@ -184,6 +190,94 @@ def arc_points(radius: float, angle0: float, angle1: float, segments: int) -> tu
         )
         for j in range(segments + 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# certification samples, one scalar draw at a time
+
+def interval_three_point_samples(
+    rng: np.random.Generator,
+    n: int = 48,
+    s_range: tuple[float, float] = (0.0, 0.5),
+    scales: tuple[float, float] = (1e-4, 1e-1),
+) -> list[tuple[float, float, float]]:
+    """Triples s < u < t with u strictly inside, gaps spanning the scale range."""
+    out = []
+    log_lo, log_hi = math.log(scales[0]), math.log(scales[1])
+    for i in range(n):
+        w = math.exp(log_lo + (log_hi - log_lo) * (i / max(1, n - 1)))
+        s = float(rng.uniform(*s_range))
+        theta = float(rng.uniform(0.3, 0.7))
+        out.append((s, s + theta * w, s + w))
+    return out
+
+
+def interval_four_point_samples(
+    rng: np.random.Generator,
+    n: int = 48,
+    s_range: tuple[float, float] = (0.0, 0.5),
+    scales: tuple[float, float] = (1e-4, 1e-1),
+) -> list[tuple[float, float, float, float]]:
+    """Quadruple chains x < u < v < y with comparable single-scale gaps."""
+    out = []
+    log_lo, log_hi = math.log(scales[0]), math.log(scales[1])
+    for i in range(n):
+        hscale = math.exp(log_lo + (log_hi - log_lo) * (i / max(1, n - 1)))
+        x = float(rng.uniform(*s_range))
+        h1, h2, h3 = (float(rng.uniform(0.5, 1.0)) * hscale for _ in range(3))
+        out.append((x, x + h1, x + h1 + h2, x + h1 + h2 + h3))
+    return out
+
+
+def annulus_four_point_samples(
+    rng: np.random.Generator,
+    n: int = 48,
+    radius_range: tuple[float, float] = (0.9, 1.6),
+    scales: tuple[float, float] = ANNULUS_SCALES,
+) -> list[tuple[Point, Point, Point, Point]]:
+    """Quadruple chains in the punctured plane, chords small against the radius."""
+    out = []
+    log_lo, log_hi = math.log(scales[0]), math.log(scales[1])
+    for i in range(n):
+        hscale = math.exp(log_lo + (log_hi - log_lo) * (i / max(1, n - 1)))
+        rho = float(rng.uniform(*radius_range))
+        phi = float(rng.uniform(0.0, 2.0 * math.pi))
+        p = (rho * math.cos(phi), rho * math.sin(phi))
+        chain = [p]
+        for _ in range(3):
+            ang = float(rng.uniform(0.0, 2.0 * math.pi))
+            step = float(rng.uniform(0.5, 1.0)) * hscale
+            q = (chain[-1][0] + step * math.cos(ang), chain[-1][1] + step * math.sin(ang))
+            chain.append(q)
+        out.append(tuple(chain))
+    return out
+
+
+def annulus_three_point_samples(
+    rng: np.random.Generator,
+    n: int = 48,
+    radius_range: tuple[float, float] = (0.9, 1.6),
+    scales: tuple[float, float] = ANNULUS_SCALES,
+) -> list[tuple[Point, Point, Point]]:
+    out = [(x, u, y) for x, u, _v, y in annulus_four_point_samples(rng, n, radius_range, scales)]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# ladder compositions
+
+def ladder_map(net: HomotopyNet, model: ApproxFlowModel, i: int, j: int) -> ProbedMap:
+    """Hybrid composition crossing from row i to row i+1 at column k - j.
+
+    ladder_map(i, k-1) and ladder_map(i+1, 0) compose the same nodes, so
+    consecutive ladders sweep row 0 into row k one crossing at a time.  The
+    nodes are the two row slices joined as one array.
+    """
+    k = net.k
+    if not (0 <= i <= k - 1 and 0 <= j <= k - 1):
+        raise IndexError("ladder indices must lie in 0..k-1")
+    crossing = k - j
+    return compose_along(model, np.concatenate((net.row(i)[:crossing], net.row(i + 1)[crossing:])))
 
 
 # ---------------------------------------------------------------------------

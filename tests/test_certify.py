@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from sewkit import (
     InsufficientSamples,
     SewkitError,
@@ -20,6 +21,7 @@ from sewkit import (
     make_young,
     pullback_flow,
 )
+from sewkit import certify
 from sewkit.certify import _check_sample_spread
 from sewkit.metric import euclidean
 
@@ -153,3 +155,33 @@ def test_strong_four_point_rows_are_four_point_defect(seed):
         report = fit_strong_four_point(model, samples)
         for row, (x, u, v, y) in zip(report.rows, samples, strict=True):
             assert (row.defect, row.declared_bound) == four_point_defect(model, x, u, v, y)
+
+
+_INTERVAL_OPTIONS = {"s_range": (-2.0, 3.5), "scales": (1e-6, 0.3)}
+_ANNULUS_OPTIONS = {"radius_range": (0.2, 5.0), "scales": (1e-3, 0.5)}
+
+
+@pytest.mark.parametrize(
+    "name,options",
+    [
+        ("interval_three_point_samples", {}),
+        ("interval_three_point_samples", _INTERVAL_OPTIONS),
+        ("interval_four_point_samples", {}),
+        ("interval_four_point_samples", _INTERVAL_OPTIONS),
+        ("annulus_four_point_samples", {}),
+        ("annulus_four_point_samples", _ANNULUS_OPTIONS),
+        ("annulus_three_point_samples", {}),
+        ("annulus_three_point_samples", _ANNULUS_OPTIONS),
+    ],
+    ids=lambda v: v.split("_samples")[0] if isinstance(v, str) else ("options" if v else "defaults"),
+)
+def test_samples_equal_the_scalar_draws_of_the_oracle(name, options):
+    # one array draw gives the doubles of one scalar rng.uniform call per coordinate
+    new, old = getattr(certify, name), getattr(oracles, name)
+    for seed in range(300):
+        for n in (0, 1, 2, 48, 160):
+            got = new(np.random.default_rng(seed), n, **options)
+            assert repr(got) == repr(old(np.random.default_rng(seed), n, **options))
+            coords = [c for sample in got for point in sample
+                      for c in (point if isinstance(point, tuple) else (point,))]
+            assert all(type(c) is float for c in coords)

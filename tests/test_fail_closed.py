@@ -1,6 +1,7 @@
 """NaN distances, non-finite or malformed config values, and unrepresentable
 bounds end in a typed error or a documented exit code, never a traceback."""
 import copy
+import csv
 import dataclasses
 import json
 import math
@@ -338,6 +339,44 @@ def test_readme_states_every_upper_bound():
     for name, most in _MOST.items():
         assert any(f"`{name}`" in line and f"at most {most}" in line
                    for line in section.splitlines()), name
+
+
+def test_negative_samples_is_a_config_error_before_any_draw(tmp_path, capsys):
+    assert _run(tmp_path, _certify_cfg(tmp_path, -5)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field config.samples ") and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    row = next(line for line in readme.splitlines() if line.startswith("| `certify` |"))
+    assert "`samples` 48 (at least 0, at most 10000)" in row
+
+
+def _certify_sample_rows(tmp_path, model, mode, seed):
+    cfg = {"experiment": "certify", "model": model, "mode": mode, "seed": seed,
+           "output": str(tmp_path / "out.csv")}
+    code = _run(tmp_path, cfg)
+    with (tmp_path / "out.csv").open(newline="") as fh:
+        return code, [(float(r[2]), float(r[3])) for r in csv.reader(fh) if r[0] == "sample"]
+
+
+def test_a_zero_declared_bound_is_checked_like_any_other(tmp_path, monkeypatch):
+    # additive_sin declared with C = 0: its defects (up to about 2.3e-3) break the bound
+    zero = HoelderData(1.0, ((1.0, 1.0, 0.0),), 0.0)
+    monkeypatch.setattr(cli, "build_model",
+                        lambda spec: dataclasses.replace(make_additive_sin(), hoelder=zero))
+    code, rows = _certify_sample_rows(tmp_path, {"name": "additive_sin"}, "three_point", 3)
+    assert code == 2
+    assert len(rows) == 48 and {bound for _, bound in rows} == {0.0}
+    assert max(defect for defect, _ in rows) > 1e-3
+
+
+@pytest.mark.parametrize("mode", ["three_point", "strong_four_point"])
+def test_exact_segment_certify_passes_its_zero_bound_through_the_slack(tmp_path, mode):
+    # declared C = 0; at seed 7 both modes measure rounding-level defects above 0
+    code, rows = _certify_sample_rows(tmp_path, {"name": "flat_connection"}, mode, 7)
+    assert code == 0
+    assert len(rows) == 48 and {bound for _, bound in rows} == {0.0}
+    assert 0.0 < max(defect for defect, _ in rows) <= 1e-15
 
 
 # --- config fuzzing ------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Structure guards: sewkit modules share only public names with each other,
-and every name the benchmark's tracer patches is where it patches it."""
+"""Structure guards: sewkit modules share only public names with each other
+and draw no random number one ``uniform`` call at a time, and every name the
+benchmark's tracer patches is where it patches it."""
 import ast
 from pathlib import Path
 
@@ -26,6 +27,15 @@ def _private_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_private_name_of_another(path):
     assert _private_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_draws_one_uniform_at_a_time(path):
+    # certification samples come from one array draw, certify._draws
+    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "uniform"]
+    assert calls == []
 
 
 def _attributes():
