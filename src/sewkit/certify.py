@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientSamples
+from .errors import InsufficientSamples, NonFiniteValue
 from .flows import ApproxFlowModel
 from .metric import Point, map_distance_value
 from .metric import compose_chain  # unused here: kept for perfbench/tracer.py, which patches it
@@ -49,6 +49,15 @@ class FitReport:
 
 
 def _regress(report_kind: str, rows: list[FitSample], degree_offset: float) -> FitReport:
+    """Fit the rows' log defects against their log gap products.  A row whose
+    declared bound is not a finite double raises :class:`NonFiniteValue`
+    naming its geometry: no double holds that bound, so it certifies nothing,
+    and the fit of such a model's defects may overflow."""
+    for r in rows:
+        if not math.isfinite(r.declared_bound):
+            raise NonFiniteValue(
+                f"{report_kind} declared bound at {r.geometry} is {r.declared_bound!r}"
+            )
     used = [r for r in rows if r.defect > NOISE_FLOOR]
     if not used:
         return FitReport(

@@ -165,14 +165,16 @@ class ApproxFlowModel:
     p_1 < p_2 < ... of the step in an asymptotic error expansion of the
     composites (1, 2, 3, ... for one-step Euler models of smooth fields);
     ``sew`` uses them for Richardson columns.  Models without
-    such an expansion declare nothing.  ``increments(params)`` declares a
-    model whose maps act by scalar increments: it returns the increments
-    between consecutive parameters in the form its ``act`` takes, a 1-D
+    such an expansion declare nothing.
+
+    ``increments(params)`` (required) returns the increments between
+    consecutive parameters in the form the model's ``act`` takes: a 1-D
     float64 array for the translation models (one numpy pass over the
-    parameters) and a new list of plain floats for the flat connection.
-    ``act(source, target, shifts)`` says how a sequence of increments acts (a
-    translation by default, a rotation for the flat connection): a model
-    with ``increments`` has
+    parameters), a new list of plain floats for the flat connection (its
+    transported angles) and for the Euler models (their parameter steps).
+    ``act(source, target, shifts)`` says how a sequence of increments acts:
+    a translation by default, a rotation for the flat connection, a run of
+    Euler steps for the Euler models.  Every model has
     mu(a, b) == act(space_at(b), space_at(a), increments((a, b))), and
     ``compose_along(model, params)`` hands ``increments(params)`` to ``act``
     instead of building one map per interval.
@@ -182,9 +184,9 @@ class ApproxFlowModel:
     space_at: Callable[[Param], MetricSpace]
     mu: Callable[[Param, Param], ProbedMap]
     hoelder: HoelderData
+    increments: Callable[[Sequence[Param]], Sequence[float]]
     param_metric: Callable[[Param, Param], float] = euclidean
     max_param_step: float | None = None
     summary: Callable[[ProbedMap], float] | None = None
     expansion_orders: tuple[int, ...] = ()
-    increments: Callable[[Sequence[Param]], Sequence[float]] | None = None
     act: Callable[[MetricSpace, MetricSpace, Sequence[float]], ProbedMap] = translation_map

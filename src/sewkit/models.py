@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InadmissibleRegularity, ModelDomainError
 from .flows import MODE_KNITTING, MODE_SEWING, ApproxFlowModel, HoelderData, Readout, bound_power
 from .metric import (
+    MetricSpace,
     Point,
     ProbedMap,
     circle_fiber,
@@ -170,6 +171,12 @@ def make_euler(
     probe region (supplied via ``field_bound`` or probed at build time); the
     slope is L = Lip(F), so g(delta) = exp(Lip(F)*delta).  The model declares
     the integer expansion orders ``EULER_EXPANSION_ORDERS``.
+
+    Its ``increments(params)`` are the parameter steps ``a[1:] - a[:-1]``
+    over the float64 array a of the parameters, as plain floats, and its
+    ``act(source, target, dts)`` is one map that takes the steps x + dt*F(x)
+    over ``dts`` in order.  ``mu(s, t)`` is that map over the one step
+    t - s, and a chain of k steps composes to one map, not k.
     """
     if lipschitz < 0.0:
         raise ValueError("lipschitz must be >= 0")
@@ -185,18 +192,28 @@ def make_euler(
         field_bound = max(p_norm(field(p)) for p in space.probes)
     h = HoelderData(1.0, ((1.0, 1.0, lipschitz * field_bound),), lipschitz, MODE_SEWING)
 
-    def mu(s: float, t: float) -> ProbedMap:
-        dt = t - s
-        return ProbedMap(space, space, lambda p, _dt=dt: add(p, field(p), _dt))
+    def increments(params: Sequence[float]) -> list[float]:
+        a = np.asarray(params, dtype=float)
+        return (a[1:] - a[:-1]).tolist()
+
+    def act(source: MetricSpace, target: MetricSpace, dts: Sequence[float]) -> ProbedMap:
+        def run(p: Point) -> Point:
+            for dt in dts:
+                p = add(p, field(p), dt)
+            return p
+
+        return ProbedMap(source, target, run)
 
     summary = Readout(1.0) if dim == 1 else Readout((1.0, 0.0), 0)
     return ApproxFlowModel(
         name=name,
         space_at=lambda _t: space,
-        mu=mu,
+        mu=lambda s, t: act(space, space, (t - s,)),
         hoelder=h,
         summary=summary,
         expansion_orders=EULER_EXPANSION_ORDERS,
+        increments=increments,
+        act=act,
     )
 
 

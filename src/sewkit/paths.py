@@ -339,9 +339,9 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
     Lip(g)**(a+b); knitting-mode data pulls back to sewing mode one order up.
     The pulled model keeps the model's ``summary``, so a sew of it reads the
     holonomy's summary (the flat connection's accumulated angle) at each level.
-    It pulls declared ``increments`` back through one ``g.sample`` of all the
-    parameters and keeps ``act``, so its chains stay fused (one rotation by
-    the summed angle for the flat connection); ``mu`` and ``increments``
+    It pulls the model's ``increments`` back through one ``g.sample`` of all
+    the parameters and keeps ``act``, so its chains stay fused (one rotation
+    by the summed angle for the flat connection); ``mu`` and ``increments``
     raise :class:`ModelDomainError` naming the pullback.
     It keeps the model's ``expansion_orders`` only when every break of g is
     a dyadic rational with at most ``MAX_LEVEL`` binary digits: the dyadic
@@ -357,10 +357,6 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
         except ModelDomainError as exc:
             raise ModelDomainError(f"pullback of {model.name} along path: {exc}") from exc
 
-    increments = None
-    if model.increments is not None:
-        increments = lambda params: pulled(model.increments, g.sample(params))
-
     step = None
     if model.max_param_step is not None and lip > 0.0:
         step = model.max_param_step / lip
@@ -375,7 +371,7 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
         max_param_step=step,
         summary=model.summary,
         expansion_orders=model.expansion_orders if dyadic else (),
-        increments=increments,
+        increments=lambda params: pulled(model.increments, g.sample(params)),
         act=model.act,
     )
 

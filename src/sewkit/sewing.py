@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     BoundViolation,
     ModelDomainError,
@@ -29,12 +27,12 @@ from .metric import (
     Point,
     ProbedMap,
     compose,
-    compose_chain,
     identity_map,
     map_distance_value,
     p_axpy,
     sup_distance,
 )
+from .metric import compose_chain  # unused here: kept for perfbench/tracer.py, which patches it
 from .subdivision import Subdivision, dyadic_refine, mesh, refines, regular
 
 #: additive slack absorbing float rounding in certified inequalities
@@ -127,20 +125,14 @@ def compose_along(model: ApproxFlowModel, params: Sequence[Param]) -> ProbedMap:
     This is the one chain runner: sew levels pass their subdivision's points
     (a float64 array), knit rows and ladders pass net nodes, the defect
     checks and fits pass short tuples such as (s, u, t).  A single parameter
-    p gives mu(p, p), and two give mu(p_0, p_1) itself for a model without
-    ``increments``; such a model gets the points of a 1-D array as plain
-    floats.  A model that declares ``increments`` composes to one
-    ``model.act`` over ``increments(params)`` reversed, in the order the
-    chain of its maps applies them (last interval first), so no map is
-    built per interval: a translation's values are the chain's bit for bit,
-    a rotation's lifted angle too.
+    p gives mu(p, p).  Longer chains compose to one ``model.act`` over
+    ``increments(params)`` reversed, in the order the chain of its maps
+    applies them (last interval first), so no map is built per interval: a
+    translation's values are the chain's bit for bit, a rotation's lifted
+    angle and an Euler chain's values too.
     """
-    if model.increments is None and isinstance(params, np.ndarray) and params.ndim == 1:
-        params = params.tolist()
     if len(params) == 1:
         return model.mu(params[0], params[0])
-    if model.increments is None:
-        return compose_chain(map(model.mu, params, params[1:]))
     return model.act(
         model.space_at(params[-1]), model.space_at(params[0]), model.increments(params)[::-1]
     )

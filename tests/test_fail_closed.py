@@ -65,15 +65,6 @@ def test_knit_compare_raises_on_a_nan_flow():
         _knit_compare_on_a_net(broken)
 
 
-def test_knit_compare_raises_on_a_nan_mu_without_increment():
-    fc = make_flat_connection(variant="midpoint")
-    fiber = fc.space_at((1.0, 0.0))
-    nan_mu = lambda x, y: ProbedMap(fiber, fiber, lambda p: (math.nan, math.nan))
-    broken = dataclasses.replace(fc, mu=nan_mu, increments=None)
-    with pytest.raises(NonFiniteValue):
-        _knit_compare_on_a_net(broken)
-
-
 def test_growth_bound_overflow_is_non_finite():
     h = HoelderData(1.0, ((1.0, 1.0, 1.0),), lip_slope=1e308)
     with pytest.raises(NonFiniteValue):
@@ -368,6 +359,33 @@ def test_a_zero_declared_bound_is_checked_like_any_other(tmp_path, monkeypatch):
     assert code == 2
     assert len(rows) == 48 and {bound for _, bound in rows} == {0.0}
     assert max(defect for defect, _ in rows) > 1e-3
+
+
+# euler_linear declares C = lam * field_bound = lam**2, which overflows from
+# lam = 1.4e154; the strong four-point bound multiplies C by 1 + lam*d_us and
+# a squared gap, so it overflows from lam = 1e104 at seed 3
+_OVERFLOWING_CERTIFY = [(1e155, "three_point"), (2e154, "three_point"), (1.4e154, "three_point"),
+                        (2e154, "strong_four_point"), (1e154, "strong_four_point"),
+                        (1e104, "strong_four_point")]
+
+
+@pytest.mark.parametrize("lam,mode", _OVERFLOWING_CERTIFY,
+                         ids=[f"{lam:g}-{mode}" for lam, mode in _OVERFLOWING_CERTIFY])
+def test_a_certify_bound_that_overflows_exits_2(tmp_path, capsys, lam, mode):
+    cfg = {"experiment": "certify", "model": {"name": "euler_linear", "lam": lam},
+           "mode": mode, "seed": 3, "output": str(tmp_path / "out.csv")}
+    assert _run(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("non-finite value: ") and "Traceback" not in err
+    assert "declared bound at " in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("lam,mode", [(1e154, "three_point"), (1e103, "strong_four_point")])
+def test_a_certify_bound_below_the_overflow_passes(tmp_path, lam, mode):
+    code, rows = _certify_sample_rows(tmp_path, {"name": "euler_linear", "lam": lam}, mode, 3)
+    assert code == 0
+    assert len(rows) == 48 and all(math.isfinite(bound) for _, bound in rows)
 
 
 @pytest.mark.parametrize("mode", ["three_point", "strong_four_point"])

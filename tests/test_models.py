@@ -185,13 +185,33 @@ def test_flat_connection_domain_checks():
         make_flat_connection("simpson")
 
 
-def test_flat_connection_mu_is_act_over_its_one_increment():
-    for variant in ("exact-segment", "midpoint"):
-        fc = make_flat_connection(variant)
-        fiber = fc.space_at((1.0, 0.0))
-        for x, y in (((1.0, 0.2), (0.8, 0.7)), ((0.9, -0.3), (-0.2, 1.1)), ((1.0, 0.0),) * 2):
-            m, a = fc.mu(x, y), fc.act(fiber, fiber, fc.increments((x, y)))
-            assert all(m.eval(p) == a.eval(p) for p in fiber.probes)
+def _built_in_models():
+    """Each built-in model, and the pullbacks of the flat connection along an
+    arc, with parameter pairs (a, b) of its parameter space."""
+    h = HoelderData(1.0, ((1.0, 1.0, 3.0),))
+    times = ((0.1, 0.35), (0.9, 0.2), (0.4, 0.4))
+    points = (((1.0, 0.2), (0.8, 0.7)), ((0.9, -0.3), (-0.2, 1.1)), ((1.0, 0.0),) * 2)
+    on_line = [
+        make_additive_sin(),
+        make_additive(lambda s, t: np.exp(s) * (t - s), h),
+        make_young(np.sin, lambda t: t * t, 0.75, 0.75, 1.0, 2.0),
+        make_euler_linear(1.3),
+        make_euler_sin(),
+        make_euler_matrix(((0.0, 1.0), (-1.0, 0.2))),
+    ]
+    on_plane = [make_flat_connection(v) for v in ("exact-segment", "midpoint")]
+    pulled = [pullback_flow(m, arc_path(1.0, 0.0, 2.0, 16)) for m in on_plane]
+    return [(m, times) for m in on_line + pulled] + [(m, points) for m in on_plane]
+
+
+def test_mu_is_act_over_its_one_increment():
+    for model, pairs in _built_in_models():
+        for a, b in pairs:
+            source, target = model.space_at(b), model.space_at(a)
+            m, via = model.mu(a, b), model.act(source, target, model.increments((a, b)))
+            assert (m.source, m.target) == (via.source, via.target)
+            for p in source.probes:
+                assert repr(m.eval(p)) == repr(via.eval(p)), (model.name, a, b, p)
 
 
 def test_a_chain_checks_each_point_once(monkeypatch):

@@ -25,6 +25,7 @@ from sewkit import (
     make_additive_sin,
     make_euler,
     make_euler_linear,
+    make_euler_matrix,
     make_euler_sin,
     make_young,
     mesh_lemma_check,
@@ -167,6 +168,12 @@ def _translation_models():
     ]
 
 
+def _interval_models():
+    """The translation models and the Euler models on the line and the plane."""
+    return _translation_models() + [
+        make_euler_linear(1.3), make_euler_sin(), make_euler_matrix(((0.0, 1.0), (-1.0, 0.2)))]
+
+
 _SUBDIVISIONS = [
     regular(0.0, 1.0, 7),
     dyadic_refine(dyadic_refine(regular(0.1, 0.9, 3))),
@@ -178,8 +185,11 @@ _SUBDIVISIONS = [
 
 @pytest.mark.parametrize("sd", _SUBDIVISIONS, ids=["regular", "dyadic", "reversed", "concat", "irregular"])
 def test_translation_composites_equal_the_chain_bit_for_bit(sd):
+    # the translation models and the Euler models: both compose to one act
+    # over their increments; the reversed subdivision runs a chain backwards,
+    # as inverse_defect does
     pts = sd.points
-    for m in _translation_models():
+    for m in _interval_models():
         fused = compose_along(m, sd.points)
         chain = compose_chain(map(m.mu, pts, pts[1:]))
         assert fused.source is chain.source and fused.target is chain.target
@@ -206,19 +216,20 @@ def test_translation_composites_equal_the_scalar_oracle_bit_for_bit(sd):
             assert repr(fused.eval(p)) == repr(translate(p, shifts)), m.name
 
 
-def test_translation_composites_build_no_map_per_interval():
-    calls = []
-    base = make_additive_sin()
+def test_interval_composites_build_no_map_per_interval():
+    for base in _interval_models():
+        calls = []
 
-    def counting_mu(s, t):
-        calls.append((s, t))
-        return base.mu(s, t)
+        def counting_mu(s, t):
+            calls.append((s, t))
+            return base.mu(s, t)
 
-    m = dataclasses.replace(base, mu=counting_mu)
-    for k in (2, 3, 64):
-        assert compose_along(m, regular(0.0, 1.0, k).points).eval(0.5) == compose_along(
-            base, regular(0.0, 1.0, k).points).eval(0.5)
-    assert calls == []
+        m = dataclasses.replace(base, mu=counting_mu)
+        p = base.summary.point
+        for k in (2, 3, 64):
+            assert compose_along(m, regular(0.0, 1.0, k).points).eval(p) == compose_along(
+                base, regular(0.0, 1.0, k).points).eval(p)
+        assert calls == [], base.name
 
 
 # --- sew ----------------------------------------------------------------------
