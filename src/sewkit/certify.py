@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InsufficientSamples, NonFiniteValue
 from .flows import ApproxFlowModel
-from .metric import Point, map_distance_value
+from .metric import Point, euclidean, map_distance_value
 from .metric import compose_chain  # unused here: kept for perfbench/tracer.py, which patches it
 from .sewing import compose_along, four_point_defect
 
@@ -106,11 +106,10 @@ def _check_sample_spread(products: Sequence[float], what: str) -> None:
 def fit_three_point(model: ApproxFlowModel, samples: Sequence[tuple]) -> FitReport:
     """Fit (eps, C) from d(mu_st, mu_su o mu_ut) on sampled triples (s, u, t)."""
     h = model.hoelder
-    d_p = model.param_metric
     rows: list[FitSample] = []
     for s, u, t in samples:
         defect = map_distance_value(model.mu(s, t), compose_along(model, (s, u, t)))
-        g1, g2 = d_p(t, u), d_p(u, s)
+        g1, g2 = euclidean(t, u), euclidean(u, s)
         declared = h.defect_bound(g1, g2)
         rows.append(FitSample(f"s={s!r};u={u!r};t={t!r}", g1 * g2, defect, declared))
     _check_sample_spread([r.gap_product for r in rows], "fit_three_point")
@@ -124,11 +123,10 @@ def fit_strong_four_point(model: ApproxFlowModel, samples: Sequence[tuple]) -> F
     regressor is log(d(y,v)*d(u,v)); a fitted total degree below
     2 + STRONG_MODE_MIN_EPSILON flags the model as sewing-only.
     """
-    d_p = model.param_metric
     rows: list[FitSample] = []
     for x, u, v, y in samples:
         defect, declared = four_point_defect(model, x, u, v, y)
-        d_yv, d_uv = d_p(y, v), d_p(u, v)
+        d_yv, d_uv = euclidean(y, v), euclidean(u, v)
         rows.append(
             FitSample(f"x={x!r};u={u!r};v={v!r};y={y!r}", d_yv * d_uv, defect, declared)
         )

@@ -2,7 +2,8 @@
 
 A model supplies, for parameters a and b (real times, or points of a metric
 parameter space), a probed map mu(a, b) from the space at b to the space at a,
-together with declared defect data: exponents/constants of the three-point
+derived from the increments between parameters and how they act, together
+with declared defect data: exponents/constants of the three-point
 (or strong four-point) estimate and a Lipschitz slope L with
 Lip(mu) <= 1 + L*d, so that g(delta) = exp(L*delta) bounds Lipschitz
 constants of composites.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .errors import NonFiniteValue, WrongMode
-from .metric import MetricSpace, Point, ProbedMap, euclidean, translation_map
+from .metric import MetricSpace, Point, ProbedMap
 
 MODE_SEWING = "sewing"      # exponents satisfy a + b = 1 + epsilon
 MODE_KNITTING = "knitting"  # exponents satisfy a + b = 2 + epsilon
@@ -154,39 +155,39 @@ class Readout:
 class ApproxFlowModel:
     """A local approximate flow over an interval or a metric parameter space.
 
-    ``mu(a, b)`` maps the space at b to the space at a and must be the exact
-    identity when a == b.  ``param_metric`` is the metric d_P of the parameter
-    space (``euclidean``: the absolute difference on intervals, the Euclidean
-    distance in the plane).  ``max_param_step`` caps the parameter gap over
-    which ``mu`` may be evaluated (models that are only locally defined);
-    ``summary`` is a scalar readout of a flow map, which ``sew`` records for
-    each level and for the limit; the built-in models declare a
-    :class:`Readout`.  ``expansion_orders`` declares the powers
-    p_1 < p_2 < ... of the step in an asymptotic error expansion of the
-    composites (1, 2, 3, ... for one-step Euler models of smooth fields);
-    ``sew`` uses them for Richardson columns.  Models without
-    such an expansion declare nothing.
+    A model declares ``space_at``, ``hoelder``, ``increments`` and ``act``.
+    ``increments(params)`` gives the increments between consecutive
+    parameters as ``act`` takes them (a float64 array for translations, plain
+    floats for the flat connection's angles and the Euler steps), and
+    ``act(source, target, increments)`` is the one map they compose to (a
+    translation, a rotation, a run of Euler steps).  ``mu(a, b)``, from the
+    space at b to the space at a and the identity when a == b, is derived as
+    ``act(space_at(b), space_at(a), increments((a, b)))`` unless passed; a
+    ``dataclasses.replace`` of those fields keeps the old ``mu`` unless it
+    passes ``mu=None``.  The parameter metric is ``metric.euclidean``.
 
-    ``increments(params)`` (required) returns the increments between
-    consecutive parameters in the form the model's ``act`` takes: a 1-D
-    float64 array for the translation models (one numpy pass over the
-    parameters), a new list of plain floats for the flat connection (its
-    transported angles) and for the Euler models (their parameter steps).
-    ``act(source, target, shifts)`` says how a sequence of increments acts:
-    a translation by default, a rotation for the flat connection, a run of
-    Euler steps for the Euler models.  Every model has
-    mu(a, b) == act(space_at(b), space_at(a), increments((a, b))), and
-    ``compose_along(model, params)`` hands ``increments(params)`` to ``act``
-    instead of building one map per interval.
+    ``max_param_step`` caps the parameter gap over which ``mu`` may be
+    evaluated; ``summary`` is the scalar readout of a flow map that ``sew``
+    records per level (a :class:`Readout` in the built-in models);
+    ``expansion_orders`` are the powers p_1 < p_2 < ... of the step in an
+    asymptotic error expansion of the composites, which ``sew`` removes by
+    Richardson columns (1, 2, 3, ... for Euler steps of smooth fields).
     """
 
     name: str
     space_at: Callable[[Param], MetricSpace]
-    mu: Callable[[Param, Param], ProbedMap]
     hoelder: HoelderData
     increments: Callable[[Sequence[Param]], Sequence[float]]
-    param_metric: Callable[[Param, Param], float] = euclidean
+    act: Callable[[MetricSpace, MetricSpace, Sequence[float]], ProbedMap]
+    mu: Callable[[Param, Param], ProbedMap] | None = None
     max_param_step: float | None = None
     summary: Callable[[ProbedMap], float] | None = None
     expansion_orders: tuple[int, ...] = ()
-    act: Callable[[MetricSpace, MetricSpace, Sequence[float]], ProbedMap] = translation_map
+
+    def __post_init__(self):
+        if self.mu is None:
+            # closes over the fields, not self, so the model holds no reference cycle
+            space_at, increments, act = self.space_at, self.increments, self.act
+            object.__setattr__(
+                self, "mu", lambda a, b: act(space_at(b), space_at(a), increments((a, b)))
+            )

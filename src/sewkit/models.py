@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InadmissibleRegularity, ModelDomainError
+from .errors import InadmissibleRegularity, ModelDomainError, NonFiniteValue
 from .flows import MODE_KNITTING, MODE_SEWING, ApproxFlowModel, HoelderData, Readout, bound_power
 from .metric import (
     MetricSpace,
@@ -82,20 +82,13 @@ def _translation_model(
     ``increments_of(a)`` over the float64 array a of the parameters;
     isometries, so L = 0 and g = 1."""
     space = real_line(-1.0, 1.0, probe_n, name=f"{name}-line")
-
-    def increments(params: Sequence[float]) -> np.ndarray:
-        return increments_of(np.asarray(params, dtype=float))
-
-    def mu(s: float, t: float) -> ProbedMap:
-        return translation_map(space, space, increments((s, t)))
-
     return ApproxFlowModel(
         name=name,
         space_at=lambda _t: space,
-        mu=mu,
         hoelder=hoelder,
         summary=Readout(0.0),
-        increments=increments,
+        increments=lambda params: increments_of(np.asarray(params, dtype=float)),
+        act=translation_map,
     )
 
 
@@ -172,11 +165,9 @@ def make_euler(
     slope is L = Lip(F), so g(delta) = exp(Lip(F)*delta).  The model declares
     the integer expansion orders ``EULER_EXPANSION_ORDERS``.
 
-    Its ``increments(params)`` are the parameter steps ``a[1:] - a[:-1]``
-    over the float64 array a of the parameters, as plain floats, and its
-    ``act(source, target, dts)`` is one map that takes the steps x + dt*F(x)
-    over ``dts`` in order.  ``mu(s, t)`` is that map over the one step
-    t - s, and a chain of k steps composes to one map, not k.
+    Its ``increments`` are the parameter steps as plain floats, and its
+    ``act(source, target, dts)`` is one map taking the steps x + dt*F(x) over
+    ``dts`` in order, so a chain of k steps composes to one map, not k.
     """
     if lipschitz < 0.0:
         raise ValueError("lipschitz must be >= 0")
@@ -192,10 +183,6 @@ def make_euler(
         field_bound = max(p_norm(field(p)) for p in space.probes)
     h = HoelderData(1.0, ((1.0, 1.0, lipschitz * field_bound),), lipschitz, MODE_SEWING)
 
-    def increments(params: Sequence[float]) -> list[float]:
-        a = np.asarray(params, dtype=float)
-        return (a[1:] - a[:-1]).tolist()
-
     def act(source: MetricSpace, target: MetricSpace, dts: Sequence[float]) -> ProbedMap:
         def run(p: Point) -> Point:
             for dt in dts:
@@ -208,11 +195,10 @@ def make_euler(
     return ApproxFlowModel(
         name=name,
         space_at=lambda _t: space,
-        mu=lambda s, t: act(space, space, (t - s,)),
         hoelder=h,
         summary=summary,
         expansion_orders=EULER_EXPANSION_ORDERS,
-        increments=increments,
+        increments=lambda params: np.diff(np.asarray(params, dtype=float)).tolist(),
         act=act,
     )
 
@@ -237,6 +223,9 @@ def make_euler_matrix(a: Sequence[Sequence[float]]) -> ApproxFlowModel:
     g00 = a00 * a00 + a01 * a01
     g11 = a10 * a10 + a11 * a11
     g01 = a00 * a10 + a01 * a11
+    bad = [n for n, g in (("g00", g00), ("g11", g11), ("g01", g01)) if not math.isfinite(g)]
+    if bad:  # named here, before inf - inf would make them NaN
+        raise NonFiniteValue(f"Lipschitz constant: row products {', '.join(bad)} overflow a double")
     half = 0.5 * (g00 + g11)
     disc = math.sqrt(max(0.0, bound_power(0.5 * (g00 - g11), 2, "Lipschitz constant") + g01 * g01))
     lipschitz = math.sqrt(max(0.0, half + disc))
@@ -352,10 +341,9 @@ def make_flat_connection(
     ``summary``, the lift of (1, 0) at angle 0, reads a composite's
     accumulated angle without reduction mod 2*pi.  The structure group is
     abelian, so the model declares the angles along a chain as its
-    ``increments`` and
-    :func:`~sewkit.metric.rotation_map` as its ``act``: a chain of k maps
-    composes to one rotation by the summed angle, whose lift is the chain's
-    bit for bit and whose (x, y) part is the chain's to rounding.
+    ``increments`` and :func:`~sewkit.metric.rotation_map` as its ``act``:
+    a chain composes to one rotation by the summed angle, whose lift is the
+    chain's bit for bit and whose (x, y) part is the chain's to rounding.
 
     The exact-segment variant has zero defect whenever the triangle spanned
     by the three parameters avoids the origin, so its declared constants are
@@ -369,13 +357,9 @@ def make_flat_connection(
     c = 0.0 if variant == FlatConnection.EXACT else MIDPOINT_DEFECT_CONSTANT
     h = HoelderData(1.0, ((2.0, 1.0, c), (1.0, 2.0, c)), 0.0, MODE_KNITTING)
 
-    def mu(x: Point, y: Point) -> ProbedMap:
-        return rotation_map(fiber, fiber, conn.angles((x, y)))
-
     return ApproxFlowModel(
         name=f"flat-connection[{variant}]",
         space_at=lambda _x: fiber,
-        mu=mu,
         hoelder=h,
         max_param_step=r0,
         summary=Readout((1.0, 0.0, 0.0), 2),

@@ -342,7 +342,8 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
     It pulls the model's ``increments`` back through one ``g.sample`` of all
     the parameters and keeps ``act``, so its chains stay fused (one rotation
     by the summed angle for the flat connection); ``mu`` and ``increments``
-    raise :class:`ModelDomainError` naming the pullback.
+    raise :class:`ModelDomainError` naming the pullback.  Its ``mu`` is the
+    model's ``mu`` at g(s), g(t), not the one derived from its increments.
     It keeps the model's ``expansion_orders`` only when every break of g is
     a dyadic rational with at most ``MAX_LEVEL`` binary digits: the dyadic
     levels of a sew over [0, 1] then come to contain every corner, and a
@@ -366,6 +367,7 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
     return ApproxFlowModel(
         name=f"pullback({model.name})",
         space_at=lambda t: model.space_at(g.at(t)),
+        # not derived: kept for perfbench/tracer.py, which counts these through the base mu
         mu=lambda s, t: pulled(model.mu, g.at(s), g.at(t)),
         hoelder=model.hoelder.pulled_back(lip),
         max_param_step=step,

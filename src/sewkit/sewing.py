@@ -27,6 +27,7 @@ from .metric import (
     Point,
     ProbedMap,
     compose,
+    euclidean,
     identity_map,
     map_distance_value,
     p_axpy,
@@ -254,7 +255,7 @@ def sew(
     dyadic refinements are compared level to level.  Iteration stops when the
     best limit estimate moves less than tol from the previous level's, or when
     the a-priori refinement bound at the current mesh is already below tol.
-    With tol <= 0 the full ladder up to max_level is run unconditionally.
+    With tol <= 0 the full ladder up to max_level is run, short of double resolution.
 
     The best estimate at each level comes from a Richardson table over the
     levels.  Column j+1 removes the declared error order
@@ -268,7 +269,9 @@ def sew(
     composites) and a :class:`SewCertificate`, which records the model's
     ``summary`` of each level's composite and of the limit map when the
     model declares one.  Raises
-    :class:`NonConvergence` carrying the certificate when max_level is hit,
+    :class:`NonConvergence` carrying the certificate when max_level is hit
+    (tol > 0) or, at any tol, when the next level's midpoints round onto
+    the ends of their intervals,
     :class:`BoundViolation` if a recorded distance exceeds its bound, and
     :class:`NonFiniteValue` if any probed distance is NaN or infinite.
     """
@@ -326,9 +329,14 @@ def sew(
         tail = bound
 
     level = 0
+    unresolved = ""  # why the ladder ended below max_level, if it did
     while not converged and level < max_level:
+        try:
+            subdiv = dyadic_refine(subdiv)
+        except ValueError:  # a midpoint rounded onto an end of its interval, or overflowed
+            unresolved = f"level {level + 1}'s midpoints round onto the ends of their intervals"
+            break
         level += 1
-        subdiv = dyadic_refine(subdiv)
         bound_prev = bound
         step = mesh(subdiv)
         bound = refinement_bound(h, span, step)
@@ -398,7 +406,7 @@ def sew(
     if math.isinf(tail):
         tail = bound
 
-    done = converged or tol <= 0.0
+    done = converged or (tol <= 0.0 and not unresolved)
     mu_distance: float | None
     mu_ok: bool | None
     try:
@@ -420,7 +428,8 @@ def sew(
         mu_distance=mu_distance,
         mu_bound_ok=mu_ok,
         converged=done,
-        stop_reason=reason if converged else ("full ladder (tol <= 0)" if tol <= 0.0 else "max_level reached"),
+        stop_reason=reason if converged else unresolved or (
+            "full ladder (tol <= 0)" if tol <= 0.0 else "max_level reached"),
         final_subdivision=subdiv,
         ratio_estimate=rho,
         # best holds the limit map's probe images: the same column steps on the same composites
@@ -433,6 +442,8 @@ def sew(
             f"d(mu_st, limit) = {mu_distance:.3e} + tail {tail:.3e} exceeds "
             f"claimed bound {claimed:.3e} for {model.name}"
         )
+    if unresolved:
+        raise NonConvergence(f"sew of {model.name} stopped at level {level}: {unresolved}", cert)
     if tol > 0.0 and not converged:
         raise NonConvergence(
             f"sew of {model.name} did not meet tol {tol:.3e} within {max_level} levels",
@@ -498,8 +509,7 @@ def four_point_defect(
     The bound is (1 + f(d(u,s))) * sum_i C_i d(t,v)**a_i d(u,v)**b_i
     + sum_i C_i d(s,u)**b_i d(u,v)**a_i; it degenerates to (0, 0) at u == v
     and to the three-point estimate at v == t.  Works for interval models and
-    parameter-space models alike (d is the model's parameter metric).
+    parameter-space models alike (d is ``euclidean``, the parameter metric).
     """
-    d_p = model.param_metric
     lhs = map_distance_value(compose_along(model, (s, u, t)), compose_along(model, (s, v, t)))
-    return lhs, model.hoelder.four_point_bound(d_p(u, s), d_p(t, v), d_p(u, v))
+    return lhs, model.hoelder.four_point_bound(euclidean(u, s), euclidean(t, v), euclidean(u, v))

@@ -10,7 +10,8 @@ translation increments by one scalar ``math`` call per interval and
 translations by ``reduce(add)``, certification samples by one scalar
 ``rng.uniform`` call per coordinate, and ladder compositions by slicing two
 net rows.
-It also holds the probe-side metric helpers that only tests use: a probed
+It also holds a mis-declared model for negative controls, and the probe-side
+metric helpers that only tests use: a probed
 Lipschitz estimate, the composition-gap bounds, sampled path length and a
 metric-axiom scan over probe triples.
 """
@@ -27,9 +28,10 @@ import numpy as np
 
 from sewkit.certify import ANNULUS_SCALES
 from sewkit.errors import SewkitError
-from sewkit.flows import ApproxFlowModel
+from sewkit.flows import ApproxFlowModel, HoelderData
 from sewkit.knitting import HomotopyNet
 from sewkit.metric import MetricSpace, Point, ProbedMap
+from sewkit.models import make_additive
 from sewkit.sewing import compose_along
 
 
@@ -285,6 +287,13 @@ def ladder_map(net: HomotopyNet, model: ApproxFlowModel, i: int, j: int) -> Prob
 
 class InsufficientProbes(SewkitError):
     """An operation needs more distinct probe points than the space carries."""
+
+
+def misdeclared_additive_sin(c: float) -> ApproxFlowModel:
+    """``make_additive_sin``'s translations declared with the defect constant
+    c in place of the honest 1: a negative control, whose certified
+    inequalities must fail once c is small enough."""
+    return make_additive(lambda s, t: np.sin(s) * (t - s), HoelderData(1.0, ((1.0, 1.0, c),)))
 
 
 def lipschitz_estimate(f: ProbedMap) -> float:

@@ -135,7 +135,7 @@ def test_annulus_samples_span_four_decades_at_every_seed():
     ids=["interval", "annulus"],
 )
 def test_four_point_bound_equals_the_inline_formula(model, samples):
-    h, d = model.hoelder, model.param_metric
+    h, d = model.hoelder, euclidean
     for x, u, v, y in samples:
         d_xu, d_yv, d_uv = d(x, u), d(y, v), d(u, v)
         inline = (1.0 + h.f(d_xu)) * sum(c * d_yv**a * d_uv**b for a, b, c in h.terms)

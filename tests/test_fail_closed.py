@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from sewkit import (
     HoelderData,
+    NonConvergence,
     NonFiniteValue,
     ProbedMap,
     arc_path,
@@ -132,6 +133,33 @@ def test_sew_config_fails_closed(tmp_path, capsys, case, expect):
     assert not (tmp_path / "out.csv").exists()
     err = capsys.readouterr().err
     assert err.startswith("config error" if expect == 1 else "non-finite value")
+
+
+@pytest.mark.parametrize("tol", [0, 1e-40], ids=["full-ladder", "tiny-tol"])
+def test_a_sew_past_double_resolution_exits_2_with_the_levels_built(tmp_path, capsys, tol):
+    # the midpoints of level 6 over [1, 1 + 1e-14] round onto their intervals' ends
+    cfg = _sew_cfg(tmp_path, model={"name": "additive_sin"}, interval=[1.0, 1.00000000000001],
+                   tol=tol)
+    assert _run(tmp_path, cfg) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    with (tmp_path / "out.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [r[0] for r in rows] == ["0", "1", "2", "3", "4", "5", "limit"]
+    reason = "level 6's midpoints round onto the ends of their intervals"
+    with pytest.raises(NonConvergence, match=f"stopped at level 5: {reason}") as exc:
+        sewing.sew(make_additive_sin(), 1.0, 1.00000000000001, tol)
+    cert = exc.value.certificate
+    assert [lv.level for lv in cert.levels] == [0, 1, 2, 3, 4, 5]
+    assert not cert.converged and cert.stop_reason == reason
+
+
+@pytest.mark.parametrize("a,names", [([[2e154, 0], [0, 2e154]], "g00, g11"),
+                                     ([[2e154, 0], [0, 1]], "g00")], ids=["both-rows", "one-row"])
+def test_an_overflowing_matrix_norm_names_its_entries(tmp_path, capsys, a, names):
+    assert _run(tmp_path, _sew_cfg(tmp_path, model={"name": "euler_matrix", "a": a})) == 2
+    err = capsys.readouterr().err
+    assert err == f"non-finite value: Lipschitz constant: row products {names} overflow a double\n"
+    assert "nan" not in err and not (tmp_path / "out.csv").exists()
 
 
 def test_an_infinite_base_level_bound_raises_before_level_0_is_composed(monkeypatch):

@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from sewkit import (
     sew,
 )
 from sewkit.flows import HoelderData
+from sewkit.metric import euclidean
 from sewkit.models import FlatConnection
 
 
@@ -214,6 +218,29 @@ def test_mu_is_act_over_its_one_increment():
                 assert repr(m.eval(p)) == repr(via.eval(p)), (model.name, a, b, p)
 
 
+def test_mu_is_derived_unless_passed():
+    m = make_additive_sin()
+    passed = lambda a, b: None
+    assert dataclasses.replace(m, mu=passed).mu is passed
+    # replace keeps the derived mu of the old fields; mu=None derives it from the new ones
+    doubled = lambda params: 2.0 * m.increments(params)
+    shift = m.mu(0.5, 0.0).eval(0.0)
+    assert shift != 0.0
+    assert dataclasses.replace(m, increments=doubled).mu(0.5, 0.0).eval(0.0) == shift
+    assert dataclasses.replace(m, increments=doubled, mu=None).mu(0.5, 0.0).eval(0.0) == 2.0 * shift
+
+
+def test_a_derived_mu_holds_no_reference_to_its_model():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ref = weakref.ref(make_euler_sin())
+        assert ref() is None  # freed by reference counting alone: no cycle
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_a_chain_checks_each_point_once(monkeypatch):
     screened, checked = [], []
     real_points, real_point = FlatConnection._check_points, FlatConnection._check_point
@@ -326,8 +353,8 @@ def test_midpoint_three_point_defect_has_positive_certified_gap():
     direct = fm.mu(x, y)
     via = compose_chain([fm.mu(x, u), fm.mu(u, y)])
     defect = map_distance_value(direct, via)
-    d1 = fm.param_metric(y, u)
-    d2 = fm.param_metric(u, x)
+    d1 = euclidean(y, u)
+    d2 = euclidean(u, x)
     assert 0.0 < defect <= fm.hoelder.defect_bound(d1, d2)
 
 

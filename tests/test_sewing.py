@@ -5,8 +5,15 @@ import time
 import numpy as np
 import pytest
 
-from oracles import YOUNG_SCALAR_FNS, left_riemann, translate, young_increments
+from oracles import (
+    YOUNG_SCALAR_FNS,
+    left_riemann,
+    misdeclared_additive_sin,
+    translate,
+    young_increments,
+)
 from sewkit import (
+    BoundViolation,
     HoelderData,
     NonConvergence,
     NonFiniteValue,
@@ -335,6 +342,36 @@ def test_inverse_defect_examples():
     assert measured < bound
     for n in (4, 8, 16):
         assert inverse_defect(m, 0.0, 1.0, 2 * n) < inverse_defect(m, 0.0, 1.0, n)
+
+
+# --- negative controls: additive_sin declared with too small a constant ------
+# Its honest three-point constant is 1; each check below must fire once the
+# declared constant c is small enough, and none may fire at c = 1.
+
+@pytest.mark.parametrize(
+    "c,fragment",
+    [(1e-2, "exceeds refinement bound 6.580e-02 at level 1"),
+     (0.05, "exceeds claimed bound")],
+    ids=["refinement-bound", "claimed-bound"],
+)
+def test_sew_of_a_misdeclared_model_raises(c, fragment):
+    with pytest.raises(BoundViolation, match=fragment):
+        sew(misdeclared_additive_sin(c), 0.0, 1.0, 1e-8)
+
+
+def test_inverse_defect_of_a_misdeclared_model_raises():
+    m = misdeclared_additive_sin(0.1)
+    _, cert = sew(m, 0.0, 1.0, 1e-8)  # d(mu_st, limit) is still inside the claimed bound
+    assert cert.mu_bound_ok
+    with pytest.raises(BoundViolation, match="inverse defect"):
+        inverse_defect(m, 0.0, 1.0, 8)
+
+
+def test_the_honestly_declared_control_passes_every_check():
+    m = misdeclared_additive_sin(1.0)
+    _, cert = sew(m, 0.0, 1.0, 1e-8)
+    assert cert.converged and cert.mu_bound_ok
+    assert inverse_defect(m, 0.0, 1.0, 8) <= inverse_defect_bound(m.hoelder, 1.0, 8)
 
 
 # --- mesh lemma and four-point --------------------------------------------------

@@ -38,6 +38,15 @@ def test_no_module_draws_one_uniform_at_a_time(path):
     assert calls == []
 
 
+def test_only_the_pullback_passes_its_own_mu():
+    # every built-in model's mu is derived from its increments and act
+    passing = [path.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ApproxFlowModel"
+               and any(k.arg == "mu" for k in node.keywords)]
+    assert passing == ["paths.py"]
+
+
 def _attributes():
     """Every attribute of the objects the tracer patches, by object and name."""
     owners = (sewing, knitting, certify, cli, paths.LipPath)
