@@ -9,7 +9,6 @@ net mesh.
 """
 from .errors import (
     BoundViolation,
-    CannotCoarsen,
     ConcatMismatch,
     ConfigError,
     DeclaredLipschitzViolated,
@@ -20,7 +19,6 @@ from .errors import (
     ModelDomainError,
     NonConvergence,
     NonFiniteValue,
-    NotARefinement,
     SewkitError,
     WrongMode,
 )
@@ -31,7 +29,6 @@ from .knitting import (
     holonomy,
     knit_bound,
     knit_compare,
-    knit_prime_constant,
     pair_lipschitz,
     row_map,
 )
@@ -60,7 +57,6 @@ from .models import (
     make_young,
 )
 from .paths import (
-    GroupoidReport,
     LipPath,
     arc_path,
     circle_path,
@@ -85,11 +81,9 @@ from .sewing import (
     compose_along,
     constant_K,
     corollary_bound,
-    flow_law_defect,
     four_point_defect,
     inverse_defect,
     inverse_defect_bound,
-    mesh_lemma_check,
     refinement_bound,
     sew,
     within_bound,
@@ -97,14 +91,10 @@ from .sewing import (
 )
 from .subdivision import (
     Subdivision,
-    coarsen_minimal_pair,
-    concat,
     dyadic_refine,
     joint,
     mesh,
-    refines,
     regular,
-    reverse,
 )
 from .certify import (
     FitReport,

@@ -275,6 +275,8 @@ def _run_sew(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[
     except NonConvergence as exc:
         if exc.certificate is None:
             raise
+        # the levels built are still written, so report the reason here, as ``run`` would
+        print(f"non-convergence: {exc}", file=sys.stderr)
         cert = exc.certificate
         status = 2
     return _LEVEL_HEADER, _level_rows(cert), status

@@ -17,14 +17,6 @@ class EndpointMismatch(SewkitError):
     """Endpoints of subdivisions, paths or homotopies do not line up."""
 
 
-class CannotCoarsen(SewkitError):
-    """The trivial subdivision has no interior point to remove."""
-
-
-class NotARefinement(SewkitError):
-    """The allegedly finer subdivision does not contain the coarser one."""
-
-
 class ConcatMismatch(SewkitError):
     """Path concatenation endpoints differ beyond tolerance."""
 

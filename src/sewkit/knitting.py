@@ -22,7 +22,7 @@ from .flows import MODE_KNITTING, ApproxFlowModel, HoelderData, bound_power
 from .metric import ProbedMap, euclidean, map_distance_value
 from .metric import compose_chain  # unused here: kept for perfbench/tracer.py, which patches it
 from .paths import ENDPOINT_TOL, LipPath, pullback_flow
-from .sewing import MAX_LEVEL, SewCertificate, compose_along, sew, within_bound, zeta
+from .sewing import MAX_LEVEL, SewCertificate, compose_along, sew, within_bound
 from .subdivision import regular
 
 
@@ -133,17 +133,6 @@ def knit_compare(net: HomotopyNet, model: ApproxFlowModel) -> tuple[float, float
     model.hoelder.require_mode(MODE_KNITTING, "knit_compare")
     measured = map_distance_value(row_map(net, model, 0), row_map(net, model, net.k))
     return measured, knit_bound(model.hoelder, net.ell, net.k)
-
-
-def knit_prime_constant(h: HoelderData, lip_gamma: float, span: float) -> float:
-    """C' = 2**(1+eps) * g(Lip(gamma)*span) * (sum C_i) * zeta(2+eps)."""
-    h.require_mode(MODE_KNITTING, "knit_prime_constant")
-    return (
-        bound_power(2.0, 1.0 + h.epsilon, "knit constant C'")
-        * h.g(lip_gamma * span)
-        * h.c_total
-        * zeta(2.0 + h.epsilon)
-    )
 
 
 # ---------------------------------------------------------------------------

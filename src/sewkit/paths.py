@@ -3,7 +3,8 @@
 Reverse-order concatenation (g . g2 runs g2 first, then g), reversal,
 subpaths, backtrack cancellation (a computable stand-in for thin
 equivalence on PL data), pullback of parameter-space flows along a path,
-and a groupoid-axiom report for sewn holonomies.
+and a check of the groupoid axioms on sewn holonomies, each against its
+declared bound.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConcatMismatch, ModelDomainError
+from .errors import BoundViolation, ConcatMismatch, ModelDomainError
 from .flows import ApproxFlowModel
 from .metric import (
     Point,
@@ -29,7 +30,8 @@ from .metric import (
     map_distance_value,
     p_norm,
 )
-from .sewing import MAX_LEVEL, sew
+from .sewing import MAX_LEVEL, compose_along, refinement_bound, sew, within_bound
+from .subdivision import mesh
 
 #: legs and pauses shorter than this count as exact PL backtracks in ``pl_thin_reduce``
 THIN_TOL = 1e-9
@@ -379,71 +381,64 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
 
 
 # ---------------------------------------------------------------------------
-# groupoid-axiom report for sewn holonomies
-
-@dataclass
-class GroupoidCheck:
-    axiom: str
-    detail: str
-    measured: float
-    budget: float
-
-    @property
-    def ok(self) -> bool:
-        return self.measured <= self.budget
-
-
-@dataclass
-class GroupoidReport:
-    checks: list[GroupoidCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
+# groupoid axioms on sewn holonomies
 
 def groupoid_axiom_check(
     model: ApproxFlowModel,
     paths: Sequence[LipPath],
     tol: float = 1e-8,
-) -> GroupoidReport:
+) -> dict[str, int]:
     """Check identity, inverse, composition and associativity on sewn holonomies.
 
-    Violations are reported, not raised.  Each check's budget is 3*tol plus a
-    rounding floor, twice that for associativity.
+    Each path's pullback is sewn at tol and compared by its raw composite R
+    over the sew's final subdivision, which lies within the declared
+    B = ``refinement_bound``(1, mesh) of the limit; g = ``hoelder.g(1)``
+    bounds Lip(R).  Thin-equivalent paths share one limit, so each budget is
+    a certified inequality: identity d(R_{p.c}, R_p) <= B_{p.c} + B_p;
+    inverse d(R_rev(p) o R_p, id) <= B_rev(p) + g_rev(p) * B_p; composition
+    d(R_{i.j}, R_i o R_j) <= B_{i.j} + B_i + g_i * B_j; associativity
+    d(R_left, R_right) <= B_left + B_right.  Raises :class:`BoundViolation`
+    naming the axiom, the paths, the measured value and the budget when a
+    check fails ``within_bound``; returns the number of checks run per axiom.
     """
-    budget = 3.0 * tol + 1e-9
-    checks: list[GroupoidCheck] = []
+    counts = dict.fromkeys(("identity", "inverse", "composition", "associativity"), 0)
 
-    def holonomy_map(p: LipPath) -> ProbedMap:
-        flow, _ = sew(pullback_flow(model, p), 0.0, 1.0, tol)
-        return flow
+    def raw(p: LipPath) -> tuple[ProbedMap, float, float]:
+        """The raw final composite of p's sewn holonomy, its bound B and g."""
+        pb = pullback_flow(model, p)
+        _, cert = sew(pb, 0.0, 1.0, tol)
+        final = cert.final_subdivision
+        h = pb.hoelder
+        return compose_along(pb, final.points), refinement_bound(h, 1.0, mesh(final)), h.g(1.0)
 
-    maps = [holonomy_map(p) for p in paths]
+    def check(axiom: str, where: str, f: ProbedMap, f2: ProbedMap, budget: float) -> None:
+        measured = map_distance_value(f, f2)
+        if not within_bound(measured, budget):
+            raise BoundViolation(
+                f"groupoid {axiom} at {where}: {measured:.3e} exceeds budget {budget:.3e} "
+                f"for {model.name}"
+            )
+        counts[axiom] += 1
 
-    for idx, (p, m) in enumerate(zip(paths, maps)):
-        padded = concat_reverse_order(p, constant_path(p.start))
-        d = map_distance_value(holonomy_map(padded), m)
-        checks.append(GroupoidCheck("identity", f"path {idx} . const", d, budget))
+    sewn = [raw(p) for p in paths]
 
-        inv_map = holonomy_map(reverse_path(p))
-        d = map_distance_value(compose(inv_map, m), identity_map(m.source))
-        checks.append(GroupoidCheck("inverse", f"path {idx}", d, budget))
+    for idx, (p, (r, b, _)) in enumerate(zip(paths, sewn)):
+        r_pad, b_pad, _ = raw(concat_reverse_order(p, constant_path(p.start)))
+        check("identity", f"path {idx} . const", r_pad, r, b_pad + b)
+        r_inv, b_inv, g_inv = raw(reverse_path(p))
+        check("inverse", f"path {idx}", compose(r_inv, r), identity_map(r.source),
+              b_inv + g_inv * b)
 
-    for i, gi in enumerate(paths):
-        for j, gj in enumerate(paths):
+    for i, (gi, (r_i, b_i, g_i)) in enumerate(zip(paths, sewn)):
+        for j, (gj, (r_j, b_j, _)) in enumerate(zip(paths, sewn)):
             if euclidean(gi.start, gj.end) > ENDPOINT_TOL:
                 continue
-            combined = holonomy_map(concat_reverse_order(gi, gj))
-            d = map_distance_value(combined, compose(maps[i], maps[j]))
-            checks.append(GroupoidCheck("composition", f"paths {i}.{j}", d, budget))
+            r_ij, b_ij, _ = raw(concat_reverse_order(gi, gj))
+            check("composition", f"paths {i}.{j}", r_ij, compose(r_i, r_j), b_ij + b_i + g_i * b_j)
             for k, gk in enumerate(paths):
                 if euclidean(gj.start, gk.end) > ENDPOINT_TOL:
                     continue
-                left = holonomy_map(concat_reverse_order(concat_reverse_order(gi, gj), gk))
-                right = holonomy_map(concat_reverse_order(gi, concat_reverse_order(gj, gk)))
-                d = map_distance_value(left, right)
-                checks.append(
-                    GroupoidCheck("associativity", f"paths ({i}.{j}).{k}", d, 2.0 * budget)
-                )
-    return GroupoidReport(checks)
+                r_l, b_l, _ = raw(concat_reverse_order(concat_reverse_order(gi, gj), gk))
+                r_r, b_r, _ = raw(concat_reverse_order(gi, concat_reverse_order(gj, gk)))
+                check("associativity", f"paths ({i}.{j}).{k}", r_l, r_r, b_l + b_r)
+    return counts

@@ -1,5 +1,5 @@
 """The sewing engine: composites over subdivisions, refinement to the limit
-flow, explicit constants, and the flow-law / inverse / four-point checks.
+flow, explicit constants, and the inverse and four-point checks.
 
 ``sew`` iterates dyadic refinement of a regular base subdivision.  Raw
 successive distances obey the refinement (mesh) bound and decay like
@@ -20,7 +20,6 @@ from .errors import (
     ModelDomainError,
     NonConvergence,
     NonFiniteValue,
-    NotARefinement,
 )
 from .flows import MODE_SEWING, ApproxFlowModel, HoelderData, Param, Readout, bound_power
 from .metric import (
@@ -34,7 +33,7 @@ from .metric import (
     sup_distance,
 )
 from .metric import compose_chain  # unused here: kept for perfbench/tracer.py, which patches it
-from .subdivision import Subdivision, dyadic_refine, mesh, refines, regular
+from .subdivision import Subdivision, dyadic_refine, mesh, regular
 
 #: additive slack absorbing float rounding in certified inequalities
 BOUND_SLACK = 1e-9
@@ -453,15 +452,7 @@ def sew(
 
 
 # ---------------------------------------------------------------------------
-# flow-law, inverse, mesh-lemma and four-point checks
-
-def flow_law_defect(model: ApproxFlowModel, s: float, u: float, t: float, tol: float) -> float:
-    """d(sew(s,t), sew(s,u) o sew(u,t)); at most 3*tol for u between s and t."""
-    whole, _ = sew(model, s, t, tol)
-    left, _ = sew(model, s, u, tol)
-    right, _ = sew(model, u, t, tol)
-    return map_distance_value(whole, compose(left, right))
-
+# inverse and four-point checks
 
 def inverse_defect_bound(h: HoelderData, span: float, k: int) -> float:
     if k < 1:
@@ -487,18 +478,6 @@ def inverse_defect(model: ApproxFlowModel, s: float, t: float, k: int) -> float:
             f"inverse defect {measured:.3e} exceeds bound {bound:.3e} for {model.name}, k={k}"
         )
     return measured
-
-
-def mesh_lemma_check(
-    model: ApproxFlowModel, coarse: Subdivision, fine: Subdivision
-) -> tuple[float, float]:
-    """Measured d(mu^I, mu^J) for J finer than I, and its mesh bound."""
-    if not refines(fine, coarse):
-        raise NotARefinement("second subdivision must refine the first")
-    lhs = map_distance_value(compose_along(model, coarse.points), compose_along(model, fine.points))
-    span = coarse.span
-    rhs = refinement_bound(model.hoelder, span, mesh(coarse))
-    return lhs, rhs
 
 
 def four_point_defect(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import CannotCoarsen, EndpointMismatch
+from .errors import EndpointMismatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,36 +92,3 @@ def joint(a: Subdivision, b: Subdivision) -> Subdivision:
         raise EndpointMismatch("joint needs identical endpoints")
     union = np.union1d(a.points, b.points)
     return Subdivision(union[::-1] if a.start > a.end else union)
-
-
-def refines(finer: Subdivision, coarser: Subdivision) -> bool:
-    if finer.start != coarser.start or finer.end != coarser.end:
-        return False
-    return bool(np.isin(coarser.points, finer.points).all())
-
-
-def reverse(subdiv: Subdivision) -> Subdivision:
-    """Same points, endpoints swapped."""
-    return Subdivision(subdiv.points[::-1])
-
-
-def concat(left: Subdivision, right: Subdivision) -> Subdivision:
-    """Glue a subdivision of [s,u] and one of [u,t] into one of [s,t]."""
-    if left.end != right.start:
-        raise EndpointMismatch("concat needs left.end == right.start")
-    return Subdivision(np.concatenate((left.points, right.points[1:])))
-
-
-def coarsen_minimal_pair(subdiv: Subdivision) -> tuple[Subdivision, int]:
-    """Remove the interior point whose adjacent blocks have minimal total length.
-
-    Returns the coarsened subdivision and the 1-based index j of the removed
-    point t_j.  Ties break to the smallest index.  The removed pair satisfies
-    |I_j| + |I_{j+1}| <= 2*span/(k-1).
-    """
-    pts = subdiv.points
-    if len(pts) < 3:
-        raise CannotCoarsen("no interior point to remove")
-    # argmin returns the first of equal values, so ties break to the smallest index
-    best_j = int(np.abs(pts[2:] - pts[:-2]).argmin()) + 1
-    return Subdivision(np.concatenate((pts[:best_j], pts[best_j + 1 :]))), best_j

@@ -10,13 +10,16 @@ translation increments by one scalar ``math`` call per interval and
 translations by ``reduce(add)``, certification samples by one scalar
 ``rng.uniform`` call per coordinate, and ladder compositions by slicing two
 net rows.
-It also holds a mis-declared model for negative controls, and the probe-side
-metric helpers that only tests use: a probed
-Lipschitz estimate, the composition-gap bounds, sampled path length and a
-metric-axiom scan over probe triples.
+It also holds mis-declared models for negative controls, the helpers that
+only state a lemma (subdivision reversal, gluing and coarsening, the mesh
+lemma, the flow law and the knitting constant C'), and the probe-side metric
+helpers that only tests use: a probed Lipschitz estimate, the
+composition-gap bounds, sampled path length and a metric-axiom scan over
+probe triples.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from bisect import bisect_right
 from functools import reduce
@@ -27,12 +30,13 @@ from typing import Sequence
 import numpy as np
 
 from sewkit.certify import ANNULUS_SCALES
-from sewkit.errors import SewkitError
-from sewkit.flows import ApproxFlowModel, HoelderData
+from sewkit.errors import EndpointMismatch, SewkitError
+from sewkit.flows import MODE_KNITTING, ApproxFlowModel, HoelderData, bound_power
 from sewkit.knitting import HomotopyNet
-from sewkit.metric import MetricSpace, Point, ProbedMap
-from sewkit.models import make_additive
-from sewkit.sewing import compose_along
+from sewkit.metric import MetricSpace, Point, ProbedMap, compose, map_distance_value
+from sewkit.models import make_additive, make_flat_connection
+from sewkit.sewing import compose_along, refinement_bound, sew, zeta
+from sewkit.subdivision import Subdivision, mesh
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-11) -> float:
@@ -283,6 +287,80 @@ def ladder_map(net: HomotopyNet, model: ApproxFlowModel, i: int, j: int) -> Prob
 
 
 # ---------------------------------------------------------------------------
+# lemma-only helpers: subdivisions, the mesh lemma, the flow law, C'
+
+class CannotCoarsen(SewkitError):
+    """The trivial subdivision has no interior point to remove."""
+
+
+class NotARefinement(SewkitError):
+    """The allegedly finer subdivision does not contain the coarser one."""
+
+
+def refines(finer: Subdivision, coarser: Subdivision) -> bool:
+    if finer.start != coarser.start or finer.end != coarser.end:
+        return False
+    return bool(np.isin(coarser.points, finer.points).all())
+
+
+def reverse(subdiv: Subdivision) -> Subdivision:
+    """Same points, endpoints swapped."""
+    return Subdivision(subdiv.points[::-1])
+
+
+def concat(left: Subdivision, right: Subdivision) -> Subdivision:
+    """Glue a subdivision of [s,u] and one of [u,t] into one of [s,t]."""
+    if left.end != right.start:
+        raise EndpointMismatch("concat needs left.end == right.start")
+    return Subdivision(np.concatenate((left.points, right.points[1:])))
+
+
+def coarsen_minimal_pair(subdiv: Subdivision) -> tuple[Subdivision, int]:
+    """Remove the interior point whose adjacent blocks have minimal total length.
+
+    Returns the coarsened subdivision and the 1-based index j of the removed
+    point t_j.  Ties break to the smallest index.  The removed pair satisfies
+    |I_j| + |I_{j+1}| <= 2*span/(k-1).
+    """
+    pts = subdiv.points
+    if len(pts) < 3:
+        raise CannotCoarsen("no interior point to remove")
+    # argmin returns the first of equal values, so ties break to the smallest index
+    best_j = int(np.abs(pts[2:] - pts[:-2]).argmin()) + 1
+    return Subdivision(np.concatenate((pts[:best_j], pts[best_j + 1 :]))), best_j
+
+
+def mesh_lemma_check(
+    model: ApproxFlowModel, coarse: Subdivision, fine: Subdivision
+) -> tuple[float, float]:
+    """Measured d(mu^I, mu^J) for J finer than I, and its mesh bound."""
+    if not refines(fine, coarse):
+        raise NotARefinement("second subdivision must refine the first")
+    lhs = map_distance_value(compose_along(model, coarse.points), compose_along(model, fine.points))
+    rhs = refinement_bound(model.hoelder, coarse.span, mesh(coarse))
+    return lhs, rhs
+
+
+def flow_law_defect(model: ApproxFlowModel, s: float, u: float, t: float, tol: float) -> float:
+    """d(sew(s,t), sew(s,u) o sew(u,t)); at most 3*tol for u between s and t."""
+    whole, _ = sew(model, s, t, tol)
+    left, _ = sew(model, s, u, tol)
+    right, _ = sew(model, u, t, tol)
+    return map_distance_value(whole, compose(left, right))
+
+
+def knit_prime_constant(h: HoelderData, lip_gamma: float, span: float) -> float:
+    """C' = 2**(1+eps) * g(Lip(gamma)*span) * (sum C_i) * zeta(2+eps)."""
+    h.require_mode(MODE_KNITTING, "knit_prime_constant")
+    return (
+        bound_power(2.0, 1.0 + h.epsilon, "knit constant C'")
+        * h.g(lip_gamma * span)
+        * h.c_total
+        * zeta(2.0 + h.epsilon)
+    )
+
+
+# ---------------------------------------------------------------------------
 # probe-side metric helpers
 
 class InsufficientProbes(SewkitError):
@@ -294,6 +372,15 @@ def misdeclared_additive_sin(c: float) -> ApproxFlowModel:
     c in place of the honest 1: a negative control, whose certified
     inequalities must fail once c is small enough."""
     return make_additive(lambda s, t: np.sin(s) * (t - s), HoelderData(1.0, ((1.0, 1.0, c),)))
+
+
+def misdeclared_flat_connection(c: float) -> ApproxFlowModel:
+    """The midpoint flat connection declared with the defect constant c on
+    both of its knitting-mode terms in place of the honest
+    ``MIDPOINT_DEFECT_CONSTANT``: a negative control for the certify and knit
+    rows."""
+    h = HoelderData(1.0, ((2.0, 1.0, c), (1.0, 2.0, c)), 0.0, MODE_KNITTING)
+    return dataclasses.replace(make_flat_connection("midpoint"), hoelder=h)
 
 
 def lipschitz_estimate(f: ProbedMap) -> float:

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import flow_law_defect, mesh_lemma_check
 from sewkit import (
     HoelderData,
     Subdivision,
@@ -20,7 +21,6 @@ from sewkit import (
     constant_K,
     dyadic_refine,
     ellipse_arc_path,
-    flow_law_defect,
     four_point_defect,
     holonomy,
     inverse_defect,
@@ -33,7 +33,6 @@ from sewkit import (
     make_flat_connection,
     make_young,
     map_distance_value,
-    mesh_lemma_check,
     pair_lipschitz,
     pl_thin_reduce,
     polyline,

@@ -47,9 +47,10 @@ def test_sew_experiment_ends_with_the_exponential(tmp_path):
     assert float(rows[-1][4]) == pytest.approx(math.e, abs=1e-6)
 
 
-def test_sew_nonconvergence_exits_two(tmp_path):
+def test_sew_nonconvergence_exits_two(tmp_path, capsys):
     path = euler_cfg(tmp_path, out="short.csv", tol=1e-13, max_level=3)
     assert cli.run(path, quiet=True) == 2
+    assert capsys.readouterr().err.startswith("non-convergence: ")
     rows = read_rows(tmp_path / "short.csv")
     assert rows[-1][0] == "limit"
 

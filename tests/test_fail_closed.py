@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import misdeclared_flat_connection
 from sewkit import (
     HoelderData,
     NonConvergence,
@@ -31,6 +32,7 @@ from sewkit import (
     polyline,
     real_line,
     sewing,
+    within_bound,
 )
 
 
@@ -141,7 +143,9 @@ def test_a_sew_past_double_resolution_exits_2_with_the_levels_built(tmp_path, ca
     cfg = _sew_cfg(tmp_path, model={"name": "additive_sin"}, interval=[1.0, 1.00000000000001],
                    tol=tol)
     assert _run(tmp_path, cfg) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("non-convergence: ")
     with (tmp_path / "out.csv").open(newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [r[0] for r in rows] == ["0", "1", "2", "3", "4", "5", "limit"]
@@ -423,6 +427,33 @@ def test_exact_segment_certify_passes_its_zero_bound_through_the_slack(tmp_path,
     assert code == 0
     assert len(rows) == 48 and {bound for _, bound in rows} == {0.0}
     assert 0.0 < max(defect for defect, _ in rows) <= 1e-15
+
+
+# --- negative controls for the knitting-mode rows ----------------------------
+# The midpoint connection declared with c in place of its honest constant 3:
+# each check must fail once c is small enough, and pass at the declared 3.
+
+@pytest.mark.parametrize("c,code,over", [(0.03, 2, 16), (3.0, 0, 0)])
+def test_strong_four_point_certify_flags_a_misdeclared_connection(tmp_path, monkeypatch,
+                                                                  c, code, over):
+    monkeypatch.setattr(cli, "build_model", lambda spec: misdeclared_flat_connection(c))
+    got, rows = _certify_sample_rows(
+        tmp_path, {"name": "flat_connection", "variant": "midpoint"}, "strong_four_point", 0)
+    assert got == code
+    assert len(rows) == 48
+    assert sum(not within_bound(defect, bound) for defect, bound in rows) == over
+
+
+@pytest.mark.parametrize("c,code,note", [(1e-5, 2, "fail"), (3e-4, 0, "pass"), (3.0, 0, "pass")])
+def test_knit_rows_flag_a_misdeclared_connection(tmp_path, monkeypatch, c, code, note):
+    monkeypatch.setattr(cli, "build_model", lambda spec: misdeclared_flat_connection(c))
+    cfg = {"experiment": "knit", "model": {"name": "flat_connection", "variant": "midpoint"},
+           "homotopy": {"kind": "semicircle_to_ellipse"}, "seed": 0,
+           "output": str(tmp_path / "out.csv")}
+    assert _run(tmp_path, cfg) == code
+    with (tmp_path / "out.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [(r[0], r[4]) for r in rows] == [(k, note) for k in ("8", "16", "32", "64")]
 
 
 # --- config fuzzing ------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import ladder_map, lerp, path_point, winding_number
+from oracles import knit_prime_constant, ladder_map, lerp, path_point, winding_number
 from sewkit import (
     MODE_KNITTING,
     DeclaredLipschitzViolated,
@@ -26,7 +26,6 @@ from sewkit import (
     holonomy,
     knit_bound,
     knit_compare,
-    knit_prime_constant,
     make_additive_sin,
     make_flat_connection,
     map_distance_value,

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import arc_points, ellipse_arc_points, path_point
+from sewkit import paths as paths_mod
 from sewkit import (
+    BoundViolation,
     ConcatMismatch,
+    FlatConnection,
     LipPath,
     ModelDomainError,
     arc_path,
@@ -317,15 +320,26 @@ def test_subpath_chain_rule_for_sewn_pullbacks():
 
 # --- groupoid axioms -------------------------------------------------------------
 
-def test_groupoid_axiom_report_on_arcs():
-    fc = make_flat_connection()
-    quarter0 = arc_path(1.0, -math.pi / 2, 0.0, 16)
-    quarter1 = arc_path(1.0, 0.0, math.pi / 2, 16)
-    quarter2 = arc_path(1.0, math.pi / 2, math.pi, 16)
-    report = groupoid_axiom_check(fc, [quarter0, quarter1, quarter2], tol=1e-8)
-    assert report.ok, [c for c in report.checks if not c.ok]
-    kinds = {c.axiom for c in report.checks}
-    assert kinds == {"identity", "inverse", "composition", "associativity"}
+def _quarter_arcs():
+    return [arc_path(1.0, -math.pi / 2, 0.0, 16), arc_path(1.0, 0.0, math.pi / 2, 16),
+            arc_path(1.0, math.pi / 2, math.pi, 16)]
+
+
+@pytest.mark.parametrize("variant", [FlatConnection.EXACT, FlatConnection.MIDPOINT])
+def test_groupoid_axiom_report_on_arcs(variant):
+    # every check passed its declared budget, or groupoid_axiom_check would
+    # have raised; all four axioms ran
+    counts = groupoid_axiom_check(make_flat_connection(variant), _quarter_arcs(), tol=1e-8)
+    assert counts == {"identity": 3, "inverse": 3, "composition": 2, "associativity": 1}
+
+
+@pytest.mark.parametrize("variant", [FlatConnection.EXACT, FlatConnection.MIDPOINT])
+def test_groupoid_check_raises_when_the_inverse_is_not_reversed(monkeypatch, variant):
+    # with the path itself as its "inverse", the quarter-arc holonomy squared is
+    # a half turn, 2 away from the identity on the circle fiber
+    monkeypatch.setattr(paths_mod, "reverse_path", lambda g: g)
+    with pytest.raises(BoundViolation, match=r"groupoid inverse at path 0: 2\.000e\+00 exceeds"):
+        groupoid_axiom_check(make_flat_connection(variant), _quarter_arcs(), tol=1e-8)
 
 
 def test_semicircle_times_reverse_is_identity():

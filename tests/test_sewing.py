@@ -7,7 +7,11 @@ import pytest
 
 from oracles import (
     YOUNG_SCALAR_FNS,
+    NotARefinement,
+    concat,
+    flow_law_defect,
     left_riemann,
+    mesh_lemma_check,
     misdeclared_additive_sin,
     translate,
     young_increments,
@@ -21,10 +25,8 @@ from sewkit import (
     WrongMode,
     compose_along,
     compose_chain,
-    concat,
     constant_K,
     dyadic_refine,
-    flow_law_defect,
     four_point_defect,
     inverse_defect,
     inverse_defect_bound,
@@ -35,14 +37,12 @@ from sewkit import (
     make_euler_matrix,
     make_euler_sin,
     make_young,
-    mesh_lemma_check,
     refinement_bound,
     regular,
     sew,
     zeta,
 )
 from sewkit import cli
-from sewkit.errors import NotARefinement
 from sewkit.flows import MODE_KNITTING
 
 

@@ -1,7 +1,9 @@
 """Structure guards: sewkit modules share only public names with each other
-and draw no random number one ``uniform`` call at a time, and every name the
-benchmark's tracer patches is where it patches it."""
+and draw no random number one ``uniform`` call at a time, every name the
+benchmark's tracer patches is where it patches it, and README.md names every
+public name."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from perfbench.tracer import Tracer, installed
 from sewkit import certify, cli, knitting, paths, sewing
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sewkit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sewkit"
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -63,3 +66,13 @@ def test_tracer_finds_and_restores_every_name_it_patches():
     after = _attributes()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_readme_names_every_public_name():
+    # a name the package exports must be documented, so an API change updates README
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    names = [a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for a in node.names]
+    readme = (ROOT / "README.md").read_text()
+    assert names
+    assert [n for n in names if not re.search(rf"`{re.escape(n)}\b", readme)] == []

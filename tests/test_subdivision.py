@@ -5,19 +5,22 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import dyadic_midpoints, max_gap
-from sewkit import (
+from oracles import (
     CannotCoarsen,
-    EndpointMismatch,
-    Subdivision,
     coarsen_minimal_pair,
     concat,
+    dyadic_midpoints,
+    max_gap,
+    refines,
+    reverse,
+)
+from sewkit import (
+    EndpointMismatch,
+    Subdivision,
     dyadic_refine,
     joint,
     mesh,
-    refines,
     regular,
-    reverse,
 )
 
 
