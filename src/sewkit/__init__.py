@@ -9,9 +9,7 @@ net mesh.
 """
 from .errors import (
     BoundViolation,
-    ConcatMismatch,
     ConfigError,
-    DeclaredLipschitzViolated,
     DomainMismatch,
     EndpointMismatch,
     InadmissibleRegularity,

@@ -276,9 +276,8 @@ def _run_sew(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[
         if exc.certificate is None:
             raise
         # the levels built are still written, so report the reason here, as ``run`` would
-        print(f"non-convergence: {exc}", file=sys.stderr)
+        status = _fail(exc)
         cert = exc.certificate
-        status = 2
     return _LEVEL_HEADER, _level_rows(cert), status
 
 
@@ -366,6 +365,23 @@ CONFIG = Tagged("experiment", {
 })
 
 
+#: how a failed run reports: (type, stderr label, exit code), the most specific type first
+_FAILURES = (
+    (ConfigError, "config error", 1),
+    (BoundViolation, "bound violation", 2),
+    (NonConvergence, "non-convergence", 2),
+    (NonFiniteValue, "non-finite value", 2),
+    (SewkitError, "error", 1),
+)
+
+
+def _fail(exc: SewkitError) -> int:
+    """Print ``exc`` on stderr under its ``_FAILURES`` label; its exit code."""
+    label, code = next((label, code) for kind, label, code in _FAILURES if isinstance(exc, kind))
+    print(f"{label}: {exc}", file=sys.stderr)
+    return code
+
+
 def run(config_path: str, seed: int | None = None, quiet: bool = False,
         experiment: str | None = None) -> int:
     """Execute one experiment config; returns the process exit code."""
@@ -388,26 +404,12 @@ def run(config_path: str, seed: int | None = None, quiet: bool = False,
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         header, rows, status = CONFIG.variants[exp][1](cfg, np.random.default_rng(seed))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except BoundViolation as exc:
-        print(f"bound violation: {exc}", file=sys.stderr)
-        return 2
-    except NonConvergence as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return 2
-    except NonFiniteValue as exc:
-        print(f"non-finite value: {exc}", file=sys.stderr)
-        return 2
     except SewkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     try:
         _write_csv(cfg["output"], header, rows)
     except OSError as exc:
-        print(f"config error: cannot write config.output: {exc}", file=sys.stderr)
-        return 1
+        return _fail(ConfigError(f"cannot write config.output: {exc}"))
     if not quiet:
         print(f"{exp}: wrote {len(rows)} rows to {cfg['output']} (exit {status})")
     return status

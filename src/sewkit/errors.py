@@ -17,20 +17,12 @@ class EndpointMismatch(SewkitError):
     """Endpoints of subdivisions, paths or homotopies do not line up."""
 
 
-class ConcatMismatch(SewkitError):
-    """Path concatenation endpoints differ beyond tolerance."""
-
-
 class InadmissibleRegularity(SewkitError):
     """Declared regularity constants are inconsistent (e.g. alpha+beta <= 1)."""
 
 
 class WrongMode(SewkitError):
     """An operation received defect data of the wrong mode (sewing vs knitting)."""
-
-
-class DeclaredLipschitzViolated(SewkitError):
-    """Sampled increments exceed the declared Lipschitz norm."""
 
 
 class BoundViolation(SewkitError):

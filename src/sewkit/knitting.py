@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DeclaredLipschitzViolated, EndpointMismatch
+from .errors import EndpointMismatch
 from .flows import MODE_KNITTING, ApproxFlowModel, HoelderData, bound_power
 from .metric import ProbedMap, euclidean, map_distance_value
 from .metric import compose_chain  # unused here: kept for perfbench/tracer.py, which patches it
 from .paths import ENDPOINT_TOL, LipPath, pullback_flow
-from .sewing import MAX_LEVEL, SewCertificate, compose_along, sew, within_bound
+from .sewing import MAX_LEVEL, SewCertificate, check_bound, compose_along, sew
 from .subdivision import regular
 
 
@@ -77,8 +77,8 @@ def build_net(g0: LipPath, g1: LipPath, k: int, ell: float) -> HomotopyNet:
 
     Samples each path once, by one ``LipPath.sample`` at t_j = j/k.  Raises
     :class:`EndpointMismatch` when the paths do not share both endpoints and
-    :class:`DeclaredLipschitzViolated` when the mesh exceeds ell/k beyond
-    ``within_bound``'s slack, as every certified inequality is checked.
+    :class:`BoundViolation` when the mesh exceeds ell/k, through
+    ``check_bound`` as every certified inequality.
     """
     if k < 2:
         raise ValueError("need k >= 2")
@@ -87,10 +87,7 @@ def build_net(g0: LipPath, g1: LipPath, k: int, ell: float) -> HomotopyNet:
     _check_shared_endpoints(g0, g1)
     ts = regular(0.0, 1.0, k).points
     net = HomotopyNet(k, ell, g0.sample(ts), g1.sample(ts))
-    if not within_bound(net.mesh, ell / k):
-        raise DeclaredLipschitzViolated(
-            f"net mesh {net.mesh:.3e} exceeds declared ell/k = {ell / k:.3e}"
-        )
+    check_bound(net.mesh, ell / k, f"net mesh at k={k}, declared ell/k")
     return net
 
 

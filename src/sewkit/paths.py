@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BoundViolation, ConcatMismatch, ModelDomainError
+from .errors import EndpointMismatch, ModelDomainError
 from .flows import ApproxFlowModel
 from .metric import (
     Point,
@@ -30,7 +30,7 @@ from .metric import (
     map_distance_value,
     p_norm,
 )
-from .sewing import MAX_LEVEL, compose_along, refinement_bound, sew, within_bound
+from .sewing import MAX_LEVEL, check_bound, compose_along, refinement_bound, sew
 from .subdivision import mesh
 
 #: legs and pauses shorter than this count as exact PL backtracks in ``pl_thin_reduce``
@@ -224,7 +224,7 @@ def concat_reverse_order(g: LipPath, g2: LipPath) -> LipPath:
     """g . g2: run g2 on [0, 1/2], then g on [1/2, 1]; needs g(0) == g2(1)
     within ``ENDPOINT_TOL``."""
     if euclidean(g.start, g2.end) > ENDPOINT_TOL:
-        raise ConcatMismatch(
+        raise EndpointMismatch(
             f"g starts at {g.start} but g2 ends at {g2.end}; cannot concatenate"
         )
     breaks = [0.5 * u for u in g2.breaks]
@@ -397,9 +397,10 @@ def groupoid_axiom_check(
     a certified inequality: identity d(R_{p.c}, R_p) <= B_{p.c} + B_p;
     inverse d(R_rev(p) o R_p, id) <= B_rev(p) + g_rev(p) * B_p; composition
     d(R_{i.j}, R_i o R_j) <= B_{i.j} + B_i + g_i * B_j; associativity
-    d(R_left, R_right) <= B_left + B_right.  Raises :class:`BoundViolation`
-    naming the axiom, the paths, the measured value and the budget when a
-    check fails ``within_bound``; returns the number of checks run per axiom.
+    d(R_left, R_right) <= B_left + B_right.  A failing check raises
+    :class:`BoundViolation` through ``check_bound``, naming the axiom, the
+    paths, the measured value and the budget; returns the number of checks
+    run per axiom.
     """
     counts = dict.fromkeys(("identity", "inverse", "composition", "associativity"), 0)
 
@@ -412,12 +413,7 @@ def groupoid_axiom_check(
         return compose_along(pb, final.points), refinement_bound(h, 1.0, mesh(final)), h.g(1.0)
 
     def check(axiom: str, where: str, f: ProbedMap, f2: ProbedMap, budget: float) -> None:
-        measured = map_distance_value(f, f2)
-        if not within_bound(measured, budget):
-            raise BoundViolation(
-                f"groupoid {axiom} at {where}: {measured:.3e} exceeds budget {budget:.3e} "
-                f"for {model.name}"
-            )
+        check_bound(map_distance_value(f, f2), budget, f"groupoid {axiom} at {where} of {model.name}")
         counts[axiom] += 1
 
     sewn = [raw(p) for p in paths]

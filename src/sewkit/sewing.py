@@ -53,6 +53,14 @@ def within_bound(lhs: float, rhs: float) -> bool:
     return lhs <= rhs + BOUND_SLACK * (1.0 + rhs)
 
 
+def check_bound(measured: float, bound: float, what: str) -> None:
+    """Raise :class:`BoundViolation`, as "{what}: {measured} exceeds {bound}",
+    unless ``within_bound(measured, bound)``: every certified inequality of
+    the package fails through here."""
+    if not within_bound(measured, bound):
+        raise BoundViolation(f"{what}: {measured:.3e} exceeds {bound:.3e}")
+
+
 #: Euler-Maclaurin coefficients B_2k / (2k)! for k = 1..5 (B2..B10)
 _EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0, 1.0 / 47900160.0)
 
@@ -349,11 +357,8 @@ def sew(
         ]
         d = diffs[0]
 
-        if not within_bound(d, bound_prev):
-            raise BoundViolation(
-                f"successive distance {d:.3e} exceeds refinement bound {bound_prev:.3e} "
-                f"at level {level} of {model.name}"
-            )
+        check_bound(d, bound_prev,
+                    f"successive distance at level {level} of {model.name}, refinement bound")
 
         if d == 0.0:
             rho = 0.0
@@ -407,16 +412,17 @@ def sew(
 
     done = converged or (tol <= 0.0 and not unresolved)
     mu_distance: float | None
-    mu_ok: bool | None
     try:
         direct = model.mu(s, t)
         mu_distance = _sup_distance(
             metric, [direct.eval(p) for p in probes], best, f"mu_st of {model.name}"
         )
-        mu_ok = within_bound(mu_distance + tail, claimed) if done else None
     except ModelDomainError:
         mu_distance = None
-        mu_ok = None
+    checked = done and mu_distance is not None
+    if checked:
+        check_bound(mu_distance + tail, claimed, f"d(mu_st, limit) {mu_distance:.3e} + tail "
+                    f"{tail:.3e} of {model.name}, claimed bound")
 
     cert = SewCertificate(
         K=constant_K(h),
@@ -425,7 +431,7 @@ def sew(
         claimed_bound=claimed,
         tail_estimate=tail,
         mu_distance=mu_distance,
-        mu_bound_ok=mu_ok,
+        mu_bound_ok=True if checked else None,
         converged=done,
         stop_reason=reason if converged else unresolved or (
             "full ladder (tol <= 0)" if tol <= 0.0 else "max_level reached"),
@@ -436,11 +442,6 @@ def sew(
         extrapolation_orders=used,
     )
 
-    if mu_ok is False:
-        raise BoundViolation(
-            f"d(mu_st, limit) = {mu_distance:.3e} + tail {tail:.3e} exceeds "
-            f"claimed bound {claimed:.3e} for {model.name}"
-        )
     if unresolved:
         raise NonConvergence(f"sew of {model.name} stopped at level {level}: {unresolved}", cert)
     if tol > 0.0 and not converged:
@@ -472,11 +473,8 @@ def inverse_defect(model: ApproxFlowModel, s: float, t: float, k: int) -> float:
     forward = compose_along(model, points)
     backward = compose_along(model, points[::-1])
     measured = map_distance_value(compose(forward, backward), identity_map(model.space_at(s)))
-    bound = inverse_defect_bound(model.hoelder, abs(t - s), k)
-    if not within_bound(measured, bound):
-        raise BoundViolation(
-            f"inverse defect {measured:.3e} exceeds bound {bound:.3e} for {model.name}, k={k}"
-        )
+    check_bound(measured, inverse_defect_bound(model.hoelder, abs(t - s), k),
+                f"inverse defect of {model.name} at k={k}")
     return measured
 
 

@@ -10,7 +10,8 @@ translation increments by one scalar ``math`` call per interval and
 translations by ``reduce(add)``, certification samples by one scalar
 ``rng.uniform`` call per coordinate, and ladder compositions by slicing two
 net rows.
-It also holds mis-declared models for negative controls, the helpers that
+It also holds mis-declared models for negative controls, a non-commuting
+knitting model (a pure-gauge SO(3) connection), the helpers that
 only state a lemma (subdivision reversal, gluing and coarsening, the mesh
 lemma, the flow law and the knitting constant C'), and the probe-side metric
 helpers that only tests use: a probed Lipschitz estimate, the
@@ -33,7 +34,7 @@ from sewkit.certify import ANNULUS_SCALES
 from sewkit.errors import EndpointMismatch, SewkitError
 from sewkit.flows import MODE_KNITTING, ApproxFlowModel, HoelderData, bound_power
 from sewkit.knitting import HomotopyNet
-from sewkit.metric import MetricSpace, Point, ProbedMap, compose, map_distance_value
+from sewkit.metric import MetricSpace, Point, ProbedMap, compose, euclidean, map_distance_value
 from sewkit.models import make_additive, make_flat_connection
 from sewkit.sewing import compose_along, refinement_bound, sew, zeta
 from sewkit.subdivision import Subdivision, mesh
@@ -381,6 +382,60 @@ def misdeclared_flat_connection(c: float) -> ApproxFlowModel:
     rows."""
     h = HoelderData(1.0, ((2.0, 1.0, c), (1.0, 2.0, c)), 0.0, MODE_KNITTING)
     return dataclasses.replace(make_flat_connection("midpoint"), hoelder=h)
+
+
+#: the axis vectors X and Y of the pure-gauge connection g(x, y) = exp(x X) exp(y Y)
+GAUGE_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.3))
+
+
+def _axis_rotation(axis: Sequence[float], angle: float) -> np.ndarray:
+    """exp(angle * [axis]), [axis] the cross-product matrix of axis, by Rodrigues' formula."""
+    norm = math.hypot(*axis)
+    ax, ay, az = (a / norm for a in axis)
+    cross = np.array([[0.0, -az, ay], [az, 0.0, -ax], [-ay, ax, 0.0]])
+    theta = angle * norm
+    return np.eye(3) + math.sin(theta) * cross + (1.0 - math.cos(theta)) * (cross @ cross)
+
+
+def pure_gauge_so3() -> ApproxFlowModel:
+    """A flat, non-commuting knitting model: the pure-gauge SO(3) connection
+    g(x, y) = exp(x X) exp(y Y) over the plane, X and Y the ``GAUGE_AXES``.
+
+    The fiber is R^3, probed at 5 standard normal points drawn at seed 0.
+    The increments are the chord transports g(p_i)^T g(p_{i+1}) and ``act``
+    is their ordered matrix product, so a chain telescopes to
+    g(p_0)^T g(p_k): every defect is rounding, and the declared constants
+    are 0.  The transports do not commute, so a product in the wrong order
+    (``misordered``) is far from the chain."""
+    draws = np.random.default_rng(0).standard_normal((5, 3)).tolist()
+    fiber = MetricSpace("r3-fiber5", euclidean, tuple(map(tuple, draws)))
+
+    def gauge(p: Point) -> np.ndarray:
+        return _axis_rotation(GAUGE_AXES[0], p[0]) @ _axis_rotation(GAUGE_AXES[1], p[1])
+
+    def increments(params: Sequence[Point]) -> list[np.ndarray]:
+        gs = [gauge(p) for p in params]
+        return [a.T @ b for a, b in zip(gs, gs[1:])]
+
+    def act(source: MetricSpace, target: MetricSpace, transports) -> ProbedMap:
+        # transports[0] acts first, as in a chain of maps
+        m = reduce(lambda acc, t: t @ acc, transports, np.eye(3))
+        return ProbedMap(source, target, lambda v: tuple((m @ v).tolist()))
+
+    return ApproxFlowModel(
+        name="pure-gauge-so3",
+        space_at=lambda _p: fiber,
+        hoelder=HoelderData(1.0, ((2.0, 1.0, 0.0), (1.0, 2.0, 0.0)), 0.0, MODE_KNITTING),
+        increments=increments,
+        act=act,
+    )
+
+
+def misordered(model: ApproxFlowModel) -> ApproxFlowModel:
+    """``model`` with ``act`` given its increments in reverse order: for
+    non-commuting increments, a chain multiplied in the wrong order."""
+    act = model.act
+    return dataclasses.replace(model, act=lambda src, tgt, incs: act(src, tgt, incs[::-1]))
 
 
 def lipschitz_estimate(f: ProbedMap) -> float:

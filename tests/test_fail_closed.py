@@ -456,6 +456,24 @@ def test_knit_rows_flag_a_misdeclared_connection(tmp_path, monkeypatch, c, code,
     assert [(r[0], r[4]) for r in rows] == [(k, note) for k in ("8", "16", "32", "64")]
 
 
+def test_a_net_mesh_over_the_declared_ell_over_k_exits_2(tmp_path, capsys, monkeypatch):
+    # the homotopy's Lipschitz bound understated four times: build_net's mesh
+    # check is a certified inequality, so the run exits 2 as a bound violation
+    build = cli.build_homotopy
+
+    def understated(spec):
+        g0, g1, ell = build(spec)
+        return g0, g1, ell / 4.0
+
+    monkeypatch.setattr(cli, "build_homotopy", understated)
+    cfg = {"experiment": "knit", "model": {"name": "flat_connection"},
+           "homotopy": {"kind": "semicircle_to_ellipse"}, "output": str(tmp_path / "out.csv")}
+    assert _run(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bound violation: net mesh at k=8, declared ell/k: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
 # --- config fuzzing ------------------------------------------------------------
 # A fuzzed config is drawn from the config table: an experiment, then a model,
 # path or homotopy kind (now and then an unknown one), with its required fields

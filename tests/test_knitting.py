@@ -5,10 +5,18 @@ import random
 import numpy as np
 import pytest
 
-from oracles import knit_prime_constant, ladder_map, lerp, path_point, winding_number
+from oracles import (
+    knit_prime_constant,
+    ladder_map,
+    lerp,
+    misordered,
+    path_point,
+    pure_gauge_so3,
+    winding_number,
+)
 from sewkit import (
     MODE_KNITTING,
-    DeclaredLipschitzViolated,
+    BoundViolation,
     EndpointMismatch,
     FlatConnection,
     HoelderData,
@@ -24,6 +32,7 @@ from sewkit import (
     ellipse_arc_path,
     four_point_defect,
     holonomy,
+    identity_map,
     knit_bound,
     knit_compare,
     make_additive_sin,
@@ -38,6 +47,7 @@ from sewkit import (
     segment_path,
     sew,
     square_loop,
+    within_bound,
     zeta,
 )
 from sewkit.metric import euclidean
@@ -75,7 +85,7 @@ def test_build_net_mesh_bound_and_errors():
     net = build_net(g0, g1, 16, ell)
     assert net.mesh <= ell / 16.0 + 1e-12
 
-    with pytest.raises(DeclaredLipschitzViolated):
+    with pytest.raises(BoundViolation, match="net mesh at k=16"):
         build_net(g0, g1, 16, ell / 4.0)  # understated Lipschitz norm
 
     # H(s, t) = (1 + s, t): the endpoints move with s
@@ -489,3 +499,32 @@ def test_holonomy_level_values_are_the_summed_step_angles(variant, loop):
         pts = regular(0.0, 1.0, rec.intervals).points
         forward = sum(angles((loop.at(a), loop.at(b)))[0] for a, b in zip(pts, pts[1:]))
         assert abs(rec.value - forward) <= 1e-11
+
+
+# --- a non-commuting model: the pure-gauge SO(3) connection ---------------------
+
+@pytest.mark.parametrize("k", [8, 16, 32, 64])
+def test_knit_rows_of_a_non_commuting_pure_gauge_are_rounding_level(k):
+    # flat with declared constants 0: the rows telescope to one transport;
+    # multiplied in the wrong order they are more than 2 apart on the R^3 probes
+    g0, g1, ell = semicircle_pair()
+    net = build_net(g0, g1, k, ell)
+    measured, bound = knit_compare(net, pure_gauge_so3())
+    assert bound == 0.0 and measured <= 1e-13 and within_bound(measured, bound)
+    wrong, bound = knit_compare(net, misordered(pure_gauge_so3()))
+    assert wrong > 2.0 and not within_bound(wrong, bound)
+
+
+@pytest.mark.parametrize(
+    "path,loop",
+    [(square_loop(), True), (circle_path(1.0, 1.0, 64), True),
+     (arc_path(1.0, 0.0, math.pi / 2, 16), False)],
+    ids=["square", "circle", "quarter-arc"],
+)
+def test_pure_gauge_holonomy_is_the_transport_between_the_ends(path, loop):
+    # g(start)^T g(end): the identity around a loop, over 2 from it along the arc
+    model = pure_gauge_so3()
+    hol, cert = holonomy(model, path, 0.0, max_level=6)
+    assert len(cert.levels) == 7 and cert.mu_bound_ok
+    assert map_distance_value(hol, model.mu(path.start, path.end)) <= 1e-13
+    assert (map_distance_value(hol, identity_map(hol.source)) <= 1e-13) == loop

@@ -350,8 +350,8 @@ def test_inverse_defect_examples():
 
 @pytest.mark.parametrize(
     "c,fragment",
-    [(1e-2, "exceeds refinement bound 6.580e-02 at level 1"),
-     (0.05, "exceeds claimed bound")],
+    [(1e-2, r"at level 1 of .*, refinement bound: .* exceeds 6\.580e-02"),
+     (0.05, r", claimed bound: .* exceeds ")],
     ids=["refinement-bound", "claimed-bound"],
 )
 def test_sew_of_a_misdeclared_model_raises(c, fragment):

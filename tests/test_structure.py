@@ -1,7 +1,8 @@
 """Structure guards: sewkit modules share only public names with each other
-and draw no random number one ``uniform`` call at a time, every name the
-benchmark's tracer patches is where it patches it, and README.md names every
-public name."""
+and draw no random number one ``uniform`` call at a time, every certified
+inequality fails through ``sewing.check_bound``, every name the benchmark's
+tracer patches is where it patches it, and README.md names every public
+name."""
 import ast
 import re
 from pathlib import Path
@@ -48,6 +49,25 @@ def test_only_the_pullback_passes_its_own_mu():
                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ApproxFlowModel"
                and any(k.arg == "mu" for k in node.keywords)]
     assert passing == ["paths.py"]
+
+
+def _callers(name: str) -> set[str]:
+    """``module.definition`` of every top-level definition of src/sewkit
+    whose body calls ``name``, nested functions included."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            found |= {f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                      for node in ast.walk(top) if isinstance(node, ast.Call)
+                      and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    return found
+
+
+def test_every_certified_inequality_fails_through_check_bound():
+    # one comparison and one message format, so a change to either is made once
+    assert _callers("BoundViolation") == {"sewing.check_bound"}
+    assert {c for c in _callers("within_bound") if not c.startswith("cli.")} == {
+        "sewing.check_bound"}
 
 
 def _attributes():
