@@ -153,14 +153,18 @@ def _point(val: Any, where: str) -> tuple[float, float]:
     return (_check_field(_FLOAT, val[0], where), _check_field(_FLOAT, val[1], where))
 
 
-def _list(entry: Field, length: int | None = None) -> Callable[[Any, str], list]:
-    """A checker of a list, of ``length`` entries when given, each an
-    ``entry``, which the checker keeps as its ``entry`` attribute."""
+def _list(entry: Field, length: int | None = None, nonempty: bool = False
+          ) -> Callable[[Any, str], list]:
+    """A checker of a list, of ``length`` entries when given and of at least
+    one when ``nonempty``, each an ``entry``, which the checker keeps as its
+    ``entry`` attribute."""
 
     def check(val: Any, where: str) -> list:
         if not isinstance(val, list) or (length is not None and len(val) != length):
             raise ConfigError(f"{where} must be a list{'' if length is None else f' of {length}'}, "
                               f"got {val!r}")
+        if nonempty and not val:
+            raise ConfigError(f"{where} must be a non-empty list, got []")
         return [_check_field(entry, v, f"{where} entry") for v in val]
 
     check.entry = entry
@@ -355,7 +359,7 @@ CONFIG = Tagged("experiment", {
     "sew": ({"model": Field(MODELS), "interval": Field(_list(_FLOAT, 2), [0.0, 1.0]),
              **_SEW_BUDGET, **_RUN}, _run_sew),
     "knit": ({"model": Field(MODELS), "homotopy": Field(HOMOTOPIES),
-              "ks": Field(_list(Field(int, least=2, most=4096)), [8, 16, 32, 64]),
+              "ks": Field(_list(Field(int, least=2, most=4096), nonempty=True), [8, 16, 32, 64]),
               "class_separation": Field(bool, False), **_SEW_BUDGET, **_RUN}, _run_knit),
     "holonomy": ({"model": Field(MODELS), "path": Field(PATHS), **_SEW_BUDGET, **_RUN},
                  _run_holonomy),

@@ -280,8 +280,12 @@ def sew(
     (tol > 0) or, at any tol, when the next level's midpoints round onto
     the ends of their intervals,
     :class:`BoundViolation` if a recorded distance exceeds its bound, and
-    :class:`NonFiniteValue` if any probed distance is NaN or infinite.
+    :class:`NonFiniteValue` if any probed distance is NaN or infinite.  A NaN
+    tol or a negative max_level raises ValueError before any level is built.
     """
+    if math.isnan(tol) or max_level < 0:
+        raise ValueError(f"sew needs a tol that is not NaN and max_level >= 0, "
+                         f"got tol={tol!r}, max_level={max_level!r}")
     h = model.hoelder
     h.require_mode(MODE_SEWING, "sew (pull knitting-mode models back along a path first)")
     span = abs(t - s)
@@ -302,86 +306,72 @@ def sew(
             return None
         return summary(composite) if slot is None else summary.read(vals[slot])
 
-    k0 = _auto_base_k(model, span)
-    subdiv = regular(s, t, k0)
-    # each level's mesh and refinement bound, computed once and carried to the next level
-    step = mesh(subdiv)
-    bound = refinement_bound(h, span, step)
-    claimed = corollary_bound(h, span)
-    if not (math.isfinite(bound) and math.isfinite(claimed)):
-        # the powers are finite, so a product of declared constants overflowed
-        raise NonFiniteValue(
-            f"declared bounds of {model.name} over span {span!r} overflow a double"
-        )
-    composite = compose_along(model, subdiv.points)
-    vals = tuple(map(composite.eval, probes))
-    levels = [SewLevel(0, subdiv.k, step, None, None, bound, level_value(composite, vals))]
-
+    subdiv = regular(s, t, _auto_base_k(model, span))
+    levels: list[SewLevel] = []
     # the finest composites, enough for the deepest table column, back the limit map
-    composites = [composite]
+    composites: list[ProbedMap] = []
     keep = max(len(orders), 1) + 1
-    row = [vals]
     prev_diffs: list[float] = []
-    best = vals
     rho: float | None = None
     coefs: tuple[float, ...] = ()
     used: tuple[int, ...] = ()
     tail = math.inf
     converged = False
     reason = ""
-
-    if tol > 0.0 and bound < tol:
-        converged = True
-        reason = "a-priori refinement bound below tol at base level"
-        tail = bound
-
-    level = 0
     unresolved = ""  # why the ladder ended below max_level, if it did
-    while not converged and level < max_level:
-        try:
-            subdiv = dyadic_refine(subdiv)
-        except ValueError:  # a midpoint rounded onto an end of its interval, or overflowed
-            unresolved = f"level {level + 1}'s midpoints round onto the ends of their intervals"
-            break
-        level += 1
-        bound_prev = bound
+    level = 0
+    while True:
         step = mesh(subdiv)
         bound = refinement_bound(h, span, step)
+        if level == 0:
+            # level 0 records its own bound, each later level the one before it;
+            # the claimed bound after it, so a span overflowing both names this one
+            bound_prev = bound
+            claimed = corollary_bound(h, span)
+        if not (math.isfinite(bound) and math.isfinite(claimed)):
+            # the powers are finite, so a product of declared constants overflowed
+            raise NonFiniteValue(
+                f"declared bounds of {model.name} over span {span!r} overflow a double"
+            )
         composite = compose_along(model, subdiv.points)
         composites = (composites + [composite])[-keep:]
         vals = tuple(map(composite.eval, probes))
-        prev_row, row = row, _romberg_row(row, vals, declared_coefs)
-        diffs = [
-            _sup_distance(metric, a, b, f"column {j}, level {level} of {model.name}")
-            for j, (a, b) in enumerate(zip(prev_row, row))
-        ]
-        d = diffs[0]
-
-        check_bound(d, bound_prev,
-                    f"successive distance at level {level} of {model.name}, refinement bound")
-
-        if d == 0.0:
-            rho = 0.0
-        elif prev_diffs and prev_diffs[0] > 0.0:
-            r = d / prev_diffs[0]
-            rho = r if r < MAX_CONTRACTION else None
+        if level == 0:
+            row, best = [vals], vals
+            d = d_best = None
+            extrapolated = False
         else:
-            rho = None
-        depth = 0
-        while depth < min(len(orders), len(prev_diffs)) and _order_ratio_ok(
-            diffs[depth], prev_diffs[depth], orders[depth]
-        ):
-            depth += 1
-        used = orders[:depth] if depth else (0,) if rho else ()
-        coefs = _column_coefs(used, rho)
-        extrapolated = bool(used) or d == 0.0
-        prev_best = best
-        # declared columns are row's own; only the observed-ratio column is built apart
-        best = row[depth] if depth else _romberg_row(prev_row, vals, coefs)[-1]
-        d_best = _sup_distance(
-            metric, prev_best, best, f"extrapolation at level {level} of {model.name}"
-        )
-        tail = math.fsum(c * x for c, x in zip(coefs, diffs)) if extrapolated else math.inf
+            prev_row, row = row, _romberg_row(row, vals, declared_coefs)
+            diffs = [
+                _sup_distance(metric, a, b, f"column {j}, level {level} of {model.name}")
+                for j, (a, b) in enumerate(zip(prev_row, row))
+            ]
+            d = diffs[0]
+            check_bound(d, bound_prev,
+                        f"successive distance at level {level} of {model.name}, refinement bound")
+            if d == 0.0:
+                rho = 0.0
+            elif prev_diffs and prev_diffs[0] > 0.0:
+                r = d / prev_diffs[0]
+                rho = r if r < MAX_CONTRACTION else None
+            else:
+                rho = None
+            depth = 0
+            while depth < min(len(orders), len(prev_diffs)) and _order_ratio_ok(
+                diffs[depth], prev_diffs[depth], orders[depth]
+            ):
+                depth += 1
+            used = orders[:depth] if depth else (0,) if rho else ()
+            coefs = _column_coefs(used, rho)
+            extrapolated = bool(used) or d == 0.0
+            prev_best = best
+            # declared columns are row's own; only the observed-ratio column is built apart
+            best = row[depth] if depth else _romberg_row(prev_row, vals, coefs)[-1]
+            d_best = _sup_distance(
+                metric, prev_best, best, f"extrapolation at level {level} of {model.name}"
+            )
+            tail = math.fsum(c * x for c, x in zip(coefs, diffs)) if extrapolated else math.inf
+            prev_diffs = diffs
 
         levels.append(
             SewLevel(level, subdiv.k, step, d, d_best, bound_prev, level_value(composite, vals))
@@ -393,10 +383,17 @@ def sew(
                 reason = "extrapolated successive distance below tol"
             elif bound < tol:
                 converged = True
-                reason = "a-priori refinement bound below tol"
+                reason = "a-priori refinement bound below tol" + ("" if level else " at base level")
                 tail = min(tail, bound)
-
-        prev_diffs = diffs
+        if converged or level >= max_level:
+            break
+        try:
+            subdiv = dyadic_refine(subdiv)
+        except ValueError:  # a midpoint rounded onto an end of its interval, or overflowed
+            unresolved = f"level {level + 1}'s midpoints round onto the ends of their intervals"
+            break
+        level += 1
+        bound_prev = bound
 
     limit_composites = composites[len(composites) - len(coefs) - 1 :]
 

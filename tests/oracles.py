@@ -11,7 +11,8 @@ translations by ``reduce(add)``, certification samples by one scalar
 ``rng.uniform`` call per coordinate, and ladder compositions by slicing two
 net rows.
 It also holds mis-declared models for negative controls, a non-commuting
-knitting model (a pure-gauge SO(3) connection), the helpers that
+knitting model (a pure-gauge SO(3) connection) and its curved,
+mis-declared counterpart (a constant so(3) connection), the helpers that
 only state a lemma (subdivision reversal, gluing and coarsening, the mesh
 lemma, the flow law and the knitting constant C'), and the probe-side metric
 helpers that only tests use: a probed Lipschitz estimate, the
@@ -35,7 +36,7 @@ from sewkit.errors import EndpointMismatch, SewkitError
 from sewkit.flows import MODE_KNITTING, ApproxFlowModel, HoelderData, bound_power
 from sewkit.knitting import HomotopyNet
 from sewkit.metric import MetricSpace, Point, ProbedMap, compose, euclidean, map_distance_value
-from sewkit.models import make_additive, make_flat_connection
+from sewkit.models import MIDPOINT_DEFECT_CONSTANT, make_additive, make_flat_connection
 from sewkit.sewing import compose_along, refinement_bound, sew, zeta
 from sewkit.subdivision import Subdivision, mesh
 
@@ -429,6 +430,31 @@ def pure_gauge_so3() -> ApproxFlowModel:
         increments=increments,
         act=act,
     )
+
+
+def curved_so3() -> ApproxFlowModel:
+    """A curved, non-commuting knitting model declared as if flat: the
+    constant so(3) connection, whose chord from p to q is transported by
+    exp(dx X + dy Y), (dx, dy) = q - p, X and Y the ``GAUGE_AXES``, declared
+    with the midpoint connection's knitting data (eps = 1 and
+    ``MIDPOINT_DEFECT_CONSTANT`` on both terms).
+
+    Its four-point defect is of degree 2 (the curvature [X, Y] over the
+    quadrilateral), not 2 + eps, so the declared data understates it: a
+    negative control for the certify and knit rows.  Fiber, probes and
+    ``act`` are ``pure_gauge_so3``'s."""
+
+    def chord(p: Point, q: Point) -> np.ndarray:
+        axis = [(q[0] - p[0]) * x + (q[1] - p[1]) * y for x, y in zip(*GAUGE_AXES)]
+        return _axis_rotation(axis, 1.0) if any(axis) else np.eye(3)
+
+    def increments(params: Sequence[Point]) -> list[np.ndarray]:
+        return [chord(p, q) for p, q in zip(params, params[1:])]
+
+    c = MIDPOINT_DEFECT_CONSTANT
+    return dataclasses.replace(
+        pure_gauge_so3(), name="curved-so3", increments=increments,
+        hoelder=HoelderData(1.0, ((2.0, 1.0, c), (1.0, 2.0, c)), 0.0, MODE_KNITTING))
 
 
 def misordered(model: ApproxFlowModel) -> ApproxFlowModel:

@@ -21,6 +21,7 @@ from sewkit import (
     build_net,
     cli,
     ellipse_arc_path,
+    holonomy,
     identity_map,
     knit_compare,
     make_additive_sin,
@@ -180,6 +181,29 @@ def test_an_infinite_base_level_bound_raises_before_level_0_is_composed(monkeypa
 def test_knit_ks_must_be_integers_from_two(tmp_path, capsys, ks):
     assert _run(tmp_path, _knit_cfg(tmp_path, ks=ks)) == 1
     assert "config.ks" in capsys.readouterr().err
+
+
+def test_knit_ks_must_not_be_empty(tmp_path, capsys):
+    # an empty ks certifies nothing, so it is rejected with the config, before any work
+    assert _run(tmp_path, _knit_cfg(tmp_path, ks=[])) == 1
+    assert capsys.readouterr().err.startswith("config error: config.ks must be a non-empty list")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("tol,max_level", [(math.nan, 5), (1e-8, -3)],
+                         ids=["nan-tol", "negative-max-level"])
+def test_sew_rejects_a_nan_tol_or_a_negative_max_level_before_level_0(monkeypatch, tol, max_level):
+    # NaN is neither > 0 nor <= 0, so neither exit rule could hold; both raise
+    # before a chain is composed, in sew and in holonomy through it
+    def no_chain(*args):
+        raise AssertionError("a chain was composed")
+
+    monkeypatch.setattr(sewing, "compose_along", no_chain)
+    with pytest.raises(ValueError, match="sew needs a tol that is not NaN and max_level >= 0"):
+        sewing.sew(make_additive_sin(), 0.0, 1.0, tol, max_level=max_level)
+    with pytest.raises(ValueError, match="sew needs"):
+        holonomy(make_flat_connection("midpoint"), arc_path(1.0, 0.0, math.pi, 16), tol,
+                 max_level=max_level)
 
 
 def _holonomy_cfg(tmp_path, **extra):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    curved_so3,
     knit_prime_constant,
     ladder_map,
     lerp,
@@ -24,12 +25,14 @@ from sewkit import (
     ModelDomainError,
     NonFiniteValue,
     WrongMode,
+    annulus_four_point_samples,
     arc_path,
     build_net,
     circle_path,
     compose_along,
     compose_chain,
     ellipse_arc_path,
+    fit_strong_four_point,
     four_point_defect,
     holonomy,
     identity_map,
@@ -528,3 +531,28 @@ def test_pure_gauge_holonomy_is_the_transport_between_the_ends(path, loop):
     assert len(cert.levels) == 7 and cert.mu_bound_ok
     assert map_distance_value(hol, model.mu(path.start, path.end)) <= 1e-13
     assert (map_distance_value(hol, identity_map(hol.source)) <= 1e-13) == loop
+
+
+# --- a curved control: the constant so(3) connection declared as if flat ----------
+
+@pytest.mark.parametrize("seed,over", [(0, 43), (1, 42), (2, 44)])
+def test_strong_four_point_rows_flag_a_curved_connection_declared_flat(seed, over):
+    # degree-2 curvature defects against the midpoint's degree-3 declared bounds;
+    # the rows are the check, since the fitted epsilon_hat (-0.02, 0.13, 0.17)
+    # falls below STRONG_MODE_MIN_EPSILON at seed 0 only
+    samples = annulus_four_point_samples(np.random.default_rng(seed), 48)
+    report = fit_strong_four_point(curved_so3(), samples)
+    assert len(report.rows) == 48
+    assert sum(not within_bound(r.defect, r.declared_bound) for r in report.rows) == over
+
+
+@pytest.mark.parametrize("k", [8, 16, 32, 64, 128, 256, 512])
+def test_knit_rows_of_a_curved_connection_fail_only_from_k_512(k):
+    # rows 0 and k differ by the transport around the homotopy's region, about
+    # 1.9 at every k, while the declared bound falls like 1/k from 106 at k = 8:
+    # every knit row the CLI runs by default passes this O(1) error
+    g0, g1, ell = semicircle_pair()
+    measured, bound = knit_compare(build_net(g0, g1, k, ell), curved_so3())
+    assert 1.9 <= measured <= 2.0
+    assert bound == pytest.approx(106.32 * 8 / k, rel=1e-4)
+    assert within_bound(measured, bound) == (k < 512)

@@ -1,8 +1,8 @@
 """Structure guards: sewkit modules share only public names with each other
 and draw no random number one ``uniform`` call at a time, every certified
-inequality fails through ``sewing.check_bound``, every name the benchmark's
-tracer patches is where it patches it, and README.md names every public
-name."""
+inequality fails through ``sewing.check_bound``, ``sew`` builds every level
+in one loop body, every name the benchmark's tracer patches is where it
+patches it, and README.md names every public name."""
 import ast
 import re
 from pathlib import Path
@@ -68,6 +68,21 @@ def test_every_certified_inequality_fails_through_check_bound():
     assert _callers("BoundViolation") == {"sewing.check_bound"}
     assert {c for c in _callers("within_bound") if not c.startswith("cli.")} == {
         "sewing.check_bound"}
+
+
+def test_sew_builds_every_level_in_its_one_loop():
+    # level 0 runs through the loop body: one level record, one chain and one
+    # a-priori stop, all inside the loop, so a level-0 prologue cannot come back
+    sew = next(node for node in ast.parse((SRC / "sewing.py").read_text()).body
+               if getattr(node, "name", None) == "sew")
+    loops = [node for node in sew.body if isinstance(node, ast.While)]
+    assert len(loops) == 1
+    for tree in (sew, loops[0]):
+        calls = [getattr(node.func, "id", None) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)]
+        stops = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Compare) and ast.unparse(node) == "bound < tol"]
+        assert (calls.count("SewLevel"), calls.count("compose_along"), len(stops)) == (1, 1, 1)
 
 
 def _attributes():
