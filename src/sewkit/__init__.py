@@ -76,6 +76,7 @@ from .paths import (
 from .sewing import (
     SewCertificate,
     SewLevel,
+    chain_distances,
     compose_along,
     constant_K,
     corollary_bound,

@@ -2,7 +2,8 @@
 
 Three-point fits regress log defect against log(|t-u|*|u-s|) under the
 symmetric ansatz a = b = (1+eps)/2; strong four-point fits use total degree
-2+eps.  Declared model data stays authoritative; fits are diagnostics.
+2+eps.  Each sample set's defects are measured by one ``chain_distances``
+call.  Declared model data stays authoritative; fits are diagnostics.
 """
 from __future__ import annotations
 
@@ -14,9 +15,9 @@ import numpy as np
 
 from .errors import InsufficientSamples, NonFiniteValue
 from .flows import ApproxFlowModel
-from .metric import Point, euclidean, map_distance_value
-from .metric import compose_chain  # unused here: kept for perfbench/tracer.py, which patches it
-from .sewing import compose_along, four_point_defect
+from .metric import Point, euclidean
+from .metric import compose_chain, map_distance_value  # unused here: kept for perfbench/tracer.py
+from .sewing import chain_distances
 
 #: defects below this are excluded from regressions (noise floor)
 NOISE_FLOOR = 1e-13
@@ -49,17 +50,21 @@ class FitReport:
 
 
 def _regress(report_kind: str, rows: list[FitSample], degree_offset: float) -> FitReport:
-    """Fit the rows' log defects against their log gap products.  A row whose
-    declared bound is not a finite double raises :class:`NonFiniteValue`
-    naming its geometry: no double holds that bound, so it certifies nothing,
-    and the fit of such a model's defects may overflow."""
+    """Fit the log defects above ``NOISE_FLOOR`` against their log gap
+    products, over the rows whose gap product is positive; the other rows
+    stay in the report without a residual.  A row whose declared bound is not
+    a finite double raises :class:`NonFiniteValue` naming its geometry: no
+    double holds that bound, so it certifies nothing, and the fit of such a
+    model's defects may overflow.  Defects above the floor at fewer than two
+    distinct positive gap products raise :class:`InsufficientSamples`: no
+    line runs through one point."""
     for r in rows:
         if not math.isfinite(r.declared_bound):
             raise NonFiniteValue(
                 f"{report_kind} declared bound at {r.geometry} is {r.declared_bound!r}"
             )
-    used = [r for r in rows if r.defect > NOISE_FLOOR]
-    if not used:
+    noisy = [r for r in rows if r.defect > NOISE_FLOOR]
+    if not noisy:
         return FitReport(
             kind=report_kind,
             exact=True,
@@ -70,6 +75,12 @@ def _regress(report_kind: str, rows: list[FitSample], degree_offset: float) -> F
             residual_rms=0.0,
             rows=rows,
             note="exact model: every sampled defect is zero (epsilon = infinity)",
+        )
+    used = [r for r in noisy if r.gap_product > 0.0]
+    if len({r.gap_product for r in used}) < 2:
+        raise InsufficientSamples(
+            f"{report_kind} fit needs defects above {NOISE_FLOOR} at two or more distinct "
+            f"positive gap products, got {len(used)} such rows"
         )
     xs = np.log([r.gap_product for r in used])
     ys = np.log([r.defect for r in used])
@@ -104,11 +115,13 @@ def _check_sample_spread(products: Sequence[float], what: str) -> None:
 
 
 def fit_three_point(model: ApproxFlowModel, samples: Sequence[tuple]) -> FitReport:
-    """Fit (eps, C) from d(mu_st, mu_su o mu_ut) on sampled triples (s, u, t)."""
+    """Fit (eps, C) from d(mu_st, mu_su o mu_ut) on sampled triples (s, u, t):
+    the chains (s, t) and (s, u, t) of every sample, measured in one
+    ``chain_distances`` call, each against its ``defect_bound``."""
     h = model.hoelder
+    defects = chain_distances(model, [(s, t) for s, _u, t in samples], samples).tolist()
     rows: list[FitSample] = []
-    for s, u, t in samples:
-        defect = map_distance_value(model.mu(s, t), compose_along(model, (s, u, t)))
+    for (s, u, t), defect in zip(samples, defects):
         g1, g2 = euclidean(t, u), euclidean(u, s)
         declared = h.defect_bound(g1, g2)
         rows.append(FitSample(f"s={s!r};u={u!r};t={t!r}", g1 * g2, defect, declared))
@@ -119,14 +132,20 @@ def fit_three_point(model: ApproxFlowModel, samples: Sequence[tuple]) -> FitRepo
 def fit_strong_four_point(model: ApproxFlowModel, samples: Sequence[tuple]) -> FitReport:
     """Fit the strong four-point exponent from quadruples (x, u, v, y).
 
-    Each row's defect and declared bound are ``four_point_defect``'s.  The
+    Each row's defect and declared bound are ``four_point_defect``'s: the
+    chains (x, u, y) and (x, v, y) of every sample, measured in one
+    ``chain_distances`` call, each against its ``four_point_bound``.  The
     regressor is log(d(y,v)*d(u,v)); a fitted total degree below
     2 + STRONG_MODE_MIN_EPSILON flags the model as sewing-only.
     """
+    h = model.hoelder
+    defects = chain_distances(
+        model, [(x, u, y) for x, u, _v, y in samples], [(x, v, y) for x, _u, v, y in samples]
+    ).tolist()
     rows: list[FitSample] = []
-    for x, u, v, y in samples:
-        defect, declared = four_point_defect(model, x, u, v, y)
+    for (x, u, v, y), defect in zip(samples, defects):
         d_yv, d_uv = euclidean(y, v), euclidean(u, v)
+        declared = h.four_point_bound(euclidean(u, x), d_yv, d_uv)
         rows.append(
             FitSample(f"x={x!r};u={u!r};v={v!r};y={y!r}", d_yv * d_uv, defect, declared)
         )

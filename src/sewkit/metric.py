@@ -40,6 +40,12 @@ def p_norm(a: Point) -> float:
     return abs(a)
 
 
+def planar(a: Point, b: Point) -> float:
+    """``math.hypot`` of the differences of the first two coordinates: the
+    distance of lifted points (x, y, phi), which sees only (x, y)."""
+    return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
 def euclidean(a: Point, b: Point) -> float:
     """|a - b| for numbers, else ``math.dist``: in the plane the bits of
     ``math.hypot`` of the differences; points of unequal dimension raise."""
@@ -164,6 +170,34 @@ def rotation_map(source: MetricSpace, target: MetricSpace, shifts: Sequence[floa
 
 
 # ---------------------------------------------------------------------------
+# stacked image passes of the closed-form acts: row i of ``shifts`` (an (n, k)
+# float64 array) is the ``shifts`` of one map, and every probe is imaged under
+# all n maps at once with the operations of the single map
+
+def translation_images(probes: Sequence[float], shifts: np.ndarray) -> np.ndarray:
+    """The (n, P) images of the probes under ``translation_map(..., shifts[i])``
+    for each row i, bit for bit: one sequential ``np.add.accumulate`` over the
+    (n, P, k+1) array of every probe followed by its row's shifts."""
+    n, k = shifts.shape
+    acc = np.empty((n, len(probes), k + 1))
+    acc[:, :, 0] = probes
+    acc[:, :, 1:] = shifts[:, None, :]
+    return np.add.accumulate(acc, axis=2)[:, :, -1]
+
+
+def rotation_images(probes: Sequence[Point], shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, y) parts of the probe images under ``rotation_map(..., shifts[i])``
+    for each row i, as two (n, P) arrays, bit for bit: each row's angle summed
+    in order by a sequential ``np.add.accumulate``, its cosine and sine by
+    ``math``, then the rotation's products and sums elementwise."""
+    theta = np.add.accumulate(shifts, axis=1)[:, -1].tolist()
+    co = np.array(list(map(math.cos, theta)))[:, None]
+    si = np.array(list(map(math.sin, theta)))[:, None]
+    px, py = np.asarray(probes, dtype=float)[:, :2].T
+    return co * px - si * py, si * px + co * py
+
+
+# ---------------------------------------------------------------------------
 # probed sup distance
 
 def sup_distance(
@@ -235,5 +269,4 @@ def circle_fiber(n: int = 8, name: str | None = None) -> MetricSpace:
         raise ValueError("need n >= 2 probes")
     phis = [2.0 * math.pi * j / n for j in range(n)]
     probes = tuple((math.cos(phi), math.sin(phi), phi) for phi in phis)
-    planar = lambda a, b: math.hypot(a[0] - b[0], a[1] - b[1])
     return MetricSpace(name or f"plane-circle{n}", planar, probes)

@@ -79,8 +79,9 @@ def _translation_model(
     probe_n: int,
 ) -> ApproxFlowModel:
     """Translations whose increments between consecutive parameters are
-    ``increments_of(a)`` over the float64 array a of the parameters;
-    isometries, so L = 0 and g = 1."""
+    ``increments_of(a)`` over the float64 array a of the parameters, taken
+    along its last axis, so an (n, m) array of n stacked chains gives their
+    (n, m-1) increments; isometries, so L = 0 and g = 1."""
     space = real_line(-1.0, 1.0, probe_n, name=f"{name}-line")
     return ApproxFlowModel(
         name=name,
@@ -102,11 +103,13 @@ def make_additive(
 
     ``mu_tilde`` is an array function: on float64 arrays s and t of one
     shape it returns the float64 array of its values, elementwise.  The
-    model's ``increments(params)`` are ``mu_tilde(a[:-1], a[1:])`` over the
-    float64 array a of the parameters, one numpy pass per chain.  A
-    ``mu_tilde`` that is not an array function raises ValueError here."""
+    model's ``increments(params)`` are ``mu_tilde(a[..., :-1], a[..., 1:])``
+    over the float64 array a of the parameters, one numpy pass per chain or
+    per stack of chains.  A ``mu_tilde`` that is not an array function raises
+    ValueError here."""
     _require_array_fn(f"{name}: mu_tilde", mu_tilde, _TRIAL_S, _TRIAL_T)
-    return _translation_model(lambda a: mu_tilde(a[:-1], a[1:]), hoelder, name, probe_n)
+    return _translation_model(
+        lambda a: mu_tilde(a[..., :-1], a[..., 1:]), hoelder, name, probe_n)
 
 
 def make_additive_sin(probe_n: int = 5) -> ApproxFlowModel:
@@ -131,8 +134,9 @@ def make_young(
     ``x_fn`` and ``y_fn`` are array functions, as ``mu_tilde`` is in
     :func:`make_additive`: each is evaluated once per chain on the float64
     array a of its parameters, and the increments are
-    ``y[:-1] * (x[1:] - x[:-1])``, elementwise the scalar formula's
-    operations.  A driver that is not an array function raises ValueError."""
+    ``y[..., :-1] * (x[..., 1:] - x[..., :-1])``, elementwise the scalar
+    formula's operations.  A driver that is not an array function raises
+    ValueError."""
     eps = alpha + beta - 1.0
     if eps <= 0.0:
         raise InadmissibleRegularity(f"alpha + beta = {alpha + beta} must exceed 1")
@@ -142,7 +146,7 @@ def make_young(
 
     def increments_of(a: np.ndarray) -> np.ndarray:
         x = x_fn(a)
-        return y_fn(a)[:-1] * (x[1:] - x[:-1])
+        return y_fn(a)[..., :-1] * (x[..., 1:] - x[..., :-1])
 
     return _translation_model(increments_of, h, name, probe_n)
 
@@ -250,6 +254,16 @@ def _midpoint_rule(x0, x1, y0, y1):
     return mx * (y1 - x1) - my * (y0 - x0), mx * mx + my * my
 
 
+def _exact_segment_angles(points: Sequence[Point]) -> list[float]:
+    """The wrapped differences of the endpoints' ``math.atan2`` polar angles
+    along the chords of one chain; a chord through the origin raises."""
+    theta = [math.atan2(p[1], p[0]) for p in points]
+    out = list(map(_wrap_angle, map(sub, theta[1:], theta)))
+    if any(abs(d) > math.pi - 1e-9 for d in out):
+        raise ModelDomainError("chord is antipodal: the segment crosses the origin")
+    return out
+
+
 class FlatConnection:
     """Rotation-fiber transport over the plane minus a disk of radius r0.
 
@@ -280,43 +294,46 @@ class FlatConnection:
             raise ModelDomainError(f"point {p} inside the excluded disk of radius {self.r0}")
 
     def _check_points(self, points: Sequence[Point] | np.ndarray) -> None:
-        """``_check_point`` on every point.  An array is screened in one pass
-        with a margin far above the rounding of x*x + y*y against
-        ``math.hypot``, and each hit is confirmed by ``_check_point``, so
-        exactly the points ``math.hypot`` rejects raise, named by plain
-        floats."""
+        """``_check_point`` on every point.  An array of points along its last
+        axis is screened in one pass with a margin far above the rounding of
+        x*x + y*y against ``math.hypot``, and each hit is confirmed by
+        ``_check_point`` in row order, so exactly the points ``math.hypot``
+        rejects raise, named by plain floats."""
         if isinstance(points, np.ndarray):
             lim = self.r0 - 1e-12
-            x, y = points[:, 0], points[:, 1]
-            for i in (x * x + y * y < lim * lim * (1.0 + 1e-9)).nonzero()[0]:
+            x, y = points[..., 0], points[..., 1]
+            for i in zip(*(x * x + y * y < lim * lim * (1.0 + 1e-9)).nonzero()):
                 self._check_point(tuple(points[i].tolist()))
         else:
             for p in points:
                 self._check_point(p)
 
-    def angles(self, points: Sequence[Point] | np.ndarray) -> list[float]:
+    def angles(self, points: Sequence[Point] | np.ndarray) -> list:
         """Signed angles transported along the chords between consecutive
         points, as plain floats; each point is checked once.
 
-        Given an (n, 2) array (a path sampled by ``LipPath.sample``, a knit
+        Given an (m, 2) array (a path sampled by ``LipPath.sample``, a knit
         row or ladder), the midpoint rule runs as one array pass; given a
-        sequence of tuples (a single chord from ``mu``, a four-point triple),
-        it runs per chord, which is faster on short chains.  The exact-segment
-        variant takes ``math.atan2`` of each point either way, since
-        ``np.arctan2`` can differ from it in the last bit.
+        sequence of tuples (a single chord from ``mu``), it runs per chord,
+        which is faster on short chains.  An (n, m, 2) array of n stacked
+        chains gives the n lists of their angles, the midpoint rule again in
+        one pass.  The exact-segment variant takes ``math.atan2`` of each
+        point either way, since ``np.arctan2`` can differ from it in the last
+        bit, and stacked chains one list at a time after one screen of all
+        their points.
         """
         self._check_points(points)
         if self.variant == self.EXACT:
-            if isinstance(points, np.ndarray):
-                points = points.tolist()
-            theta = [math.atan2(p[1], p[0]) for p in points]
-            out = list(map(_wrap_angle, map(sub, theta[1:], theta)))
-            if any(abs(d) > math.pi - 1e-9 for d in out):
-                raise ModelDomainError("chord is antipodal: the segment crosses the origin")
-            return out
+            if not isinstance(points, np.ndarray):
+                return _exact_segment_angles(points)
+            rows = points.tolist()
+            if points.ndim > 2:
+                return list(map(_exact_segment_angles, rows))
+            return _exact_segment_angles(rows)
         lim2 = self.mid_min * self.mid_min
         if isinstance(points, np.ndarray):
-            num, r2 = _midpoint_rule(points[:-1, 0], points[:-1, 1], points[1:, 0], points[1:, 1])
+            head, tail = points[..., :-1, :], points[..., 1:, :]
+            num, r2 = _midpoint_rule(head[..., 0], head[..., 1], tail[..., 0], tail[..., 1])
             if (r2 < lim2).any():
                 raise ModelDomainError(_MIDPOINT_TOO_CLOSE)
             return (num / r2).tolist()

@@ -96,7 +96,8 @@ class LipPath:
     def sample(self, params: Sequence[float]) -> np.ndarray:
         """The path at every parameter in one numpy pass, by ``_interpolate``:
         row i of the result (entry i for a path of floats) is the point at
-        ``params[i]``, which ``at`` returns as a plain point."""
+        ``params[i]``, which ``at`` returns as a plain point; an (n, m) array
+        of parameters gives an (n, m, 2) array (or (n, m)) the same way."""
         return _interpolate(*self._arrays, params)
 
 
@@ -107,7 +108,8 @@ def _as_points(a: np.ndarray) -> tuple[Point, ...]:
 
 def _interpolate(breaks: np.ndarray, points: np.ndarray, params: Sequence[float]) -> np.ndarray:
     """The polyline through ``points`` at increasing ``breaks``, at every
-    parameter in one numpy pass: the leg with breaks[i] <= u < breaks[i+1],
+    parameter in one numpy pass, of any shape (the parameter rows of stacked
+    chains included): the leg with breaks[i] <= u < breaks[i+1],
     w = (u - breaks[i]) / (breaks[i+1] - breaks[i]) and
     (1-w)*points[i] + w*points[i+1]; parameters at or beyond either end take
     that end's point.  Breaks may repeat: a parameter between the ends never
@@ -118,7 +120,7 @@ def _interpolate(breaks: np.ndarray, points: np.ndarray, params: Sequence[float]
     lo = breaks[i]
     w = (u - lo) / (breaks[i + 1] - lo)
     if points.ndim == 2:
-        w = w[:, None]
+        w = w[..., None]
     p = (1.0 - w) * points[i] + w * points[i + 1]
     p[u <= breaks[0]] = points[0]
     p[u >= breaks[-1]] = points[-1]
@@ -342,8 +344,9 @@ def pullback_flow(model: ApproxFlowModel, g: LipPath) -> ApproxFlowModel:
     The pulled model keeps the model's ``summary``, so a sew of it reads the
     holonomy's summary (the flat connection's accumulated angle) at each level.
     It pulls the model's ``increments`` back through one ``g.sample`` of all
-    the parameters and keeps ``act``, so its chains stay fused (one rotation
-    by the summed angle for the flat connection); ``mu`` and ``increments``
+    the parameters, of one chain or a stack of chains, and keeps ``act``, so
+    its chains stay fused (one rotation by the summed angle for the flat
+    connection); ``mu`` and ``increments``
     raise :class:`ModelDomainError` naming the pullback.  Its ``mu`` is the
     model's ``mu`` at g(s), g(t), not the one derived from its increments.
     It keeps the model's ``expansion_orders`` only when every break of g is

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     BoundViolation,
     ModelDomainError,
@@ -30,7 +32,12 @@ from .metric import (
     identity_map,
     map_distance_value,
     p_axpy,
+    planar,
+    rotation_images,
+    rotation_map,
     sup_distance,
+    translation_images,
+    translation_map,
 )
 from .metric import compose_chain  # unused here: kept for perfbench/tracer.py, which patches it
 from .subdivision import Subdivision, dyadic_refine, mesh, regular
@@ -131,8 +138,9 @@ def compose_along(model: ApproxFlowModel, params: Sequence[Param]) -> ProbedMap:
     """mu(p_0, p_1) o mu(p_1, p_2) o ... o mu(p_{k-1}, p_k) along the parameters.
 
     This is the one chain runner: sew levels pass their subdivision's points
-    (a float64 array), knit rows and ladders pass net nodes, the defect
-    checks and fits pass short tuples such as (s, u, t).  A single parameter
+    (a float64 array), knit rows and ladders pass net nodes, and
+    ``chain_distances`` passes the short sample rows, such as (s, u, t), of
+    a model it measures row by row.  A single parameter
     p gives mu(p, p).  Longer chains compose to one ``model.act`` over
     ``increments(params)`` reversed, in the order the chain of its maps
     applies them (last interval first), so no map is built per interval: a
@@ -450,6 +458,90 @@ def sew(
 
 
 # ---------------------------------------------------------------------------
+# chain distances over stacked sample rows
+
+def _translation_distances(probes, shifts_a: np.ndarray, shifts_b: np.ndarray) -> np.ndarray:
+    """|x - y| of the probe images, ``euclidean``'s bits on floats."""
+    return np.abs(translation_images(probes, shifts_a) - translation_images(probes, shifts_b))
+
+
+def _rotation_distances(probes, shifts_a: np.ndarray, shifts_b: np.ndarray) -> np.ndarray:
+    """``planar`` of the probe images: ``math.hypot`` per probe pair, since
+    ``np.hypot`` can differ from it in the last bit."""
+    probes = np.array(probes, dtype=float)
+    (xa, ya), (xb, yb) = rotation_images(probes, shifts_a), rotation_images(probes, shifts_b)
+    dx, dy = xa - xb, ya - yb
+    return np.array(list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()))).reshape(
+        dx.shape)
+
+
+#: the closed-form acts whose stacked chains are imaged in one array pass,
+#: each with the target metric that pass measures in and the pass itself
+_STACKED_PASSES = {
+    translation_map: (euclidean, _translation_distances),
+    rotation_map: (planar, _rotation_distances),
+}
+
+
+def _stacked_shifts(model: ApproxFlowModel, rows) -> np.ndarray:
+    """The (n, k) increments of n stacked chains, last interval first, as
+    ``compose_along`` hands them to ``act``.  Rows of one parameter, whose
+    chain is ``mu(p, p)``, raise ValueError."""
+    params = np.asarray(rows, dtype=float)
+    if params.ndim < 2 or params.shape[1] < 2:
+        raise ValueError(f"stacked chains need two or more parameters, got shape {params.shape}")
+    return np.asarray(model.increments(params), dtype=float)[:, ::-1]
+
+
+def _stacked_distances(model: ApproxFlowModel, a, b) -> np.ndarray | None:
+    """The (n, P) probe distances of ``chain_distances`` in one array pass,
+    or None where no pass applies or the pass meets an error: a domain
+    error, a NaN distance, rows of one parameter."""
+    stacked = _STACKED_PASSES.get(model.act)
+    if stacked is None or not len(a):
+        return None
+    metric, distances = stacked
+    source, target = model.space_at(a[0][-1]), model.space_at(a[0][0])
+    if target.metric is not metric or not all(
+        model.space_at(r[-1]) is source and model.space_at(r[0]) is target
+        for rows in (a, b) for r in rows
+    ):
+        return None
+    try:
+        with np.errstate(all="ignore"):  # every non-finite distance is judged below
+            d = distances(source.probes, _stacked_shifts(model, a), _stacked_shifts(model, b))
+    except (ModelDomainError, ValueError):
+        return None
+    return None if np.isnan(d).any() else d
+
+
+def chain_distances(model: ApproxFlowModel, a, b) -> np.ndarray:
+    """The n probed sup distances between ``compose_along(model, a[i])`` and
+    ``compose_along(model, b[i])``, as a float64 array, each with the bits of
+    ``map_distance_value`` of the two chains.
+
+    ``a`` and ``b`` hold n parameter rows each, as sequences of rows or as
+    (n, m_a[, 2]) and (n, m_b[, 2]) arrays.  When the model's ``act`` is
+    ``translation_map`` or ``rotation_map``, every row ends in one source
+    and one target space, and the target metric is the one that act's pass
+    measures in, all rows are measured in one array pass: the increments of
+    the stacked rows, every probe's image under every chain, and the sup
+    along the probe axis.  Any other model is measured row by row, and so is
+    a stacked pass that meets a domain error or a NaN distance: a failing
+    sample set then raises what the first failing row raises (an infinite
+    distance is a value, as in ``map_distance_value``).
+    """
+    if len(a) != len(b):
+        raise ValueError(f"chain_distances needs as many rows in a as in b, "
+                         f"got {len(a)} and {len(b)}")
+    d = _stacked_distances(model, a, b)
+    if d is not None:
+        return d.max(axis=1)
+    return np.array([map_distance_value(compose_along(model, p), compose_along(model, q))
+                     for p, q in zip(a, b)], dtype=float)
+
+
+# ---------------------------------------------------------------------------
 # inverse and four-point checks
 
 def inverse_defect_bound(h: HoelderData, span: float, k: int) -> float:
@@ -484,6 +576,7 @@ def four_point_defect(
     + sum_i C_i d(s,u)**b_i d(u,v)**a_i; it degenerates to (0, 0) at u == v
     and to the three-point estimate at v == t.  Works for interval models and
     parameter-space models alike (d is ``euclidean``, the parameter metric).
+    The measurement is ``chain_distances`` of the one pair of chains.
     """
-    lhs = map_distance_value(compose_along(model, (s, u, t)), compose_along(model, (s, v, t)))
+    lhs = chain_distances(model, [(s, u, t)], [(s, v, t)]).item()
     return lhs, model.hoelder.four_point_bound(euclidean(u, s), euclidean(t, v), euclidean(u, v))

@@ -8,8 +8,8 @@ arc-length resampling of an ellipse by a walk over its table, points on a
 PL path by a plain breakpoint search, arcs by a ``math.cos``/``math.sin`` loop,
 translation increments by one scalar ``math`` call per interval and
 translations by ``reduce(add)``, certification samples by one scalar
-``rng.uniform`` call per coordinate, and ladder compositions by slicing two
-net rows.
+``rng.uniform`` call per coordinate, certify rows by one pair of chains per
+sample, and ladder compositions by slicing two net rows.
 It also holds mis-declared models for negative controls, a non-commuting
 knitting model (a pure-gauge SO(3) connection) and its curved,
 mis-declared counterpart (a constant so(3) connection), the helpers that
@@ -269,6 +269,36 @@ def annulus_three_point_samples(
 ) -> list[tuple[Point, Point, Point]]:
     out = [(x, u, y) for x, u, _v, y in annulus_four_point_samples(rng, n, radius_range, scales)]
     return out
+
+
+# ---------------------------------------------------------------------------
+# certify rows, one sample at a time
+
+def three_point_rows(model: ApproxFlowModel, samples) -> list[tuple]:
+    """(geometry, gap product, defect, declared bound) of each triple
+    (s, u, t): ``mu(s, t)`` against the chain (s, u, t), one sample at a time."""
+    h = model.hoelder
+    rows = []
+    for s, u, t in samples:
+        defect = map_distance_value(model.mu(s, t), compose_along(model, (s, u, t)))
+        g1, g2 = euclidean(t, u), euclidean(u, s)
+        rows.append((f"s={s!r};u={u!r};t={t!r}", g1 * g2, defect, h.defect_bound(g1, g2)))
+    return rows
+
+
+def strong_four_point_rows(model: ApproxFlowModel, samples) -> list[tuple]:
+    """(geometry, gap product, defect, declared bound) of each quadruple
+    (x, u, v, y): the chain (x, u, y) against the chain (x, v, y), one sample
+    at a time, with its ``four_point_bound``."""
+    h = model.hoelder
+    rows = []
+    for x, u, v, y in samples:
+        defect = map_distance_value(compose_along(model, (x, u, y)),
+                                    compose_along(model, (x, v, y)))
+        d_yv, d_uv = euclidean(y, v), euclidean(u, v)
+        bound = h.four_point_bound(euclidean(u, x), d_yv, d_uv)
+        rows.append((f"x={x!r};u={u!r};v={v!r};y={y!r}", d_yv * d_uv, defect, bound))
+    return rows
 
 
 # ---------------------------------------------------------------------------

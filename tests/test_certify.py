@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,24 +6,32 @@ import pytest
 
 import oracles
 from sewkit import (
+    HoelderData,
     InsufficientSamples,
     SewkitError,
     annulus_four_point_samples,
     annulus_three_point_samples,
     arc_path,
+    chain_distances,
+    cli,
     fit_strong_four_point,
     fit_three_point,
     four_point_defect,
     interval_four_point_samples,
     interval_three_point_samples,
+    make_additive,
     make_additive_sin,
     make_euler_linear,
+    make_euler_matrix,
+    make_euler_sin,
     make_flat_connection,
     make_young,
     pullback_flow,
+    sewing,
+    within_bound,
 )
 from sewkit import certify
-from sewkit.certify import _check_sample_spread
+from sewkit.certify import NOISE_FLOOR, _check_sample_spread
 from sewkit.metric import euclidean
 
 
@@ -185,3 +194,133 @@ def test_samples_equal_the_scalar_draws_of_the_oracle(name, options):
             coords = [c for sample in got for point in sample
                       for c in (point if isinstance(point, tuple) else (point,))]
             assert all(type(c) is float for c in coords)
+
+
+# --- one array pass per sample set, equal to the per-sample loop ------------
+
+def _rows(report):
+    return [(r.geometry, r.gap_product, r.defect, r.declared_bound) for r in report.rows]
+
+
+def _assert_rows_equal_the_loop(model, three, four):
+    assert repr(_rows(fit_three_point(model, three))) == repr(
+        oracles.three_point_rows(model, three))
+    assert repr(_rows(fit_strong_four_point(model, four))) == repr(
+        oracles.strong_four_point_rows(model, four))
+
+
+_KINDS = tuple(oracles.YOUNG_SCALAR_FNS)
+_TRANSLATIONS = [make_additive_sin()] + [
+    cli.build_model(cli.MODELS.check(
+        {"name": "young", "driver": d, "integrand": i, "alpha": 0.6, "beta": 0.6}, "model"))
+    for d in _KINDS for i in _KINDS]
+
+
+@pytest.mark.parametrize("model", _TRANSLATIONS, ids=lambda m: m.name)
+def test_translation_three_point_rows_equal_the_per_sample_loop(model):
+    # 40 interval sample sets on each of 10 models: 400 sets
+    for seed in range(40):
+        samples = interval_three_point_samples(np.random.default_rng(seed))
+        assert repr(_rows(fit_three_point(model, samples))) == repr(
+            oracles.three_point_rows(model, samples))
+
+
+@pytest.mark.parametrize("variant", ["exact-segment", "midpoint"])
+def test_flat_connection_rows_equal_the_per_sample_loop(variant):
+    model = make_flat_connection(variant)
+    for seed in range(200):
+        _assert_rows_equal_the_loop(model, annulus_three_point_samples(np.random.default_rng(seed)),
+                                    annulus_four_point_samples(np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [make_euler_linear(1.0), make_euler_sin(), make_euler_matrix([[0.0, 1.0], [-1.0, 0.5]]),
+     pullback_flow(make_flat_connection("midpoint"), arc_path(1.0, 0.0, 1.2, 48)),
+     pullback_flow(make_flat_connection(), arc_path(1.0, 0.0, 1.2, 48))],
+    ids=["euler-linear", "euler-sin", "euler-matrix", "pullback-midpoint", "pullback-exact"],
+)
+def test_interval_rows_equal_the_per_sample_loop(model):
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        _assert_rows_equal_the_loop(model, interval_three_point_samples(rng, scales=(1e-4, 0.2)),
+                                    interval_four_point_samples(rng))
+
+
+@pytest.mark.parametrize("make", [oracles.pure_gauge_so3, oracles.curved_so3])
+def test_so3_four_point_rows_equal_the_per_sample_loop(make):
+    model = make()
+    for seed in range(3):
+        samples = annulus_four_point_samples(np.random.default_rng(seed))
+        assert repr(_rows(fit_strong_four_point(model, samples))) == repr(
+            oracles.strong_four_point_rows(model, samples))
+
+
+@pytest.mark.parametrize(
+    "model,draw",
+    [(_TRANSLATIONS[5], interval_three_point_samples),
+     (make_flat_connection("midpoint"), annulus_four_point_samples),
+     (pullback_flow(make_flat_connection("midpoint"), arc_path(1.0, 0.0, 1.2, 48)),
+      interval_three_point_samples)],
+    ids=["young", "midpoint", "pullback-midpoint"],
+)
+def test_closed_form_acts_are_measured_in_one_pass(monkeypatch, model, draw):
+    # translations and rotations never reach the row loop, nor mu
+    def no_row(*_args):
+        raise AssertionError("measured row by row")
+
+    monkeypatch.setattr(sewing, "map_distance_value", no_row)
+    samples = draw(np.random.default_rng(0))
+    fit = fit_three_point if len(samples[0]) == 3 else fit_strong_four_point
+    fit(dataclasses.replace(model, mu=no_row), samples)
+
+
+def test_chain_distances_keeps_an_infinite_distance_and_takes_one_row_per_sample():
+    # mu_tilde is infinite over the widest gap only, so that row's (s, t) chain is infinite
+    model = make_additive(lambda s, t: np.where(t - s > 0.09, np.inf, t - s),
+                          HoelderData(1.0, ((1.0, 1.0, 1.0),)))
+    samples = interval_three_point_samples(np.random.default_rng(0))
+    a = [(s, t) for s, _u, t in samples]
+    got = chain_distances(model, a, samples)
+    assert got.tolist()[-1] == math.inf and np.isfinite(got[:-1]).all()
+    assert repr(got.tolist()) == repr(
+        [d for _g, _p, d, _b in oracles.three_point_rows(model, samples)])
+    with pytest.raises(ValueError, match="as many rows"):
+        chain_distances(model, a[:-1], samples)
+    assert chain_distances(model, [], []).shape == (0,)
+    # a row of one parameter is the chain mu(p, p), measured row by row
+    single = chain_distances(model, [(0.1,), (0.3,)], [(0.1, 0.2), (0.3, 0.35)]).tolist()
+    assert single == [sewing.map_distance_value(sewing.compose_along(model, p),
+                                                sewing.compose_along(model, q))
+                      for p, q in [((0.1,), (0.1, 0.2)), ((0.3,), (0.3, 0.35))]]
+
+
+# --- rows the regression leaves out -----------------------------------------
+
+def test_a_zero_gap_product_row_is_reported_and_left_out_of_the_regression():
+    # v == y: the quadruple's defect is the three-point one, at gap product 0
+    samples = interval_four_point_samples(np.random.default_rng(7), 48)
+    x, u, _v, y = samples[10]
+    samples[10] = (x, u, y, y)
+    report = fit_strong_four_point(make_additive_sin(), samples)
+    row = report.rows[10]
+    assert row.gap_product == 0.0 and row.defect > NOISE_FLOOR and row.residual is None
+    assert within_bound(row.defect, row.declared_bound)
+    assert report.n_used == 47 == sum(r.residual is not None for r in report.rows)
+    rest = fit_strong_four_point(make_additive_sin(), samples[:10] + samples[11:])
+    assert (report.epsilon_hat, report.c_hat) == (rest.epsilon_hat, rest.c_hat)
+
+
+def test_a_fit_through_one_point_raises_insufficient_samples():
+    # translations by f(s)*(t-s), f stepping from 1 to 2 at c: a triple's defect
+    # is (f(s) - f(u))*(t-u), rounding unless c lies in (s, u], as it does
+    # for the last of these 40 disjoint triples only
+    samples = [(0.2 * i, 0.2 * i + w / 2, 0.2 * i + w)
+               for i, w in enumerate(np.geomspace(1e-4, 0.1, 40).tolist())]
+    c = samples[-1][0] + 0.02
+    step = make_additive(lambda s, t: np.where(s >= c, 2.0, 1.0) * (t - s),
+                         HoelderData(1.0, ((1.0, 1.0, 1.0),)))
+    rows = oracles.three_point_rows(step, samples)
+    assert [i for i, (_g, _p, d, _b) in enumerate(rows) if d > NOISE_FLOOR] == [39]
+    with pytest.raises(InsufficientSamples, match="two or more distinct positive gap products"):
+        fit_three_point(step, samples)

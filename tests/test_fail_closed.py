@@ -7,6 +7,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -14,16 +15,22 @@ from hypothesis import strategies as st
 from oracles import misdeclared_flat_connection
 from sewkit import (
     HoelderData,
+    ModelDomainError,
     NonConvergence,
     NonFiniteValue,
     ProbedMap,
+    annulus_four_point_samples,
     arc_path,
     build_net,
     cli,
     ellipse_arc_path,
+    fit_strong_four_point,
+    fit_three_point,
     holonomy,
     identity_map,
+    interval_three_point_samples,
     knit_compare,
+    make_additive,
     make_additive_sin,
     make_euler_linear,
     make_flat_connection,
@@ -33,6 +40,7 @@ from sewkit import (
     polyline,
     real_line,
     sewing,
+    translation_map,
     within_bound,
 )
 
@@ -451,6 +459,35 @@ def test_exact_segment_certify_passes_its_zero_bound_through_the_slack(tmp_path,
     assert code == 0
     assert len(rows) == 48 and {bound for _, bound in rows} == {0.0}
     assert 0.0 < max(defect for defect, _ in rows) <= 1e-15
+
+
+# --- certify sample sets fail closed through their one array pass -----------
+
+def test_a_nan_in_one_stacked_row_raises_non_finite_value():
+    samples = interval_three_point_samples(np.random.default_rng(0))
+    s_nan = samples[17][0]
+    model = make_additive(lambda s, t: np.where(s == s_nan, np.nan, np.sin(s) * (t - s)),
+                          HoelderData(1.0, ((1.0, 1.0, 1.0),)))
+    assert model.act is translation_map  # measured in one stacked pass
+    with pytest.raises(NonFiniteValue, match="NaN probe distance"):
+        fit_three_point(model, samples)
+
+
+def test_the_midpoint_radius_guard_holds_in_the_stacked_pass():
+    # the chord (0.6, 0) -> (-0.6, 0.1) stays outside r0 = 0.5, its midpoint does not
+    samples = annulus_four_point_samples(np.random.default_rng(0))
+    samples[5] = ((0.6, 0.0), (-0.6, 0.1), (-0.6, 0.2), (-0.6, 0.3))
+    with pytest.raises(ModelDomainError, match="chord midpoint too close to the origin"):
+        fit_strong_four_point(make_flat_connection("midpoint"), samples)
+
+
+def test_a_certify_sample_inside_the_excluded_disk_names_its_point(tmp_path, capsys):
+    cfg = {"experiment": "certify", "model": dict(_MIDPOINT, r0=1.5), "mode": "strong_four_point",
+           "seed": 1, "output": str(tmp_path / "out.csv")}
+    assert _run(tmp_path, cfg) == 1
+    assert capsys.readouterr().err == ("error: point (1.1978185356393938, -0.38534020916758605) "
+                                       "inside the excluded disk of radius 1.5\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 # --- negative controls for the knitting-mode rows ----------------------------

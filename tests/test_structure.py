@@ -1,7 +1,8 @@
 """Structure guards: sewkit modules share only public names with each other
 and draw no random number one ``uniform`` call at a time, every certified
 inequality fails through ``sewing.check_bound``, ``sew`` builds every level
-in one loop body, every name the benchmark's tracer patches is where it
+in one loop body, the certify fits measure each sample set through
+``chain_distances``, every name the benchmark's tracer patches is where it
 patches it, and README.md names every public name."""
 import ast
 import re
@@ -83,6 +84,15 @@ def test_sew_builds_every_level_in_its_one_loop():
         stops = [node for node in ast.walk(tree)
                  if isinstance(node, ast.Compare) and ast.unparse(node) == "bound < tol"]
         assert (calls.count("SewLevel"), calls.count("compose_along"), len(stops)) == (1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["certify.fit_three_point", "certify.fit_strong_four_point", "sewing.four_point_defect"])
+def test_certify_measures_each_sample_set_through_chain_distances(name):
+    # one array pass per sample set: no chain, sup distance or mu per sample
+    assert name in _callers("chain_distances")
+    assert name not in _callers("compose_along") | _callers("map_distance_value") | _callers("mu")
 
 
 def _attributes():
