@@ -28,7 +28,6 @@ from .knitting import (
     knit_bound,
     knit_compare,
     pair_lipschitz,
-    row_map,
 )
 from .metric import (
     MetricSpace,

@@ -50,21 +50,24 @@ class FitReport:
 
 
 def _regress(report_kind: str, rows: list[FitSample], degree_offset: float) -> FitReport:
-    """Fit the log defects above ``NOISE_FLOOR`` against their log gap
+    """Fit the finite log defects above ``NOISE_FLOOR`` against their log gap
     products, over the rows whose gap product is positive; the other rows
-    stay in the report without a residual.  A row whose declared bound is not
-    a finite double raises :class:`NonFiniteValue` naming its geometry: no
-    double holds that bound, so it certifies nothing, and the fit of such a
-    model's defects may overflow.  Defects above the floor at fewer than two
-    distinct positive gap products raise :class:`InsufficientSamples`: no
-    line runs through one point."""
+    stay in the report without a residual, each still with its defect and
+    declared bound to check.  A row whose declared bound is not a finite double
+    raises :class:`NonFiniteValue` naming its geometry: no double holds that
+    bound, so it certifies nothing, and the fit of such a model's defects
+    may overflow.  Fitted defects at fewer than two distinct positive gap
+    products raise :class:`NonFiniteValue` naming the first row whose defect
+    is not finite, if there is one, and :class:`InsufficientSamples`
+    otherwise: no line runs through one point."""
     for r in rows:
         if not math.isfinite(r.declared_bound):
             raise NonFiniteValue(
                 f"{report_kind} declared bound at {r.geometry} is {r.declared_bound!r}"
             )
-    noisy = [r for r in rows if r.defect > NOISE_FLOOR]
-    if not noisy:
+    unfit = [r for r in rows if not math.isfinite(r.defect)]
+    noisy = [r for r in rows if NOISE_FLOOR < r.defect < math.inf]
+    if not noisy and not unfit:
         return FitReport(
             kind=report_kind,
             exact=True,
@@ -78,6 +81,11 @@ def _regress(report_kind: str, rows: list[FitSample], degree_offset: float) -> F
         )
     used = [r for r in noisy if r.gap_product > 0.0]
     if len({r.gap_product for r in used}) < 2:
+        if unfit:
+            raise NonFiniteValue(
+                f"{report_kind} defect at {unfit[0].geometry} is {unfit[0].defect!r}, and "
+                f"{len(used)} finite defects remain to fit"
+            )
         raise InsufficientSamples(
             f"{report_kind} fit needs defects above {NOISE_FLOOR} at two or more distinct "
             f"positive gap products, got {len(used)} such rows"

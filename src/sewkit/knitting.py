@@ -105,11 +105,6 @@ def pair_lipschitz(g0: LipPath, g1: LipPath) -> float:
 # ---------------------------------------------------------------------------
 # row compositions
 
-def row_map(net: HomotopyNet, model: ApproxFlowModel, i: int) -> ProbedMap:
-    """Composition of mu along row i of the net."""
-    return compose_along(model, net.row(i))
-
-
 def knit_bound(h: HoelderData, ell: float, k: int) -> float:
     """g(delta*ell) * (2 + f(delta*ell)) * (sum C_i) * ell**(2+eps) * delta**eps,
     that is exp(delta*ell*L) * (2 + delta*ell*L) * ..., with delta = 1/k."""
@@ -128,7 +123,8 @@ def knit_bound(h: HoelderData, ell: float, k: int) -> float:
 def knit_compare(net: HomotopyNet, model: ApproxFlowModel) -> tuple[float, float]:
     """Distance between the row-0 and row-k compositions, and its knit bound."""
     model.hoelder.require_mode(MODE_KNITTING, "knit_compare")
-    measured = map_distance_value(row_map(net, model, 0), row_map(net, model, net.k))
+    measured = map_distance_value(
+        compose_along(model, net.row(0)), compose_along(model, net.row(net.k)))
     return measured, knit_bound(model.hoelder, net.ell, net.k)
 
 

@@ -64,7 +64,7 @@ def _require_array_fn(what: str, fn: Callable[..., np.ndarray], *args: np.ndarra
         out = fn(*args)
     except (TypeError, ValueError) as exc:
         out = exc
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == args[0].shape):
+    if getattr(out, "dtype", None) != np.float64 or getattr(out, "shape", None) != args[0].shape:
         got = f"{type(out).__name__}: {out}" if isinstance(out, Exception) else repr(out)
         raise ValueError(
             f"{what} {fn!r} must map float64 arrays elementwise to a float64 array "
@@ -244,16 +244,6 @@ def _wrap_angle(d: float) -> float:
     return math.remainder(d, TAU)
 
 
-def _midpoint_rule(x0, x1, y0, y1):
-    """Numerator and denominator (the squared radius of the chord midpoint)
-    of the midpoint-rule angle along the chord (x0, x1) -> (y0, y1).  Written
-    once for floats and numpy arrays alike, so one chord and a whole chain
-    give the same bits."""
-    mx = 0.5 * (x0 + y0)
-    my = 0.5 * (x1 + y1)
-    return mx * (y1 - x1) - my * (y0 - x0), mx * mx + my * my
-
-
 def _exact_segment_angles(points: Sequence[Point]) -> list[float]:
     """The wrapped differences of the endpoints' ``math.atan2`` polar angles
     along the chords of one chain; a chord through the origin raises."""
@@ -293,57 +283,43 @@ class FlatConnection:
         if math.hypot(p[0], p[1]) < self.r0 - 1e-12:
             raise ModelDomainError(f"point {p} inside the excluded disk of radius {self.r0}")
 
-    def _check_points(self, points: Sequence[Point] | np.ndarray) -> None:
-        """``_check_point`` on every point.  An array of points along its last
-        axis is screened in one pass with a margin far above the rounding of
-        x*x + y*y against ``math.hypot``, and each hit is confirmed by
+    def _check_points(self, points: np.ndarray) -> None:
+        """``_check_point`` on every point of an array of points along its
+        last axis, screened in one pass with a margin far above the rounding
+        of x*x + y*y against ``math.hypot``; each hit is confirmed by
         ``_check_point`` in row order, so exactly the points ``math.hypot``
         rejects raise, named by plain floats."""
-        if isinstance(points, np.ndarray):
-            lim = self.r0 - 1e-12
-            x, y = points[..., 0], points[..., 1]
-            for i in zip(*(x * x + y * y < lim * lim * (1.0 + 1e-9)).nonzero()):
-                self._check_point(tuple(points[i].tolist()))
-        else:
-            for p in points:
-                self._check_point(p)
+        lim = self.r0 - 1e-12
+        x, y = points[..., 0], points[..., 1]
+        for i in zip(*(x * x + y * y < lim * lim * (1.0 + 1e-9)).nonzero()):
+            self._check_point(tuple(points[i].tolist()))
 
     def angles(self, points: Sequence[Point] | np.ndarray) -> list:
         """Signed angles transported along the chords between consecutive
         points, as plain floats; each point is checked once.
 
-        Given an (m, 2) array (a path sampled by ``LipPath.sample``, a knit
-        row or ladder), the midpoint rule runs as one array pass; given a
-        sequence of tuples (a single chord from ``mu``), it runs per chord,
-        which is faster on short chains.  An (n, m, 2) array of n stacked
-        chains gives the n lists of their angles, the midpoint rule again in
-        one pass.  The exact-segment variant takes ``math.atan2`` of each
-        point either way, since ``np.arctan2`` can differ from it in the last
-        bit, and stacked chains one list at a time after one screen of all
-        their points.
+        The points are taken as one float array: an (m, 2) chain (a single
+        chord from ``mu``, a path sampled by ``LipPath.sample``, a knit row
+        or ladder) gives its m-1 angles, and an (n, m, 2) stack of n chains
+        the n lists of their angles.  The midpoint rule runs as one array
+        pass.  The exact-segment variant takes ``math.atan2`` of each point,
+        since ``np.arctan2`` can differ from it in the last bit.
         """
+        points = np.asarray(points, dtype=float)
         self._check_points(points)
         if self.variant == self.EXACT:
-            if not isinstance(points, np.ndarray):
-                return _exact_segment_angles(points)
             rows = points.tolist()
             if points.ndim > 2:
                 return list(map(_exact_segment_angles, rows))
             return _exact_segment_angles(rows)
-        lim2 = self.mid_min * self.mid_min
-        if isinstance(points, np.ndarray):
-            head, tail = points[..., :-1, :], points[..., 1:, :]
-            num, r2 = _midpoint_rule(head[..., 0], head[..., 1], tail[..., 0], tail[..., 1])
-            if (r2 < lim2).any():
-                raise ModelDomainError(_MIDPOINT_TOO_CLOSE)
-            return (num / r2).tolist()
-        out = []
-        for x, y in zip(points, points[1:]):
-            num, r2 = _midpoint_rule(x[0], x[1], y[0], y[1])
-            if r2 < lim2:
-                raise ModelDomainError(_MIDPOINT_TOO_CLOSE)
-            out.append(num / r2)
-        return out
+        head, tail = points[..., :-1, :], points[..., 1:, :]
+        mx = 0.5 * (head[..., 0] + tail[..., 0])
+        my = 0.5 * (head[..., 1] + tail[..., 1])
+        r2 = mx * mx + my * my
+        if (r2 < self.mid_min * self.mid_min).any():
+            raise ModelDomainError(_MIDPOINT_TOO_CLOSE)
+        num = mx * (tail[..., 1] - head[..., 1]) - my * (tail[..., 0] - head[..., 0])
+        return (num / r2).tolist()
 
 
 def make_flat_connection(

@@ -8,6 +8,7 @@ import oracles
 from sewkit import (
     HoelderData,
     InsufficientSamples,
+    NonFiniteValue,
     SewkitError,
     annulus_four_point_samples,
     annulus_three_point_samples,
@@ -309,6 +310,33 @@ def test_a_zero_gap_product_row_is_reported_and_left_out_of_the_regression():
     assert report.n_used == 47 == sum(r.residual is not None for r in report.rows)
     rest = fit_strong_four_point(make_additive_sin(), samples[:10] + samples[11:])
     assert (report.epsilon_hat, report.c_hat) == (rest.epsilon_hat, rest.c_hat)
+
+
+def test_an_infinite_defect_row_is_reported_and_left_out_of_the_regression():
+    # mu_tilde is infinite over the widest gap only, so that row's defect is
+    # infinite and fails its bound, and the other 47 rows make the fit
+    wide = make_additive(lambda s, t: np.where(t - s > 0.09, np.inf, np.sin(t - s)),
+                         HoelderData(1.0, ((1.0, 1.0, 1.0),)))
+    samples = interval_three_point_samples(np.random.default_rng(0))
+    report = fit_three_point(wide, samples)
+    row = report.rows[-1]
+    assert row.defect == math.inf and row.residual is None
+    assert not within_bound(row.defect, row.declared_bound)
+    assert math.isfinite(report.epsilon_hat) and math.isfinite(report.c_hat)
+    assert report.n_used == 47 == sum(r.residual is not None for r in report.rows)
+    rest = fit_three_point(wide, samples[:-1])
+    assert (report.epsilon_hat, report.c_hat) == (rest.epsilon_hat, rest.c_hat)
+
+
+def test_a_fit_with_no_finite_defect_left_raises_non_finite_value():
+    # mu_tilde is infinite off the samples' starts, so each chain (s, u, t)
+    # takes an infinite step (u, t) and every defect is infinite
+    samples = interval_three_point_samples(np.random.default_rng(0))
+    starts = [s for s, _u, _t in samples]
+    off = make_additive(lambda s, t: np.where(np.isin(s, starts), np.sin(t - s), np.inf),
+                        HoelderData(1.0, ((1.0, 1.0, 1.0),)))
+    with pytest.raises(NonFiniteValue, match=r"three-point defect at s=.* is inf, and 0 finite"):
+        fit_three_point(off, samples)
 
 
 def test_a_fit_through_one_point_raises_insufficient_samples():

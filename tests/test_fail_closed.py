@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -670,6 +671,11 @@ def test_fuzzed_configs_exit_with_a_documented_code(tmp_path, capsys, case):
     if bad_key is not None:
         assert code == 1 and bad_key in err, err
         assert not (tmp_path / "out.csv").exists()
+    if (tmp_path / "out.csv").exists():
+        # no fit, level or knit row reports a NaN as a value
+        with open(tmp_path / "out.csv", newline="") as fh:
+            values = [v for row in csv.reader(fh) for cell in row for v in re.split("[;=]", cell)]
+        assert "nan" not in values, values
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 """Structure guards: sewkit modules share only public names with each other
 and draw no random number one ``uniform`` call at a time, every certified
 inequality fails through ``sewing.check_bound``, ``sew`` builds every level
-in one loop body, the certify fits measure each sample set through
-``chain_distances``, every name the benchmark's tracer patches is where it
-patches it, and README.md names every public name."""
+in one loop body, ``models.py`` forks on no array type, the certify fits
+measure each sample set through ``chain_distances``, every name the
+benchmark's tracer patches is where it patches it, and README.md names
+every public name."""
 import ast
 import re
 from pathlib import Path
@@ -84,6 +85,15 @@ def test_sew_builds_every_level_in_its_one_loop():
         stops = [node for node in ast.walk(tree)
                  if isinstance(node, ast.Compare) and ast.unparse(node) == "bound < tol"]
         assert (calls.count("SewLevel"), calls.count("compose_along"), len(stops)) == (1, 1, 1)
+
+
+def test_models_fork_on_no_array_type():
+    # FlatConnection.angles converts every input to one float array, so a
+    # per-input-type pass, such as one per chord for tuples, cannot come back
+    forks = [node.lineno for node in ast.walk(ast.parse((SRC / "models.py").read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+             and any("ndarray" in ast.unparse(arg) for arg in node.args[1:])]
+    assert forks == []
 
 
 @pytest.mark.parametrize(
