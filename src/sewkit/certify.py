@@ -59,7 +59,8 @@ def _regress(report_kind: str, rows: list[FitSample], degree_offset: float) -> F
     may overflow.  Fitted defects at fewer than two distinct positive gap
     products raise :class:`NonFiniteValue` naming the first row whose defect
     is not finite, if there is one, and :class:`InsufficientSamples`
-    otherwise: no line runs through one point."""
+    otherwise: no line runs through one point.  A fitted line whose intercept
+    puts ``c_hat`` past the largest double raises :class:`NonFiniteValue`."""
     for r in rows:
         if not math.isfinite(r.declared_bound):
             raise NonFiniteValue(
@@ -98,11 +99,16 @@ def _regress(report_kind: str, rows: list[FitSample], degree_offset: float) -> F
     for r, e in zip(used, res):
         r.residual = float(e)
     eps_hat = 2.0 * float(slope) - degree_offset
+    try:
+        c_hat = math.exp(intercept)
+    except OverflowError:
+        raise NonFiniteValue(f"{report_kind} fit's c_hat = exp({float(intercept)!r}) "
+                             f"overflows a double") from None
     return FitReport(
         kind=report_kind,
         exact=False,
         epsilon_hat=eps_hat,
-        c_hat=float(math.exp(intercept)),
+        c_hat=c_hat,
         n_samples=len(rows),
         n_used=len(used),
         residual_rms=float(np.sqrt(np.mean(res**2))),

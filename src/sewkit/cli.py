@@ -270,28 +270,28 @@ def _plane_model(cfg: dict, experiment: str) -> ApproxFlowModel:
     return model
 
 
-def _run_sew(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
-    model = build_model(cfg["model"])
-    s, t = cfg["interval"]
-    status = 0
+def _sewn(cfg: dict, sewer: Callable, *args: Any) -> tuple[SewCertificate, int]:
+    """The certificate and exit code of ``sewer`` (``sew`` or ``holonomy``) at
+    the config's budget.  A sew that stops short keeps the levels it built and
+    prints its reason here, as ``run`` would (exit 2); one with no certificate
+    (a base level past ``2**MAX_LEVEL`` intervals) propagates."""
     try:
-        _, cert = sew(model, s, t, cfg["tol"], max_level=cfg["max_level"])
+        return sewer(*args, cfg["tol"], max_level=cfg["max_level"])[1], 0
     except NonConvergence as exc:
         if exc.certificate is None:
             raise
-        # the levels built are still written, so report the reason here, as ``run`` would
-        status = _fail(exc)
-        cert = exc.certificate
+        return exc.certificate, _fail(exc)
+
+
+def _run_sew(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
+    cert, status = _sewn(cfg, sew, build_model(cfg["model"]), *cfg["interval"])
     return _LEVEL_HEADER, _level_rows(cert), status
 
 
 def _run_holonomy(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
     model = _plane_model(cfg, "holonomy")
-    path = build_path(cfg["path"])
-    _, cert = holonomy(model, path, cfg["tol"], max_level=cfg["max_level"])
-    rows = _level_rows(cert)
-    rows.append(["angle", 0.0, 0.0, 0.0, cert.limit_value])
-    return _LEVEL_HEADER, rows, 0
+    cert, status = _sewn(cfg, holonomy, model, build_path(cfg["path"]))
+    return _LEVEL_HEADER, _level_rows(cert) + [["angle", 0.0, 0.0, 0.0, cert.limit_value]], status
 
 
 def _run_knit(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
@@ -307,12 +307,11 @@ def _run_knit(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list
             status = 2
         rows.append([k, 1.0 / k, measured, bound, "pass" if ok else "fail"])
     if cfg["class_separation"]:
-        upper = arc_path(1.0, 0.0, math.pi, 64)
-        lower = arc_path(1.0, 0.0, -math.pi, 64)
-        _, up = holonomy(model, upper, cfg["tol"], max_level=cfg["max_level"])
-        _, lo = holonomy(model, lower, cfg["tol"], max_level=cfg["max_level"])
+        up, up_status = _sewn(cfg, holonomy, model, arc_path(1.0, 0.0, math.pi, 64))
+        lo, lo_status = _sewn(cfg, holonomy, model, arc_path(1.0, 0.0, -math.pi, 64))
         sep = up.limit_value - lo.limit_value
-        ok = abs(sep - 2.0 * math.pi) <= 1e-6
+        # a holonomy that stopped short certifies no separation
+        ok = up_status == lo_status == 0 and abs(sep - 2.0 * math.pi) <= 1e-6
         if not ok:
             status = 2
         rows.append(["class_separation", 0.0, sep, 2.0 * math.pi, "pass" if ok else "fail"])

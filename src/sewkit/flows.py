@@ -166,6 +166,14 @@ class ApproxFlowModel:
     ``dataclasses.replace`` of those fields keeps the old ``mu`` unless it
     passes ``mu=None``.  The parameter metric is ``metric.euclidean``.
 
+    When ``act`` is ``translation_map`` or ``rotation_map``, ``increments``
+    may also take n stacked chains of m parameters, an (n, m) or (n, m, 2)
+    array, and give their (n, m - 1) increments, one row per chain:
+    ``chain_distances`` then measures all n chains in one array pass.
+    ``increments`` that take one chain only are measured one chain at a time:
+    on stacked rows they raise TypeError, IndexError or ValueError, or give
+    another shape.
+
     ``max_param_step`` caps the parameter gap over which ``mu`` may be
     evaluated; ``summary`` is the scalar readout of a flow map that ``sew``
     records per level (a :class:`Readout` in the built-in models);

@@ -486,17 +486,23 @@ _STACKED_PASSES = {
 def _stacked_shifts(model: ApproxFlowModel, rows) -> np.ndarray:
     """The (n, k) increments of n stacked chains, last interval first, as
     ``compose_along`` hands them to ``act``.  Rows of one parameter, whose
-    chain is ``mu(p, p)``, raise ValueError."""
+    chain is ``mu(p, p)``, and increments that are not one row of m - 1 per
+    stacked row of m parameters raise ValueError."""
     params = np.asarray(rows, dtype=float)
     if params.ndim < 2 or params.shape[1] < 2:
         raise ValueError(f"stacked chains need two or more parameters, got shape {params.shape}")
-    return np.asarray(model.increments(params), dtype=float)[:, ::-1]
+    shifts = np.asarray(model.increments(params), dtype=float)
+    if shifts.shape != (params.shape[0], params.shape[1] - 1):
+        raise ValueError(f"increments of stacked parameters {params.shape} have shape "
+                         f"{shifts.shape}")
+    return shifts[:, ::-1]
 
 
 def _stacked_distances(model: ApproxFlowModel, a, b) -> np.ndarray | None:
     """The (n, P) probe distances of ``chain_distances`` in one array pass,
     or None where no pass applies or the pass meets an error: a domain
-    error, a NaN distance, rows of one parameter."""
+    error, a NaN distance, rows of one parameter, ``increments`` that take
+    one chain only (a TypeError or IndexError on stacked rows)."""
     stacked = _STACKED_PASSES.get(model.act)
     if stacked is None or not len(a):
         return None
@@ -510,7 +516,7 @@ def _stacked_distances(model: ApproxFlowModel, a, b) -> np.ndarray | None:
     try:
         with np.errstate(all="ignore"):  # every non-finite distance is judged below
             d = distances(source.probes, _stacked_shifts(model, a), _stacked_shifts(model, b))
-    except (ModelDomainError, ValueError):
+    except (ModelDomainError, ValueError, TypeError, IndexError):
         return None
     return None if np.isnan(d).any() else d
 
@@ -527,9 +533,10 @@ def chain_distances(model: ApproxFlowModel, a, b) -> np.ndarray:
     measures in, all rows are measured in one array pass: the increments of
     the stacked rows, every probe's image under every chain, and the sup
     along the probe axis.  Any other model is measured row by row, and so is
-    a stacked pass that meets a domain error or a NaN distance: a failing
-    sample set then raises what the first failing row raises (an infinite
-    distance is a value, as in ``map_distance_value``).
+    a stacked pass that meets a domain error, a NaN distance or ``increments``
+    that take one chain only: a failing sample set then raises what the
+    first failing row raises (an infinite distance is a value, as in
+    ``map_distance_value``).
     """
     if len(a) != len(b):
         raise ValueError(f"chain_distances needs as many rows in a as in b, "

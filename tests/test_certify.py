@@ -6,9 +6,11 @@ import pytest
 
 import oracles
 from sewkit import (
+    ApproxFlowModel,
     HoelderData,
     InsufficientSamples,
     NonFiniteValue,
+    Readout,
     SewkitError,
     annulus_four_point_samples,
     annulus_three_point_samples,
@@ -28,7 +30,9 @@ from sewkit import (
     make_flat_connection,
     make_young,
     pullback_flow,
+    real_line,
     sewing,
+    translation_map,
     within_bound,
 )
 from sewkit import certify
@@ -296,6 +300,21 @@ def test_chain_distances_keeps_an_infinite_distance_and_takes_one_row_per_sample
                       for p, q in [((0.1,), (0.1, 0.2)), ((0.3,), (0.3, 0.35))]]
 
 
+def test_a_model_whose_increments_take_one_chain_is_measured_row_by_row():
+    # ``increments`` written for one chain fail on stacked rows (math.sin of a
+    # row), so the fit measures its samples one chain at a time, as sew does
+    space = real_line()
+    model = ApproxFlowModel(
+        name="chain-only", space_at=lambda _t: space, hoelder=HoelderData(1.0, ((1.0, 1.0, 1.0),)),
+        summary=Readout(0.0), act=translation_map,
+        increments=lambda p: [math.sin(s) * (t - s) for s, t in zip(p, p[1:])])
+    assert sewing.sew(model, 0.0, 1.0, 1e-6)[1].converged
+    samples = interval_three_point_samples(np.random.default_rng(0))
+    report = fit_three_point(model, samples)
+    assert abs(report.epsilon_hat - 1.0) < 0.01
+    assert repr(_rows(report)) == repr(oracles.three_point_rows(model, samples))
+
+
 # --- rows the regression leaves out -----------------------------------------
 
 def test_a_zero_gap_product_row_is_reported_and_left_out_of_the_regression():
@@ -337,6 +356,14 @@ def test_a_fit_with_no_finite_defect_left_raises_non_finite_value():
                         HoelderData(1.0, ((1.0, 1.0, 1.0),)))
     with pytest.raises(NonFiniteValue, match=r"three-point defect at s=.* is inf, and 0 finite"):
         fit_three_point(off, samples)
+
+
+def test_a_fit_whose_c_hat_overflows_raises_non_finite_value():
+    # every defect is finite, but the fitted intercept is past log(max double)
+    huge = make_additive(lambda s, t: 1e308 * (t - s) ** 3, HoelderData(1.0, ((1.0, 1.0, 1e308),)))
+    with pytest.raises(NonFiniteValue,
+                       match=r"three-point fit's c_hat = exp\(7\d\d\.\d+\) overflows"):
+        fit_three_point(huge, interval_three_point_samples(np.random.default_rng(0)))
 
 
 def test_a_fit_through_one_point_raises_insufficient_samples():

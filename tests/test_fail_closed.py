@@ -248,22 +248,41 @@ def test_holonomy_config_fails_closed(tmp_path, capsys, case, expect, fragment):
 
 
 @pytest.mark.parametrize(
-    "case,fragment",
+    "case,fragment,written",
     [
         ({"model": dict(_MIDPOINT, r0=1e-6),
           "path": {"kind": "circle", "radius": 1.0, "segments": 16}},
-         "needs more than 2**20 intervals"),
+         "needs more than 2**20 intervals", None),
         ({"path": {"kind": "circle", "radius": 1.0, "segments": 48}, "tol": 1e-12,
-          "max_level": 1}, "within 1 levels"),
+          "max_level": 1}, "within 1 levels", ["0", "1", "limit", "angle"]),
     ],
     ids=["base-level-runaway", "max-level"],
 )
-def test_holonomy_non_convergence_is_reported_as_such(tmp_path, capsys, case, fragment):
-    # neither is a violated bound: the sew stopped before it could certify anything
+def test_holonomy_non_convergence_is_reported_as_such(tmp_path, capsys, case, fragment, written):
+    # neither is a violated bound: the sew stopped before it could certify
+    # anything; one that stopped short of tol still writes the levels it built
     assert _run(tmp_path, _holonomy_cfg(tmp_path, **case)) == 2
-    assert not (tmp_path / "out.csv").exists()
+    out = tmp_path / "out.csv"
+    if written is None:
+        assert not out.exists()
+    else:
+        rows = list(csv.reader(out.open()))
+        assert [r[0] for r in rows[1:]] == written
+        assert rows[-1][-1] == rows[-2][-1] != ""  # the angle repeats the limit's value
     err = capsys.readouterr().err
     assert err.startswith("non-convergence: ") and fragment in err, err
+
+
+def test_knit_keeps_its_rows_when_class_separation_stops_short(tmp_path, capsys):
+    # both holonomies stop at max_level 1: each is reported, the knit rows
+    # already measured are kept, and the separation certifies nothing
+    cfg = _knit_cfg(tmp_path, ks=[8, 16], class_separation=True, tol=1e-12, max_level=1)
+    assert _run(tmp_path, cfg) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("non-convergence: ") for line in err), err
+    rows = list(csv.reader((tmp_path / "out.csv").open()))
+    assert [(r[0], r[-1]) for r in rows[1:]] == [
+        ("8", "pass"), ("16", "pass"), ("class_separation", "fail")]
 
 
 def test_knit_pair_far_from_the_origin_passes(tmp_path):

@@ -2,7 +2,8 @@
 and draw no random number one ``uniform`` call at a time, every certified
 inequality fails through ``sewing.check_bound``, ``sew`` builds every level
 in one loop body, ``models.py`` forks on no array type, the certify fits
-measure each sample set through ``chain_distances``, every name the
+measure each sample set through ``chain_distances``, the CLI runs every
+sew through one step, every name the
 benchmark's tracer patches is where it patches it, and README.md names
 every public name."""
 import ast
@@ -103,6 +104,22 @@ def test_certify_measures_each_sample_set_through_chain_distances(name):
     # one array pass per sample set: no chain, sup distance or mu per sample
     assert name in _callers("chain_distances")
     assert name not in _callers("compose_along") | _callers("map_distance_value") | _callers("mu")
+
+
+def test_cli_runs_every_sew_through_one_step():
+    # sew, holonomy and the class-separation holonomies all keep the levels of
+    # a sew that stops short: one handler of NonConvergence, in the one step
+    # that every sew and holonomy of the CLI is handed to
+    tree = ast.parse((SRC / "cli.py").read_text())
+    steps = [top.name for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.ExceptHandler) and node.type is not None
+             and "NonConvergence" in ast.unparse(node.type)]
+    assert len(steps) == 1
+    handed = {id(arg) for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == steps[0] for arg in node.args}
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and node.id in ("sew", "holonomy") and isinstance(node.ctx, ast.Load)]
+    assert uses and all(id(node) in handed for node in uses)
 
 
 def _attributes():
