@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -28,6 +28,7 @@ from .errors import BoundViolation, ConfigError, NonConvergence, NonFiniteValue,
 from .flows import MODE_KNITTING, ApproxFlowModel
 from .knitting import build_net, holonomy, knit_compare, pair_lipschitz
 from .models import (
+    EULER_EXPANSION_ORDERS,
     FlatConnection,
     make_additive_sin,
     make_euler_linear,
@@ -48,7 +49,7 @@ from .paths import (
 from .sewing import MAX_LEVEL, SewCertificate, sew, within_bound
 
 _YOUNG_FNS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float]] = {
-    # name -> (array function, Hoelder-1 constant on [0,1])
+    # name -> (C^inf array function, Hoelder-1 constant on [0,1])
     "linear": (lambda t: t, 1.0),
     "sin": (np.sin, 1.0),
     "quadratic": (lambda t: t * t, 2.0),
@@ -172,9 +173,12 @@ def _list(entry: Field, length: int | None = None, nonempty: bool = False
 
 
 def _young(driver: str, integrand: str, alpha: float, beta: float, probes: int) -> ApproxFlowModel:
+    """A Young model of two ``_YOUNG_FNS``; all are C^inf, so it declares the
+    Euler orders (its composites are explicit Euler for z' = y(s) x'(s))."""
     (x_fn, c_x), (y_fn, c_y) = _YOUNG_FNS[driver], _YOUNG_FNS[integrand]
-    return make_young(x_fn, y_fn, alpha, beta, c_x, c_y,
-                      name=f"young({driver},{integrand})", probe_n=probes)
+    model = make_young(x_fn, y_fn, alpha, beta, c_x, c_y,
+                       name=f"young({driver},{integrand})", probe_n=probes)
+    return replace(model, expansion_orders=EULER_EXPANSION_ORDERS)
 
 
 _FLOAT = Field(float)
@@ -284,7 +288,12 @@ def _sewn(cfg: dict, sewer: Callable, *args: Any) -> tuple[SewCertificate, int]:
 
 
 def _run_sew(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
-    cert, status = _sewn(cfg, sew, build_model(cfg["model"]), *cfg["interval"])
+    interval = cfg["interval"]
+    # the Young drivers' Hoelder constants are declared on [0, 1] only
+    if cfg["model"]["name"] == "young" and not all(0.0 <= u <= 1.0 for u in interval):
+        raise ConfigError(f"config.interval {interval} must lie in [0, 1] for a young model, "
+                          "where its drivers' Hoelder constants are declared")
+    cert, status = _sewn(cfg, sew, build_model(cfg["model"]), *interval)
     return _LEVEL_HEADER, _level_rows(cert), status
 
 

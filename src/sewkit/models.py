@@ -8,6 +8,7 @@ it.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from operator import sub
 from typing import Callable, Sequence
@@ -38,7 +39,10 @@ MIDPOINT_DEFECT_CONSTANT = 3.0
 
 #: error expansion of explicit Euler for smooth fields: integer powers of the
 #: step (Gragg 1965; Hairer-Norsett-Wanner, Thm II.8.1); ``sew`` gates each
-#: column on the observed ratios, so a longer tuple only allows more columns
+#: column on the observed ratios, so a longer tuple only allows more columns.
+#: A translation model's composite, the left-endpoint sum
+#: sum_i y(s_i) (x(s_{i+1}) - x(s_i)), is explicit Euler for z' = y(s) x'(s),
+#: so smooth x and y give it the same orders
 EULER_EXPANSION_ORDERS = (1, 2, 3, 4, 5, 6)
 
 #: error expansion of the midpoint flat connection's composites: on a PL path
@@ -113,9 +117,12 @@ def make_additive(
 
 
 def make_additive_sin(probe_n: int = 5) -> ApproxFlowModel:
-    """mu_tilde(s,t) = sin(s)*(t-s); defect |sin u - sin s|*|t-u| <= |u-s||t-u|."""
+    """mu_tilde(s,t) = sin(s)*(t-s); defect |sin u - sin s|*|t-u| <= |u-s||t-u|.
+    Its composites are explicit Euler for z' = sin(s), so it declares
+    ``EULER_EXPANSION_ORDERS``."""
     h = HoelderData(1.0, ((1.0, 1.0, 1.0),), 0.0, MODE_SEWING)
-    return make_additive(lambda s, t: np.sin(s) * (t - s), h, "additive-sin", probe_n)
+    model = make_additive(lambda s, t: np.sin(s) * (t - s), h, "additive-sin", probe_n)
+    return dataclasses.replace(model, expansion_orders=EULER_EXPANSION_ORDERS)
 
 
 def make_young(

@@ -12,7 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import combinations
 from operator import sub, truediv
 from pathlib import Path
 from typing import Sequence
@@ -164,15 +164,17 @@ def ellipse_arc_path(
 ) -> LipPath:
     """PL sampling of an elliptical arc at uniform arc length (constant speed)."""
     pts = _arc_table(rx, ry, angle0, angle1, max(segments * 32, 1024))
-    rows = pts.tolist()
-    # math.dist, not np.hypot: the two differ in the last bit on some pairs
-    cum = np.array(list(accumulate(map(math.dist, rows, rows[1:]), initial=0.0)))
+    dx, dy = np.diff(pts, axis=0).T
+    # math.hypot, not np.hypot: the two differ in the last bit on some pairs;
+    # np.cumsum adds in order, as a running sum does
+    cum = np.zeros(len(pts))
+    np.cumsum(list(map(math.hypot, dx.tolist(), dy.tolist())), out=cum[1:])
     total = cum[-1]
     if total == 0.0:
         raise ValueError("a zero-length arc has no arc-length parametrization")
     # the ends stay the table's own: total * segments / segments need not be total
     inner = _interpolate(cum, pts, total * np.arange(1, segments) / segments)
-    return polyline((tuple(rows[0]), *_as_points(inner), tuple(rows[-1])))
+    return polyline(_as_points(np.vstack((pts[0], inner, pts[-1]))))
 
 
 def square_loop(center: Point = (2.0, 0.0), half_side: float = 0.5) -> LipPath:

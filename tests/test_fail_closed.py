@@ -147,6 +147,23 @@ def test_sew_config_fails_closed(tmp_path, capsys, case, expect):
     assert err.startswith("config error" if expect == 1 else "non-finite value")
 
 
+_QUADRATIC_YOUNG = {"name": "young", "driver": "quadratic", "integrand": "quadratic"}
+
+
+@pytest.mark.parametrize("interval", [[0.0, 20.0], [-0.5, 0.5], [1.0, 1.5]])
+def test_a_young_sew_off_the_unit_interval_is_a_config_error(tmp_path, capsys, interval):
+    # the drivers' Hoelder constants hold on [0, 1]: quadratic's 2 is false on [0, 20]
+    assert _run(tmp_path, _sew_cfg(tmp_path, model=_QUADRATIC_YOUNG, interval=interval)) == 1
+    assert not (tmp_path / "out.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"config.interval {interval}" in err
+
+
+@pytest.mark.parametrize("interval", [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+def test_a_young_sew_inside_the_unit_interval_runs(tmp_path, interval):
+    assert _run(tmp_path, _sew_cfg(tmp_path, model=_QUADRATIC_YOUNG, interval=interval)) == 0
+
+
 @pytest.mark.parametrize("tol", [0, 1e-40], ids=["full-ladder", "tiny-tol"])
 def test_a_sew_past_double_resolution_exits_2_with_the_levels_built(tmp_path, capsys, tol):
     # the midpoints of level 6 over [1, 1 + 1e-14] round onto their intervals' ends

@@ -1,5 +1,6 @@
 """Richardson columns for models that declare error-expansion orders."""
 import dataclasses
+import itertools
 import math
 import random
 
@@ -8,11 +9,14 @@ import pytest
 
 from oracles import expm2, winding_number
 from sewkit import (
+    MODE_SEWING,
+    HoelderData,
     ModelDomainError,
     arc_path,
     circle_path,
     ellipse_arc_path,
     holonomy,
+    make_additive,
     make_additive_sin,
     make_euler_linear,
     make_euler_matrix,
@@ -25,7 +29,8 @@ from sewkit import (
     sewing,
     square_loop,
 )
-from sewkit.models import MIDPOINT_EXPANSION_ORDERS
+from sewkit import cli
+from sewkit.models import EULER_EXPANSION_ORDERS, MIDPOINT_EXPANSION_ORDERS
 from sewkit.sewing import MAX_LEVEL
 
 TOL = 1e-8
@@ -40,12 +45,22 @@ def _euler_cases():
     ]
 
 
+def _cli_young(driver, integrand, alpha=1.0, beta=1.0):
+    return cli.build_model({"name": "young", "driver": driver, "integrand": integrand,
+                            "alpha": alpha, "beta": beta, "probes": 5})
+
+
 def test_euler_models_declare_integer_orders_and_others_none():
     for m, _ in _euler_cases():
         assert m.expansion_orders[:3] == (1, 2, 3)
     assert make_flat_connection("midpoint").expansion_orders[:3] == (2, 4, 6)
+    # smooth translation models are explicit Euler for z' = y(s) x'(s)
+    assert make_additive_sin().expansion_orders == EULER_EXPANSION_ORDERS
+    for driver, integrand in itertools.product(cli._YOUNG_FNS, repeat=2):
+        assert _cli_young(driver, integrand).expansion_orders == EULER_EXPANSION_ORDERS
+    # the library's make_young takes any driver, rough ones included
     young = make_young(lambda t: t, lambda t: t, 1.0, 1.0)
-    for m in (make_additive_sin(), young, make_flat_connection("exact-segment")):
+    for m in (young, make_flat_connection("exact-segment")):
         assert m.expansion_orders == ()
 
 
@@ -92,7 +107,9 @@ def _trace(cert):
 
 @pytest.mark.parametrize(
     "model",
-    [make_additive_sin(), make_young(np.sin, lambda t: t * t, 0.8, 0.7, c_y=2.0)],
+    [make_additive(lambda s, t: np.sin(s) * (t - s),
+                   HoelderData(1.0, ((1.0, 1.0, 1.0),), 0.0, MODE_SEWING)),
+     make_young(np.sin, lambda t: t * t, 0.8, 0.7, c_y=2.0)],
     ids=["additive_sin", "young"],
 )
 def test_undeclared_models_match_an_explicitly_empty_declaration(model):
@@ -148,10 +165,55 @@ def test_declared_columns_are_built_once_per_level(model, monkeypatch):
     assert len(calls) <= len(cert.levels)
 
 
-def test_additive_sin_uses_at_most_the_observed_ratio_column():
-    m = make_additive_sin()
-    _, cert = sew(m, 0.0, 1.0, 1e-8)
-    assert cert.extrapolation_orders in ((), (0,))
+def test_additive_sin_stops_on_declared_columns():
+    _, cert = sew(make_additive_sin(), 0.0, 1.0, 1e-8)
+    assert cert.converged
+    assert cert.extrapolation_orders and 0 not in cert.extrapolation_orders
+    assert abs(cert.limit_value - (1.0 - math.cos(1.0))) <= 1e-8
+    assert cert.final_subdivision.k <= 2**8
+
+
+#: closed forms of int_0^T y(s) x'(s) ds for the CLI's Young drivers and integrands
+_YOUNG_INTEGRALS = {
+    ("linear", "linear"): lambda T: T * T / 2.0,
+    ("linear", "sin"): lambda T: 1.0 - math.cos(T),
+    ("linear", "quadratic"): lambda T: T**3 / 3.0,
+    ("sin", "linear"): lambda T: T * math.sin(T) + math.cos(T) - 1.0,
+    ("sin", "sin"): lambda T: math.sin(T) ** 2 / 2.0,
+    ("sin", "quadratic"): lambda T: T * T * math.sin(T) + 2.0 * T * math.cos(T) - 2.0 * math.sin(T),
+    ("quadratic", "linear"): lambda T: 2.0 * T**3 / 3.0,
+    ("quadratic", "sin"): lambda T: 2.0 * (math.sin(T) - T * math.cos(T)),
+    ("quadratic", "quadratic"): lambda T: T**4 / 2.0,
+}
+_TRANSLATION_TOLS = (1e-5, 1e-7, 1e-9, 1e-11)
+
+
+def _translation_sweep():
+    """Seeded (name, model, T, tol, closed form) cases: each CLI Young pair and
+    additive_sin at every tol, with eps and T drawn from [0.05, 1]."""
+    rng = random.Random(33)
+    cases = []
+    for tol, _ in itertools.product(_TRANSLATION_TOLS, range(4)):
+        for driver, integrand in itertools.product(cli._YOUNG_FNS, repeat=2):
+            eps, T = rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)
+            alpha = rng.uniform(eps, 1.0)
+            model = _cli_young(driver, integrand, alpha, 1.0 + eps - alpha)
+            cases.append((f"young({driver},{integrand},eps={eps:.3f})", model, T, tol,
+                          _YOUNG_INTEGRALS[driver, integrand](T)))
+        T = rng.uniform(0.05, 1.0)
+        cases.append(("additive_sin", make_additive_sin(), T, tol, 1.0 - math.cos(T)))
+    return cases
+
+
+def test_smooth_translation_sews_meet_tol_against_their_closed_forms():
+    cases = _translation_sweep()
+    assert len(cases) == 160
+    for name, model, T, tol, expect in cases:
+        _, cert = sew(model, 0.0, T, tol)
+        assert cert.converged, (name, T, tol)
+        assert abs(cert.limit_value - expect) <= tol, (name, T, tol, cert.limit_value - expect)
+        # the declared columns, not the observed-ratio column, stop every sew
+        assert cert.extrapolation_orders and 0 not in cert.extrapolation_orders, (name, T, tol)
 
 
 def test_base_level_stop_returns_the_raw_composite():
