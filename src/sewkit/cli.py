@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -24,7 +25,14 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import certify as certify_mod
-from .errors import BoundViolation, ConfigError, NonConvergence, NonFiniteValue, SewkitError
+from .errors import (
+    BoundViolation,
+    ConfigError,
+    ModelDomainError,
+    NonConvergence,
+    NonFiniteValue,
+    SewkitError,
+)
 from .flows import MODE_KNITTING, ApproxFlowModel
 from .knitting import build_net, holonomy, knit_compare, pair_lipschitz
 from .models import (
@@ -316,15 +324,44 @@ def _run_knit(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list
             status = 2
         rows.append([k, 1.0 / k, measured, bound, "pass" if ok else "fail"])
     if cfg["class_separation"]:
-        up, up_status = _sewn(cfg, holonomy, model, arc_path(1.0, 0.0, math.pi, 64))
-        lo, lo_status = _sewn(cfg, holonomy, model, arc_path(1.0, 0.0, -math.pi, 64))
-        sep = up.limit_value - lo.limit_value
+        sep, sep_status = _class_separation(cfg, model)
         # a holonomy that stopped short certifies no separation
-        ok = up_status == lo_status == 0 and abs(sep - 2.0 * math.pi) <= 1e-6
+        ok = sep_status == 0 and abs(sep - 2.0 * math.pi) <= 1e-6
         if not ok:
             status = 2
         rows.append(["class_separation", 0.0, sep, 2.0 * math.pi, "pass" if ok else "fail"])
     return ["k", "delta", "measured", "bound", "note"], rows, status
+
+
+#: the most class separations kept in one process
+_SEPARATIONS_KEPT = 16
+#: converged class separations by (model spec, tol, max_level), least recently used first
+_separations: OrderedDict[tuple[str, float, int], float] = OrderedDict()
+
+
+def _class_separation(cfg: dict, model: ApproxFlowModel) -> tuple[float, int]:
+    """The holonomy along the upper unit semicircle minus the lower one's, and
+    its exit code.  Nothing else of the config reaches it, so one whose two
+    holonomies converged is kept by the model spec, ``tol`` and ``max_level``
+    and reused; one that stopped short is sewn again, and reported, each time."""
+    key = (json.dumps(cfg["model"], sort_keys=True), cfg["tol"], cfg["max_level"])
+    if key in _separations:
+        _separations.move_to_end(key)
+        return _separations[key], 0
+    try:
+        up, up_status = _sewn(cfg, holonomy, model, arc_path(1.0, 0.0, math.pi, 64))
+        lo, lo_status = _sewn(cfg, holonomy, model, arc_path(1.0, 0.0, -math.pi, 64))
+    except ModelDomainError as exc:
+        raise ModelDomainError(
+            f"config.class_separation sews holonomies along the unit semicircles, which must "
+            f"stay outside the excluded disk of config.model.r0 = {cfg['model']['r0']!r}: "
+            f"{exc}") from exc
+    sep = up.limit_value - lo.limit_value
+    if up_status == lo_status == 0:
+        _separations[key] = sep
+        if len(_separations) > _SEPARATIONS_KEPT:
+            _separations.popitem(last=False)
+    return sep, up_status or lo_status
 
 
 def _run_certify(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:

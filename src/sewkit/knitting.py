@@ -13,6 +13,7 @@ angle (not reduced mod 2*pi, so winding is observable).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,13 @@ from .subdivision import regular
 def _check_shared_endpoints(g0: LipPath, g1: LipPath) -> None:
     if euclidean(g0.start, g1.start) > ENDPOINT_TOL or euclidean(g0.end, g1.end) > ENDPOINT_TOL:
         raise EndpointMismatch("paths must share both endpoints")
+
+
+def _longest(steps: np.ndarray) -> float:
+    """The greatest norm among ``steps``, differences of points or of numbers,
+    with the bits of ``euclidean``: ``math.dist`` and ``math.hypot`` share one
+    norm routine, and ``math.hypot`` of one number is its absolute value."""
+    return max(map(math.hypot, *steps.reshape(len(steps), -1).T.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,12 +61,11 @@ class HomotopyNet:
         # step, and every column step is |g1(t_j) - g0(t_j)|/k, so the two
         # boundary rows give the mesh; the endpoint gap covers the snapping.
         # Row 0 is g0(t_j), row k is g1(t_j) with row 0's ends (to a zero's sign).
-        bottom, top = self.samples0.tolist(), self.samples1.tolist()
-        gap = max(euclidean(bottom[0], top[0]), euclidean(bottom[-1], top[-1]))
-        column = max(map(euclidean, bottom, top)) / self.k
-        top[0], top[-1] = bottom[0], bottom[-1]
-        step = max(max(map(euclidean, bottom, bottom[1:])),
-                   max(map(euclidean, top, top[1:])), column)
+        bottom, top = self.samples0, self.samples1.copy()
+        gap = _longest(top[[0, -1]] - bottom[[0, -1]])
+        column = _longest(top - bottom) / self.k
+        top[[0, -1]] = bottom[[0, -1]]
+        step = max(_longest(np.diff(bottom, axis=0)), _longest(np.diff(top, axis=0)), column)
         object.__setattr__(self, "mesh", step + gap)
 
     def row(self, i: int) -> np.ndarray:

@@ -9,7 +9,8 @@ PL path by a plain breakpoint search, arcs by a ``math.cos``/``math.sin`` loop,
 translation increments by one scalar ``math`` call per interval and
 translations by ``reduce(add)``, certification samples by one scalar
 ``rng.uniform`` call per coordinate, certify rows by one pair of chains per
-sample, and ladder compositions by slicing two net rows.
+sample, ladder compositions by slicing two net rows, and a net's mesh by
+one ``euclidean`` call per point pair.
 It also holds mis-declared models for negative controls, a non-commuting
 knitting model (a pure-gauge SO(3) connection) and its curved,
 mis-declared counterpart (a constant so(3) connection), the helpers that
@@ -316,6 +317,19 @@ def ladder_map(net: HomotopyNet, model: ApproxFlowModel, i: int, j: int) -> Prob
         raise IndexError("ladder indices must lie in 0..k-1")
     crossing = k - j
     return compose_along(model, np.concatenate((net.row(i)[:crossing], net.row(i + 1)[crossing:])))
+
+
+def net_mesh(samples0: np.ndarray, samples1: np.ndarray, k: int) -> float:
+    """``HomotopyNet.mesh`` by one ``euclidean`` call per point pair, over
+    ``tolist`` rows: the longest boundary-row or column step plus the gap
+    between the boundary rows' ends."""
+    bottom, top = samples0.tolist(), samples1.tolist()
+    gap = max(euclidean(bottom[0], top[0]), euclidean(bottom[-1], top[-1]))
+    column = max(map(euclidean, bottom, top)) / k
+    top[0], top[-1] = bottom[0], bottom[-1]
+    step = max(max(map(euclidean, bottom, bottom[1:])),
+               max(map(euclidean, top, top[1:])), column)
+    return step + gap
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import math
 import runpy
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -135,7 +136,116 @@ def test_knit_experiment_with_class_separation(tmp_path):
     assert float(sep[0][2]) == pytest.approx(2.0 * math.pi, abs=1e-6)
 
 
-def test_class_separation_holonomies_obey_max_level(tmp_path, monkeypatch):
+@pytest.fixture
+def fresh_separations(monkeypatch):
+    """An empty store of kept class separations for one test, so a test that
+    counts holonomies does not depend on which tests ran before it."""
+    monkeypatch.setattr(cli, "_separations", OrderedDict())
+    return cli._separations
+
+
+@pytest.fixture
+def holonomy_calls(monkeypatch, fresh_separations):
+    """The paths of every holonomy the CLI sews, in call order."""
+    calls = []
+    real_holonomy = cli.holonomy
+
+    def spy(model, path, *args, **kwargs):
+        calls.append(path)
+        return real_holonomy(model, path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "holonomy", spy)
+    return calls
+
+
+def separation_cfg(tmp_path, out="sep.csv", model=None, **extra):
+    cfg = {
+        "experiment": "knit",
+        "model": model or {"name": "flat_connection", "variant": "midpoint"},
+        "homotopy": {"kind": "semicircle_to_ellipse", "ry": 1.6, "segments": 16},
+        "ks": [8],
+        "class_separation": True,
+        "tol": 1e-8,
+        "output": str(tmp_path / out),
+    }
+    cfg.update(extra)
+    return cfg
+
+
+def test_a_kept_class_separation_writes_the_bytes_of_a_sewn_one(tmp_path, holonomy_calls):
+    path = write_cfg(tmp_path, "sep.json", separation_cfg(tmp_path))
+    assert cli.run(path, quiet=True) == 0
+    sewn = (tmp_path / "sep.csv").read_bytes()
+    assert len(holonomy_calls) == 2
+    (tmp_path / "sep.csv").unlink()
+    assert cli.run(path, quiet=True) == 0
+    assert (tmp_path / "sep.csv").read_bytes() == sewn
+    assert len(holonomy_calls) == 2  # the second run sewed nothing
+
+
+@pytest.mark.parametrize("change", [
+    {"model": {"name": "flat_connection", "variant": "exact-segment"}},
+    {"model": {"name": "flat_connection", "variant": "midpoint", "r0": 0.6}},
+    {"model": {"name": "flat_connection", "variant": "midpoint", "probes": 4}},
+    {"tol": 1e-7},
+    {"max_level": 19},
+], ids=["variant", "r0", "probes", "tol", "max_level"])
+def test_every_part_of_the_separation_key_sews_again(tmp_path, holonomy_calls, change):
+    assert cli.run(write_cfg(tmp_path, "a.json", separation_cfg(tmp_path)), quiet=True) == 0
+    changed = separation_cfg(tmp_path, out="b.csv", **change)
+    assert cli.run(write_cfg(tmp_path, "b.json", changed), quiet=True) == 0
+    assert len(holonomy_calls) == 4
+
+
+def test_the_rest_of_a_knit_config_reuses_the_separation(tmp_path, holonomy_calls):
+    # the model spec is compared with its defaults filled in
+    assert cli.run(write_cfg(tmp_path, "a.json", separation_cfg(tmp_path)), quiet=True) == 0
+    other = separation_cfg(
+        tmp_path, out="b.csv", ks=[16, 32], seed=5,
+        model={"name": "flat_connection", "variant": "midpoint", "r0": 0.5, "probes": 8},
+        homotopy={"kind": "semicircle_to_ellipse", "ry": 1.3, "segments": 32})
+    assert cli.run(write_cfg(tmp_path, "b.json", other), quiet=True) == 0
+    assert len(holonomy_calls) == 2
+    rows_a, rows_b = read_rows(tmp_path / "sep.csv"), read_rows(tmp_path / "b.csv")
+    assert rows_a[-1] == rows_b[-1] and rows_a[-1][0] == "class_separation"
+
+
+def test_stopped_class_separations_are_sewn_again(tmp_path, capsys, holonomy_calls):
+    # the config of test_knit_keeps_its_rows_when_class_separation_stops_short
+    cfg = separation_cfg(tmp_path, ks=[8, 16], tol=1e-12, max_level=1, seed=0)
+    path = write_cfg(tmp_path, "sep.json", cfg)
+    for attempt in (1, 2):
+        assert cli.run(path, quiet=True) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("non-convergence: ") for line in err), err
+        rows = read_rows(tmp_path / "sep.csv")
+        assert [(r[0], r[-1]) for r in rows[1:]] == [
+            ("8", "pass"), ("16", "pass"), ("class_separation", "fail")]
+        assert len(holonomy_calls) == 2 * attempt
+    assert not cli._separations
+
+
+def test_the_kept_separations_are_bounded(tmp_path, holonomy_calls):
+    # each key is a tol; a reused separation counts as recently used
+    def sews(tol):
+        before = len(holonomy_calls)
+        cfg = separation_cfg(tmp_path, model={"name": "flat_connection"}, tol=tol)
+        assert cli.run(write_cfg(tmp_path, "sep.json", cfg), quiet=True) == 0
+        assert len(cli._separations) <= cli._SEPARATIONS_KEPT
+        return len(holonomy_calls) - before
+
+    tols = [1e-4 * (1.0 + i) for i in range(cli._SEPARATIONS_KEPT + 3)]
+    kept = tols[:cli._SEPARATIONS_KEPT]
+    assert [sews(tol) for tol in kept] == [2] * len(kept)
+    assert sews(kept[0]) == 0
+    assert sews(tols[-1]) == 2  # drops the least recently used, kept[1]
+    assert (sews(kept[0]), sews(kept[1])) == (0, 2)
+    assert [sews(tol) for tol in tols[len(kept):-1]] == [2, 2]
+    assert len(cli._separations) == cli._SEPARATIONS_KEPT
+    assert all(isinstance(v, float) for v in cli._separations.values())
+
+
+def test_class_separation_holonomies_obey_max_level(tmp_path, monkeypatch, fresh_separations):
     # tol <= 0 runs the full ladder, so only max_level bounds these holonomies
     tols = []
 

@@ -302,6 +302,22 @@ def test_knit_keeps_its_rows_when_class_separation_stops_short(tmp_path, capsys)
         ("8", "pass"), ("16", "pass"), ("class_separation", "fail")]
 
 
+def test_a_class_separation_inside_the_excluded_disk_names_the_semicircles(tmp_path, capsys):
+    # the user's paths stay at x >= 3; only the unit semicircles of the
+    # class separation enter the disk of radius r0 = 1
+    homotopy = {"kind": "pair", "path0": {"kind": "points", "points": [[3, 0], [3, 3]]},
+                "path1": {"kind": "points", "points": [[3, 0], [4, 1.5], [3, 3]]}}
+    cfg = _knit_cfg(tmp_path, model=dict(_MIDPOINT, r0=1.0), homotopy=homotopy,
+                    class_separation=True)
+    assert _run(tmp_path, cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.class_separation sews holonomies along the unit "
+                          "semicircles, which must stay outside the excluded disk of "
+                          "config.model.r0 = 1.0: pullback of flat-connection[midpoint]"), err
+    assert "inside the excluded disk of radius 1.0" in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_knit_pair_far_from_the_origin_passes(tmp_path):
     homotopy = {"kind": "pair",
                 "path0": {"kind": "points", "points": [[1e5, 0], [1e5, 1e5]]},

@@ -11,6 +11,7 @@ from oracles import (
     ladder_map,
     lerp,
     misordered,
+    net_mesh,
     path_point,
     pure_gauge_so3,
     winding_number,
@@ -21,6 +22,7 @@ from sewkit import (
     EndpointMismatch,
     FlatConnection,
     HoelderData,
+    HomotopyNet,
     LipPath,
     ModelDomainError,
     NonFiniteValue,
@@ -97,6 +99,23 @@ def test_build_net_mesh_bound_and_errors():
 
     with pytest.raises(ValueError):
         build_net(g0, g1, 1, ell)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_net_mesh_equals_the_per_pair_formula_by_repr(dim):
+    # one array pass over the steps: math.hypot has math.dist's bits, and
+    # abs's for numbers; nets with and without shared ends, scales 1e-6 to 1e6
+    rng = np.random.default_rng(dim)
+    for case in range(1000):
+        k = int(rng.integers(2, 129))
+        shape = (k + 1,) if dim == 1 else (k + 1, 2)
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        samples0 = scale * rng.standard_normal(shape)
+        samples1 = samples0 + scale * rng.uniform(0.0, 2.0) * rng.standard_normal(shape)
+        if case % 2:
+            samples1[[0, -1]] = samples0[[0, -1]]
+        net = HomotopyNet(k, 1.0, samples0, samples1)
+        assert repr(net.mesh) == repr(net_mesh(samples0, samples1, k)), (case, k, scale)
 
 
 def test_build_net_far_from_the_origin_accepts_its_own_ell():
