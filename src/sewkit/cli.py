@@ -366,16 +366,21 @@ def _class_separation(cfg: dict, model: ApproxFlowModel) -> tuple[float, int]:
 
 def _run_certify(cfg: dict, rng: np.random.Generator) -> tuple[list[str], list[list[Any]], int]:
     model = build_model(cfg["model"])
-    on_plane = model.hoelder.mode == MODE_KNITTING
-    if cfg["mode"] == "three_point":
-        draw = (certify_mod.annulus_three_point_samples if on_plane
-                else certify_mod.interval_three_point_samples)
-        fit = certify_mod.fit_three_point
+    three = cfg["mode"] == "three_point"
+    fit = certify_mod.fit_three_point if three else certify_mod.fit_strong_four_point
+    if model.hoelder.mode == MODE_KNITTING:
+        # the flat connection, drawn at its own scale: radius 1.8 * r0 to 3.2 * r0 and
+        # chords scaled by r0 / 0.5, which at the default r0 = 0.5 are the defaults' bits
+        r0 = cfg["model"]["r0"]
+        draw = (certify_mod.annulus_three_point_samples if three
+                else certify_mod.annulus_four_point_samples)
+        samples = draw(rng, cfg["samples"], (1.8 * r0, 3.2 * r0),
+                       tuple(c * (r0 / 0.5) for c in certify_mod.ANNULUS_SCALES))
     else:
-        draw = (certify_mod.annulus_four_point_samples if on_plane
+        draw = (certify_mod.interval_three_point_samples if three
                 else certify_mod.interval_four_point_samples)
-        fit = certify_mod.fit_strong_four_point
-    report = fit(model, draw(rng, cfg["samples"]))
+        samples = draw(rng, cfg["samples"])
+    report = fit(model, samples)
     status = 0
     rows: list[list[Any]] = []
     for r in report.rows:

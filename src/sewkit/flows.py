@@ -174,8 +174,10 @@ class ApproxFlowModel:
     on stacked rows they raise TypeError, IndexError or ValueError, or give
     another shape.
 
-    ``max_param_step`` caps the parameter gap over which ``mu`` may be
-    evaluated; ``summary`` is the scalar readout of a flow map that ``sew``
+    ``max_param_step`` is used by ``sew`` alone, to choose its base level:
+    the regular base subdivision is doubled until no step exceeds it.  Knit
+    rows, certify chains and ``mu`` itself may take longer steps;
+    ``summary`` is the scalar readout of a flow map that ``sew``
     records per level (a :class:`Readout` in the built-in models);
     ``expansion_orders`` are the powers p_1 < p_2 < ... of the step in an
     asymptotic error expansion of the composites, which ``sew`` removes by

@@ -13,14 +13,13 @@ angle (not reduced mod 2*pi, so winding is observable).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EndpointMismatch
 from .flows import MODE_KNITTING, ApproxFlowModel, HoelderData, bound_power
-from .metric import ProbedMap, euclidean, map_distance_value
+from .metric import ProbedMap, distances, euclidean, map_distance_value
 from .metric import compose_chain  # unused here: kept for perfbench/tracer.py, which patches it
 from .paths import ENDPOINT_TOL, LipPath, pullback_flow
 from .sewing import MAX_LEVEL, SewCertificate, check_bound, compose_along, sew
@@ -30,13 +29,6 @@ from .subdivision import regular
 def _check_shared_endpoints(g0: LipPath, g1: LipPath) -> None:
     if euclidean(g0.start, g1.start) > ENDPOINT_TOL or euclidean(g0.end, g1.end) > ENDPOINT_TOL:
         raise EndpointMismatch("paths must share both endpoints")
-
-
-def _longest(steps: np.ndarray) -> float:
-    """The greatest norm among ``steps``, differences of points or of numbers,
-    with the bits of ``euclidean``: ``math.dist`` and ``math.hypot`` share one
-    norm routine, and ``math.hypot`` of one number is its absolute value."""
-    return max(map(math.hypot, *steps.reshape(len(steps), -1).T.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +54,10 @@ class HomotopyNet:
         # boundary rows give the mesh; the endpoint gap covers the snapping.
         # Row 0 is g0(t_j), row k is g1(t_j) with row 0's ends (to a zero's sign).
         bottom, top = self.samples0, self.samples1.copy()
-        gap = _longest(top[[0, -1]] - bottom[[0, -1]])
-        column = _longest(top - bottom) / self.k
+        gap = max(distances(top[[0, -1]], bottom[[0, -1]]))
+        column = max(distances(top, bottom)) / self.k
         top[[0, -1]] = bottom[[0, -1]]
-        step = max(_longest(np.diff(bottom, axis=0)), _longest(np.diff(top, axis=0)), column)
+        step = max(*distances(bottom[1:], bottom[:-1]), *distances(top[1:], top[:-1]), column)
         object.__setattr__(self, "mesh", step + gap)
 
     def row(self, i: int) -> np.ndarray:
@@ -105,7 +97,7 @@ def pair_lipschitz(g0: LipPath, g1: LipPath) -> float:
     _check_shared_endpoints(g0, g1)
     ell_t = max(g0.lip_norm, g1.lip_norm)
     us = sorted(set(g0.breaks) | set(g1.breaks))
-    ell_s = max(map(euclidean, g0.sample(us).tolist(), g1.sample(us).tolist()))
+    ell_s = max(distances(g0.sample(us), g1.sample(us)))
     return max(ell_t, ell_s)
 
 

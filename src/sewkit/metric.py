@@ -54,6 +54,18 @@ def euclidean(a: Point, b: Point) -> float:
     return math.dist(a, b)
 
 
+def distances(a, b) -> list[float]:
+    """``euclidean(a[i], b[i])`` for every row i of two (n,) or (n, d) arrays,
+    as plain floats with its bits: the differences in one numpy pass, an
+    overflowing one ``inf`` without a warning as in ``math.dist``, then
+    ``math.hypot`` of each row, which shares ``math.dist``'s norm routine
+    and is the absolute value of one number.  ``np.hypot`` can differ from
+    it in the last bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.subtract(a, b)
+    return list(map(math.hypot, *np.atleast_2d(diff.T).tolist()))
+
+
 # ---------------------------------------------------------------------------
 # spaces and probed maps
 
@@ -185,16 +197,16 @@ def translation_images(probes: Sequence[float], shifts: np.ndarray) -> np.ndarra
     return np.add.accumulate(acc, axis=2)[:, :, -1]
 
 
-def rotation_images(probes: Sequence[Point], shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def rotation_images(probes: Sequence[Point], shifts: np.ndarray) -> np.ndarray:
     """The (x, y) parts of the probe images under ``rotation_map(..., shifts[i])``
-    for each row i, as two (n, P) arrays, bit for bit: each row's angle summed
-    in order by a sequential ``np.add.accumulate``, its cosine and sine by
-    ``math``, then the rotation's products and sums elementwise."""
+    for each row i, as one (n, P, 2) array, bit for bit: each row's angle
+    summed in order by a sequential ``np.add.accumulate``, its cosine and sine
+    by ``math``, then the rotation's products and sums elementwise."""
     theta = np.add.accumulate(shifts, axis=1)[:, -1].tolist()
     co = np.array(list(map(math.cos, theta)))[:, None]
     si = np.array(list(map(math.sin, theta)))[:, None]
     px, py = np.asarray(probes, dtype=float)[:, :2].T
-    return co * px - si * py, si * px + co * py
+    return np.stack((co * px - si * py, si * px + co * py), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,10 @@ TAU = 2.0 * math.pi
 
 _MIDPOINT_TOO_CLOSE = "chord midpoint too close to the origin for the midpoint rule"
 
-#: knitting-mode defect constant per term for the midpoint flat connection,
-#: certified numerically on the working annulus (radius >= 0.7, chords <= r0)
+#: knitting-mode defect constant per term for the midpoint flat connection at
+#: r0 = 0.5, certified numerically on its domain there: points at radius >= r0,
+#: chords <= r0 and chord midpoints down to the rule's guard 0.7 * r0 = 0.35.
+#: ``make_flat_connection`` declares it times (0.5 / r0)**3 at other r0
 MIDPOINT_DEFECT_CONSTANT = 3.0
 
 #: error expansion of explicit Euler for smooth fields: integer powers of the
@@ -277,8 +279,8 @@ class FlatConnection:
     def __init__(self, variant: str = EXACT, r0: float = 0.5):
         if variant not in (self.EXACT, self.MIDPOINT):
             raise ValueError(f"unknown variant {variant!r}")
-        if r0 <= 0.0:
-            raise ValueError("r0 must be positive")
+        if not (0.0 < r0 < math.inf):  # a NaN fails too
+            raise ValueError(f"r0 must be positive and finite, got {r0!r}")
         self.variant = variant
         self.r0 = r0
         self.mid_min = 0.7 * r0
@@ -349,12 +351,21 @@ def make_flat_connection(
     by the three parameters avoids the origin, so its declared constants are
     zero.  The midpoint variant carries numerically certified knitting-mode
     data with epsilon = 1 and terms (2,1) and (1,2), each with constant
-    ``MIDPOINT_DEFECT_CONSTANT``, and declares the even expansion orders
-    ``MIDPOINT_EXPANSION_ORDERS``; the exact-segment variant declares none.
+    C(r0) = ``MIDPOINT_DEFECT_CONSTANT`` * (0.5 / r0)**3, and declares the
+    even expansion orders ``MIDPOINT_EXPANSION_ORDERS``; the exact-segment
+    variant declares none.
+
+    C(r0) follows from dilation: the winding form is invariant under
+    p -> lam * p, so scaling r0 and every point by lam leaves each
+    transported angle, and so every measured distance, unchanged, while each
+    declared term C * d**a * d**b with a + b = 3 scales by lam**3.  The
+    constant certified at r0 = 0.5 therefore holds at r0 = 0.5 * lam as
+    C / lam**3; at the default r0 it is ``MIDPOINT_DEFECT_CONSTANT`` itself.
     """
     conn = FlatConnection(variant, r0)
     fiber = circle_fiber(fiber_probes, name=f"rot-fiber{fiber_probes}")
-    c = 0.0 if variant == FlatConnection.EXACT else MIDPOINT_DEFECT_CONSTANT
+    c = 0.0 if variant == FlatConnection.EXACT else MIDPOINT_DEFECT_CONSTANT * bound_power(
+        0.5 / r0, 3.0, "midpoint defect constant")
     h = HoelderData(1.0, ((2.0, 1.0, c), (1.0, 2.0, c)), 0.0, MODE_KNITTING)
 
     return ApproxFlowModel(

@@ -25,6 +25,7 @@ from .metric import (
     Point,
     ProbedMap,
     compose,
+    distances,
     euclidean,
     identity_map,
     map_distance_value,
@@ -65,7 +66,7 @@ class LipPath:
         bad = ~np.isfinite(points).reshape(len(points), -1).all(axis=1)
         if bad.any():
             raise ValueError(f"points must be finite, got {self.points[bad.argmax()]!r}")
-        steps = map(euclidean, self.points, self.points[1:])
+        steps = distances(points[:-1], points[1:])
         spans = map(sub, self.breaks[1:], self.breaks)
         object.__setattr__(self, "lip_norm", max(map(truediv, steps, spans)))
 
@@ -79,7 +80,8 @@ class LipPath:
 
     @property
     def length(self) -> float:
-        return sum(euclidean(a, b) for a, b in zip(self.points, self.points[1:]))
+        points = self._arrays[1]
+        return sum(distances(points[:-1], points[1:]))
 
     def at(self, u: float) -> Point:
         """``sample`` at u as a plain point; at or beyond an end, that end's stored point."""
@@ -164,11 +166,9 @@ def ellipse_arc_path(
 ) -> LipPath:
     """PL sampling of an elliptical arc at uniform arc length (constant speed)."""
     pts = _arc_table(rx, ry, angle0, angle1, max(segments * 32, 1024))
-    dx, dy = np.diff(pts, axis=0).T
-    # math.hypot, not np.hypot: the two differ in the last bit on some pairs;
     # np.cumsum adds in order, as a running sum does
     cum = np.zeros(len(pts))
-    np.cumsum(list(map(math.hypot, dx.tolist(), dy.tolist())), out=cum[1:])
+    np.cumsum(distances(pts[1:], pts[:-1]), out=cum[1:])
     total = cum[-1]
     if total == 0.0:
         raise ValueError("a zero-length arc has no arc-length parametrization")

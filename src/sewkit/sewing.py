@@ -28,6 +28,7 @@ from .metric import (
     Point,
     ProbedMap,
     compose,
+    distances,
     euclidean,
     identity_map,
     map_distance_value,
@@ -460,26 +461,11 @@ def sew(
 # ---------------------------------------------------------------------------
 # chain distances over stacked sample rows
 
-def _translation_distances(probes, shifts_a: np.ndarray, shifts_b: np.ndarray) -> np.ndarray:
-    """|x - y| of the probe images, ``euclidean``'s bits on floats."""
-    return np.abs(translation_images(probes, shifts_a) - translation_images(probes, shifts_b))
-
-
-def _rotation_distances(probes, shifts_a: np.ndarray, shifts_b: np.ndarray) -> np.ndarray:
-    """``planar`` of the probe images: ``math.hypot`` per probe pair, since
-    ``np.hypot`` can differ from it in the last bit."""
-    probes = np.array(probes, dtype=float)
-    (xa, ya), (xb, yb) = rotation_images(probes, shifts_a), rotation_images(probes, shifts_b)
-    dx, dy = xa - xb, ya - yb
-    return np.array(list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()))).reshape(
-        dx.shape)
-
-
 #: the closed-form acts whose stacked chains are imaged in one array pass,
-#: each with the target metric that pass measures in and the pass itself
+#: each with the target metric its distances are measured in and the pass itself
 _STACKED_PASSES = {
-    translation_map: (euclidean, _translation_distances),
-    rotation_map: (planar, _rotation_distances),
+    translation_map: (euclidean, translation_images),
+    rotation_map: (planar, rotation_images),
 }
 
 
@@ -506,7 +492,7 @@ def _stacked_distances(model: ApproxFlowModel, a, b) -> np.ndarray | None:
     stacked = _STACKED_PASSES.get(model.act)
     if stacked is None or not len(a):
         return None
-    metric, distances = stacked
+    metric, images = stacked
     source, target = model.space_at(a[0][-1]), model.space_at(a[0][0])
     if target.metric is not metric or not all(
         model.space_at(r[-1]) is source and model.space_at(r[0]) is target
@@ -515,9 +501,11 @@ def _stacked_distances(model: ApproxFlowModel, a, b) -> np.ndarray | None:
         return None
     try:
         with np.errstate(all="ignore"):  # every non-finite distance is judged below
-            d = distances(source.probes, _stacked_shifts(model, a), _stacked_shifts(model, b))
+            xa, xb = (images(source.probes, _stacked_shifts(model, c)) for c in (a, b))
     except (ModelDomainError, ValueError, TypeError, IndexError):
         return None
+    n, p = xa.shape[:2]
+    d = np.reshape(distances(xa.reshape(n * p, -1), xb.reshape(n * p, -1)), (n, p))
     return None if np.isnan(d).any() else d
 
 

@@ -136,6 +136,24 @@ def test_knit_experiment_with_class_separation(tmp_path):
     assert float(sep[0][2]) == pytest.approx(2.0 * math.pi, abs=1e-6)
 
 
+_SMALL_R0_CONFIGS = {
+    "holonomy": {"experiment": "holonomy",
+                 "model": {"name": "flat_connection", "variant": "midpoint", "r0": 0.05},
+                 "path": {"kind": "circle", "radius": 0.1}},
+    "knit": {"experiment": "knit",
+             "model": {"name": "flat_connection", "variant": "midpoint", "r0": 0.02},
+             "homotopy": {"path0": {"kind": "arc", "radius": 0.03},
+                          "path1": {"kind": "ellipse_arc", "rx": 0.03, "ry": 0.048}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_R0_CONFIGS))
+def test_the_midpoint_connection_passes_its_own_bounds_at_a_small_r0(tmp_path, name):
+    # with the constant of r0 = 0.5 at every r0, both failed a bound (exit 2)
+    cfg = dict(_SMALL_R0_CONFIGS[name], output=str(tmp_path / "out.csv"))
+    assert cli.run(write_cfg(tmp_path, "small.json", cfg), quiet=True) == 0
+
+
 @pytest.fixture
 def fresh_separations(monkeypatch):
     """An empty store of kept class separations for one test, so a test that

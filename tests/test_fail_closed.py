@@ -534,13 +534,36 @@ def test_the_midpoint_radius_guard_holds_in_the_stacked_pass():
         fit_strong_four_point(make_flat_connection("midpoint"), samples)
 
 
-def test_a_certify_sample_inside_the_excluded_disk_names_its_point(tmp_path, capsys):
-    cfg = {"experiment": "certify", "model": dict(_MIDPOINT, r0=1.5), "mode": "strong_four_point",
-           "seed": 1, "output": str(tmp_path / "out.csv")}
-    assert _run(tmp_path, cfg) == 1
-    assert capsys.readouterr().err == ("error: point (1.1978185356393938, -0.38534020916758605) "
-                                       "inside the excluded disk of radius 1.5\n")
-    assert not (tmp_path / "out.csv").exists()
+def test_a_certify_sample_inside_the_excluded_disk_names_its_point():
+    samples = annulus_four_point_samples(np.random.default_rng(1))
+    samples[9] = ((0.6, 0.0), (0.3, 0.1), (0.6, 0.2), (0.6, 0.3))
+    with pytest.raises(ModelDomainError,
+                       match=re.escape("point (0.3, 0.1) inside the excluded disk of radius 0.5")):
+        fit_strong_four_point(make_flat_connection("midpoint"), samples)
+
+
+@pytest.mark.parametrize("r0", [1e-3, 1.5, 1e3])
+def test_certify_draws_at_the_scale_of_r0_stay_outside_the_disk(tmp_path, r0):
+    # annulus radius 1.8*r0 to 3.2*r0, chords scaled by r0/0.5: at r0 = 1.5 the
+    # fixed draws of radius 0.9 to 1.6 put a sample point inside the disk
+    code, rows = _certify_sample_rows(tmp_path, dict(_MIDPOINT, r0=r0), "strong_four_point", 1)
+    assert code == 0
+    assert len(rows) == 48 and all(within_bound(defect, bound) for defect, bound in rows)
+
+
+@pytest.mark.parametrize("variant", ["exact-segment", "midpoint"])
+@pytest.mark.parametrize("r0", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_r0_is_rejected(variant, r0):
+    # a NaN r0 would skip every disk check, and a NaN max_param_step one base level
+    with pytest.raises(ValueError, match="r0 must be positive and finite"):
+        make_flat_connection(variant, r0)
+
+
+def test_a_midpoint_constant_past_the_largest_double_is_non_finite():
+    # C(r0) = 3 * (0.5 / r0)**3 overflows at r0 = 1e-150, where the exact rule declares 0
+    with pytest.raises(NonFiniteValue, match="midpoint defect constant"):
+        make_flat_connection("midpoint", 1e-150)
+    assert make_flat_connection("exact-segment", 1e-150).hoelder.c_total == 0.0
 
 
 # --- negative controls for the knitting-mode rows ----------------------------

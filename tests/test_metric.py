@@ -1,4 +1,5 @@
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -25,7 +26,7 @@ from sewkit import (
     real_line,
     translation_map,
 )
-from sewkit.metric import euclidean
+from sewkit.metric import distances, euclidean
 
 
 def line(probes, name="line"):
@@ -37,6 +38,37 @@ def affine(space, a, b):
 
 
 # --- extended distances -----------------------------------------------------
+
+#: coordinates that stress the norm: signed zeros, non-finite values, extreme
+#: magnitudes, and values whose differences overflow a double
+_EDGE_COORDS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, -1e-300,
+                1.7e308, -1.7e308, 5e-324]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_distances_have_the_bits_of_euclidean_row_by_row(dim):
+    # arrays of point differences are measured by one routine with the bits of
+    # the scalar metric, and an overflowing difference is a silent inf there too
+    rng = np.random.default_rng(dim)
+    n = 10_000
+    shape = (n,) if dim == 1 else (n, dim)
+    a = rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+    b = rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+    for x in (a, b):
+        edge = rng.random(shape) < 0.2
+        x[edge] = rng.choice(_EDGE_COORDS, size=int(edge.sum()))
+    a[0], b[0] = 1.7e308, -1.7e308   # differences that overflow, of both signs
+    a[1], b[1] = -1.7e308, 1.7e308
+    points_a = a.tolist() if dim == 1 else list(map(tuple, a.tolist()))
+    points_b = b.tolist() if dim == 1 else list(map(tuple, b.tolist()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = distances(a, b)
+        expect = list(map(euclidean, points_a, points_b))
+    assert all(type(d) is float for d in got)
+    assert list(map(repr, got)) == list(map(repr, expect))
+    assert got[0] == got[1] == math.inf
+
 
 def test_infinite_distance_between_galaxies():
     # two-galaxy extended space: points on either side of 0 are infinitely far

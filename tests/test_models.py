@@ -15,6 +15,7 @@ from sewkit import (
     circle_path,
     compose_along,
     compose_chain,
+    four_point_defect,
     holonomy,
     make_additive,
     make_additive_sin,
@@ -29,7 +30,9 @@ from sewkit import (
     pullback_flow,
     regular,
     sew,
+    within_bound,
 )
+from sewkit.certify import ANNULUS_SCALES, annulus_four_point_samples
 from sewkit.flows import HoelderData
 from sewkit.metric import euclidean
 from sewkit.models import FlatConnection
@@ -320,6 +323,61 @@ def test_midpoint_too_close_chord_raises_in_every_chain():
                   lambda: compose_along(pullback_flow(fm, polyline(row)), (0.0, 0.5, 1.0))):
         with pytest.raises(ModelDomainError, match="midpoint too close"):
             chain()
+
+
+def _quadruples(rng, n, r0):
+    """n quadruples s, u, v, t in the plane: s at radius r0 to 3*r0, then three
+    steps of at most r0/2 in any direction, so every chord of (s, u, t) and
+    (s, v, t) is at most r0; some leave the domain."""
+    phi = rng.uniform(0.0, 2.0 * math.pi, (n, 4))
+    lengths = r0 * np.column_stack((rng.uniform(1.0, 3.0, n), rng.uniform(0.0, 0.5, (n, 3))))
+    xs = np.add.accumulate(lengths * np.cos(phi), axis=1)
+    ys = np.add.accumulate(lengths * np.sin(phi), axis=1)
+    return [tuple(zip(*row)) for row in zip(xs.tolist(), ys.tolist())]
+
+
+def _over_bound(model, quadruples):
+    """The in-domain quadruples whose four-point defect exceeds its declared
+    bound, and how many quadruples were in the domain."""
+    over, used = [], 0
+    for q in quadruples:
+        try:
+            defect, bound = four_point_defect(model, *q)
+        except ModelDomainError:
+            continue
+        used += 1
+        if not within_bound(defect, bound):
+            over.append(q)
+    return over, used
+
+
+@pytest.mark.parametrize("variant", ["exact-segment", "midpoint"])
+@pytest.mark.parametrize("r0", [1e-3, 1e-2, 0.1, 0.3, 0.5, 10.0, 1e3])
+def test_flat_connection_four_point_bound_holds_at_every_r0(variant, r0):
+    # the winding form is dilation invariant, so the declared constant must
+    # scale with r0: the one of r0 = 0.5 fails from r0 = 0.3 down
+    over, used = _over_bound(make_flat_connection(variant, r0),
+                             _quadruples(np.random.default_rng(3), 1000, r0))
+    assert used > 900
+    assert over == []
+
+
+@pytest.mark.parametrize("r0", [1e-3, 0.3, 0.5, 1e3])
+def test_midpoint_four_point_bound_holds_at_the_inner_edge(r0):
+    # annulus samples at r0's scale, from radius r0 to 1.5*r0: chains that
+    # reach into the disk are out of the domain, the rest must hold
+    samples = annulus_four_point_samples(np.random.default_rng(5), 400, (r0, 1.5 * r0),
+                                         tuple(c * (r0 / 0.5) for c in ANNULUS_SCALES))
+    over, used = _over_bound(make_flat_connection("midpoint", r0), samples)
+    assert used > 200
+    assert over == []
+
+
+def test_midpoint_constant_scales_with_r0_as_its_cube():
+    for r0, c in ((0.5, 3.0), (0.25, 24.0), (1.0, 0.375)):
+        terms = make_flat_connection("midpoint", r0).hoelder.terms
+        assert [t[2] for t in terms] == [c, c]
+    assert {t[2] for t in make_flat_connection("exact-segment", 1e-3).hoelder.terms} == {0.0}
 
 
 def test_flat_connection_inverse_is_exact():

@@ -1,5 +1,7 @@
-"""Structure guards: sewkit modules share only public names with each other
-and draw no random number one ``uniform`` call at a time, every certified
+"""Structure guards: sewkit modules share only public names with each other,
+import no name they do not use and draw no random number one ``uniform``
+call at a time, every array of point differences is measured by
+``metric.distances``, every certified
 inequality fails through ``sewing.check_bound``, ``sew`` builds every level
 in one loop body, ``models.py`` forks on no array type, the certify fits
 measure each sample set through ``chain_distances``, the CLI runs every
@@ -43,6 +45,47 @@ def test_no_module_draws_one_uniform_at_a_time(path):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "uniform"]
     assert calls == []
+
+
+#: names imported and not used, each kept because perfbench/tracer.py patches it there
+_KEPT_FOR_THE_TRACER = {"sewing.compose_chain", "knitting.compose_chain", "certify.compose_chain",
+                        "certify.map_distance_value"}
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """``module.name`` of every name the module imports and never loads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for a in node.names}
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {f"{path.stem}.{name}" for name in imported - loaded}
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__.py imports the public names to export them, and README names each one
+    unused = set().union(*(_unused_imports(path) for path in sorted(SRC.glob("*.py"))
+                           if path.name != "__init__.py"))
+    assert unused == _KEPT_FOR_THE_TRACER
+
+
+def _definitions_with(match) -> list[str]:
+    """``module.definition`` of each top-level definition of src/sewkit
+    holding an AST node that ``match`` accepts."""
+    return [f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for path in sorted(SRC.glob("*.py"))
+            for top in ast.parse(path.read_text(), filename=str(path)).body
+            if any(map(match, ast.walk(top)))]
+
+
+def test_every_array_of_point_differences_is_measured_by_distances():
+    # one routine keeps the bits of euclidean: math.hypot per row, never np.hypot
+    assert _definitions_with(
+        lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map"
+        and ast.unparse(node.args[0]) == "math.hypot") == ["metric.distances"]
+    assert _definitions_with(lambda node: isinstance(node, ast.Attribute)
+                             and ast.unparse(node) in ("np.hypot", "numpy.hypot")) == []
 
 
 def test_only_the_pullback_passes_its_own_mu():
