@@ -55,6 +55,9 @@ class HoelderData:
     mode: str = MODE_SEWING
 
     def __post_init__(self):
+        declared = (self.epsilon, self.lip_slope, *(x for term in self.terms for x in term))
+        if any(map(math.isnan, declared)):  # NaN passes every comparison below
+            raise ValueError(f"declared defect data must not be NaN, got {self!r}")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         if self.mode not in (MODE_SEWING, MODE_KNITTING):

@@ -163,6 +163,45 @@ def make_young(
 # ---------------------------------------------------------------------------
 # one-step vector-field models: mu_st(x) = x + (t-s)*F(x)
 
+def _euler_model(
+    field: Callable[[Point], Point],
+    lipschitz: float,
+    dim: int,
+    field_bound: float | None,
+    probe_n: int,
+    name: str,
+    steps: Callable[[Point, Sequence[float]], Point],
+) -> ApproxFlowModel:
+    """The Euler model of ``field`` whose act images a point by
+    ``steps(p, dts)``, the steps x + dt*F(x) over ``dts`` in order;
+    ``field`` itself only gives the probed ``field_bound`` when none is passed."""
+    if lipschitz < 0.0:
+        raise ValueError("lipschitz must be >= 0")
+    if dim == 1:
+        space = real_line(-1.0, 1.0, probe_n, name=f"{name}-line")
+    elif dim == 2:
+        space = plane_grid(1.0, 3, name=f"{name}-plane")
+    else:
+        raise ValueError("dim must be 1 or 2")
+    if field_bound is None:
+        field_bound = max(p_norm(field(p)) for p in space.probes)
+    h = HoelderData(1.0, ((1.0, 1.0, lipschitz * field_bound),), lipschitz, MODE_SEWING)
+
+    def act(source: MetricSpace, target: MetricSpace, dts: Sequence[float]) -> ProbedMap:
+        return ProbedMap(source, target, lambda p: steps(p, dts))
+
+    summary = Readout(1.0) if dim == 1 else Readout((1.0, 0.0), 0)
+    return ApproxFlowModel(
+        name=name,
+        space_at=lambda _t: space,
+        hoelder=h,
+        summary=summary,
+        expansion_orders=EULER_EXPANSION_ORDERS,
+        increments=lambda params: np.diff(np.asarray(params, dtype=float)).tolist(),
+        act=act,
+    )
+
+
 def make_euler(
     field: Callable[[Point], Point],
     lipschitz: float,
@@ -180,52 +219,44 @@ def make_euler(
 
     Its ``increments`` are the parameter steps as plain floats, and its
     ``act(source, target, dts)`` is one map taking the steps x + dt*F(x) over
-    ``dts`` in order, so a chain of k steps composes to one map, not k.
+    ``dts`` in order, so a chain of k steps composes to one map, not k.  The
+    built-in fields (:func:`make_euler_linear`, :func:`make_euler_sin`,
+    :func:`make_euler_matrix`) write that loop out, with the same operations
+    in the same order, so their images are this act's bit for bit.
     """
-    if lipschitz < 0.0:
-        raise ValueError("lipschitz must be >= 0")
     if dim == 1:
-        space = real_line(-1.0, 1.0, probe_n, name=f"{name}-line")
         add = lambda p, w, c: p + c * w
-    elif dim == 2:
-        space = plane_grid(1.0, 3, name=f"{name}-plane")
+    else:  # _euler_model rejects a dim other than 1 or 2
         add = lambda p, w, c: (p[0] + c * w[0], p[1] + c * w[1])
-    else:
-        raise ValueError("dim must be 1 or 2")
-    if field_bound is None:
-        field_bound = max(p_norm(field(p)) for p in space.probes)
-    h = HoelderData(1.0, ((1.0, 1.0, lipschitz * field_bound),), lipschitz, MODE_SEWING)
 
-    def act(source: MetricSpace, target: MetricSpace, dts: Sequence[float]) -> ProbedMap:
-        def run(p: Point) -> Point:
-            for dt in dts:
-                p = add(p, field(p), dt)
-            return p
+    def steps(p: Point, dts: Sequence[float]) -> Point:
+        for dt in dts:
+            p = add(p, field(p), dt)
+        return p
 
-        return ProbedMap(source, target, run)
-
-    summary = Readout(1.0) if dim == 1 else Readout((1.0, 0.0), 0)
-    return ApproxFlowModel(
-        name=name,
-        space_at=lambda _t: space,
-        hoelder=h,
-        summary=summary,
-        expansion_orders=EULER_EXPANSION_ORDERS,
-        increments=lambda params: np.diff(np.asarray(params, dtype=float)).tolist(),
-        act=act,
-    )
+    return _euler_model(field, lipschitz, dim, field_bound, probe_n, name, steps)
 
 
 def make_euler_linear(lam: float = 1.0, probe_n: int = 5) -> ApproxFlowModel:
     """mu_st(x) = x + (t-s)*lam*x; sews to x -> exp(lam*(t-s))*x."""
-    return make_euler(
-        lambda x, _l=lam: _l * x, abs(lam), probe_n=probe_n, name=f"euler-linear({lam})"
-    )
+    def steps(p: float, dts: Sequence[float]) -> float:
+        for dt in dts:
+            p = p + dt * (lam * p)
+        return p
+
+    return _euler_model(
+        lambda x: lam * x, abs(lam), 1, None, probe_n, f"euler-linear({lam})", steps)
 
 
 def make_euler_sin(probe_n: int = 5) -> ApproxFlowModel:
     """mu_st(x) = x + (t-s)*sin(x); |sin| <= 1 makes the defect constant global."""
-    return make_euler(math.sin, 1.0, field_bound=1.0, probe_n=probe_n, name="euler-sin")
+    def steps(p: float, dts: Sequence[float]) -> float:
+        sin = math.sin
+        for dt in dts:
+            p = p + dt * sin(p)
+        return p
+
+    return _euler_model(math.sin, 1.0, 1, 1.0, probe_n, "euler-sin", steps)
 
 
 def make_euler_matrix(a: Sequence[Sequence[float]]) -> ApproxFlowModel:
@@ -243,7 +274,14 @@ def make_euler_matrix(a: Sequence[Sequence[float]]) -> ApproxFlowModel:
     disc = math.sqrt(max(0.0, bound_power(0.5 * (g00 - g11), 2, "Lipschitz constant") + g01 * g01))
     lipschitz = math.sqrt(max(0.0, half + disc))
     field = lambda p: (a00 * p[0] + a01 * p[1], a10 * p[0] + a11 * p[1])
-    return make_euler(field, lipschitz, dim=2, name="euler-matrix")
+
+    def steps(p: Point, dts: Sequence[float]) -> Point:
+        x, y = p
+        for dt in dts:
+            x, y = x + dt * (a00 * x + a01 * y), y + dt * (a10 * x + a11 * y)
+        return (x, y)
+
+    return _euler_model(field, lipschitz, 2, None, 5, "euler-matrix", steps)
 
 
 # ---------------------------------------------------------------------------

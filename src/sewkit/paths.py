@@ -63,6 +63,9 @@ class LipPath:
             points = self._arrays[1]
         except ValueError:
             raise ValueError("points must be numbers, or tuples of numbers of one length") from None
+        except OverflowError:  # an int beyond the largest double
+            bad_point = next(filter(_overflows, self.points))
+            raise ValueError(f"points must be finite, got {bad_point!r}") from None
         bad = ~np.isfinite(points).reshape(len(points), -1).all(axis=1)
         if bad.any():
             raise ValueError(f"points must be finite, got {self.points[bad.argmax()]!r}")
@@ -101,6 +104,15 @@ class LipPath:
         ``params[i]``, which ``at`` returns as a plain point; an (n, m) array
         of parameters gives an (n, m, 2) array (or (n, m)) the same way."""
         return _interpolate(*self._arrays, params)
+
+
+def _overflows(p: Point) -> bool:
+    """Whether no float64 array holds the point: it has an int beyond the largest double."""
+    try:
+        np.array(p, dtype=float)
+    except OverflowError:
+        return True
+    return False
 
 
 def _as_points(a: np.ndarray) -> tuple[Point, ...]:

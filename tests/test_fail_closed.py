@@ -33,6 +33,7 @@ from sewkit import (
     knit_compare,
     make_additive,
     make_additive_sin,
+    make_euler,
     make_euler_linear,
     make_flat_connection,
     map_distance_value,
@@ -90,6 +91,32 @@ def test_growth_bound_with_an_infinite_slope_is_non_finite(delta):
     h = HoelderData(1.0, ((1.0, 1.0, 1.0),), math.inf)
     with pytest.raises(NonFiniteValue, match="growth bound"):
         h.g(delta)
+
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: make_euler_linear(math.nan),
+     lambda: make_euler(math.cos, math.nan),
+     lambda: make_euler(math.sin, 1.0, field_bound=math.nan),
+     lambda: HoelderData(math.nan, ((1.0, 1.0, 1.0),)),
+     lambda: HoelderData(1.0, ((1.0, 1.0, 1.0),), math.nan),
+     lambda: HoelderData(1.0, ((1.0, math.nan, 1.0),)),
+     lambda: HoelderData(1.0, ((1.0, 1.0, 1.0), (1.5, 0.5, math.nan)))],
+    ids=["euler-linear-lam", "euler-lipschitz", "euler-field-bound", "epsilon", "lip-slope",
+         "term-exponent", "term-constant"],
+)
+def test_nan_declared_data_is_rejected_when_built(build):
+    # every other check is a comparison, which a NaN passes; the field-bound
+    # case failed only inside sew, as a misleading overflow of the bounds
+    with pytest.raises(ValueError, match="must not be NaN"):
+        build()
+
+
+def test_infinite_declared_constants_are_still_accepted():
+    # README: euler_linear with lam = 1e308 exits 2 through NonFiniteValue in sew
+    assert make_euler_linear(1e308).hoelder.c_total == math.inf
+    assert HoelderData(1.0, ((1.0, 1.0, math.inf),), math.inf).lip_slope == math.inf
 
 
 # --- CLI ---------------------------------------------------------------------

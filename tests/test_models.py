@@ -1,7 +1,10 @@
 import dataclasses
 import gc
+import itertools
 import math
 import re
+import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -175,6 +178,112 @@ def test_euler_field_bound_is_probed_when_not_given():
     m = make_euler(math.cos, 1.0, name="euler-cos")
     # |cos| on the probe grid of [-1, 1] peaks at the middle probe
     assert m.hoelder.c_total == pytest.approx(1.0)
+
+
+
+# --- the built-in Euler models write out make_euler's step loop ---------------
+
+def _matrix_field(a):
+    (a00, a01), (a10, a11) = a
+    return lambda p: (a00 * p[0] + a01 * p[1], a10 * p[0] + a11 * p[1])
+
+
+def _euler_pairs():
+    """Pairs of a built-in Euler model and the make_euler model of its
+    field, Lipschitz constant and field bound, whose act runs the generic loop."""
+    rng = np.random.default_rng(37)
+    pairs = [(make_euler_linear(lam), make_euler(lambda x, _l=lam: _l * x, abs(lam)))
+             for lam in (1.0, -2.5, 0.3, 4.0, 0.0)]
+    pairs.append((make_euler_sin(), make_euler(math.sin, 1.0, field_bound=1.0)))
+    for _ in range(3):
+        a = rng.uniform(-1.0, 1.0, size=(2, 2)).tolist()
+        built = make_euler_matrix(a)
+        pairs.append((built, make_euler(_matrix_field(a), built.hoelder.lip_slope, dim=2)))
+    return pairs
+
+
+def _seeded_chains():
+    """Regular, reversed (negative steps) and irregular parameter arrays."""
+    rng = np.random.default_rng(7)
+    irregular = [np.sort(rng.uniform(-1.0, 1.5, size=n)) for n in (2, 5, 40, 300)]
+    return ([regular(0.0, 1.0, 64).points, regular(0.7, -0.6, 100).points]
+            + irregular + [c[::-1] for c in irregular]
+            + [rng.uniform(-1.0, 1.0, size=25)])  # steps of both signs
+
+
+@pytest.mark.parametrize("built,generic", _euler_pairs(), ids=lambda m: m.name)
+def test_built_in_euler_acts_equal_the_generic_act_by_repr(built, generic):
+    assert repr(built.hoelder) == repr(generic.hoelder)
+    for params in _seeded_chains():
+        fused, ref = compose_along(built, params), compose_along(generic, params)
+        for p in fused.source.probes:
+            assert repr(fused.eval(p)) == repr(ref.eval(p)), (built.name, len(params), p)
+
+
+@pytest.mark.parametrize("built,generic", _euler_pairs(), ids=lambda m: m.name)
+def test_built_in_euler_sews_equal_the_generic_sews_by_repr(built, generic):
+    rng = np.random.default_rng(11)
+    spans = [(0.0, 1.0)] + [tuple(rng.uniform(-1.0, 1.0, size=2).tolist()) for _ in range(2)]
+    for (s, t), tol in itertools.product(spans, (1e-7, 1e-8)):
+        (flow, cert), (ref_flow, ref_cert) = sew(built, s, t, tol), sew(generic, s, t, tol)
+        assert repr(cert.levels) == repr(ref_cert.levels), (built.name, s, t, tol)
+        assert repr(cert.limit_value) == repr(ref_cert.limit_value)
+        assert [repr(flow.eval(p)) for p in flow.source.probes] == [
+            repr(ref_flow.eval(p)) for p in ref_flow.source.probes]
+
+
+def test_an_overflowing_linear_act_equals_the_generic_act_by_repr():
+    lam = 1e300
+    built, generic = make_euler_linear(lam), make_euler(lambda x: lam * x, lam)
+    assert repr(built.hoelder) == repr(generic.hoelder)
+    images = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in ((0.0, 0.5, 1.0, 1.5), (1.5, 1.0, 0.5, 0.0)):
+            fused, ref = compose_along(built, params), compose_along(generic, params)
+            for p in fused.source.probes:
+                images.append(repr(fused.eval(p)))
+                assert images[-1] == repr(ref.eval(p)), (params, p)
+    assert "inf" in images and "nan" in images
+
+
+def test_sin_of_infinity_raises_the_same_error_in_both_acts():
+    errors = []
+    for m in (make_euler_sin(), make_euler(math.sin, 1.0, field_bound=1.0)):
+        with pytest.raises(ValueError) as info:  # math.sin(inf): math domain error
+            compose_along(m, (0.0, 0.5, 1.0)).eval(math.inf)
+        errors.append(type(info.value))
+    assert errors[0] is errors[1]
+
+
+def _python_calls(image, p) -> int:
+    """Python-level ``call`` events while ``image(p)`` runs."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        image(p)
+    finally:
+        sys.setprofile(outer)
+    return calls
+
+
+def _calls_per_image(model, k: int) -> int:
+    fused = compose_along(model, regular(0.0, 1.0, k).points)
+    return _python_calls(fused.eval, fused.source.probes[-1])
+
+
+@pytest.mark.parametrize("built,generic", _euler_pairs(), ids=lambda m: m.name)
+def test_built_in_euler_acts_make_no_python_call_per_step(built, generic):
+    assert _calls_per_image(built, 16) == _calls_per_image(built, 1024)
+    # the generic loop calls its point step and its field once per step, so
+    # the count sees the difference
+    assert _calls_per_image(generic, 16) < _calls_per_image(generic, 1024)
 
 
 # --- flat connection ----------------------------------------------------------

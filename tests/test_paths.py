@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,11 +55,16 @@ def test_lip_path_validation_and_norm():
         ((0.0, 0.5, 1.0), (0.0, math.nan, 1.0), "finite"),
         ((0.0, 0.5, 1.0), ((0.0, 0.0), (math.inf, 0.5), (1.0, 1.0)), "finite"),
         ((0.0, 0.5, 1.0), ((0.0, 0.0), (0.5, -math.inf), (1.0, 1.0)), "finite"),
+        # numpy raises OverflowError converting an int beyond the largest double
+        ((0.0, 0.5, 1.0), ((0.0, 0.0), (10**400, 0), (1.0, 1.0)),
+         re.escape(f"finite, got {(10**400, 0)!r}")),
+        ((0.0, 0.5, 1.0), (0.0, -(10**400), 1.0), re.escape(f"finite, got {-(10**400)!r}")),
         ((0.0, math.nan, 1.0), ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0)), "strictly increasing"),
         ((0.0, 0.5, 1.0), ((0.0, 0.0), (0.5, 0.5, 0.0), (1.0, 1.0)), "one length"),
         ((0.0, 0.5, 1.0), (0.0, (0.5,), 1.0), "one length"),
     ],
-    ids=["nan-point", "nan-float-point", "inf-point", "minus-inf-point", "nan-break",
+    ids=["nan-point", "nan-float-point", "inf-point", "minus-inf-point", "int-overflow-point",
+         "int-overflow-float-point", "nan-break",
          "2d-and-3d", "float-and-tuple"],
 )
 def test_lip_path_fails_closed_on_bad_points(breaks, points, fragment):
