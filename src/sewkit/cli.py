@@ -165,8 +165,7 @@ def _point(val: Any, where: str) -> tuple[float, float]:
 def _list(entry: Field, length: int | None = None, nonempty: bool = False
           ) -> Callable[[Any, str], list]:
     """A checker of a list, of ``length`` entries when given and of at least
-    one when ``nonempty``, each an ``entry``, which the checker keeps as its
-    ``entry`` attribute."""
+    one when ``nonempty``, each an ``entry``."""
 
     def check(val: Any, where: str) -> list:
         if not isinstance(val, list) or (length is not None and len(val) != length):
@@ -176,7 +175,6 @@ def _list(entry: Field, length: int | None = None, nonempty: bool = False
             raise ConfigError(f"{where} must be a non-empty list, got []")
         return [_check_field(entry, v, f"{where} entry") for v in val]
 
-    check.entry = entry
     return check
 
 

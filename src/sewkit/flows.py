@@ -22,6 +22,9 @@ MODE_KNITTING = "knitting"  # exponents satisfy a + b = 2 + epsilon
 
 Param = Any  # a real time, or a point of the parameter space
 
+#: the largest expansion order p for which 2**p, and so 2**-p, is a finite double
+_MAX_ORDER = 1023
+
 
 def bound_power(base: float, exponent: float, what: str) -> float:
     """``base**exponent`` inside the declared bound ``what``.
@@ -141,8 +144,8 @@ class HoelderData:
 @dataclass(frozen=True)
 class Readout:
     """A summary that reads a flow map's image of ``point``, or coordinate
-    ``coord`` of that image.  When ``point`` is one of the source probes,
-    ``sew`` reads it from the probe values it already holds."""
+    ``coord`` of that image, which ``sew`` reads from its probe values
+    (``point`` joins the source probes when it is none of them)."""
 
     point: Point
     coord: int | None = None
@@ -185,6 +188,8 @@ class ApproxFlowModel:
     ``expansion_orders`` are the powers p_1 < p_2 < ... of the step in an
     asymptotic error expansion of the composites, which ``sew`` removes by
     Richardson columns (1, 2, 3, ... for Euler steps of smooth fields).
+    They must increase strictly within (0, 1023], so that every 2**p and
+    2**-p is a finite positive double; other orders raise ValueError.
     """
 
     name: str
@@ -198,6 +203,12 @@ class ApproxFlowModel:
     expansion_orders: tuple[int, ...] = ()
 
     def __post_init__(self):
+        orders = self.expansion_orders
+        # a NaN or infinite order fails the range test too
+        if not (all(0 < p <= _MAX_ORDER for p in orders)
+                and all(p < q for p, q in zip(orders, orders[1:]))):
+            raise ValueError(f"expansion_orders of {self.name} must increase strictly "
+                             f"within (0, {_MAX_ORDER}], got {orders!r}")
         if self.mu is None:
             # closes over the fields, not self, so the model holds no reference cycle
             space_at, increments, act = self.space_at, self.increments, self.act

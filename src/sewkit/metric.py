@@ -24,15 +24,6 @@ Point = Any  # a float, or a tuple of floats
 # ---------------------------------------------------------------------------
 # point helpers (floats and tuples share one code path)
 
-def p_axpy(b: Point, a: Point, coef: float) -> Point:
-    """b + coef*(b - a); geometric-tail extrapolation step."""
-    if coef == 0.0:
-        return b
-    if isinstance(b, tuple):
-        return tuple(x + coef * (x - y) for x, y in zip(b, a))
-    return b + coef * (b - a)
-
-
 def p_norm(a: Point) -> float:
     """Euclidean norm, as the square root of the sum of squares."""
     if isinstance(a, tuple):

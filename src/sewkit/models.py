@@ -168,7 +168,7 @@ def _euler_model(
     lipschitz: float,
     dim: int,
     field_bound: float | None,
-    probe_n: int,
+    probe_n: int | None,
     name: str,
     steps: Callable[[Point, Sequence[float]], Point],
 ) -> ApproxFlowModel:
@@ -178,9 +178,9 @@ def _euler_model(
     if lipschitz < 0.0:
         raise ValueError("lipschitz must be >= 0")
     if dim == 1:
-        space = real_line(-1.0, 1.0, probe_n, name=f"{name}-line")
+        space = real_line(-1.0, 1.0, 5 if probe_n is None else probe_n, name=f"{name}-line")
     elif dim == 2:
-        space = plane_grid(1.0, 3, name=f"{name}-plane")
+        space = plane_grid(1.0, 3 if probe_n is None else probe_n, name=f"{name}-plane")
     else:
         raise ValueError("dim must be 1 or 2")
     if field_bound is None:
@@ -207,7 +207,7 @@ def make_euler(
     lipschitz: float,
     dim: int = 1,
     field_bound: float | None = None,
-    probe_n: int = 5,
+    probe_n: int | None = None,
     name: str = "euler",
 ) -> ApproxFlowModel:
     """First-order steps of a vector field with declared Lipschitz constant.
@@ -215,7 +215,9 @@ def make_euler(
     The three-point defect constant is Lip(F) times a bound on |F| over the
     probe region (supplied via ``field_bound`` or probed at build time); the
     slope is L = Lip(F), so g(delta) = exp(Lip(F)*delta).  The model declares
-    the integer expansion orders ``EULER_EXPANSION_ORDERS``.
+    the integer expansion orders ``EULER_EXPANSION_ORDERS``.  Its probes are
+    ``probe_n`` points of [-1, 1] on the line, or ``probe_n`` per axis of
+    [-1, 1]**2 in the plane; None gives 5 on the line and 3 by 3 in the plane.
 
     Its ``increments`` are the parameter steps as plain floats, and its
     ``act(source, target, dts)`` is one map taking the steps x + dt*F(x) over
@@ -238,14 +240,14 @@ def make_euler(
 
 
 def make_euler_linear(lam: float = 1.0, probe_n: int = 5) -> ApproxFlowModel:
-    """mu_st(x) = x + (t-s)*lam*x; sews to x -> exp(lam*(t-s))*x."""
+    """mu_st(x) = x + (t-s)*lam*x, declaring |F| <= |lam|; sews to x -> exp(lam*(t-s))*x."""
     def steps(p: float, dts: Sequence[float]) -> float:
         for dt in dts:
             p = p + dt * (lam * p)
         return p
 
     return _euler_model(
-        lambda x: lam * x, abs(lam), 1, None, probe_n, f"euler-linear({lam})", steps)
+        lambda x: lam * x, abs(lam), 1, abs(lam), probe_n, f"euler-linear({lam})", steps)
 
 
 def make_euler_sin(probe_n: int = 5) -> ApproxFlowModel:
@@ -281,7 +283,7 @@ def make_euler_matrix(a: Sequence[Sequence[float]]) -> ApproxFlowModel:
             x, y = x + dt * (a00 * x + a01 * y), y + dt * (a10 * x + a11 * y)
         return (x, y)
 
-    return _euler_model(field, lipschitz, 2, None, 5, "euler-matrix", steps)
+    return _euler_model(field, lipschitz, 2, None, None, "euler-matrix", steps)
 
 
 # ---------------------------------------------------------------------------

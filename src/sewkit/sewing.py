@@ -32,7 +32,6 @@ from .metric import (
     euclidean,
     identity_map,
     map_distance_value,
-    p_axpy,
     planar,
     rotation_images,
     rotation_map,
@@ -72,43 +71,34 @@ def check_bound(measured: float, bound: float, what: str) -> None:
 #: Euler-Maclaurin coefficients B_2k / (2k)! for k = 1..5 (B2..B10)
 _EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0, 1.0 / 47900160.0)
 
-#: |B12| / 12!, the coefficient of the first omitted term, which bounds the remainder
-_EM_REMAINDER = 691.0 / 1307674368000.0
-
-#: zeta(s) > 1 for s > 1, so no double resolves an error below the spacing at 1
-_ZETA_TOL_FLOOR = math.ulp(1.0)
+#: zeta sums its first N - 1 terms directly, then the Euler-Maclaurin tail from N
+_ZETA_N = 20
 
 
 @lru_cache(maxsize=None)
-def zeta(s: float, tol: float = 1e-12) -> float:
+def zeta(s: float) -> float:
     """Riemann zeta by Euler-Maclaurin summation, at a cost independent of s.
 
     zeta(s) = sum_{j<N} j**-s + N**(1-s)/(s-1) + N**-s/2
-    + sum_{k=1..5} B_2k/(2k)! * s(s+1)...(s+2k-2) * N**(1-s-2k) + R.
+    + sum_{k=1..5} B_2k/(2k)! * s(s+1)...(s+2k-2) * N**(1-s-2k) + R, N = 20.
     Since x**-s is completely monotone, |R| is below the first omitted (B12)
-    term; N starts at 20 and doubles until that term is below tol/2, leaving
-    a truncation error below tol/2.  Non-finite arguments and tolerances below
-    the double spacing at 1 raise ValueError.
+    term, |B12|/12! * s(s+1)...(s+10) * N**(-s-11) <= 5.2e-18 for all s > 1
+    (it shrinks by (s+11)/(N*s) <= 0.6 per unit of s, so peaks in (1, 2]).
+    Non-finite s and s <= 1 raise ValueError.
     """
-    if not (math.isfinite(s) and math.isfinite(tol)):
-        raise ValueError(f"zeta needs finite s and tol, got s={s!r}, tol={tol!r}")
+    if not math.isfinite(s):
+        raise ValueError(f"zeta needs a finite s, got s={s!r}")
     if s <= 1.0:
         raise ValueError("zeta diverges for s <= 1")
-    if tol < _ZETA_TOL_FLOOR:
-        raise ValueError(f"tol must be at least {_ZETA_TOL_FLOOR!r}, the double spacing at 1")
-    n = 20
-    while True:
-        # f runs through s(s+1)...(s+2k-2) * n**(1-s-2k); multiplied left to
-        # right, a vanishing n**-s is never met by an overflowing factor
-        head = n**-s
-        f = head * (s / n)
-        corrections = []
-        for k, c in enumerate(_EM_COEFFS):
-            corrections.append(c * f)
-            f = f * ((s + 2 * k + 1) / n) * ((s + 2 * k + 2) / n)
-        if _EM_REMAINDER * f < tol / 2.0:
-            break
-        n *= 2
+    n = _ZETA_N
+    # f runs through s(s+1)...(s+2k-2) * n**(1-s-2k); multiplied left to
+    # right, a vanishing n**-s is never met by an overflowing factor
+    head = n**-s
+    f = head * (s / n)
+    corrections = []
+    for k, c in enumerate(_EM_COEFFS):
+        corrections.append(c * f)
+        f = f * ((s + 2 * k + 1) / n) * ((s + 2 * k + 2) / n)
     direct = [j**-s for j in range(1, n)]
     return math.fsum(direct + [n ** (1.0 - s) / (s - 1.0), head / 2.0] + corrections)
 
@@ -155,12 +145,13 @@ def compose_along(model: ApproxFlowModel, params: Sequence[Param]) -> ProbedMap:
     )
 
 
-def _probe_slot(probes: Sequence[Point], point: Point) -> int | None:
-    """Index of the probe that is ``point`` bit for bit, or None: repr tells
-    -0.0 from 0.0 and 1 from 1.0, which compare equal but may have images
-    that print differently."""
+def _with_point(probes: tuple[Point, ...], point: Point) -> tuple[tuple[Point, ...], int]:
+    """The probes, with ``point`` appended unless one is ``point`` bit for
+    bit, and its index: repr tells -0.0 from 0.0 and 1 from 1.0, which
+    compare equal but may have images that print differently."""
     key = repr(point)
-    return next((i for i, p in enumerate(probes) if repr(p) == key), None)
+    i = next((i for i, p in enumerate(probes) if repr(p) == key), len(probes))
+    return (probes if i < len(probes) else probes + (point,)), i
 
 
 def _sup_distance(metric, xs: Sequence[Point], ys: Sequence[Point], what: str) -> float:
@@ -239,10 +230,13 @@ def _romberg_row(
 ) -> list[tuple[Point, ...]]:
     """Next row of a Richardson table: the raw values, then one step
     T[i][j+1] = T[i][j] + coefs[j] * (T[i][j] - T[i-1][j]) per column the
-    previous row carries (coef = r/(1-r) removes an error term of ratio r)."""
+    previous row carries (coef = r/(1-r) removes an error term of ratio r),
+    per coordinate when the values are tuples."""
     row = [vals]
+    points = isinstance(vals[0], tuple)
     for j, cf in enumerate(coefs[: len(prev_row)]):
-        row.append(tuple(p_axpy(b, a, cf) for b, a in zip(row[j], prev_row[j])))
+        row.append(tuple(tuple(x + cf * (x - y) for x, y in zip(b, a)) if points
+                         else b + cf * (b - a) for b, a in zip(row[j], prev_row[j])))
     return row
 
 
@@ -284,7 +278,9 @@ def sew(
     Returns the limit map (the same column steps applied to the finest
     composites) and a :class:`SewCertificate`, which records the model's
     ``summary`` of each level's composite and of the limit map when the
-    model declares one.  Raises
+    model declares one.  A :class:`Readout` summary's point is imaged and
+    measured with the probes, as one more when it is not a probe, so every
+    value the certificate reports is one the stop rule has seen.  Raises
     :class:`NonConvergence` carrying the certificate when max_level is hit
     (tol > 0) or, at any tol, when the next level's midpoints round onto
     the ends of their intervals,
@@ -300,17 +296,18 @@ def sew(
     span = abs(t - s)
     source = model.space_at(t)
     target = model.space_at(s)
-    probes = source.probes
     metric = target.metric
     orders = model.expansion_orders
     declared_coefs = _column_coefs(orders, None)
 
     summary = model.summary
-    slot = _probe_slot(probes, summary.point) if isinstance(summary, Readout) else None
+    probes, slot = source.probes, None
+    if isinstance(summary, Readout):  # the value it reports is measured: off the probes too
+        probes, slot = _with_point(probes, summary.point)
 
     def level_value(composite: ProbedMap, vals: tuple[Point, ...]) -> float | None:
-        """The summary of a map whose probe images are vals; a readout at a
-        probe reads vals instead of evaluating the map again."""
+        """The summary of a map whose probe images are vals; a readout reads
+        its slot of vals instead of evaluating the map again."""
         if summary is None:
             return None
         return summary(composite) if slot is None else summary.read(vals[slot])

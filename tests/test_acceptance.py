@@ -185,7 +185,7 @@ def test_criterion_5_four_point_remark():
 
 def test_criterion_6_constant_K_numeric():
     k = constant_K(HoelderData(1.0, ((1.0, 1.0, 1.0),)))
-    oracle = 4.0 * zeta(2.0, 1e-12)
+    oracle = 4.0 * zeta(2.0)
     ok = abs(k - 6.5797362674) <= 1e-8 and abs(k - oracle) <= 1e-10
     report(6, "constant_K numeric", ok, f"K = {k:.10f}")
 

@@ -9,6 +9,7 @@ from sewkit import (
     ApproxFlowModel,
     HoelderData,
     InsufficientSamples,
+    MetricSpace,
     NonFiniteValue,
     Readout,
     SewkitError,
@@ -298,6 +299,26 @@ def test_chain_distances_keeps_an_infinite_distance_and_takes_one_row_per_sample
     assert single == [sewing.map_distance_value(sewing.compose_along(model, p),
                                                 sewing.compose_along(model, q))
                       for p, q in [((0.1,), (0.1, 0.2)), ((0.3,), (0.3, 0.35))]]
+
+
+_SIN = make_additive_sin()
+_LEFT, _RIGHT = real_line(name="left"), real_line(name="right")
+_ABS_LINE = MetricSpace("line-abs", lambda x, y: abs(x - y), real_line().probes)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [dataclasses.replace(_SIN, increments=lambda p: np.ravel(_SIN.increments(p))),
+     dataclasses.replace(_SIN, space_at=lambda p: _RIGHT if p >= 0.5 else _LEFT),
+     dataclasses.replace(_SIN, space_at=lambda _p: _ABS_LINE)],
+    ids=["increments-of-another-shape", "rows-in-other-spaces", "another-target-metric"],
+)
+def test_chain_distances_measures_row_by_row_where_the_pass_does_not_apply(model):
+    a, b = [(0.1, 0.3), (0.6, 0.9)], [(0.1, 0.2, 0.3), (0.6, 0.8, 0.9)]
+    assert sewing._stacked_distances(model, a, b) is None
+    assert repr(chain_distances(model, a, b).tolist()) == repr(
+        [sewing.map_distance_value(sewing.compose_along(model, p), sewing.compose_along(model, q))
+         for p, q in zip(a, b)])
 
 
 def test_a_model_whose_increments_take_one_chain_is_measured_row_by_row():

@@ -48,6 +48,20 @@ def test_sew_experiment_ends_with_the_exponential(tmp_path):
     assert float(rows[-1][4]) == pytest.approx(math.e, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "model,exact",
+    [({"name": "euler_linear", "lam": 1.0, "probes": 1}, math.e),
+     ({"name": "euler_sin", "probes": 1}, 2.0 * math.atan(math.tan(0.5) * math.e))],
+    ids=["euler_linear", "euler_sin"],
+)
+def test_a_sew_measures_its_readout_off_the_probes(tmp_path, model, exact):
+    # the one probe, 0.0, is a fixed point of both fields; the limit is read at 1.0
+    assert cli.run(euler_cfg(tmp_path, model=model), quiet=True) == 0
+    rows = read_rows(tmp_path / "euler.csv")
+    assert rows[-1][0] == "limit"
+    assert float(rows[-1][4]) == pytest.approx(exact, abs=1e-6)
+
+
 def test_sew_nonconvergence_exits_two(tmp_path, capsys):
     path = euler_cfg(tmp_path, out="short.csv", tol=1e-13, max_level=3)
     assert cli.run(path, quiet=True) == 2
@@ -356,6 +370,14 @@ def test_config_errors_exit_one(tmp_path, capsys):
 
     mismatch = euler_cfg(tmp_path)
     assert cli.run(mismatch, quiet=True, experiment="knit") == 1
+    capsys.readouterr()
+
+    listed = write_cfg(tmp_path, "listed.json", [json.loads(Path(mismatch).read_text())])
+    assert cli.run(listed, quiet=True) == 1
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+    assert cli.run(mismatch, seed=-1, quiet=True) == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_certify_with_too_few_samples_exits_one(tmp_path, capsys):
@@ -410,6 +432,12 @@ def test_main_entry_point(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sew", "--config", path, "--quiet"])
     assert exc.value.code == 0
+    assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sew", "--config", path])
+    assert exc.value.code == 0
+    rows = len(read_rows(tmp_path / "euler.csv")) - 1
+    assert capsys.readouterr().out == f"sew: wrote {rows} rows to {tmp_path / 'euler.csv'} (exit 0)\n"
 
 
 # --- the config table ----------------------------------------------------------

@@ -3,6 +3,7 @@ bounds end in a typed error or a documented exit code, never a traceback."""
 import copy
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import re
@@ -310,7 +311,7 @@ def test_holonomy_non_convergence_is_reported_as_such(tmp_path, capsys, case, fr
     if written is None:
         assert not out.exists()
     else:
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert [r[0] for r in rows[1:]] == written
         assert rows[-1][-1] == rows[-2][-1] != ""  # the angle repeats the limit's value
     err = capsys.readouterr().err
@@ -324,7 +325,7 @@ def test_knit_keeps_its_rows_when_class_separation_stops_short(tmp_path, capsys)
     assert _run(tmp_path, cfg) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("non-convergence: ") for line in err), err
-    rows = list(csv.reader((tmp_path / "out.csv").open()))
+    rows = list(csv.reader((tmp_path / "out.csv").read_text().splitlines()))
     assert [(r[0], r[-1]) for r in rows[1:]] == [
         ("8", "pass"), ("16", "pass"), ("class_separation", "fail")]
 
@@ -426,7 +427,8 @@ def _upper_bounds(table):
             if isinstance(field.kind, cli.Tagged):
                 nested = _upper_bounds(field.kind)
             else:
-                field = getattr(field.kind, "entry", field)
+                if inspect.isfunction(field.kind):  # a ``cli._list`` checker: its entries'
+                    field = inspect.getclosurevars(field.kind).nonlocals.get("entry", field)
                 nested = {} if field.most is None else {key: field.most}
             for name, most in nested.items():
                 assert bounds.setdefault(name, most) == most, name

@@ -99,6 +99,8 @@ def test_build_net_mesh_bound_and_errors():
 
     with pytest.raises(ValueError):
         build_net(g0, g1, 1, ell)
+    with pytest.raises(ValueError, match="ell must be positive"):
+        build_net(g0, g1, 4, 0.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -23,6 +23,7 @@ from sewkit import (
     compose,
     compose_chain,
     map_distance_value,
+    plane_grid,
     real_line,
     translation_map,
 )
@@ -197,6 +198,15 @@ def test_builtin_spaces_satisfy_metric_axioms():
     assert metric_axiom_violations(real_line(-1, 1, 5)) == []
 
 
+def test_a_space_needs_a_probe_and_one_probe_is_the_centre():
+    assert real_line(-1.0, 3.0, 1).probes == (1.0,)
+    assert plane_grid(2.0, 1).probes == ((0.0, 0.0),)
+    for build in (lambda: real_line(n=0), lambda: plane_grid(n=0),
+                  lambda: MetricSpace("empty", euclidean, ())):
+        with pytest.raises(ValueError, match="probe"):
+            build()
+
+
 def test_compose_chain_streams_factors_from_a_generator():
     a, b = line((0.0, 1.0), "a"), line((0.0, 1.0), "b")
     f = affine(a, 2.0, 1.0)
@@ -204,7 +214,7 @@ def test_compose_chain_streams_factors_from_a_generator():
     with pytest.raises(ValueError):
         compose_chain(m for m in [])
     # maps[0] o maps[1] o maps[2]: x -> 2x + 2 -> 4x + 5 -> 8x + 10
-    assert compose_chain(affine(a, 2.0, float(j)) for j in range(3)).eval(1.0) == 18.0
+    assert compose_chain(affine(a, 2.0, float(j)) for j in range(3))(1.0) == 18.0
     mixed = (affine(a, 1.0, 0.0), affine(b, 1.0, 0.0), affine(a, 1.0, 0.0))
     with pytest.raises(DomainMismatch, match="inner target 'b' != outer source 'a'"):
         compose_chain(m for m in mixed)

@@ -29,8 +29,10 @@ from sewkit import (
     make_flat_connection,
     make_young,
     map_distance_value,
+    plane_grid,
     polyline,
     pullback_flow,
+    real_line,
     regular,
     sew,
     within_bound,
@@ -172,12 +174,47 @@ def test_hoelder_growth_axioms_and_validation():
         HoelderData(0.0, ((0.5, 0.5, 1.0),))  # eps must be positive
     with pytest.raises(ValueError):
         HoelderData(1.0, ((2.0, 1.0, 1.0),), mode="weaving")
+    with pytest.raises(ValueError, match="at least one defect term"):
+        HoelderData(1.0, ())
+    with pytest.raises(ValueError, match="lip_slope"):
+        HoelderData(1.0, ((1.0, 1.0, 1.0),), -0.5)
+    for term in ((0.0, 2.0, 1.0), (2.0, 0.0, 1.0), (1.0, 1.0, -1.0)):
+        with pytest.raises(ValueError, match="terms need"):
+            HoelderData(1.0, (term,))
+    h = HoelderData(1.0, ((1.0, 1.0, 1.0),), 0.5)
+    with pytest.raises(ValueError, match="growth argument"):
+        h.g(-0.1)
+    with pytest.raises(ValueError, match="lip must be"):
+        h.pulled_back(-1.0)
 
 
 def test_euler_field_bound_is_probed_when_not_given():
     m = make_euler(math.cos, 1.0, name="euler-cos")
     # |cos| on the probe grid of [-1, 1] peaks at the middle probe
     assert m.hoelder.c_total == pytest.approx(1.0)
+
+
+def test_euler_probes_are_probe_n_per_axis_and_the_defaults_keep_their_grids():
+    rotation = [[0.0, 1.0], [-1.0, 0.0]]
+    plane = make_euler(_matrix_field(rotation), 1.0, dim=2, probe_n=4)
+    assert len(plane.space_at(0.0).probes) == 16
+    defaults = [
+        (make_euler(math.sin, 1.0), real_line(-1.0, 1.0, 5, name="euler-line")),
+        (make_euler(_matrix_field(rotation), 1.0, dim=2), plane_grid(1.0, 3, name="euler-plane")),
+        (make_euler_linear(2.0), real_line(-1.0, 1.0, 5, name="euler-linear(2.0)-line")),
+        (make_euler_sin(), real_line(-1.0, 1.0, 5, name="euler-sin-line")),
+        (make_euler_matrix(rotation), plane_grid(1.0, 3, name="euler-matrix-plane")),
+    ]
+    for model, space in defaults:
+        assert repr(model.space_at(0.0)) == repr(space)
+    # the linear model declares |F| <= |lam| whatever its probes
+    for n in (1, 2, 4):
+        assert repr(make_euler_linear(-2.0, probe_n=n).hoelder) == repr(
+            make_euler_linear(-2.0).hoelder)
+    with pytest.raises(ValueError, match="lipschitz must be >= 0"):
+        make_euler(math.sin, -1.0)
+    with pytest.raises(ValueError, match="dim must be 1 or 2"):
+        make_euler(math.sin, 1.0, dim=3)
 
 
 

@@ -62,10 +62,12 @@ def test_lip_path_validation_and_norm():
         ((0.0, math.nan, 1.0), ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0)), "strictly increasing"),
         ((0.0, 0.5, 1.0), ((0.0, 0.0), (0.5, 0.5, 0.0), (1.0, 1.0)), "one length"),
         ((0.0, 0.5, 1.0), (0.0, (0.5,), 1.0), "one length"),
+        ((0.0,), (0.0,), "at least two breakpoints"),
+        ((0.0, 0.5), (0.0, 1.0), "run from 0 to 1"),
     ],
     ids=["nan-point", "nan-float-point", "inf-point", "minus-inf-point", "int-overflow-point",
          "int-overflow-float-point", "nan-break",
-         "2d-and-3d", "float-and-tuple"],
+         "2d-and-3d", "float-and-tuple", "one-break", "breaks-short-of-one"],
 )
 def test_lip_path_fails_closed_on_bad_points(breaks, points, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -112,6 +114,9 @@ def test_subpath_examples():
     rev = reverse_path(g)
     assert reverse_path(rev).points == g.points
     assert rev.points == tuple(reversed(g.points))
+    for s, t in ((-0.1, 0.5), (0.5, 1.1)):
+        with pytest.raises(ValueError, match="lie in"):
+            subpath(g, s, t)
 
 
 @given(st.floats(0, 1), st.floats(0, 1))
@@ -127,6 +132,8 @@ def test_pl_thin_reduce_examples():
     assert pl_thin_reduce(polyline((a, b, a, b))).points == (a, b)
     no_backtrack = polyline(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
     assert pl_thin_reduce(no_backtrack).points == no_backtrack.points
+    assert pl_thin_reduce(polyline((0.0, 2.0, 1.0))).points == (0.0, 1.0)  # on the line
+    assert pl_thin_reduce(polyline((a, b, b))).points == (a, b)  # a pause at the end
 
 
 def test_pl_thin_reduce_partial_backtrack():
@@ -294,6 +301,9 @@ def test_reparametrize_rejects_a_decreasing_phi():
     g = polyline(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
     with pytest.raises(ValueError, match="non-decreasing"):
         reparametrize(g, (0.0, 0.4, 0.7, 1.0), (0.0, 0.8, 0.3, 1.0))
+    for values in ((0.1, 1.0), (0.0, 0.9)):
+        with pytest.raises(ValueError, match="fix the endpoints"):
+            reparametrize(g, (0.0, 1.0), values)
     # a flat piece is allowed: the path pauses there
     paused = reparametrize(g, (0.0, 0.4, 0.7, 1.0), (0.0, 0.5, 0.5, 1.0))
     assert paused.at(0.5) == paused.at(0.4) == g.at(0.5)

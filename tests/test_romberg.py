@@ -93,6 +93,33 @@ def test_misdeclared_orders_are_caught_by_the_ratio_gate():
     assert len(cert.extrapolation_orders) < 4
 
 
+@pytest.mark.parametrize(
+    "orders",
+    [(0,), (-1,), (2, 1), (1, 1), (1, math.nan), (math.inf,), (1024,), (1075,)],
+    ids=["zero", "negative", "decreasing", "repeated", "nan", "inf", "past-2**1023", "past-1074"],
+)
+def test_malformed_expansion_orders_raise_where_the_model_is_built(orders):
+    with pytest.raises(ValueError, match="expansion_orders"):
+        dataclasses.replace(make_euler_linear(1.0), expansion_orders=orders)
+
+
+def test_every_richardson_coefficient_a_sew_can_use_is_positive():
+    # the Richardson step has no zero-coefficient branch, so none may be zero
+    linear = make_euler_linear(1.0)
+    declared = [m.expansion_orders for m in (
+        linear, make_additive_sin(), make_flat_connection("midpoint"),
+        dataclasses.replace(linear, expansion_orders=(1.5,)),
+        dataclasses.replace(linear, expansion_orders=(1023,)))]
+    for orders in declared:
+        assert orders
+        assert all(c > 0.0 for c in sewing._column_coefs(orders, None))
+    for rho in (5e-324, 1e-3, 0.5, math.nextafter(sewing.MAX_CONTRACTION, 0.0)):
+        assert sewing._column_coefs((0,), rho)[0] > 0.0
+    # the largest order still passes the ratio gate's 2**order
+    _, cert = sew(dataclasses.replace(linear, expansion_orders=(1023,)), 0.0, 1.0, TOL)
+    assert abs(cert.limit_value - math.e) <= 1e-6
+
+
 def _trace(cert):
     return (
         [(r.level, r.intervals, r.mesh, r.successive, r.accel_successive, r.refine_bound, r.value)
@@ -121,7 +148,13 @@ def test_undeclared_models_match_an_explicitly_empty_declaration(model):
 
 def _via_the_chain(model):
     """The model with its readout wrapped, so ``sew`` evaluates every summary
-    on the map instead of reading it from the probe values."""
+    on the map instead of reading it from the probe values; a readout point
+    that is no probe is made the last probe, as ``sew`` measures it."""
+    space = model.space_at(0.0)
+    point = model.summary.point
+    if repr(point) not in map(repr, space.probes):
+        space = dataclasses.replace(space, probes=space.probes + (point,))
+        model = dataclasses.replace(model, space_at=lambda _t: space)
     return dataclasses.replace(model, summary=lambda m, _r=model.summary: _r(m))
 
 
@@ -129,7 +162,7 @@ def _via_the_chain(model):
     "model,s,t",
     [
         (make_additive_sin(), 0.0, 0.9),
-        (make_additive_sin(probe_n=4), 0.0, 0.9),  # the readout point 0.0 is no probe
+        (make_additive_sin(probe_n=4), 0.0, 0.9),  # the readout point 0.0 is measured too
         (make_young(np.sin, lambda t: t * t, 0.8, 0.7, c_y=2.0), 0.0, 0.9),
         (make_euler_linear(1.0), 0.0, 1.0),
         (make_euler_matrix([[0.2, -1.0], [1.0, 0.1]]), 0.0, 1.0),

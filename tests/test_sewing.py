@@ -42,19 +42,19 @@ from sewkit import (
     sew,
     zeta,
 )
-from sewkit import cli
+from sewkit import cli, sewing
 from sewkit.flows import MODE_KNITTING
 
 
 # --- zeta oracle -------------------------------------------------------------
 
 def test_zeta_against_closed_forms():
-    assert zeta(2.0, 1e-10) == pytest.approx(math.pi**2 / 6.0, abs=1e-10)
-    assert zeta(4.0, 1e-10) == pytest.approx(math.pi**4 / 90.0, abs=1e-10)
+    assert zeta(2.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-10)
+    assert zeta(4.0) == pytest.approx(math.pi**4 / 90.0, abs=1e-10)
 
 
 def test_zeta_tends_to_one():
-    val = zeta(30.0, 1e-12)
+    val = zeta(30.0)
     assert 1.0 < val < 1.0 + 1e-8
 
 
@@ -74,26 +74,35 @@ def test_zeta_matches_mpmath(s):
     assert rel <= 4e-16
 
 
-@pytest.mark.parametrize(
-    "s,tol",
-    [
-        (math.nan, 1e-12),
-        (math.inf, 1e-12),
-        (-math.inf, 1e-12),
-        (2.0, math.nan),
-        (2.0, math.inf),
-        (2.0, 0.0),
-        (2.0, -1e-12),
-        (2.0, 1e-17),  # below the double spacing at 1: no double can meet it
-    ],
-)
-def test_zeta_fails_closed_on_unusable_arguments(s, tol):
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_zeta_fails_closed_on_unusable_arguments(s):
     with pytest.raises(ValueError):
-        zeta(s, tol)
+        zeta(s)
+
+
+#: |B12| / 12!, the coefficient of the first term zeta's Euler-Maclaurin tail omits
+_EM_REMAINDER = 691.0 / 1307674368000.0
+
+
+def _omitted_term(s):
+    """The first omitted term, |B12|/12! * s(s+1)...(s+10) * N**(-s-11), which
+    bounds zeta's truncation error."""
+    n = sewing._ZETA_N
+    return _EM_REMAINDER * math.prod(s + i for i in range(11)) * n ** (-s - 11.0)
+
+
+def test_zeta_truncation_is_below_double_resolution_for_every_s():
+    # dense over (1, 2]; beyond it the term falls by (s + 11) / (N s) <= 0.6 per unit of s
+    grid = [1.0 + 2.0**-40, *(1.0 + j / 20000.0 for j in range(1, 20001))]
+    assert max(map(_omitted_term, grid)) <= 5.2e-18 < math.ulp(1.0) / 2.0
+    n = sewing._ZETA_N
+    for s in [*grid, 2.5, 30.0, 1e3]:
+        assert _omitted_term(s + 1.0) <= 0.6 * _omitted_term(s)
+        assert (s + 11.0) / (n * s) <= 0.6
 
 
 def test_zeta_at_extreme_finite_arguments():
-    assert zeta(2.0, math.ulp(1.0)) == pytest.approx(math.pi**2 / 6.0, rel=4e-16)
+    assert zeta(2.0) == pytest.approx(math.pi**2 / 6.0, rel=4e-16)
     assert zeta(1e300) == 1.0
     # zeta(1 + h) = 1/h + Euler's gamma + O(h)
     assert zeta(1.0 + 2.0**-30) == pytest.approx(2.0**30 + 0.5772156649, rel=1e-15)
@@ -110,7 +119,7 @@ def test_constant_K_examples():
     assert constant_K(h0) == 0.0
 
     h_half = HoelderData(0.5, ((0.75, 0.75, 2.0), (0.5, 1.0, 3.0)))
-    expect = 2.0**1.5 * 5.0 * zeta(1.5, 1e-9)
+    expect = 2.0**1.5 * 5.0 * zeta(1.5)
     assert constant_K(h_half) == pytest.approx(expect, rel=1e-9)
     assert expect == pytest.approx(36.944, abs=2e-3)
 
@@ -342,6 +351,9 @@ def test_inverse_defect_examples():
     assert measured < bound
     for n in (4, 8, 16):
         assert inverse_defect(m, 0.0, 1.0, 2 * n) < inverse_defect(m, 0.0, 1.0, n)
+    assert inverse_defect_bound(m.hoelder, 1.0, 0) == 0.0
+    with pytest.raises(ValueError, match="k >= 1"):
+        inverse_defect(m, 0.0, 1.0, 0)
 
 
 # --- negative controls: additive_sin declared with too small a constant ------

@@ -37,6 +37,8 @@ def test_monotonicity_validation():
     with pytest.raises(ValueError):
         Subdivision((1.0, 0.25, 0.5, 0.0))  # decreasing interval needs decreasing points
     Subdivision((1.0, 0.5, 0.25, 0.0))
+    with pytest.raises(ValueError, match="1-D"):
+        Subdivision(((0.0, 0.0), (1.0, 1.0)))
 
 
 @pytest.mark.parametrize("build", [
@@ -46,7 +48,9 @@ def test_monotonicity_validation():
     lambda: Subdivision((0.0, math.inf)),
     lambda: regular(0.0, math.inf, 2),
     lambda: Subdivision(()),
-], ids=["nan-interior", "nan-end", "nan-point", "inf-end", "regular-to-inf", "empty"])
+    lambda: regular(0.0, 1.0, 0),
+], ids=["nan-interior", "nan-end", "nan-point", "inf-end", "regular-to-inf", "empty",
+        "regular-no-intervals"])
 def test_non_finite_or_missing_points_are_rejected(build):
     # a NaN compares False both ways, so a pairwise order test alone lets it through
     with pytest.raises(ValueError):
