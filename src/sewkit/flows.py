@@ -153,9 +153,6 @@ class Readout:
     def read(self, image: Point) -> float:
         return image if self.coord is None else image[self.coord]
 
-    def __call__(self, m: ProbedMap) -> float:
-        return self.read(m.eval(self.point))
-
 
 @dataclass(frozen=True)
 class ApproxFlowModel:
@@ -183,8 +180,8 @@ class ApproxFlowModel:
     ``max_param_step`` is used by ``sew`` alone, to choose its base level:
     the regular base subdivision is doubled until no step exceeds it.  Knit
     rows, certify chains and ``mu`` itself may take longer steps;
-    ``summary`` is the scalar readout of a flow map that ``sew``
-    records per level (a :class:`Readout` in the built-in models);
+    ``summary`` is the :class:`Readout` of a flow map that ``sew``
+    records per level, or None; anything else raises ValueError;
     ``expansion_orders`` are the powers p_1 < p_2 < ... of the step in an
     asymptotic error expansion of the composites, which ``sew`` removes by
     Richardson columns (1, 2, 3, ... for Euler steps of smooth fields).
@@ -199,7 +196,7 @@ class ApproxFlowModel:
     act: Callable[[MetricSpace, MetricSpace, Sequence[float]], ProbedMap]
     mu: Callable[[Param, Param], ProbedMap] | None = None
     max_param_step: float | None = None
-    summary: Callable[[ProbedMap], float] | None = None
+    summary: Readout | None = None
     expansion_orders: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -209,6 +206,10 @@ class ApproxFlowModel:
                 and all(p < q for p, q in zip(orders, orders[1:]))):
             raise ValueError(f"expansion_orders of {self.name} must increase strictly "
                              f"within (0, {_MAX_ORDER}], got {orders!r}")
+        if self.summary is not None and not isinstance(self.summary, Readout):
+            # sew reads a summary off the probe values, which only a Readout names
+            raise ValueError(f"summary of {self.name} must be a Readout or None, "
+                             f"got {self.summary!r}")
         if self.mu is None:
             # closes over the fields, not self, so the model holds no reference cycle
             space_at, increments, act = self.space_at, self.increments, self.act

@@ -24,11 +24,9 @@ Point = Any  # a float, or a tuple of floats
 # ---------------------------------------------------------------------------
 # point helpers (floats and tuples share one code path)
 
-def p_norm(a: Point) -> float:
-    """Euclidean norm, as the square root of the sum of squares."""
-    if isinstance(a, tuple):
-        return math.sqrt(sum(x * x for x in a))
-    return abs(a)
+def p_norm(a: tuple[float, ...]) -> float:
+    """Euclidean norm of a tuple point, as the square root of the sum of squares."""
+    return math.sqrt(sum(x * x for x in a))
 
 
 def planar(a: Point, b: Point) -> float:
@@ -85,9 +83,6 @@ class ProbedMap:
     source: MetricSpace
     target: MetricSpace
     eval: Callable[[Point], Point]
-
-    def __call__(self, p: Point) -> Point:
-        return self.eval(p)
 
 
 def identity_map(space: MetricSpace) -> ProbedMap:

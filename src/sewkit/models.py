@@ -164,17 +164,16 @@ def make_young(
 # one-step vector-field models: mu_st(x) = x + (t-s)*F(x)
 
 def _euler_model(
-    field: Callable[[Point], Point],
     lipschitz: float,
     dim: int,
-    field_bound: float | None,
+    field_bound: float,
     probe_n: int | None,
     name: str,
     steps: Callable[[Point, Sequence[float]], Point],
 ) -> ApproxFlowModel:
-    """The Euler model of ``field`` whose act images a point by
-    ``steps(p, dts)``, the steps x + dt*F(x) over ``dts`` in order;
-    ``field`` itself only gives the probed ``field_bound`` when none is passed."""
+    """The Euler model of a field F with the declared ``lipschitz`` and
+    ``field_bound``, whose act images a point by ``steps(p, dts)``, the steps
+    x + dt*F(x) over ``dts`` in order."""
     if lipschitz < 0.0:
         raise ValueError("lipschitz must be >= 0")
     if dim == 1:
@@ -183,8 +182,6 @@ def _euler_model(
         space = plane_grid(1.0, 3 if probe_n is None else probe_n, name=f"{name}-plane")
     else:
         raise ValueError("dim must be 1 or 2")
-    if field_bound is None:
-        field_bound = max(p_norm(field(p)) for p in space.probes)
     h = HoelderData(1.0, ((1.0, 1.0, lipschitz * field_bound),), lipschitz, MODE_SEWING)
 
     def act(source: MetricSpace, target: MetricSpace, dts: Sequence[float]) -> ProbedMap:
@@ -206,14 +203,15 @@ def make_euler(
     field: Callable[[Point], Point],
     lipschitz: float,
     dim: int = 1,
-    field_bound: float | None = None,
+    *,
+    field_bound: float,
     probe_n: int | None = None,
     name: str = "euler",
 ) -> ApproxFlowModel:
     """First-order steps of a vector field with declared Lipschitz constant.
 
-    The three-point defect constant is Lip(F) times a bound on |F| over the
-    probe region (supplied via ``field_bound`` or probed at build time); the
+    The three-point defect constant is Lip(F) times ``field_bound``, the
+    caller's bound on |F| over the probe region, which nothing probes; the
     slope is L = Lip(F), so g(delta) = exp(Lip(F)*delta).  The model declares
     the integer expansion orders ``EULER_EXPANSION_ORDERS``.  Its probes are
     ``probe_n`` points of [-1, 1] on the line, or ``probe_n`` per axis of
@@ -236,7 +234,7 @@ def make_euler(
             p = add(p, field(p), dt)
         return p
 
-    return _euler_model(field, lipschitz, dim, field_bound, probe_n, name, steps)
+    return _euler_model(lipschitz, dim, field_bound, probe_n, name, steps)
 
 
 def make_euler_linear(lam: float = 1.0, probe_n: int = 5) -> ApproxFlowModel:
@@ -246,8 +244,7 @@ def make_euler_linear(lam: float = 1.0, probe_n: int = 5) -> ApproxFlowModel:
             p = p + dt * (lam * p)
         return p
 
-    return _euler_model(
-        lambda x: lam * x, abs(lam), 1, abs(lam), probe_n, f"euler-linear({lam})", steps)
+    return _euler_model(abs(lam), 1, abs(lam), probe_n, f"euler-linear({lam})", steps)
 
 
 def make_euler_sin(probe_n: int = 5) -> ApproxFlowModel:
@@ -258,12 +255,14 @@ def make_euler_sin(probe_n: int = 5) -> ApproxFlowModel:
             p = p + dt * sin(p)
         return p
 
-    return _euler_model(math.sin, 1.0, 1, 1.0, probe_n, "euler-sin", steps)
+    return _euler_model(1.0, 1, 1.0, probe_n, "euler-sin", steps)
 
 
 def make_euler_matrix(a: Sequence[Sequence[float]]) -> ApproxFlowModel:
     """Linear 2x2 steps; sews to the matrix exponential.  The declared
-    Lipschitz constant is the spectral norm of ``a``."""
+    Lipschitz constant is the spectral norm of ``a``, and the field bound is
+    max |a p| over the 3x3 probe grid of [-1, 1]**2: |a p| is convex in p, so
+    its sup over the box is at a corner, and the grid holds the corners."""
     (a00, a01), (a10, a11) = (tuple(a[0]), tuple(a[1]))
     # spectral norm of a 2x2 matrix, closed form
     g00 = a00 * a00 + a01 * a01
@@ -275,7 +274,9 @@ def make_euler_matrix(a: Sequence[Sequence[float]]) -> ApproxFlowModel:
     half = 0.5 * (g00 + g11)
     disc = math.sqrt(max(0.0, bound_power(0.5 * (g00 - g11), 2, "Lipschitz constant") + g01 * g01))
     lipschitz = math.sqrt(max(0.0, half + disc))
-    field = lambda p: (a00 * p[0] + a01 * p[1], a10 * p[0] + a11 * p[1])
+    grid = (-1.0, 0.0, 1.0)  # plane_grid(1.0, 3)'s axis
+    # the whole grid, not the corners alone: rounding can put the max 1 ulp off a corner
+    field_bound = max(p_norm((a00 * x + a01 * y, a10 * x + a11 * y)) for x in grid for y in grid)
 
     def steps(p: Point, dts: Sequence[float]) -> Point:
         x, y = p
@@ -283,7 +284,7 @@ def make_euler_matrix(a: Sequence[Sequence[float]]) -> ApproxFlowModel:
             x, y = x + dt * (a00 * x + a01 * y), y + dt * (a10 * x + a11 * y)
         return (x, y)
 
-    return _euler_model(field, lipschitz, 2, None, None, "euler-matrix", steps)
+    return _euler_model(lipschitz, 2, field_bound, None, "euler-matrix", steps)
 
 
 # ---------------------------------------------------------------------------

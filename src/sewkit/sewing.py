@@ -23,7 +23,7 @@ from .errors import (
     NonConvergence,
     NonFiniteValue,
 )
-from .flows import MODE_SEWING, ApproxFlowModel, HoelderData, Param, Readout, bound_power
+from .flows import MODE_SEWING, ApproxFlowModel, HoelderData, Param, bound_power
 from .metric import (
     Point,
     ProbedMap,
@@ -278,9 +278,9 @@ def sew(
     Returns the limit map (the same column steps applied to the finest
     composites) and a :class:`SewCertificate`, which records the model's
     ``summary`` of each level's composite and of the limit map when the
-    model declares one.  A :class:`Readout` summary's point is imaged and
-    measured with the probes, as one more when it is not a probe, so every
-    value the certificate reports is one the stop rule has seen.  Raises
+    model declares one.  The summary's point is imaged and measured with
+    the probes, as one more when it is not a probe, so every value the
+    certificate reports is one the stop rule has seen.  Raises
     :class:`NonConvergence` carrying the certificate when max_level is hit
     (tol > 0) or, at any tol, when the next level's midpoints round onto
     the ends of their intervals,
@@ -302,15 +302,12 @@ def sew(
 
     summary = model.summary
     probes, slot = source.probes, None
-    if isinstance(summary, Readout):  # the value it reports is measured: off the probes too
+    if summary is not None:  # the value it reports is measured: off the probes too
         probes, slot = _with_point(probes, summary.point)
 
-    def level_value(composite: ProbedMap, vals: tuple[Point, ...]) -> float | None:
-        """The summary of a map whose probe images are vals; a readout reads
-        its slot of vals instead of evaluating the map again."""
-        if summary is None:
-            return None
-        return summary(composite) if slot is None else summary.read(vals[slot])
+    def level_value(vals: tuple[Point, ...]) -> float | None:
+        """The summary of a map whose probe images are vals: its slot of vals."""
+        return None if summary is None else summary.read(vals[slot])
 
     subdiv = regular(s, t, _auto_base_k(model, span))
     levels: list[SewLevel] = []
@@ -380,7 +377,7 @@ def sew(
             prev_diffs = diffs
 
         levels.append(
-            SewLevel(level, subdiv.k, step, d, d_best, bound_prev, level_value(composite, vals))
+            SewLevel(level, subdiv.k, step, d, d_best, bound_prev, level_value(vals))
         )
 
         if tol > 0.0:
@@ -441,7 +438,7 @@ def sew(
         final_subdivision=subdiv,
         ratio_estimate=rho,
         # best holds the limit map's probe images: the same column steps on the same composites
-        limit_value=level_value(final_map, best),
+        limit_value=level_value(best),
         extrapolation_orders=used,
     )
 

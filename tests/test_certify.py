@@ -60,6 +60,24 @@ def test_young_three_point_fit_is_sharp():
         assert row.defect == pytest.approx(row.gap_product, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "driver,integrand,s_range",
+    [("linear", "linear", (0.0, 0.5)),
+     ("linear", "quadratic", (0.8, 0.9)),
+     ("quadratic", "linear", (0.8, 0.9))],
+)
+def test_young_declared_constants_are_tight(driver, integrand, s_range):
+    # a constant declared too large passes every bound, so only a floor on the
+    # largest defect/bound ratio pins it; the largest ratios at seed 0 are
+    # 1.00000002, 0.932 and 0.982 (sup |2t| = 2 on [0, 1] is near t = 0.9)
+    model = cli.build_model(cli.MODELS.check(
+        {"name": "young", "driver": driver, "integrand": integrand,
+         "alpha": 1.0, "beta": 1.0}, "model"))
+    samples = interval_three_point_samples(np.random.default_rng(0), 48, s_range=s_range)
+    report = fit_three_point(model, samples)
+    assert max(r.defect / r.declared_bound for r in report.rows) >= 0.9
+
+
 def test_euler_three_point_fit_matches_declared_exponent():
     rng = np.random.default_rng(2)
     report = fit_three_point(make_euler_linear(1.0), interval_three_point_samples(rng, 48))

@@ -98,7 +98,7 @@ def test_growth_bound_with_an_infinite_slope_is_non_finite(delta):
 @pytest.mark.parametrize(
     "build",
     [lambda: make_euler_linear(math.nan),
-     lambda: make_euler(math.cos, math.nan),
+     lambda: make_euler(math.cos, math.nan, field_bound=1.0),
      lambda: make_euler(math.sin, 1.0, field_bound=math.nan),
      lambda: HoelderData(math.nan, ((1.0, 1.0, 1.0),)),
      lambda: HoelderData(1.0, ((1.0, 1.0, 1.0),), math.nan),

@@ -214,7 +214,7 @@ def test_compose_chain_streams_factors_from_a_generator():
     with pytest.raises(ValueError):
         compose_chain(m for m in [])
     # maps[0] o maps[1] o maps[2]: x -> 2x + 2 -> 4x + 5 -> 8x + 10
-    assert compose_chain(affine(a, 2.0, float(j)) for j in range(3))(1.0) == 18.0
+    assert compose_chain(affine(a, 2.0, float(j)) for j in range(3)).eval(1.0) == 18.0
     mixed = (affine(a, 1.0, 0.0), affine(b, 1.0, 0.0), affine(a, 1.0, 0.0))
     with pytest.raises(DomainMismatch, match="inner target 'b' != outer source 'a'"):
         compose_chain(m for m in mixed)

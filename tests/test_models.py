@@ -39,7 +39,7 @@ from sewkit import (
 )
 from sewkit.certify import ANNULUS_SCALES, annulus_four_point_samples
 from sewkit.flows import HoelderData
-from sewkit.metric import euclidean
+from sewkit.metric import euclidean, p_norm
 from sewkit.models import FlatConnection
 
 
@@ -188,19 +188,22 @@ def test_hoelder_growth_axioms_and_validation():
         h.pulled_back(-1.0)
 
 
-def test_euler_field_bound_is_probed_when_not_given():
-    m = make_euler(math.cos, 1.0, name="euler-cos")
-    # |cos| on the probe grid of [-1, 1] peaks at the middle probe
-    assert m.hoelder.c_total == pytest.approx(1.0)
+def test_euler_field_bound_must_be_declared():
+    # a bound probed off the grid would miss the peak of sin(2x) at pi/4
+    with pytest.raises(TypeError, match="field_bound"):
+        make_euler(lambda x: math.sin(2.0 * x), 2.0)
+    assert make_euler(math.cos, 1.0, field_bound=1.0).hoelder.c_total == 1.0
 
 
 def test_euler_probes_are_probe_n_per_axis_and_the_defaults_keep_their_grids():
     rotation = [[0.0, 1.0], [-1.0, 0.0]]
-    plane = make_euler(_matrix_field(rotation), 1.0, dim=2, probe_n=4)
+    plane = make_euler(_matrix_field(rotation), 1.0, dim=2, field_bound=math.sqrt(2.0), probe_n=4)
     assert len(plane.space_at(0.0).probes) == 16
     defaults = [
-        (make_euler(math.sin, 1.0), real_line(-1.0, 1.0, 5, name="euler-line")),
-        (make_euler(_matrix_field(rotation), 1.0, dim=2), plane_grid(1.0, 3, name="euler-plane")),
+        (make_euler(math.sin, 1.0, field_bound=math.sin(1.0)),
+         real_line(-1.0, 1.0, 5, name="euler-line")),
+        (make_euler(_matrix_field(rotation), 1.0, dim=2, field_bound=math.sqrt(2.0)),
+         plane_grid(1.0, 3, name="euler-plane")),
         (make_euler_linear(2.0), real_line(-1.0, 1.0, 5, name="euler-linear(2.0)-line")),
         (make_euler_sin(), real_line(-1.0, 1.0, 5, name="euler-sin-line")),
         (make_euler_matrix(rotation), plane_grid(1.0, 3, name="euler-matrix-plane")),
@@ -212,9 +215,9 @@ def test_euler_probes_are_probe_n_per_axis_and_the_defaults_keep_their_grids():
         assert repr(make_euler_linear(-2.0, probe_n=n).hoelder) == repr(
             make_euler_linear(-2.0).hoelder)
     with pytest.raises(ValueError, match="lipschitz must be >= 0"):
-        make_euler(math.sin, -1.0)
+        make_euler(math.sin, -1.0, field_bound=1.0)
     with pytest.raises(ValueError, match="dim must be 1 or 2"):
-        make_euler(math.sin, 1.0, dim=3)
+        make_euler(math.sin, 1.0, dim=3, field_bound=1.0)
 
 
 
@@ -229,13 +232,16 @@ def _euler_pairs():
     """Pairs of a built-in Euler model and the make_euler model of its
     field, Lipschitz constant and field bound, whose act runs the generic loop."""
     rng = np.random.default_rng(37)
-    pairs = [(make_euler_linear(lam), make_euler(lambda x, _l=lam: _l * x, abs(lam)))
+    pairs = [(make_euler_linear(lam),
+              make_euler(lambda x, _l=lam: _l * x, abs(lam), field_bound=abs(lam)))
              for lam in (1.0, -2.5, 0.3, 4.0, 0.0)]
     pairs.append((make_euler_sin(), make_euler(math.sin, 1.0, field_bound=1.0)))
     for _ in range(3):
         a = rng.uniform(-1.0, 1.0, size=(2, 2)).tolist()
         built = make_euler_matrix(a)
-        pairs.append((built, make_euler(_matrix_field(a), built.hoelder.lip_slope, dim=2)))
+        field = _matrix_field(a)
+        bound = max(p_norm(field(p)) for p in plane_grid(1.0, 3).probes)
+        pairs.append((built, make_euler(field, built.hoelder.lip_slope, dim=2, field_bound=bound)))
     return pairs
 
 
@@ -271,7 +277,7 @@ def test_built_in_euler_sews_equal_the_generic_sews_by_repr(built, generic):
 
 def test_an_overflowing_linear_act_equals_the_generic_act_by_repr():
     lam = 1e300
-    built, generic = make_euler_linear(lam), make_euler(lambda x: lam * x, lam)
+    built, generic = make_euler_linear(lam), make_euler(lambda x: lam * x, lam, field_bound=lam)
     assert repr(built.hoelder) == repr(generic.hoelder)
     images = []
     with warnings.catch_warnings():

@@ -14,6 +14,8 @@ from sewkit import (
     ModelDomainError,
     arc_path,
     circle_path,
+    compose_along,
+    dyadic_refine,
     ellipse_arc_path,
     holonomy,
     make_additive,
@@ -25,6 +27,7 @@ from sewkit import (
     make_young,
     polyline,
     pullback_flow,
+    regular,
     sew,
     sewing,
     square_loop,
@@ -103,6 +106,19 @@ def test_malformed_expansion_orders_raise_where_the_model_is_built(orders):
         dataclasses.replace(make_euler_linear(1.0), expansion_orders=orders)
 
 
+@pytest.mark.parametrize(
+    "summary",
+    [lambda f: f.eval(1.0), 1.0, (1.0, None)],
+    ids=["callable", "point", "tuple"],
+)
+def test_a_summary_that_is_no_readout_raises_where_the_model_is_built(summary):
+    # sew reads a summary off its probe values, so only a Readout can name one:
+    # a callable read on one probe would report 2.25 for e = 2.718...
+    with pytest.raises(ValueError, match="must be a Readout or None"):
+        dataclasses.replace(make_euler_linear(1.0, probe_n=1), summary=summary)
+    assert dataclasses.replace(make_euler_linear(1.0), summary=None).summary is None
+
+
 def test_every_richardson_coefficient_a_sew_can_use_is_positive():
     # the Richardson step has no zero-coefficient branch, so none may be zero
     linear = make_euler_linear(1.0)
@@ -146,16 +162,15 @@ def test_undeclared_models_match_an_explicitly_empty_declaration(model):
     assert _trace(a) == _trace(b)
 
 
-def _via_the_chain(model):
-    """The model with its readout wrapped, so ``sew`` evaluates every summary
-    on the map instead of reading it from the probe values; a readout point
-    that is no probe is made the last probe, as ``sew`` measures it."""
+def _with_the_point_probed(model):
+    """The model with its readout point made the last probe when it is none,
+    as ``sew`` measures it."""
     space = model.space_at(0.0)
     point = model.summary.point
-    if repr(point) not in map(repr, space.probes):
-        space = dataclasses.replace(space, probes=space.probes + (point,))
-        model = dataclasses.replace(model, space_at=lambda _t: space)
-    return dataclasses.replace(model, summary=lambda m, _r=model.summary: _r(m))
+    if repr(point) in map(repr, space.probes):
+        return model
+    space = dataclasses.replace(space, probes=space.probes + (point,))
+    return dataclasses.replace(model, space_at=lambda _t: space)
 
 
 @pytest.mark.parametrize(
@@ -173,10 +188,19 @@ def _via_the_chain(model):
          "midpoint-dyadic", "midpoint-48"],
 )
 def test_summaries_read_from_probe_values_match_the_chain_bit_for_bit(model, s, t):
-    _, a = sew(model, s, t, 1e-8)
-    _, b = sew(_via_the_chain(model), s, t, 1e-8)
+    flow, a = sew(model, s, t, 1e-8)
+    _, b = sew(_with_the_point_probed(model), s, t, 1e-8)
     assert repr(_trace(a)) == repr(_trace(b))  # repr tells -0.0 from 0.0
-    assert all(r.value is not None for r in a.levels)
+    # each level's value is the readout of its own chain, composed apart from sew
+    summary = model.summary
+    subdiv = regular(s, t, a.levels[0].intervals)
+    for r in a.levels:
+        if r.level:
+            subdiv = dyadic_refine(subdiv)
+        assert r.intervals == subdiv.k
+        chain = compose_along(model, subdiv.points)
+        assert repr(r.value) == repr(summary.read(chain.eval(summary.point))), r.level
+    assert repr(a.limit_value) == repr(summary.read(flow.eval(summary.point)))
 
 
 @pytest.mark.parametrize(

@@ -5,17 +5,19 @@ call at a time, every array of point differences is measured by
 inequality fails through ``sewing.check_bound``, ``sew`` builds every level
 in one loop body, ``models.py`` forks on no array type, the certify fits
 measure each sample set through ``chain_distances``, the CLI runs every
-sew through one step, every name the
-benchmark's tracer patches is where it patches it, and README.md names
-every public name."""
+sew through one step, ``sew`` reads a summary only through ``Readout.read``,
+no map or readout is called as a function, every Euler model declares its
+field bound, every name the benchmark's tracer patches is where it patches
+it, and README.md names every public name."""
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 from perfbench.tracer import Tracer, installed
-from sewkit import certify, cli, knitting, paths, sewing
+from sewkit import ProbedMap, Readout, certify, cli, knitting, models, paths, sewing
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sewkit"
@@ -163,6 +165,28 @@ def test_cli_runs_every_sew_through_one_step():
     uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
             and node.id in ("sew", "holonomy") and isinstance(node.ctx, ast.Load)]
     assert uses and all(id(node) in handed for node in uses)
+
+
+def test_sew_reads_the_summary_only_through_read():
+    # the value sew reports is its summary's slot of the measured probe values,
+    # never a summary called on a map or forked on by its type
+    sew = next(node for node in ast.parse((SRC / "sewing.py").read_text()).body
+               if getattr(node, "name", None) == "sew")
+    calls = [ast.unparse(node.func) for node in ast.walk(sew) if isinstance(node, ast.Call)]
+    assert [c for c in calls if "summary" in c] == ["summary.read"]
+    assert "isinstance" not in calls
+
+
+def test_maps_and_readouts_are_not_called_as_functions():
+    # one spelling each: ProbedMap.eval and Readout.read
+    assert [c.__name__ for c in (ProbedMap, Readout) if "__call__" in vars(c)] == []
+
+
+def test_every_euler_model_declares_its_field_bound():
+    # no field reaches _euler_model, so no bound on |F| is probed off the grid
+    assert "field" not in inspect.signature(models._euler_model).parameters
+    bound = inspect.signature(models.make_euler).parameters["field_bound"]
+    assert bound.default is inspect.Parameter.empty
 
 
 def _attributes():
