@@ -50,17 +50,17 @@ class FitReport:
 
 
 def _regress(report_kind: str, rows: list[FitSample], degree_offset: float) -> FitReport:
-    """Fit the finite log defects above ``NOISE_FLOOR`` against their log gap
-    products, over the rows whose gap product is positive; the other rows
-    stay in the report without a residual, each still with its defect and
-    declared bound to check.  A row whose declared bound is not a finite double
-    raises :class:`NonFiniteValue` naming its geometry: no double holds that
-    bound, so it certifies nothing, and the fit of such a model's defects
-    may overflow.  Fitted defects at fewer than two distinct positive gap
-    products raise :class:`NonFiniteValue` naming the first row whose defect
-    is not finite, if there is one, and :class:`InsufficientSamples`
-    otherwise: no line runs through one point.  A fitted line whose intercept
-    puts ``c_hat`` past the largest double raises :class:`NonFiniteValue`."""
+    """Fit the finite log defects above ``NOISE_FLOOR`` against their log gap products
+    by the closed-form least-squares line, its sums in ``math.fsum``, over the rows
+    whose gap product is positive; the other rows stay in the report without a
+    residual, each still with its defect and declared bound to check.  A row whose
+    declared bound is not a finite double raises :class:`NonFiniteValue` naming its
+    geometry: no double holds that bound, so it certifies nothing, and the fit of
+    such a model's defects may overflow.  Fitted defects at fewer than two distinct
+    log gap products raise :class:`NonFiniteValue` naming the first row whose defect
+    is not finite, if there is one, and :class:`InsufficientSamples` otherwise: no
+    line runs through one point.  A fitted line whose intercept puts ``c_hat`` past
+    the largest double raises :class:`NonFiniteValue`."""
     for r in rows:
         if not math.isfinite(r.declared_bound):
             raise NonFiniteValue(
@@ -81,7 +81,8 @@ def _regress(report_kind: str, rows: list[FitSample], degree_offset: float) -> F
             note="exact model: every sampled defect is zero (epsilon = infinity)",
         )
     used = [r for r in noisy if r.gap_product > 0.0]
-    if len({r.gap_product for r in used}) < 2:
+    xs = [math.log(r.gap_product) for r in used]
+    if len(set(xs)) < 2:
         if unfit:
             raise NonFiniteValue(
                 f"{report_kind} defect at {unfit[0].geometry} is {unfit[0].defect!r}, and "
@@ -89,29 +90,28 @@ def _regress(report_kind: str, rows: list[FitSample], degree_offset: float) -> F
             )
         raise InsufficientSamples(
             f"{report_kind} fit needs defects above {NOISE_FLOOR} at two or more distinct "
-            f"positive gap products, got {len(used)} such rows"
+            f"positive gap products (distinct in their logs), got {len(used)} such rows"
         )
-    xs = np.log([r.gap_product for r in used])
-    ys = np.log([r.defect for r in used])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = slope * xs + intercept
-    res = ys - fitted
-    for r, e in zip(used, res):
-        r.residual = float(e)
-    eps_hat = 2.0 * float(slope) - degree_offset
+    ys = [math.log(r.defect) for r in used]
+    x_bar, y_bar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    slope = (math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+             / math.fsum((x - x_bar) * (x - x_bar) for x in xs))
+    intercept = y_bar - slope * x_bar
+    for r, x, y in zip(used, xs, ys):
+        r.residual = y - (slope * x + intercept)
     try:
         c_hat = math.exp(intercept)
     except OverflowError:
-        raise NonFiniteValue(f"{report_kind} fit's c_hat = exp({float(intercept)!r}) "
+        raise NonFiniteValue(f"{report_kind} fit's c_hat = exp({intercept!r}) "
                              f"overflows a double") from None
     return FitReport(
         kind=report_kind,
         exact=False,
-        epsilon_hat=eps_hat,
+        epsilon_hat=2.0 * slope - degree_offset,
         c_hat=c_hat,
         n_samples=len(rows),
         n_used=len(used),
-        residual_rms=float(np.sqrt(np.mean(res**2))),
+        residual_rms=math.sqrt(math.fsum(r.residual * r.residual for r in used) / len(used)),
         rows=rows,
     )
 

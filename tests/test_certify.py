@@ -418,3 +418,63 @@ def test_a_fit_through_one_point_raises_insufficient_samples():
     assert [i for i, (_g, _p, d, _b) in enumerate(rows) if d > NOISE_FLOOR] == [39]
     with pytest.raises(InsufficientSamples, match="two or more distinct positive gap products"):
         fit_three_point(step, samples)
+
+
+# --- the closed-form line ----------------------------------------------------
+
+def _three_point_rows(gaps, defects):
+    return [certify.FitSample(f"row {i}", g, d, 2.0 * d)
+            for i, (g, d) in enumerate(zip(gaps, defects))]
+
+
+def test_the_fit_recovers_an_exact_power_law():
+    # defect = C * gap**((1 + eps)/2) is a line in log space: slope (1 + eps)/2
+    gaps = (10.0 ** np.random.default_rng(8).uniform(-8.0, 0.0, 48)).tolist()
+    eps, c = 0.6, 3.7
+    rows = _three_point_rows(gaps, [c * g ** ((1.0 + eps) / 2.0) for g in gaps])
+    report = certify._regress("three-point", rows, degree_offset=1.0)
+    assert report.epsilon_hat == pytest.approx(eps, rel=1e-12)
+    assert report.c_hat == pytest.approx(c, rel=1e-12)
+    assert report.n_used == 48 and max(abs(r.residual) for r in rows) <= 1e-12
+
+
+def _polyfit(report):
+    """(eps_hat, c_hat, residual_rms) of numpy's least-squares line through
+    the report's used rows: the reference the closed form is checked against."""
+    used = [r for r in report.rows if r.residual is not None]
+    xs = np.log([r.gap_product for r in used])
+    ys = np.log([r.defect for r in used])
+    slope, intercept = np.polyfit(xs, ys, 1)
+    offset = 1.0 if report.kind == "three-point" else 2.0
+    rms = np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2))
+    return 2.0 * slope - offset, math.exp(intercept), float(rms)
+
+
+@pytest.mark.parametrize(
+    "fit,model,draw,seed,n",
+    [(fit_three_point, make_additive_sin(), interval_three_point_samples, 0, 48),
+     (fit_three_point, make_young(lambda t: t, lambda t: t, 1.0, 1.0),
+      interval_three_point_samples, 1, 48),
+     (fit_three_point, make_euler_linear(1.0), interval_three_point_samples, 2, 48),
+     (fit_strong_four_point, make_flat_connection("midpoint"), annulus_four_point_samples, 4, 160),
+     (fit_three_point, make_flat_connection("midpoint"), annulus_three_point_samples, 5, 160),
+     (fit_strong_four_point, make_euler_linear(1.0), interval_four_point_samples, 6, 48)],
+    ids=["additive_sin", "young", "euler", "midpoint-four", "midpoint-three", "euler-four"],
+)
+def test_the_closed_form_fit_is_numpys_least_squares_line(fit, model, draw, seed, n):
+    report = fit(model, draw(np.random.default_rng(seed), n))
+    eps_hat, c_hat, rms = _polyfit(report)
+    assert report.epsilon_hat == pytest.approx(eps_hat, rel=1e-12)
+    assert report.c_hat == pytest.approx(c_hat, rel=1e-12)
+    # each log residual carries about 1e-14 of rounding, so a rounding-level
+    # rms (the exact Young and Euler defects, about 1e-8) is pinned absolutely
+    assert report.residual_rms == pytest.approx(rms, rel=1e-12, abs=1e-14)
+
+
+def test_gap_products_with_one_log_raise_insufficient_samples():
+    # two distinct doubles whose logs are one double: one point, no line
+    gaps = [10.0, math.nextafter(10.0, 11.0)] * 10
+    assert len(set(gaps)) == 2 and len({math.log(g) for g in gaps}) == 1
+    rows = _three_point_rows(gaps, [1e-3 * (1 + i) for i in range(20)])
+    with pytest.raises(InsufficientSamples, match="distinct in their logs"):
+        certify._regress("three-point", rows, degree_offset=1.0)

@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 from collections import OrderedDict
 from pathlib import Path
@@ -425,6 +427,54 @@ def test_identical_config_and_seed_reproduce_bytes(tmp_path):
     # a different seed changes the sampled geometry
     cli.run(p, seed=12, quiet=True)
     assert (tmp_path / "cert.csv").read_bytes() != first
+
+
+#: certify configs whose fit bytes moved with numpy's SIMD level or OpenBLAS's
+#: kernel while the fit ran through np.log and np.polyfit
+_KERNEL_SENSITIVE = [
+    {"experiment": "certify", "mode": "three_point", "seed": 4,
+     "model": {"name": "young", "driver": "sin", "integrand": "quadratic",
+               "alpha": 0.8, "beta": 0.7}},
+    {"experiment": "certify", "mode": "strong_four_point", "seed": 0,
+     "model": {"name": "flat_connection", "variant": "midpoint"}},
+    {"experiment": "certify", "mode": "three_point", "samples": 48, "seed": 751,
+     "model": {"name": "young", "driver": "quadratic", "integrand": "quadratic",
+               "alpha": 0.9673649406294775, "beta": 0.9450636278055713}},
+]
+
+#: environment switches of numpy's SIMD dispatch and of OpenBLAS's kernel
+_KERNEL_SWITCHES = {
+    "numpy without AVX-512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "OpenBLAS Sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+}
+
+_RUN_EACH = ("import sys; from sewkit import cli; "
+             "print([cli.run(p, quiet=True) for p in sys.argv[1:]])")
+
+
+def _certify_bytes(tmp_path, name, switch):
+    """The CSV bytes of every kernel-sensitive config, run in one child
+    process whose environment holds ``switch`` and no other kernel switch."""
+    out = tmp_path / name.replace(" ", "-")
+    out.mkdir()
+    paths = [write_cfg(out, f"{i}.json", dict(cfg, output=str(out / f"{i}.csv")))
+             for i, cfg in enumerate(_KERNEL_SENSITIVE)]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _RUN_EACH, *paths], env={**env, **switch},
+                          capture_output=True, text=True)
+    # a switch that numpy or OpenBLAS rejects fails here, with its message
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"{[0] * len(paths)}\n"), name
+    return [(out / f"{i}.csv").read_bytes() for i in range(len(paths))]
+
+
+def test_certify_bytes_depend_on_neither_numpy_dispatch_nor_the_blas_kernel(tmp_path):
+    default = _certify_bytes(tmp_path, "default", {})
+    for name, switch in _KERNEL_SWITCHES.items():
+        got = _certify_bytes(tmp_path, name, switch)
+        for cfg, a, b in zip(_KERNEL_SENSITIVE, default, got):
+            assert a == b, f"{name} changes the CSV of {cfg}"
 
 
 def test_main_entry_point(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Structure guards: sewkit modules share only public names with each other,
 import no name they do not use and draw no random number one ``uniform``
 call at a time, every array of point differences is measured by
-``metric.distances``, every certified
+``metric.distances``, no value goes through a numpy call whose bits follow
+numpy's SIMD dispatch or the BLAS kernel, every certified
 inequality fails through ``sewing.check_bound``, ``sew`` builds every level
 in one loop body, ``models.py`` forks on no array type, the certify fits
 measure each sample set through ``chain_distances``, the CLI runs every
@@ -88,6 +89,15 @@ def test_every_array_of_point_differences_is_measured_by_distances():
         and ast.unparse(node.args[0]) == "math.hypot") == ["metric.distances"]
     assert _definitions_with(lambda node: isinstance(node, ast.Attribute)
                              and ast.unparse(node) in ("np.hypot", "numpy.hypot")) == []
+
+
+def test_no_value_follows_numpys_dispatch_or_the_blas_kernel():
+    # these calls' bits change with the CPU's SIMD level or OpenBLAS's kernel
+    # (numpy's log differs from math.log in the last bit on some doubles), so
+    # a CSV byte that went through one could differ between machines
+    assert _definitions_with(
+        lambda node: isinstance(node, ast.Attribute) and re.fullmatch(
+            r"(np|numpy)\.(polyfit|linalg|log|exp|mean)(\..*)?", ast.unparse(node))) == []
 
 
 def test_only_the_pullback_passes_its_own_mu():
