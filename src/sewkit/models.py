@@ -170,18 +170,25 @@ def _euler_model(
     probe_n: int | None,
     name: str,
     steps: Callable[[Point, Sequence[float]], Point],
+    odd: bool = False,
 ) -> ApproxFlowModel:
     """The Euler model of a field F with the declared ``lipschitz`` and
     ``field_bound``, whose act images a point by ``steps(p, dts)``, the steps
-    x + dt*F(x) over ``dts`` in order."""
+    x + dt*F(x) over ``dts`` in order.  An ``odd`` F's steps image -p to -(image
+    of p) bit for bit, as IEEE rounding is symmetric under negation; on a grid
+    closed under negation it probes the points p >= -p, whose sup is the grid's."""
     if lipschitz < 0.0:
         raise ValueError("lipschitz must be >= 0")
     if dim == 1:
         space = real_line(-1.0, 1.0, 5 if probe_n is None else probe_n, name=f"{name}-line")
+        neg = lambda p: -p
     elif dim == 2:
         space = plane_grid(1.0, 3 if probe_n is None else probe_n, name=f"{name}-plane")
+        neg = lambda p: (-p[0], -p[1])
     else:
         raise ValueError("dim must be 1 or 2")
+    if odd and set(map(neg, space.probes)) == set(space.probes):
+        space = dataclasses.replace(space, probes=tuple(p for p in space.probes if p >= neg(p)))
     h = HoelderData(1.0, ((1.0, 1.0, lipschitz * field_bound),), lipschitz, MODE_SEWING)
 
     def act(source: MetricSpace, target: MetricSpace, dts: Sequence[float]) -> ProbedMap:
@@ -244,7 +251,7 @@ def make_euler_linear(lam: float = 1.0, probe_n: int = 5) -> ApproxFlowModel:
             p = p + dt * (lam * p)
         return p
 
-    return _euler_model(abs(lam), 1, abs(lam), probe_n, f"euler-linear({lam})", steps)
+    return _euler_model(abs(lam), 1, abs(lam), probe_n, f"euler-linear({lam})", steps, True)
 
 
 def make_euler_sin(probe_n: int = 5) -> ApproxFlowModel:
@@ -255,7 +262,7 @@ def make_euler_sin(probe_n: int = 5) -> ApproxFlowModel:
             p = p + dt * sin(p)
         return p
 
-    return _euler_model(1.0, 1, 1.0, probe_n, "euler-sin", steps)
+    return _euler_model(1.0, 1, 1.0, probe_n, "euler-sin", steps, True)
 
 
 def make_euler_matrix(a: Sequence[Sequence[float]]) -> ApproxFlowModel:
@@ -284,7 +291,7 @@ def make_euler_matrix(a: Sequence[Sequence[float]]) -> ApproxFlowModel:
             x, y = x + dt * (a00 * x + a01 * y), y + dt * (a10 * x + a11 * y)
         return (x, y)
 
-    return _euler_model(lipschitz, 2, field_bound, None, "euler-matrix", steps)
+    return _euler_model(lipschitz, 2, field_bound, None, "euler-matrix", steps, True)
 
 
 # ---------------------------------------------------------------------------

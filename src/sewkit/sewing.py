@@ -409,6 +409,8 @@ def sew(
     final_map = ProbedMap(source, target, limit_eval)
     if math.isinf(tail):
         tail = bound
+    if subdiv.k == 1:  # the composite is mu(s, t): claimed is the tighter bound on its distance
+        tail = min(tail, claimed)
 
     done = converged or (tol <= 0.0 and not unresolved)
     mu_distance: float | None

@@ -72,6 +72,20 @@ def test_sew_nonconvergence_exits_two(tmp_path, capsys):
     assert rows[-1][0] == "limit"
 
 
+@pytest.mark.parametrize("extra,claimed", [
+    ({"interval": [0.0, 0.5], "tol": 10.0}, 2.7120377849119373),
+    ({"model": {"name": "euler_matrix", "a": [[0.5, 0.0], [0.0, 0.5]]}, "tol": 0.0,
+      "max_level": 0}, 3.835400617090749),
+], ids=["loose-tol", "max-level-0"])
+def test_a_sew_ending_on_its_one_interval_base_level_exits_zero(tmp_path, capsys, extra, claimed):
+    # its composite is mu(s, t), so the limit row's tail is the claimed bound
+    assert cli.run(euler_cfg(tmp_path, **extra), quiet=True) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_rows(tmp_path / "euler.csv")
+    assert [row[0] for row in rows[1:]] == ["0", "limit"]
+    assert float(rows[-1][2]) == float(rows[-1][3]) == claimed
+
+
 def test_sew_nan_probe_values_exit_two(tmp_path, monkeypatch, capsys):
     nan_tail = make_euler(lambda x: math.nan if x > 0.5 else x, 1.0, field_bound=1.0)
     monkeypatch.setattr(cli, "build_model", lambda spec, where="model": nan_tail)

@@ -199,17 +199,31 @@ def test_euler_probes_are_probe_n_per_axis_and_the_defaults_keep_their_grids():
     rotation = [[0.0, 1.0], [-1.0, 0.0]]
     plane = make_euler(_matrix_field(rotation), 1.0, dim=2, field_bound=math.sqrt(2.0), probe_n=4)
     assert len(plane.space_at(0.0).probes) == 16
+    # make_euler keeps its full grid: nothing tells it that a user's field is odd
     defaults = [
         (make_euler(math.sin, 1.0, field_bound=math.sin(1.0)),
          real_line(-1.0, 1.0, 5, name="euler-line")),
         (make_euler(_matrix_field(rotation), 1.0, dim=2, field_bound=math.sqrt(2.0)),
          plane_grid(1.0, 3, name="euler-plane")),
-        (make_euler_linear(2.0), real_line(-1.0, 1.0, 5, name="euler-linear(2.0)-line")),
-        (make_euler_sin(), real_line(-1.0, 1.0, 5, name="euler-sin-line")),
-        (make_euler_matrix(rotation), plane_grid(1.0, 3, name="euler-matrix-plane")),
     ]
     for model, space in defaults:
         assert repr(model.space_at(0.0)) == repr(space)
+    # the odd built-ins probe the points p >= -p of the same grids, under the same names
+    halves = [
+        (make_euler_linear(2.0), real_line(-1.0, 1.0, 5, name="euler-linear(2.0)-line"),
+         (0.0, 0.5, 1.0)),
+        (make_euler_sin(), real_line(-1.0, 1.0, 5, name="euler-sin-line"), (0.0, 0.5, 1.0)),
+        (make_euler_matrix(rotation), plane_grid(1.0, 3, name="euler-matrix-plane"),
+         ((0.0, 0.0), (0.0, 1.0), (1.0, -1.0), (1.0, 0.0), (1.0, 1.0))),
+    ]
+    for model, space, half in halves:
+        assert repr(model.space_at(0.0)) == repr(dataclasses.replace(space, probes=half))
+    # a grid that negation does not map onto itself bit for bit keeps every point
+    for n in (4, 6):
+        grid = real_line(-1.0, 1.0, n).probes
+        assert {-p for p in grid} != set(grid)
+        for model in (make_euler_linear(2.0, probe_n=n), make_euler_sin(probe_n=n)):
+            assert repr(model.space_at(0.0).probes) == repr(grid)
     # the linear model declares |F| <= |lam| whatever its probes
     for n in (1, 2, 4):
         assert repr(make_euler_linear(-2.0, probe_n=n).hoelder) == repr(
@@ -259,7 +273,7 @@ def test_built_in_euler_acts_equal_the_generic_act_by_repr(built, generic):
     assert repr(built.hoelder) == repr(generic.hoelder)
     for params in _seeded_chains():
         fused, ref = compose_along(built, params), compose_along(generic, params)
-        for p in fused.source.probes:
+        for p in ref.source.probes:  # the full grid, not the built-in model's half
             assert repr(fused.eval(p)) == repr(ref.eval(p)), (built.name, len(params), p)
 
 
@@ -271,7 +285,8 @@ def test_built_in_euler_sews_equal_the_generic_sews_by_repr(built, generic):
         (flow, cert), (ref_flow, ref_cert) = sew(built, s, t, tol), sew(generic, s, t, tol)
         assert repr(cert.levels) == repr(ref_cert.levels), (built.name, s, t, tol)
         assert repr(cert.limit_value) == repr(ref_cert.limit_value)
-        assert [repr(flow.eval(p)) for p in flow.source.probes] == [
+        # the limit maps agree on the full grid, the half the built-in model probes included
+        assert [repr(flow.eval(p)) for p in ref_flow.source.probes] == [
             repr(ref_flow.eval(p)) for p in ref_flow.source.probes]
 
 
@@ -284,10 +299,44 @@ def test_an_overflowing_linear_act_equals_the_generic_act_by_repr():
         warnings.simplefilter("error")
         for params in ((0.0, 0.5, 1.0, 1.5), (1.5, 1.0, 0.5, 0.0)):
             fused, ref = compose_along(built, params), compose_along(generic, params)
-            for p in fused.source.probes:
+            for p in ref.source.probes:
                 images.append(repr(fused.eval(p)))
                 assert images[-1] == repr(ref.eval(p)), (params, p)
     assert "inf" in images and "nan" in images
+
+
+def _zeros_unsigned(point) -> str:
+    """repr of a point with every zero coordinate +0.0: no distance sees a zero's sign."""
+    return repr(tuple(c + 0.0 for c in (point if isinstance(point, tuple) else (point,))))
+
+
+@pytest.mark.parametrize("kind", ["linear", "sin", "matrix"])
+def test_built_in_euler_chains_image_minus_p_to_minus_the_image_of_p(kind):
+    # what lets the odd built-ins probe half their grid: over seeded chains of 1-40
+    # steps of both signs, every non-zero grid point's mirror images to the
+    # mirror of its image, infinite and NaN images included
+    rng = np.random.default_rng(44)
+    # half the fields of moderate size, half up to sizes whose chains overflow
+    sizes = lambda shape, top: rng.choice((-1.0, 1.0), shape) * 10.0 ** rng.uniform(
+        -3.0, rng.choice((3.0, top)), shape)
+    if kind == "matrix":
+        grid, neg = plane_grid(1.0, 3).probes, lambda p: (-p[0], -p[1])
+    else:
+        grid, neg = real_line(-1.0, 1.0, 5).probes, lambda p: -p
+    images = []
+    for _ in range(300):
+        if kind == "linear":
+            model = make_euler_linear(float(sizes((), 300.0)))
+        elif kind == "sin":
+            model = make_euler_sin()
+        else:
+            model = make_euler_matrix(sizes((2, 2), 70.0).tolist())
+        chain = compose_along(model, rng.uniform(-1.0, 1.0, size=int(rng.integers(2, 42))))
+        for p in grid:
+            if p != neg(p):  # the origin is its own mirror
+                images.append(_zeros_unsigned(chain.eval(p)))
+                assert _zeros_unsigned(chain.eval(neg(p))) == _zeros_unsigned(neg(chain.eval(p)))
+    assert kind == "sin" or any("inf" in r for r in images) and any("nan" in r for r in images)
 
 
 def test_sin_of_infinity_raises_the_same_error_in_both_acts():

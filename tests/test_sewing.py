@@ -386,6 +386,21 @@ def test_the_honestly_declared_control_passes_every_check():
     assert inverse_defect(m, 0.0, 1.0, 8) <= inverse_defect_bound(m.hoelder, 1.0, 8)
 
 
+@pytest.mark.parametrize("model,span,tol,max_level,reason", [
+    (make_euler_linear(1.0), 0.5, 10.0, 10,
+     "a-priori refinement bound below tol at base level"),
+    (make_euler_matrix([[0.5, 0.0], [0.0, 0.5]]), 1.0, 0.0, 0, "full ladder (tol <= 0)"),
+], ids=["loose-tol", "max-level-0"])
+def test_a_sew_ending_on_one_interval_reports_the_claimed_bound_as_its_tail(
+        model, span, tol, max_level, reason):
+    # the one composite is mu(s, t): the claimed bound bounds d(mu_st, limit) and is
+    # tighter than the refinement bound, K g(span)^2 span^(1+eps), by g(span) > 1
+    _, cert = sew(model, 0.0, span, tol, max_level=max_level)
+    assert (cert.stop_reason, cert.converged, cert.mu_bound_ok) == (reason, True, True)
+    assert cert.final_subdivision.k == 1 and cert.mu_distance == 0.0
+    assert cert.tail_estimate == cert.claimed_bound < cert.levels[0].refine_bound
+
+
 # --- mesh lemma and four-point --------------------------------------------------
 
 def test_mesh_lemma_check_examples():

@@ -8,8 +8,9 @@ in one loop body, ``models.py`` forks on no array type, the certify fits
 measure each sample set through ``chain_distances``, the CLI runs every
 sew through one step, ``sew`` reads a summary only through ``Readout.read``,
 no map or readout is called as a function, every Euler model declares its
-field bound, every name the benchmark's tracer patches is where it patches
-it, and README.md names every public name."""
+field bound, only the three odd built-in Euler fields probe half their grid,
+every name the benchmark's tracer patches is where it patches it, and
+README.md names every public name."""
 import ast
 import inspect
 import re
@@ -197,6 +198,31 @@ def test_every_euler_model_declares_its_field_bound():
     assert "field" not in inspect.signature(models._euler_model).parameters
     bound = inspect.signature(models.make_euler).parameters["field_bound"]
     assert bound.default is inspect.Parameter.empty
+
+
+def _euler_model_calls() -> list[tuple[str, list[str]]]:
+    """Each ``_euler_model`` call in models.py: the function it is in and
+    the ``odd`` argument it passes, positionally or by keyword, if any."""
+    tree = ast.parse((SRC / "models.py").read_text())
+    calls = []
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "_euler_model":
+                    odd = node.args[6:] + [k.value for k in node.keywords if k.arg in ("odd", None)]
+                    calls.append((fn.name, [ast.unparse(v) for v in odd]))
+    return sorted(calls)
+
+
+def test_only_the_odd_built_in_fields_probe_half_their_grid():
+    # a user's field need not be odd, so make_euler keeps its full grid
+    assert inspect.signature(models._euler_model).parameters["odd"].default is False
+    assert _euler_model_calls() == [
+        ("make_euler", []),
+        ("make_euler_linear", ["True"]),
+        ("make_euler_matrix", ["True"]),
+        ("make_euler_sin", ["True"]),
+    ]
 
 
 def _attributes():
