@@ -170,11 +170,13 @@ class ApproxFlowModel:
     passes ``mu=None``.  The parameter metric is ``metric.euclidean``.
 
     When ``act`` is ``translation_map`` or ``rotation_map``, ``increments``
-    may also take n stacked chains of m parameters, an (n, m) or (n, m, 2)
+    must also take n stacked chains of m parameters, an (n, m) or (n, m, 2)
     array, and give their (n, m - 1) increments, one row per chain:
-    ``chain_distances`` then measures all n chains in one array pass.
-    ``increments`` that take one chain only are measured one chain at a time:
-    on stacked rows they raise TypeError, IndexError or ValueError, or give
+    ``chain_distances`` measures all n chains in one array pass.  Every
+    built-in model and ``pullback_flow`` meet this; ``make_additive`` and
+    ``make_young`` check their array functions when the model is built.
+    ``increments`` that take one chain only still sew, but a certify fit of
+    them raises what they raise on the stacked rows, or ValueError for
     another shape.
 
     ``max_param_step`` is used by ``sew`` alone, to choose its base level:

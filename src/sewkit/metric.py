@@ -186,9 +186,11 @@ def translation_images(probes: Sequence[float], shifts: np.ndarray) -> np.ndarra
 def rotation_images(probes: Sequence[Point], shifts: np.ndarray) -> np.ndarray:
     """The (x, y) parts of the probe images under ``rotation_map(..., shifts[i])``
     for each row i, as one (n, P, 2) array, bit for bit: each row's angle
-    summed in order by a sequential ``np.add.accumulate``, its cosine and sine
-    by ``math``, then the rotation's products and sums elementwise."""
-    theta = np.add.accumulate(shifts, axis=1)[:, -1].tolist()
+    summed in order by a sequential ``np.add.accumulate`` (0.0 for a row of no
+    shifts, whose images are the probes'), its cosine and sine by ``math``,
+    then the rotation's products and sums elementwise."""
+    n, k = shifts.shape
+    theta = np.add.accumulate(shifts, axis=1)[:, -1].tolist() if k else [0.0] * n
     co = np.array(list(map(math.cos, theta)))[:, None]
     si = np.array(list(map(math.sin, theta)))[:, None]
     px, py = np.asarray(probes, dtype=float)[:, :2].T

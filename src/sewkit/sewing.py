@@ -185,7 +185,9 @@ class SewCertificate:
     distance from mu(s,t) to the returned limit estimate, with
     ``tail_estimate`` the residual tail beyond the finest level (the sum of
     the extrapolation column corrections) reported separately.
-    ``mu_distance`` is None when the model cannot evaluate mu(s,t) directly.
+    ``mu_distance`` is None when the model cannot evaluate mu(s,t) directly;
+    a converged certificate with a ``mu_distance`` has passed the check
+    ``mu_distance + tail_estimate <= claimed_bound``, since a failing one raises.
     ``extrapolation_orders`` lists the Richardson columns behind the returned
     limit: declared orders, or ``(0,)`` for the observed-ratio geometric
     tail; it is empty when the raw finest composite is returned.
@@ -199,7 +201,6 @@ class SewCertificate:
     claimed_bound: float
     tail_estimate: float
     mu_distance: float | None
-    mu_bound_ok: bool | None
     converged: bool
     stop_reason: str
     final_subdivision: Subdivision
@@ -283,7 +284,8 @@ def sew(
     certificate reports is one the stop rule has seen.  Raises
     :class:`NonConvergence` carrying the certificate when max_level is hit
     (tol > 0) or, at any tol, when the next level's midpoints round onto
-    the ends of their intervals,
+    the ends of their intervals or the next level would pass 2**MAX_LEVEL
+    intervals, the cap on the base level too,
     :class:`BoundViolation` if a recorded distance exceeds its bound, and
     :class:`NonFiniteValue` if any probed distance is NaN or infinite.  A NaN
     tol or a negative max_level raises ValueError before any level is built.
@@ -390,6 +392,9 @@ def sew(
                 tail = min(tail, bound)
         if converged or level >= max_level:
             break
+        if 2 * subdiv.k > 2**MAX_LEVEL:  # the cap _auto_base_k puts on the base level
+            unresolved = f"level {level + 1} would pass 2**{MAX_LEVEL} intervals"
+            break
         try:
             subdiv = dyadic_refine(subdiv)
         except ValueError:  # a midpoint rounded onto an end of its interval, or overflowed
@@ -421,8 +426,7 @@ def sew(
         )
     except ModelDomainError:
         mu_distance = None
-    checked = done and mu_distance is not None
-    if checked:
+    if done and mu_distance is not None:
         check_bound(mu_distance + tail, claimed, f"d(mu_st, limit) {mu_distance:.3e} + tail "
                     f"{tail:.3e} of {model.name}, claimed bound")
 
@@ -433,7 +437,6 @@ def sew(
         claimed_bound=claimed,
         tail_estimate=tail,
         mu_distance=mu_distance,
-        mu_bound_ok=True if checked else None,
         converged=done,
         stop_reason=reason if converged else unresolved or (
             "full ladder (tol <= 0)" if tol <= 0.0 else "max_level reached"),
@@ -465,71 +468,62 @@ _STACKED_PASSES = {
 }
 
 
-def _stacked_shifts(model: ApproxFlowModel, rows) -> np.ndarray:
-    """The (n, k) increments of n stacked chains, last interval first, as
-    ``compose_along`` hands them to ``act``.  Rows of one parameter, whose
-    chain is ``mu(p, p)``, and increments that are not one row of m - 1 per
-    stacked row of m parameters raise ValueError."""
-    params = np.asarray(rows, dtype=float)
-    if params.ndim < 2 or params.shape[1] < 2:
-        raise ValueError(f"stacked chains need two or more parameters, got shape {params.shape}")
-    shifts = np.asarray(model.increments(params), dtype=float)
-    if shifts.shape != (params.shape[0], params.shape[1] - 1):
-        raise ValueError(f"increments of stacked parameters {params.shape} have shape "
-                         f"{shifts.shape}")
-    return shifts[:, ::-1]
-
-
-def _stacked_distances(model: ApproxFlowModel, a, b) -> np.ndarray | None:
-    """The (n, P) probe distances of ``chain_distances`` in one array pass,
-    or None where no pass applies or the pass meets an error: a domain
-    error, a NaN distance, rows of one parameter, ``increments`` that take
-    one chain only (a TypeError or IndexError on stacked rows)."""
-    stacked = _STACKED_PASSES.get(model.act)
-    if stacked is None or not len(a):
-        return None
-    metric, images = stacked
-    source, target = model.space_at(a[0][-1]), model.space_at(a[0][0])
-    if target.metric is not metric or not all(
-        model.space_at(r[-1]) is source and model.space_at(r[0]) is target
-        for rows in (a, b) for r in rows
-    ):
-        return None
-    try:
-        with np.errstate(all="ignore"):  # every non-finite distance is judged below
-            xa, xb = (images(source.probes, _stacked_shifts(model, c)) for c in (a, b))
-    except (ModelDomainError, ValueError, TypeError, IndexError):
-        return None
-    n, p = xa.shape[:2]
-    d = np.reshape(distances(xa.reshape(n * p, -1), xb.reshape(n * p, -1)), (n, p))
-    return None if np.isnan(d).any() else d
-
-
 def chain_distances(model: ApproxFlowModel, a, b) -> np.ndarray:
     """The n probed sup distances between ``compose_along(model, a[i])`` and
     ``compose_along(model, b[i])``, as a float64 array, each with the bits of
     ``map_distance_value`` of the two chains.
 
     ``a`` and ``b`` hold n parameter rows each, as sequences of rows or as
-    (n, m_a[, 2]) and (n, m_b[, 2]) arrays.  When the model's ``act`` is
-    ``translation_map`` or ``rotation_map``, every row ends in one source
-    and one target space, and the target metric is the one that act's pass
-    measures in, all rows are measured in one array pass: the increments of
-    the stacked rows, every probe's image under every chain, and the sup
-    along the probe axis.  Any other model is measured row by row, and so is
-    a stacked pass that meets a domain error, a NaN distance or ``increments``
-    that take one chain only: a failing sample set then raises what the
-    first failing row raises (an infinite distance is a value, as in
+    (n, m_a[, 2]) and (n, m_b[, 2]) arrays.  The pass is chosen before any
+    increments are computed: when the model's ``act`` is ``translation_map``
+    or ``rotation_map``, every row runs between one source and one target
+    space, and the target metric is the one that act's pass measures in, all
+    rows are measured in one array pass (the increments of each stack of rows,
+    every probe's image under every chain, the sup along the probe axis);
+    any other model is measured row by row.  A row of one parameter has no
+    increments, so the pass images it by the identity, which ``mu(p, p)`` is
+    by the model contract.  The pass raises a domain error as the model
+    raises it, increments other than one row of m - 1 per row of m
+    parameters as ValueError, and a NaN distance as :class:`NonFiniteValue`
+    naming its row (an infinite distance is a value, as in
     ``map_distance_value``).
     """
     if len(a) != len(b):
         raise ValueError(f"chain_distances needs as many rows in a as in b, "
                          f"got {len(a)} and {len(b)}")
-    d = _stacked_distances(model, a, b)
-    if d is not None:
-        return d.max(axis=1)
-    return np.array([map_distance_value(compose_along(model, p), compose_along(model, q))
-                     for p, q in zip(a, b)], dtype=float)
+    stacked = _STACKED_PASSES.get(model.act) if len(a) else None
+    if stacked is not None:
+        metric, images = stacked
+        source, target = model.space_at(a[0][-1]), model.space_at(a[0][0])
+        if target.metric is not metric or not all(
+            model.space_at(r[-1]) is source and model.space_at(r[0]) is target
+            for rows in (a, b) for r in rows
+        ):
+            stacked = None
+    if stacked is None:
+        return np.array([map_distance_value(compose_along(model, p), compose_along(model, q))
+                         for p, q in zip(a, b)], dtype=float)
+
+    def shifts(rows) -> np.ndarray:
+        """The (n, m - 1) increments of n stacked rows of m parameters, last
+        interval first, as ``compose_along`` hands them to ``act``."""
+        params = np.asarray(rows, dtype=float)
+        out = np.asarray(model.increments(params), dtype=float)
+        if params.ndim < 2 or out.shape != (len(params), params.shape[1] - 1):
+            raise ValueError(f"increments of {model.name} on stacked parameters of shape "
+                             f"{params.shape} have shape {out.shape}")
+        return out[:, ::-1]
+
+    with np.errstate(all="ignore"):  # every non-finite distance is judged below
+        xa, xb = (images(source.probes, shifts(rows)) for rows in (a, b))
+    n, p = xa.shape[:2]
+    d = np.reshape(distances(xa.reshape(n * p, -1), xb.reshape(n * p, -1)), (n, p))
+    nan = np.isnan(d).any(axis=1)
+    if nan.any():
+        i = int(nan.argmax())
+        raise NonFiniteValue(f"chain_distances row {i} of {model.name}: NaN probe distance "
+                             f"in {d[i].tolist()}")
+    return d.max(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,8 @@ def test_criterion_2_additive_sewing():
     k = constant_K(HoelderData(1.0, ((1.0, 1.0, 1.0),)))
     k_ok = cert.K == pytest.approx(4.0 * zeta(2.0) * 1.0, rel=1e-12) and cert.K == k
     # g = 1 for translations, span = 1: the claimed bound is K itself
-    bound_ok = cert.mu_bound_ok and cert.claimed_bound == pytest.approx(k, rel=1e-12)
+    bound_ok = (cert.converged and cert.mu_distance is not None
+                and cert.claimed_bound == pytest.approx(k, rel=1e-12))
     report(
         2,
         "additive sewing",

@@ -325,23 +325,30 @@ _ABS_LINE = MetricSpace("line-abs", lambda x, y: abs(x - y), real_line().probes)
 
 
 @pytest.mark.parametrize(
-    "model",
-    [dataclasses.replace(_SIN, increments=lambda p: np.ravel(_SIN.increments(p))),
-     dataclasses.replace(_SIN, space_at=lambda p: _RIGHT if p >= 0.5 else _LEFT),
-     dataclasses.replace(_SIN, space_at=lambda _p: _ABS_LINE)],
+    "model,raises",
+    [(dataclasses.replace(_SIN, increments=lambda p: np.ravel(_SIN.increments(p))), True),
+     (dataclasses.replace(_SIN, space_at=lambda p: _RIGHT if p >= 0.5 else _LEFT), False),
+     (dataclasses.replace(_SIN, space_at=lambda _p: _ABS_LINE), False)],
     ids=["increments-of-another-shape", "rows-in-other-spaces", "another-target-metric"],
 )
-def test_chain_distances_measures_row_by_row_where_the_pass_does_not_apply(model):
+def test_chain_distances_measures_row_by_row_where_the_pass_does_not_apply(model, raises):
+    # the pass is chosen before any increments are computed: increments of
+    # another shape fail in it, and rows it does not apply to are measured row by row
     a, b = [(0.1, 0.3), (0.6, 0.9)], [(0.1, 0.2, 0.3), (0.6, 0.8, 0.9)]
-    assert sewing._stacked_distances(model, a, b) is None
+    if raises:
+        with pytest.raises(ValueError, match=r"on stacked parameters of shape \(2, 2\) have "
+                                             r"shape \(2,\)"):
+            chain_distances(model, a, b)
+        return
     assert repr(chain_distances(model, a, b).tolist()) == repr(
         [sewing.map_distance_value(sewing.compose_along(model, p), sewing.compose_along(model, q))
          for p, q in zip(a, b)])
 
 
-def test_a_model_whose_increments_take_one_chain_is_measured_row_by_row():
-    # ``increments`` written for one chain fail on stacked rows (math.sin of a
-    # row), so the fit measures its samples one chain at a time, as sew does
+def test_a_model_whose_increments_take_one_chain_sews_but_its_fit_raises():
+    # ``increments`` written for one chain run every sew level, but fail on the
+    # stacked rows of a certify sample set (math.sin of a row): the closed-form
+    # pass raises what the model raises, with no retry row by row
     space = real_line()
     model = ApproxFlowModel(
         name="chain-only", space_at=lambda _t: space, hoelder=HoelderData(1.0, ((1.0, 1.0, 1.0),)),
@@ -349,9 +356,27 @@ def test_a_model_whose_increments_take_one_chain_is_measured_row_by_row():
         increments=lambda p: [math.sin(s) * (t - s) for s, t in zip(p, p[1:])])
     assert sewing.sew(model, 0.0, 1.0, 1e-6)[1].converged
     samples = interval_three_point_samples(np.random.default_rng(0))
-    report = fit_three_point(model, samples)
-    assert abs(report.epsilon_hat - 1.0) < 0.01
-    assert repr(_rows(report)) == repr(oracles.three_point_rows(model, samples))
+    with pytest.raises(TypeError):
+        fit_three_point(model, samples)
+
+
+@pytest.mark.parametrize("variant", ["midpoint", "exact-segment"])
+def test_rows_of_one_parameter_go_through_the_pass_with_the_bits_of_their_chains(
+        monkeypatch, variant):
+    # a row of one parameter has no increments: its chain mu(p, p) is the identity
+    model = make_flat_connection(variant)
+    a = [((1.0, 0.0),), ((0.0, 1.0),), ((0.6, -0.7),)]
+    b = [((1.0, 0.0), (0.9, 0.3)), ((0.0, 1.0), (0.2, 0.9)), ((0.6, -0.7), (0.7, -0.6))]
+    want = [[sewing.map_distance_value(sewing.compose_along(model, p),
+                                       sewing.compose_along(model, q)) for p, q in zip(x, y)]
+            for x, y in ((a, b), (b, a), (a, a))]
+
+    def no_row(*_args):
+        raise AssertionError("measured row by row")
+
+    monkeypatch.setattr(sewing, "map_distance_value", no_row)
+    got = [chain_distances(model, x, y).tolist() for x, y in ((a, b), (b, a), (a, a))]
+    assert repr(got) == repr(want) and got[2] == [0.0, 0.0, 0.0]
 
 
 # --- rows the regression leaves out -----------------------------------------

@@ -8,10 +8,11 @@ import sys
 from collections import OrderedDict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from perfbench import workloads
-from sewkit import cli, make_euler
+from sewkit import certify, cli, make_euler
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -125,6 +126,28 @@ def test_holonomy_experiment_reports_winding(tmp_path):
     rows = read_rows(tmp_path / "hol.csv")
     assert rows[-1][0] == "angle"
     assert float(rows[-1][4]) == pytest.approx(2.0 * math.pi, abs=1e-6)
+
+
+def test_a_holonomy_whose_levels_would_pass_the_interval_cap_exits_two(tmp_path, capsys):
+    # r0 = 0.02 needs a base level of 512 intervals along the unit circle; at
+    # tol 0 the ladder stops before level 12 would pass 2**20 intervals
+    # (max_level 12 bounds the ladder of a sew that would not stop; the
+    # default 20 would ask for 512 * 2**20 intervals)
+    cfg = {
+        "experiment": "holonomy",
+        "model": {"name": "flat_connection", "variant": "midpoint", "r0": 0.02},
+        "path": {"kind": "circle"},
+        "tol": 0,
+        "max_level": 12,
+        "output": str(tmp_path / "cap.csv"),
+    }
+    assert cli.run(write_cfg(tmp_path, "cap.json", cfg), quiet=True) == 2
+    assert capsys.readouterr().err == (
+        "non-convergence: sew of pullback(flat-connection[midpoint]) stopped at level 11: "
+        "level 12 would pass 2**20 intervals\n")
+    rows = read_rows(tmp_path / "cap.csv")
+    assert [r[0] for r in rows[1:]] == [str(j) for j in range(12)] + ["limit", "angle"]
+    assert float(rows[12][1]) == 2.0**-20
 
 
 @pytest.mark.parametrize("variant", ["exact-segment", "midpoint"])
@@ -361,6 +384,25 @@ def test_certify_experiment_fits_young(tmp_path):
     fit = [r for r in rows if r[0] == "fit"][0]
     eps_hat = float(fit[1].split(";")[0].split("=")[1])
     assert eps_hat == pytest.approx(1.0, abs=0.15)
+
+
+@pytest.mark.parametrize("mode", ["three_point", "strong_four_point"])
+def test_planar_certify_geometry_cells_are_quoted_and_read_back_whole(tmp_path, mode):
+    # a planar sample's geometry holds ", " inside its points, so csv.writer
+    # quotes the cell; csv.reader gives back each sample's own string
+    cfg = {"experiment": "certify", "model": {"name": "flat_connection", "variant": "midpoint"},
+           "mode": mode, "seed": 0, "output": str(tmp_path / "geo.csv")}
+    assert cli.run(write_cfg(tmp_path, "geo.json", cfg), quiet=True) == 0
+    rng = np.random.default_rng(0)
+    if mode == "three_point":
+        want = [f"s={s!r};u={u!r};t={t!r}"
+                for s, u, t in certify.annulus_three_point_samples(rng)]
+    else:
+        want = [f"x={x!r};u={u!r};v={v!r};y={y!r}"
+                for x, u, v, y in certify.annulus_four_point_samples(rng)]
+    rows = read_rows(tmp_path / "geo.csv")
+    assert [r[1] for r in rows if r[0] == "sample"] == want
+    assert f'sample,"{want[0]}",' in (tmp_path / "geo.csv").read_text()
 
 
 def test_config_errors_exit_one(tmp_path, capsys):

@@ -555,6 +555,17 @@ def test_a_nan_in_one_stacked_row_raises_non_finite_value():
         fit_three_point(model, samples)
 
 
+def test_a_nan_row_of_the_stacked_pass_is_named():
+    samples = interval_three_point_samples(np.random.default_rng(0))
+    s_nan = samples[17][0]
+    model = make_additive(lambda s, t: np.where(s == s_nan, np.nan, np.sin(s) * (t - s)),
+                          HoelderData(1.0, ((1.0, 1.0, 1.0),)))
+    a = [(s, t) for s, _u, t in samples]
+    with pytest.raises(NonFiniteValue, match=r"^chain_distances row 17 of additive: NaN probe "
+                                             r"distance in \[nan, nan, nan, nan, nan\]$"):
+        sewing.chain_distances(model, a, samples)
+
+
 def test_the_midpoint_radius_guard_holds_in_the_stacked_pass():
     # the chord (0.6, 0) -> (-0.6, 0.1) stays outside r0 = 0.5, its midpoint does not
     samples = annulus_four_point_samples(np.random.default_rng(0))

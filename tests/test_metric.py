@@ -20,6 +20,7 @@ from sewkit import (
     DomainMismatch,
     MetricSpace,
     ProbedMap,
+    circle_fiber,
     compose,
     compose_chain,
     map_distance_value,
@@ -27,7 +28,7 @@ from sewkit import (
     real_line,
     translation_map,
 )
-from sewkit.metric import distances, euclidean
+from sewkit.metric import distances, euclidean, rotation_images, translation_images
 
 
 def line(probes, name="line"):
@@ -255,3 +256,11 @@ def test_translation_map_adds_the_shifts_in_order_bit_for_bit(n, scale, p, seed)
     for given_shifts in (shifts, shifts.tolist()):
         image = translation_map(sp, sp, given_shifts).eval(p)
         assert type(image) is float and repr(image) == expect
+
+
+def test_the_stacked_image_passes_take_rows_of_no_shifts_as_the_identity():
+    # a row of one parameter has no increments: every probe is its own image
+    line, fiber = real_line().probes, circle_fiber(8).probes
+    none = np.empty((3, 0))
+    assert translation_images(line, none).tolist() == [list(line)] * 3
+    assert rotation_images(fiber, none).tolist() == [[[x, y] for x, y, _ in fiber]] * 3

@@ -73,7 +73,7 @@ def test_euler_sews_meet_tol_on_a_coarse_subdivision(case):
     _, cert = sew(m, 0.0, 1.0, TOL)
     assert abs(cert.limit_value - expect) <= TOL
     assert cert.final_subdivision.k <= 2**11
-    assert cert.converged and cert.mu_bound_ok
+    assert cert.converged and cert.mu_distance is not None
     assert cert.extrapolation_orders and 0 not in cert.extrapolation_orders
     for rec in cert.levels[1:]:
         assert rec.successive <= rec.refine_bound + 1e-9

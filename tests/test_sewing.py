@@ -261,7 +261,7 @@ def test_sew_euler_reaches_the_exponential():
     m = make_euler_linear(1.0)
     flow, cert = sew(m, 0.0, 1.0, 1e-8)
     assert abs(flow.eval(1.0) - math.e) <= 1e-6
-    assert cert.converged and cert.mu_bound_ok
+    assert cert.converged and cert.mu_distance is not None
 
 
 def test_sew_additive_sin_reaches_the_integral():
@@ -306,6 +306,20 @@ def test_sew_nonconvergence_carries_the_level_log():
         sew(m, 0.0, 1.0, 1e-13, max_level=3)
     cert = err.value.certificate
     assert cert is not None and len(cert.levels) == 4 and not cert.converged
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-300])
+def test_a_sew_stops_before_a_level_past_the_base_level_cap(tol):
+    # base level 2**17 intervals, so level 4 would pass 2**MAX_LEVEL = 2**20:
+    # the sew stops there, at any tol, with the levels it built (max_level 4
+    # bounds the ladder of a sew that would not stop)
+    m = dataclasses.replace(make_additive_sin(), max_param_step=2.0**-17)
+    with pytest.raises(NonConvergence, match=r"stopped at level 3: level 4 would pass 2\*\*20") \
+            as err:
+        sew(m, 0.0, 1.0, tol, max_level=4)
+    cert = err.value.certificate
+    assert [r.intervals for r in cert.levels] == [2**17, 2**18, 2**19, 2**20]
+    assert not cert.converged and cert.stop_reason == "level 4 would pass 2**20 intervals"
 
 
 def test_sew_rejects_nan_probe_values():
@@ -374,7 +388,7 @@ def test_sew_of_a_misdeclared_model_raises(c, fragment):
 def test_inverse_defect_of_a_misdeclared_model_raises():
     m = misdeclared_additive_sin(0.1)
     _, cert = sew(m, 0.0, 1.0, 1e-8)  # d(mu_st, limit) is still inside the claimed bound
-    assert cert.mu_bound_ok
+    assert cert.converged and cert.mu_distance is not None
     with pytest.raises(BoundViolation, match="inverse defect"):
         inverse_defect(m, 0.0, 1.0, 8)
 
@@ -382,7 +396,7 @@ def test_inverse_defect_of_a_misdeclared_model_raises():
 def test_the_honestly_declared_control_passes_every_check():
     m = misdeclared_additive_sin(1.0)
     _, cert = sew(m, 0.0, 1.0, 1e-8)
-    assert cert.converged and cert.mu_bound_ok
+    assert cert.converged and cert.mu_distance is not None
     assert inverse_defect(m, 0.0, 1.0, 8) <= inverse_defect_bound(m.hoelder, 1.0, 8)
 
 
@@ -396,7 +410,7 @@ def test_a_sew_ending_on_one_interval_reports_the_claimed_bound_as_its_tail(
     # the one composite is mu(s, t): the claimed bound bounds d(mu_st, limit) and is
     # tighter than the refinement bound, K g(span)^2 span^(1+eps), by g(span) > 1
     _, cert = sew(model, 0.0, span, tol, max_level=max_level)
-    assert (cert.stop_reason, cert.converged, cert.mu_bound_ok) == (reason, True, True)
+    assert (cert.stop_reason, cert.converged, cert.mu_distance is not None) == (reason, True, True)
     assert cert.final_subdivision.k == 1 and cert.mu_distance == 0.0
     assert cert.tail_estimate == cert.claimed_bound < cert.levels[0].refine_bound
 

@@ -5,7 +5,8 @@ call at a time, every array of point differences is measured by
 numpy's SIMD dispatch or the BLAS kernel, every certified
 inequality fails through ``sewing.check_bound``, ``sew`` builds every level
 in one loop body, ``models.py`` forks on no array type, the certify fits
-measure each sample set through ``chain_distances``, the CLI runs every
+measure each sample set through ``chain_distances``, which chooses its pass
+once and never retries it, the CLI runs every
 sew through one step, ``sew`` reads a summary only through ``Readout.read``,
 no map or readout is called as a function, every Euler model declares its
 field bound, only the three odd built-in Euler fields probe half their grid,
@@ -160,6 +161,17 @@ def test_certify_measures_each_sample_set_through_chain_distances(name):
     # one array pass per sample set: no chain, sup distance or mu per sample
     assert name in _callers("chain_distances")
     assert name not in _callers("compose_along") | _callers("map_distance_value") | _callers("mu")
+
+
+def test_chain_distances_chooses_its_pass_once_and_never_retries():
+    # a pass that fails raises: no try can measure a failing sample set a
+    # second time, row by row, and no handler of sewing.py hides a model's bug
+    tree = ast.parse((SRC / "sewing.py").read_text())
+    chain = next(node for node in tree.body if getattr(node, "name", None) == "chain_distances")
+    assert [node.lineno for node in ast.walk(chain) if isinstance(node, ast.Try)] == []
+    caught = [ast.unparse(node.type) for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and node.type is not None]
+    assert not [c for c in caught if re.search(r"\b(TypeError|IndexError)\b", c)], caught
 
 
 def test_cli_runs_every_sew_through_one_step():
